@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 from .asymptotics import (EvenOddLimits, OscillationReport, even_odd_limits,
                           oscillation_factor_cf, oscillation_factor_density,
                           oscillation_report)
-from .distributions import (DecayEnvelope, DistFlags, NoiseDistribution,
-                            SourceDistribution, as_noise, bernoulli_noise, beta3,
-                            gaussian_noise, make_fejer, make_gaussian,
-                            make_laplace, make_uniform, product, uniform_noise)
+from .distributions import (DistFlags, NoiseDistribution, SourceDistribution,
+                            as_noise, bernoulli_noise, beta3, gaussian_noise,
+                            make_fejer, make_gaussian, make_laplace, make_uniform,
+                            product, uniform_noise)
 from .errors import (InconsistentCfError, InvalidParameterError, LltLabError,
                      UnknownDistributionError, UnsupportedError)
 from .inversion import Axis, Grid, GridDensity, estimate_tail, grid_1d, grid_2d, invert

@@ -50,6 +50,7 @@ class EvenOddLimits:
 class OscillationReport:
     n: int
     a_values: np.ndarray
+    p_values: np.ndarray            # the density p_n on the same grid
     residual_sup: float
     period_defect: float
     method_gap: float
@@ -94,11 +95,11 @@ def _a_factor_density_vec(source: SourceDistribution, n: int, x: np.ndarray,
     # lattice-invariant re-centering keeps the mass in the first blocks
     a = a - 2.0 * np.round(a / 2.0)
     p = source.density
-    dec = source.density_decay
-    if dec is not None and dec.kind == "compact":
+    r = source.density_support_radius
+    if r is not None:
         # every lattice point within the support, batch-evaluated
-        m_lo = int(math.floor((-dec.radius - float(a.max())) / 2.0)) - 1
-        m_hi = int(math.ceil((dec.radius - float(a.min())) / 2.0)) + 1
+        m_lo = int(math.floor((-r - float(a.max())) / 2.0)) - 1
+        m_hi = int(math.ceil((r - float(a.min())) / 2.0)) + 1
         m = np.arange(m_lo, m_hi + 1)
         vals = np.asarray(p(2.0 * m[None, :] + a[:, None]), dtype=float).sum(axis=1)
         return 2.0 * vals, 0.0
@@ -144,11 +145,8 @@ def _jump_lattice_mask(source: SourceDistribution, a: np.ndarray) -> np.ndarray:
     A compactly supported density with jumps at +-h makes 2 sum_m p(2m + a)
     depend on the boundary convention exactly when a falls on +-h + 2Z; those
     points are excluded from route comparisons."""
-    if source.flags.density_continuous:
-        return np.ones(a.shape, dtype=bool)
-    h = source.density_decay.radius if (source.density_decay is not None and
-                                        source.density_decay.kind == "compact") else None
-    if h is None:
+    h = source.density_support_radius
+    if source.flags.density_continuous or h is None:
         return np.ones(a.shape, dtype=bool)
     d1 = np.abs(np.mod(a - h + 1.0, 2.0) - 1.0)
     d2 = np.abs(np.mod(a + h + 1.0, 2.0) - 1.0)
@@ -195,6 +193,7 @@ def oscillation_report(model: SmoothedModel, n: int,
     return OscillationReport(
         n=n,
         a_values=canonical,
+        p_values=gd.values,
         residual_sup=residual_sup,
         period_defect=period_defect,
         method_gap=method_gap,

@@ -246,11 +246,10 @@ def _run_oscillate(cfg):
     n = cfg.n_schedule[-1]
     grid = _grid_from_cfg(cfg, 1)
     rep = oscillation_report(model, n, grid, tol=cfg.tol)
-    gd = density(model, n, grid, tol=cfg.tol)
     x = grid.axes[0].points()
     phi = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    rows = {"x": x, "p_n": gd.values, "phi": phi, "A_n": rep.a_values,
-            "residual": gd.values - rep.a_values * phi}
+    rows = {"x": x, "p_n": rep.p_values, "phi": phi, "A_n": rep.a_values,
+            "residual": rep.p_values - rep.a_values * phi}
     return {"n": n, "residual_sup": rep.residual_sup,
             "period_defect": rep.period_defect,
             "method_gap": rep.method_gap,
@@ -294,6 +293,8 @@ def run(cfg: ExperimentConfig) -> int:
     experiment is grid-valued) and returns the process exit status."""
     if cfg.experiment not in _RUNNERS:
         raise InvalidParameterError(f"unknown experiment: {cfg.experiment}")
+    if not cfg.tol > 0:
+        raise InvalidParameterError(f"tol must be positive, got {cfg.tol!r}")
     results, rows = _RUNNERS[cfg.experiment](cfg)
     config_echo = cfg.to_mapping()
     # output paths carry no experiment semantics; echoing them would break
@@ -331,8 +332,17 @@ def run(cfg: ExperimentConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are invalid input: exit 1 through :func:`main`, not
+    argparse's exit 2, which this CLI reserves for failed hypotheses."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="llt-lab",
         description="numerical experiments on noise-smoothed random walks")
     ap.add_argument("experiment", choices=EXPERIMENTS)
@@ -354,9 +364,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_grid_value(argv: Sequence[str]) -> list:
+    """Rewrite ``--grid -5,5,101`` as ``--grid=-5,5,101``: argparse reads a
+    separate value starting with '-' as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--grid":
+            out[-1] = f"--grid={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _config_from_args(argv: Sequence[str]) -> ExperimentConfig:
     ap = _build_parser()
-    ns = ap.parse_args(argv)
+    ns = ap.parse_args(_join_grid_value(argv))
     file_vals = _read_config_file(ns.config) if ns.config else {}
 
     def pick(flag_val, key, conv, default):
@@ -374,10 +396,11 @@ def _config_from_args(argv: Sequence[str]) -> ExperimentConfig:
     gmin, gmax, gpts = -5.0, 5.0, 1001
     grid_text = pick(ns.grid, "grid", str, None)
     if grid_text:
-        toks = grid_text.split(",")
-        if len(toks) != 3:
+        try:
+            lo, hi, pts = grid_text.split(",")
+            gmin, gmax, gpts = float(lo), float(hi), int(pts)
+        except ValueError:
             raise InvalidParameterError(f"bad grid spec: {grid_text!r}")
-        gmin, gmax, gpts = float(toks[0]), float(toks[1]), int(toks[2])
     return ExperimentConfig(
         experiment=ns.experiment,
         source=source,

@@ -2,9 +2,9 @@
 function pairs.
 
 Every entry carries closed-form moments, derivative functions where they exist,
-decay envelopes for its density and characteristic function (used by the lattice
-and inversion engines to certify truncation tails), and structural flags.  All
-objects are immutable; the evaluation callables are pure and vectorized over
+the support radius of a compactly supported density or characteristic function
+(used by the lattice and inversion engines to sum or integrate over the support
+exactly), and structural flags.  All objects are immutable; the evaluation callables are pure and vectorized over
 numpy arrays.
 """
 
@@ -20,7 +20,6 @@ from scipy.integrate import quad
 from .errors import InvalidParameterError, UnsupportedError
 
 __all__ = [
-    "DecayEnvelope",
     "DistFlags",
     "SourceDistribution",
     "NoiseDistribution",
@@ -40,60 +39,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# envelopes and flags
+# flags
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecayEnvelope:
-    """Pointwise upper envelope for |g(r)| at large radius r.
-
-    kind:
-      'compact'  g vanishes for r > radius
-      'power'    coeff * r**(-alpha)
-      'exp'      coeff * exp(-rate * r)
-      'gauss'    coeff * exp(-rate * r**2)
-
-    ``oscillatory`` marks envelopes of sign-changing functions whose signed
-    tail integrals are much smaller than the absolute ones (sinc-like).
-    """
-
-    kind: str
-    radius: float = 0.0
-    coeff: float = 1.0
-    alpha: float = 0.0
-    rate: float = 0.0
-    oscillatory: bool = False
-
-    def bound(self, r: float) -> float:
-        r = float(abs(r))
-        if self.kind == "compact":
-            return 0.0 if r > self.radius else math.inf
-        if self.kind == "power":
-            return math.inf if r == 0 else self.coeff * r ** (-self.alpha)
-        if self.kind == "exp":
-            return self.coeff * math.exp(-self.rate * r)
-        if self.kind == "gauss":
-            return self.coeff * math.exp(-self.rate * r * r)
-        raise InvalidParameterError(f"unknown envelope kind: {self.kind}")
-
-    def tail_integral(self, r: float) -> float:
-        """Upper bound for the one-sided integral of the envelope on [r, inf)."""
-        r = float(abs(r))
-        if self.kind == "compact":
-            return 0.0 if r >= self.radius else math.inf
-        if self.kind == "power":
-            if self.alpha <= 1.0 or r == 0.0:
-                return math.inf
-            return self.coeff * r ** (1.0 - self.alpha) / (self.alpha - 1.0)
-        if self.kind == "exp":
-            return self.coeff * math.exp(-self.rate * r) / self.rate
-        if self.kind == "gauss":
-            # exp(-rate*t^2) <= exp(-rate*r*t) for t >= r
-            if r == 0.0:
-                return math.inf
-            return self.coeff * math.exp(-self.rate * r * r) / (self.rate * r)
-        raise InvalidParameterError(f"unknown envelope kind: {self.kind}")
-
 
 @dataclass(frozen=True)
 class DistFlags:
@@ -116,6 +63,8 @@ class SourceDistribution:
     ``abs_moment1`` is None when the first absolute moment does not exist;
     ``abs_moment3`` uses math.inf for a moment known to be infinite and None
     for "not stored" (the latter triggers quadrature in :func:`beta3`).
+    ``cf_support_radius`` and ``density_support_radius`` are the radii beyond
+    which the cf or the density vanishes, None where it does not.
     Densities and cfs accept floats or numpy arrays; for dim >= 2 the point
     arrays have the coordinate axis last.
     """
@@ -125,14 +74,11 @@ class SourceDistribution:
     cf: Callable
     flags: DistFlags
     cf_grad: Optional[Callable] = None
-    cf_second: Optional[Callable] = None
     abs_moment1: Optional[float] = None
     second_moment: Optional[float] = None
     abs_moment3: Optional[float] = None
     cf_support_radius: Optional[float] = None
-    cf_support_box: Optional[tuple] = None
-    cf_decay: Optional[DecayEnvelope] = None
-    density_decay: Optional[DecayEnvelope] = None
+    density_support_radius: Optional[float] = None
     self_convolution: Optional[Callable] = None
     sampler: Optional[Callable] = None
     components: Optional[tuple] = None
@@ -179,20 +125,6 @@ def _sinc_prime(u):
     u2 = u * u
     series = -u / 3.0 + u * u2 / 30.0
     direct = np.cos(safe) / safe - np.sin(safe) / (safe * safe)
-    out = np.where(small, series, direct)
-    return out
-
-
-def _sinc_second(u):
-    """d^2/du^2 [sin(u)/u]."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SMALL
-    safe = np.where(small, 1.0, u)
-    u2 = u * u
-    series = -1.0 / 3.0 + u2 / 10.0
-    direct = (-np.sin(safe) / safe
-              - 2.0 * np.cos(safe) / (safe * safe)
-              + 2.0 * np.sin(safe) / (safe * safe * safe))
     out = np.where(small, series, direct)
     return out
 
@@ -250,10 +182,6 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
         out = h * _sinc_prime(np.asarray(t, dtype=float) * h)
         return float(out) if out.ndim == 0 else out
 
-    def cf_second(t):
-        out = h * h * _sinc_second(np.asarray(t, dtype=float) * h)
-        return float(out) if out.ndim == 0 else out
-
     def self_convolution(y):
         y = np.asarray(y, dtype=float)
         out = np.maximum(2.0 * h - np.abs(y), 0.0) / (4.0 * h * h)
@@ -267,7 +195,6 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
         density=density,
         cf=cf,
         cf_grad=cf_grad,
-        cf_second=cf_second,
         abs_moment1=h / 2.0,
         second_moment=h * h / 3.0,
         abs_moment3=h ** 3 / 4.0,
@@ -279,8 +206,7 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
             cf_integrable=False,
             cf_square_integrable=True,
         ),
-        cf_decay=DecayEnvelope("power", coeff=1.0 / h, alpha=1.0, oscillatory=True),
-        density_decay=DecayEnvelope("compact", radius=h),
+        density_support_radius=h,
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"uniform:h={h:g}",
@@ -306,12 +232,6 @@ def make_laplace(scale: float) -> SourceDistribution:
         out = -2.0 * b * b * t / (1.0 + (b * t) ** 2) ** 2
         return float(out) if out.ndim == 0 else out
 
-    def cf_second(t):
-        t = np.asarray(t, dtype=float)
-        bt2 = (b * t) ** 2
-        out = -2.0 * b * b * (1.0 - 3.0 * bt2) / (1.0 + bt2) ** 3
-        return float(out) if out.ndim == 0 else out
-
     def self_convolution(y):
         y = np.asarray(y, dtype=float)
         a = np.abs(y) / b
@@ -326,7 +246,6 @@ def make_laplace(scale: float) -> SourceDistribution:
         density=density,
         cf=cf,
         cf_grad=cf_grad,
-        cf_second=cf_second,
         abs_moment1=b,
         second_moment=2.0 * b * b,
         abs_moment3=6.0 * b ** 3,
@@ -335,8 +254,6 @@ def make_laplace(scale: float) -> SourceDistribution:
             bounded_variation_density=True,
             cf_nonnegative=True,
         ),
-        cf_decay=DecayEnvelope("power", coeff=1.0 / (b * b), alpha=2.0),
-        density_decay=DecayEnvelope("exp", coeff=1.0 / (2.0 * b), rate=1.0 / b),
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"laplace:b={b:g}",
@@ -363,11 +280,6 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         out = -s2 * t * np.exp(-0.5 * s2 * t * t)
         return float(out) if out.ndim == 0 else out
 
-    def cf_second(t):
-        t = np.asarray(t, dtype=float)
-        out = s2 * (s2 * t * t - 1.0) * np.exp(-0.5 * s2 * t * t)
-        return float(out) if out.ndim == 0 else out
-
     def self_convolution(y):
         y = np.asarray(y, dtype=float)
         v = 2.0 * s2
@@ -382,7 +294,6 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         density=density,
         cf=cf,
         cf_grad=cf_grad,
-        cf_second=cf_second,
         abs_moment1=s * math.sqrt(2.0 / math.pi),
         second_moment=s2,
         abs_moment3=2.0 * math.sqrt(2.0) * s ** 3 / math.sqrt(math.pi),
@@ -391,8 +302,6 @@ def make_gaussian(sigma: float) -> SourceDistribution:
             bounded_variation_density=True,
             cf_nonnegative=True,
         ),
-        cf_decay=DecayEnvelope("gauss", coeff=1.0, rate=0.5 * s2),
-        density_decay=DecayEnvelope("gauss", coeff=1.0 / (s * _SQRT2PI), rate=0.5 / s2),
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"gaussian:sigma={s:g}",
@@ -439,19 +348,15 @@ def make_fejer(support_radius: float) -> SourceDistribution:
         density=density,
         cf=cf,
         cf_grad=cf_grad,
-        cf_second=None,
         abs_moment1=None,
         second_moment=None,
         abs_moment3=math.inf,
         cf_support_radius=T,
-        cf_support_box=(T,),
         flags=DistFlags(
             symmetric_about_0=True,
             bounded_variation_density=True,
             cf_nonnegative=True,
         ),
-        cf_decay=DecayEnvelope("compact", radius=T),
-        density_decay=DecayEnvelope("power", coeff=2.0 / (math.pi * T), alpha=2.0),
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"fejer:T={T:g}",
@@ -540,9 +445,9 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
         return np.stack(grads, axis=-1)
 
     all_compact = all(c.cf_support_radius is not None for c in comps)
-    box = tuple(c.cf_support_radius for c in comps) if all_compact else None
     # smallest Euclidean ball containing the support box
-    radius = math.sqrt(sum(r * r for r in box)) if all_compact else None
+    radius = (math.sqrt(sum(c.cf_support_radius * c.cf_support_radius for c in comps))
+              if all_compact else None)
 
     abs1 = None
     if all(c.abs_moment1 is not None for c in comps):
@@ -563,12 +468,10 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
         density=density if all(c.density is not None for c in comps) else None,
         cf=cf,
         cf_grad=cf_grad if have_grads else None,
-        cf_second=None,
         abs_moment1=abs1,
         second_moment=m2,
         abs_moment3=None,
         cf_support_radius=radius,
-        cf_support_box=box,
         flags=DistFlags(
             symmetric_about_0=all(c.flags.symmetric_about_0 for c in comps),
             bounded_variation_density=all(c.flags.bounded_variation_density for c in comps),
@@ -671,14 +574,11 @@ def as_noise(dist: SourceDistribution, beta3_value: Optional[float] = None,
         density=dist.density,
         cf=dist.cf,
         cf_grad=dist.cf_grad,
-        cf_second=dist.cf_second,
         abs_moment1=dist.abs_moment1,
         second_moment=dist.second_moment,
         abs_moment3=dist.abs_moment3,
         cf_support_radius=dist.cf_support_radius,
-        cf_support_box=dist.cf_support_box,
-        cf_decay=dist.cf_decay,
-        density_decay=dist.density_decay,
+        density_support_radius=dist.density_support_radius,
         self_convolution=dist.self_convolution,
         sampler=dist.sampler,
         components=dist.components,

@@ -58,8 +58,8 @@ class Grid:
 
 def grid_1d(lo: float, hi: float, count: int) -> Grid:
     """Uniform grid with count points covering [lo, hi] exactly."""
-    if count < 2 or hi <= lo:
-        raise InvalidParameterError("need hi > lo and count >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or count < 2 or hi <= lo:
+        raise InvalidParameterError("need finite hi > lo and count >= 2")
     step = (hi - lo) / (count - 1)
     return Grid((Axis(lo, step, count),))
 

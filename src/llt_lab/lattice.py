@@ -21,8 +21,7 @@ from scipy.integrate import quad
 
 from .distributions import SourceDistribution
 from .errors import InvalidParameterError, UnsupportedError
-from .seriesaccel import (certified_tail, extrapolate_dual_stride,
-                          resonance_floor, sum_series_blocks)
+from .seriesaccel import BlockSeries, resonance_floor, sum_series_blocks
 
 __all__ = [
     "LatticeSum",
@@ -39,8 +38,8 @@ __all__ = [
     "regularity_integral",
 ]
 
-K_CAP_1D = 1_000_000
 K_CAP_2D = 4_000_000
+_PHASED_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def _cos_k2_closed(theta: np.ndarray) -> np.ndarray:
 
 def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
                           phases: np.ndarray, tol: float,
-                          k_budget: int = 16384, block: int = 512):
+                          k_budget: int = 16384):
     """sum_{k in Z} e^{i k phi} f(step k) for a batch of phases phi.
 
     Returns (values, tail_estimate, info).  The sum is split into the k = 0
@@ -115,48 +114,30 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
         vals = f0 + (np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm).sum(axis=1)
         return vals, 0.0, {"K": kmax, "terms": 2 * kmax + 1}
 
-    nblocks = max(8, int(math.ceil(k_budget / block)))
-    S = np.zeros(phi.shape, dtype=complex)
+    block = _PHASED_BLOCK
+    acc = BlockSeries(np.zeros(phi.shape, dtype=complex), block, tol)
     cos_k2_partial = np.zeros(phi.shape)
-    checkpoints = []
-    ks = []
-    babs = []
     gamma_samples = []
-    k_last = 0
-    fp_last = None
-    last_run = None
-    last_k = None
-    for j in range(nblocks):
-        k0 = j * block + 1
-        k = np.arange(k0, k0 + block)
+    for j in range(max(8, int(math.ceil(k_budget / block)))):
+        k = np.arange(j * block + 1, (j + 1) * block + 1)
         fp = np.asarray(f(step * k), dtype=float)
+        ang = np.outer(phi, k)
         if symmetric:
-            ang = np.outer(phi, k)
             cosang = np.cos(ang)
             inc = 2.0 * cosang * fp[None, :]
-            cinc = np.exp(1j * ang) * fp[None, :]
             cos_k2_partial += cosang @ (1.0 / (k * k))
-            bsum = 2.0 * float(np.abs(fp).sum())
+            mag = 2.0 * float(np.abs(fp).sum())
         else:
             fm = np.asarray(f(-step * k), dtype=float)
-            ang = np.outer(phi, k)
             inc = np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm
-            cinc = inc
             cos_k2_partial += (np.cos(ang) @ (1.0 / (k * k)))
-            bsum = float(np.abs(fp).sum() + np.abs(fm).sum())
-        run = S[:, None] + np.cumsum(inc, axis=1)
-        S = run[:, -1].copy()
-        k_last = k0 + block - 1
-        babs.append((k_last, bsum))
-        checkpoints.append(S.copy())
-        ks.append(k_last)
+            mag = float(np.abs(fp).sum() + np.abs(fm).sum())
         gamma_samples.append(float(np.mean(k * k * fp)))
-        fp_last = (k, fp)
-        last_run, last_k, last_cinc = run, k, cinc
-        # certification via fitted envelope of the absolute block sums
-        tail_cert = certified_tail(babs, block)
-        if tail_cert is not None and tail_cert <= tol:
-            return f0 + S, tail_cert, {"K": k_last, "terms": 2 * k_last + 1}
+        if acc.add(k, inc, mag):
+            k_last = acc.ks[-1]
+            return f0 + acc.total, acc.tail, {"K": k_last, "terms": 2 * k_last + 1}
+    # budget spent: k, fp, ang and inc now hold the final block
+    k_last = acc.ks[-1]
     # closed-form k^-2 kink correction: exact whenever k^2 f(step k) settles
     # to a constant, which covers inverse-quadratic cf tails at any phase,
     # resonant ones included
@@ -167,21 +148,17 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
         if math.isfinite(g1) and math.isfinite(g2) and abs(g2) > 0 and \
                 abs(g1 - g2) <= 2e-3 * abs(g2):
             gamma = g2
-            k, fp = fp_last
             resid = np.abs(k * k * fp - gamma) * k * k
             c4 = float(np.max(resid))
             tail_resid = 4.0 * c4 / (3.0 * k_last ** 3)
             kink = 2.0 * gamma * (_cos_k2_closed(phi) - cos_k2_partial)
-            v_kink = f0 + S + kink
+            v_kink = f0 + acc.total + kink
             err_kink = tail_resid + 64.0 * np.finfo(float).eps * abs(gamma)
-    w = min(41, last_run.shape[1])
-    wb = min(41, len(checkpoints))
-    v_ext, e_ext = extrapolate_dual_stride(
-        last_run[:, -w:], last_k[-w:].astype(float),
-        np.stack(checkpoints[-wb:], axis=-1), ks[-wb:])
+    v_ext, e_ext = acc.extrapolate()
     # extrapolation cannot see tails whose phase rotation is slower than the
     # k budget (cf oscillation near-commensurate with the lattice step)
-    e_ext = np.maximum(e_ext, resonance_floor(last_cinc, float(last_k[-1])))
+    cinc = np.exp(1j * ang) * fp[None, :] if symmetric else inc
+    e_ext = np.maximum(e_ext, resonance_floor(cinc, float(k_last)))
     v_ext = f0 + v_ext
     if v_kink is not None:
         use_kink = err_kink < e_ext
@@ -294,18 +271,16 @@ def _density_lattice_1d(dist, L, a, tol):
     # sum is lattice-invariant and the block engine assumes decay from the
     # first blocks outward
     a = a - L * round(a / L)
-    dec = dist.density_decay
-    if dec is not None and dec.kind == "compact":
-        m_lo = int(math.ceil((-dec.radius - a) / L - 1e-12))
-        m_hi = int(math.floor((dec.radius - a) / L + 1e-12))
+    r = dist.density_support_radius
+    if r is not None:
+        m_lo = int(math.ceil((-r - a) / L - 1e-12))
+        m_hi = int(math.floor((r - a) / L + 1e-12))
         if m_hi < m_lo:
             return LatticeSum(0.0, 0, 0.0, 0, False)
         m = np.arange(m_lo, m_hi + 1)
         vals = np.asarray(p(L * m + a), dtype=float)
         return LatticeSum(float(vals.sum()), int(max(abs(m_lo), abs(m_hi))),
                           0.0, m.size, False)
-    if dec is None and dist.density is None:
-        raise UnsupportedError(f"{dist.label}: unknown density decay")
 
     center = float(p(a))
 
@@ -318,8 +293,7 @@ def _density_lattice_1d(dist, L, a, tol):
         raise UnsupportedError(
             f"{dist.label}: density lattice tail not summable to {tol:g} "
             f"(certified only {res.tail_estimate:g})")
-    value = center + (complex(res.value).real if np.ndim(res.value) == 0
-                      else float(np.real(res.value)))
+    value = center + float(np.real(res.value))
     return LatticeSum(float(value), res.truncation_index, res.tail_estimate,
                       2 * res.terms_used + 1, res.extrapolated)
 
@@ -405,10 +379,8 @@ def _wrapped_autocorr_1d(dist, tol):
             raise UnsupportedError(f"{dist.label}: self-convolution unavailable")
         q = lambda y: np.vectorize(lambda yy: _selfconv_numeric(dist, yy))(y)  # noqa: E731
     center = float(np.asarray(q(0.0)))
-    sconv_compact = (dist.density_decay is not None
-                     and dist.density_decay.kind == "compact")
-    if sconv_compact:
-        radius = 2.0 * dist.density_decay.radius
+    if dist.density_support_radius is not None:
+        radius = 2.0 * dist.density_support_radius
         m_hi = int(math.floor(radius / 2.0 + 1e-12))
         if m_hi >= 1:
             m = np.arange(1, m_hi + 1)

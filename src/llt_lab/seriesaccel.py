@@ -8,17 +8,25 @@ handled by extrapolating the sequence of partial sums: Wynn's epsilon
 algorithm removes geometric-times-algebraic remainders, a Neville/Richardson
 table in 1/k removes purely algebraic ones.  Both run vectorized over a
 leading batch axis, so a whole evaluation grid is extrapolated at once.
+
+One accumulator, :class:`BlockSeries`, keeps the books for every such sum
+(running total, block magnitudes, certification, checkpoints); its callers
+supply the increments and pick the extrapolation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["SeriesResult", "sum_series_blocks", "wynn_epsilon", "richardson_inv_k"]
+from .errors import InvalidParameterError
+
+__all__ = ["SeriesResult", "BlockSeries", "sum_series_blocks", "wynn_epsilon",
+           "richardson_inv_k"]
+
+_WINDOW = 41   # trailing partial sums handed to an extrapolator
 
 
 @dataclass(frozen=True)
@@ -246,55 +254,65 @@ def extrapolate_dual_stride(unit_partials, unit_ks, block_partials, block_ks):
     return np.where(use1, v1, v2), np.where(use1, e1, e2)
 
 
-def sum_series_blocks(
-    term_block: Callable[[int, int], np.ndarray],
-    tol: float,
-    k_start: int = 1,
-    block: int = 64,
-    k_cap: int = 1_000_000,
-    extrap_window: int = 41,
-    max_blocks: int = 192,
-) -> SeriesResult:
-    """Sum a one-sided series sum_{k >= k_start} t_k with certified accuracy.
+class BlockSeries:
+    """Running sum of a one-sided series, fed one block of terms at a time.
 
-    ``term_block(k0, k1)`` returns the terms for k in [k0, k1) as an array
-    whose last axis has length k1 - k0 (leading axes are a shared evaluation
-    batch).  Strategy: accumulate blocks; stop as soon as an algebraic/
-    exponential envelope fitted to the block magnitudes certifies a tail
-    below ``tol``; otherwise extrapolate the checkpointed partial sums.
-    The reported ``tail_estimate`` is honest in both cases.
+    ``start`` is the sum of whatever precedes the first block (a scalar or a
+    batch array).  :meth:`add` takes the block's indices k, its increments
+    with k along the last axis, and the block magnitude that
+    :func:`certified_tail` fits; it returns True once a certified tail
+    (``.tail``) is at most ``tol``, and ``.total`` then holds the sum.
+    Until then the accumulator keeps the block checkpoints and the last
+    block's unit-stride partial sums, so :meth:`extrapolate` may be called
+    after any block and summation resumed afterwards.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    partials = []
-    ks = []
-    mags = []  # (k_last, max-abs block sum)
-    total = None
-    k0 = k_start
-    blocks_done = 0
-    while k0 <= k_cap and blocks_done < max_blocks:
-        k1 = min(k0 + block, k_cap + 1)
-        T = np.asarray(term_block(k0, k1))
-        bsum = T.sum(axis=-1)
-        total = bsum if total is None else total + bsum
-        babs = float(np.max(np.abs(T).sum(axis=-1)))
-        mags.append((k1 - 1, babs))
-        partials.append(np.array(total, copy=True))
-        ks.append(k1 - 1)
-        blocks_done += 1
-        k0 = k1
-        tail = certified_tail(mags, block)
-        if tail is not None and tail <= tol:
-            kc = mags[-1][0]
-            return SeriesResult(total, kc, tail, kc - k_start + 1, False)
-    # extrapolation path over two checkpoint families: the trailing uniform
-    # window keeps phase signatures clean for the epsilon algorithm, a
-    # geometric-in-k subsample of the whole history keeps the 1/k Neville
-    # table well conditioned for monotone tails
-    w = min(extrap_window, len(partials))
-    P = np.stack(partials[-w:], axis=-1)
-    K = np.asarray(ks[-w:], dtype=float)
-    val, err = _extrapolate(P, K)
+
+    def __init__(self, start, block: int, tol: float):
+        if not tol > 0:
+            raise InvalidParameterError("tol must be positive")
+        self.total = start
+        self.block = block
+        self.tol = tol
+        self.tail = None
+        self.mags = []          # (k_last, block magnitude)
+        self.checkpoints = []   # total after each block
+        self.ks = []            # k_last of each block
+        self._run = None        # unit-stride partials of the last block
+        self._run_ks = None
+
+    def add(self, k: np.ndarray, inc: np.ndarray, mag: float) -> bool:
+        run = np.asarray(self.total)[..., None] + np.cumsum(inc, axis=-1)
+        self.total = run[..., -1].copy()
+        k_last = int(k[-1])
+        self.mags.append((k_last, mag))
+        self.checkpoints.append(self.total)
+        self.ks.append(k_last)
+        self._run, self._run_ks = run, k
+        tail = certified_tail(self.mags, self.block)
+        if tail is not None and tail <= self.tol:
+            self.tail = tail
+            return True
+        return False
+
+    def extrapolate(self):
+        """Dual-stride extrapolation of the partial sums so far: unit stride
+        over the last block, block stride over the checkpoints.  Returns
+        (values, per-element errors) and leaves the state untouched."""
+        w = min(_WINDOW, self._run.shape[-1])
+        wb = min(_WINDOW, len(self.checkpoints))
+        return extrapolate_dual_stride(
+            self._run[..., -w:], self._run_ks[-w:].astype(float),
+            np.stack(self.checkpoints[-wb:], axis=-1), self.ks[-wb:])
+
+
+def _extrapolate_geometric(partials: list, ks: list):
+    """Extrapolate block checkpoints over two families: the trailing uniform
+    window keeps phase signatures clean for the epsilon algorithm, a
+    geometric-in-k subsample of the whole history keeps the 1/k Neville table
+    well conditioned for monotone tails."""
+    w = min(_WINDOW, len(partials))
+    val, err = _extrapolate(np.stack(partials[-w:], axis=-1),
+                            np.asarray(ks[-w:], dtype=float))
     if len(partials) >= 12:
         karr = np.asarray(ks, dtype=float)
         targets = np.geomspace(karr[len(karr) // 4], karr[-1], min(33, len(karr)))
@@ -305,7 +323,31 @@ def sum_series_blocks(
             use_g = eg < err
             val = np.where(use_g, vg, val)
             err = np.where(use_g, eg, err)
-    tail = float(np.max(err)) * 4.0
+    return val, err
+
+
+def sum_series_blocks(
+    term_block: Callable[[int, int], np.ndarray],
+    tol: float,
+    block: int = 64,
+    max_blocks: int = 192,
+) -> SeriesResult:
+    """Sum a one-sided series sum_{k >= 1} t_k with certified accuracy.
+
+    ``term_block(k0, k1)`` returns the terms for k in [k0, k1) as an array
+    whose last axis has length k1 - k0 (leading axes are a shared evaluation
+    batch).  Strategy: accumulate blocks; stop as soon as an algebraic/
+    exponential envelope fitted to the block magnitudes certifies a tail
+    below ``tol``; otherwise extrapolate the checkpointed partial sums.
+    The reported ``tail_estimate`` is honest in both cases.
+    """
+    acc = BlockSeries(0.0, block, tol)
+    for k0 in range(1, 1 + block * max_blocks, block):
+        T = np.asarray(term_block(k0, k0 + block))
+        if acc.add(np.arange(k0, k0 + block), T,
+                   float(np.max(np.abs(T).sum(axis=-1)))):
+            return SeriesResult(acc.total, acc.ks[-1], acc.tail, acc.ks[-1], False)
+    val, err = _extrapolate_geometric(acc.checkpoints, acc.ks)
     if np.ndim(val) == 0:
         val = complex(val)
-    return SeriesResult(val, ks[-1], tail, ks[-1] - k_start + 1, True)
+    return SeriesResult(val, acc.ks[-1], float(np.max(err)) * 4.0, acc.ks[-1], True)

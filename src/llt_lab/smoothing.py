@@ -38,7 +38,7 @@ from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta
 from .errors import InconsistentCfError, InvalidParameterError, UnsupportedError
 from .inversion import Grid, GridDensity, estimate_tail, grid_1d, grid_2d, invert
 from .lattice import check_pi_lattice_zeros, phased_cf_lattice_sum
-from .seriesaccel import certified_tail, extrapolate_dual_stride, resonance_floor
+from .seriesaccel import BlockSeries, resonance_floor
 
 __all__ = [
     "SmoothedModel",
@@ -55,7 +55,9 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_IM_TOL = 1e-9
+_CELL_BLOCK = 128
+_CELL_K = 8192          # k budget of the main cell pass
+_CELL_CHECK_K = 1024    # k budget at which the quadrature check compares
 
 
 def _max_threads() -> int:
@@ -183,57 +185,48 @@ def _gl_nodes(n: int, w_max: float):
 
 def _cell_residual_sum(f, n: int, w: np.ndarray, a_frac: np.ndarray,
                        s: np.ndarray, ws: np.ndarray, tol: float,
-                       k_budget: int = 8192, block: int = 128):
+                       budgets: Sequence[int]):
     """sum_k e^{-i pi k a} D_k(w) over all k, for symmetric real f.
 
     Shares one Gauss-Legendre s-grid across cells; per block of k the cell
     integrals form a matrix product, and the +-k pair reduces to twice a real
-    part.  Returns (values (X,), tail_estimate)."""
-    X = w.size
+    part.  One pass runs through the increasing k ``budgets`` and returns a
+    (values (X,), tail_estimate) pair for each, read off the pass as it
+    stands when that budget is reached."""
+    block = _CELL_BLOCK
     cosn = _stable_real_power(np.cos(s), n)
     phi = (ws * cosn)[None, :] * np.exp(-1j * np.outer(w, s))   # (X, M)
     phiT = np.ascontiguousarray(phi.T)                          # (M, X)
     f0 = float(np.real(f(0.0)))
     fs = np.asarray(f(s), dtype=float)
-    total = np.asarray((phi @ (fs - f0)), dtype=complex)        # k = 0 cell
-    mags = []
-    block_partials = []
-    block_ks = []
-    last_partials = None
-    last_ks = None
-    nblocks = max(4, k_budget // block)
-    for bidx in range(nblocks):
-        k0 = bidx * block + 1
-        k = np.arange(k0, k0 + block)
-        fk = np.asarray(f(math.pi * k), dtype=float)            # (B,)
-        F = np.asarray(f(math.pi * k[:, None] + s[None, :]), dtype=float)
-        F -= fk[:, None]
-        G = F @ phiT                                            # (B, X) complex
-        P = np.exp(-1j * math.pi * np.outer(k, a_frac))         # (B, X)
-        inc = 2.0 * np.real(P * G)
-        run = total[None, :] + np.cumsum(inc, axis=0)           # unit-stride partials
-        total = run[-1].copy()
-        mags.append((int(k[-1]), float(np.max(np.abs(inc).sum(axis=0)))))
-        block_partials.append(total)
-        block_ks.append(int(k[-1]))
-        last_partials = run
-        last_ks = k
-        tail_cert = certified_tail(mags, block)
-        if tail_cert is not None and tail_cert <= tol:
-            return total, tail_cert
-    # dual-stride extrapolation: unit stride preserves the phase signature
-    # e^{+-i pi(1 -+ a)}, block stride conditions monotone tails
-    w = min(41, last_partials.shape[0])
-    unit = np.ascontiguousarray(last_partials[-w:].T)           # (X, w)
-    wb = min(41, len(block_partials))
-    blocked = np.stack(block_partials[-wb:], axis=-1)
-    vals, errs = extrapolate_dual_stride(unit, last_ks[-w:].astype(float),
-                                         blocked, block_ks[-wb:])
-    # grid points near a density jump make the cell phases rotate slower
-    # than the k budget resolves; the floor keeps the estimate honest there
-    floor = resonance_floor(np.ascontiguousarray((P * G).T), float(last_ks[-1]))
-    errs = np.maximum(errs, floor)
-    return vals, float(np.max(errs)) * 2.0
+    acc = BlockSeries(np.asarray((phi @ (fs - f0)), dtype=complex),  # k = 0 cell
+                      block, tol)
+    out = []
+    k_done = 0
+    certified = False
+    for budget in budgets:
+        while not certified and k_done < budget:
+            k = np.arange(k_done + 1, k_done + block + 1)
+            k_done += block
+            fk = np.asarray(f(math.pi * k), dtype=float)        # (B,)
+            F = np.asarray(f(math.pi * k[:, None] + s[None, :]), dtype=float)
+            F -= fk[:, None]
+            G = F @ phiT                                        # (B, X) complex
+            PG = np.exp(-1j * math.pi * np.outer(k, a_frac)) * G
+            inc = 2.0 * np.real(PG)
+            certified = acc.add(k, inc.T,
+                                float(np.max(np.abs(inc).sum(axis=0))))
+        if certified:
+            out.append((acc.total, acc.tail))
+            continue
+        # dual-stride extrapolation: unit stride preserves the phase signature
+        # e^{+-i pi(1 -+ a)}, block stride conditions monotone tails
+        vals, errs = acc.extrapolate()
+        # grid points near a density jump make the cell phases rotate slower
+        # than the k budget resolves; the floor keeps the estimate honest there
+        floor = resonance_floor(np.ascontiguousarray(PG.T), float(k[-1]))
+        out.append((vals, float(np.max(np.maximum(errs, floor))) * 2.0))
+    return out
 
 
 def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray,
@@ -252,14 +245,14 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray,
                                          tol=tol * _SQRT2PI * 0.25)
     s, ws = _gl_nodes(n, float(np.max(np.abs(w))) if w.size else 0.0)
     d_tol = tol * 2.0 * math.pi / rt * 0.25
-    D, d_tail = _cell_residual_sum(source.cf, n, w, a_frac, s, ws, d_tol)
-    # independent node count certifies the cell quadrature
+    (D1_short, _), (D, d_tail) = _cell_residual_sum(
+        source.cf, n, w, a_frac, s, ws, d_tol, (_CELL_CHECK_K, _CELL_K))
+    # independent node count certifies the cell quadrature, compared with the
+    # main pass at the same k budget
     s2, ws2 = np.polynomial.legendre.leggauss(max(96, int(0.75 * s.size)))
     s2, ws2 = 0.5 * math.pi * s2, 0.5 * math.pi * ws2
-    D2, _ = _cell_residual_sum(source.cf, n, w, a_frac, s2, ws2, d_tol,
-                               k_budget=1024)
-    D1_short, _ = _cell_residual_sum(source.cf, n, w, a_frac, s, ws, d_tol,
-                                     k_budget=1024)
+    [(D2, _)] = _cell_residual_sum(source.cf, n, w, a_frac, s2, ws2, d_tol,
+                                   (_CELL_CHECK_K,))
     quad_err = float(np.max(np.abs(D1_short - D2)))
 
     vals = pref * (C * A + D)

@@ -121,6 +121,33 @@ def test_cli_exit_codes():
     assert "cauchy" in bad.stderr
 
 
+_DENSITY = ["density", "--source", "laplace:b=1", "--n", "4"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (_DENSITY + ["--tol", "0"], 1),
+    (_DENSITY + ["--tol=-1e-9"], 1),
+    (_DENSITY + ["--tol", "nan"], 1),
+    (["limits", "--source", "laplace:b=1", "--tol", "0"], 1),
+    (["poisson", "--source", "laplace:b=1", "--tol", "-1"], 1),
+    (["autocorr", "--source", "laplace:b=1", "--tol", "nan"], 1),
+    (_DENSITY + ["--grid=nan,5,11"], 1),
+    (_DENSITY + ["--grid=-5,inf,11"], 1),
+    (_DENSITY + ["--grid=-5,5,many"], 1),
+    (_DENSITY + ["--bogus", "3"], 1),
+    (["frobnicate", "--source", "laplace:b=1"], 1),
+    (_DENSITY + ["--grid", "-5,5,11"], 0),
+], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
+        "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
+        "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space"])
+def test_cli_hostile_input_exit_code(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "error:" in err
+
+
 def test_cli_missing_source():
     r = _run_cli(["poisson"])
     assert r.returncode == 1

@@ -69,7 +69,6 @@ def test_product_support_radius_covers_box():
     # the stored Euclidean radius must contain the full support box of the
     # component cfs, otherwise inversion windows would clip real mass
     p2 = product([make_fejer(0.7), make_fejer(1.2)])
-    assert p2.cf_support_box == (0.7, 1.2)
     assert p2.cf_support_radius == pytest.approx(math.hypot(0.7, 1.2))
     t_edge = np.array([0.69, 1.19])
     assert p2.cf(t_edge) > 0.0
@@ -209,21 +208,3 @@ def test_fejer_sampler_matches_density():
         emp = float(np.mean(draws <= x0))
         ref, _ = quad(FEJER.density, -800.0, x0, limit=2000)
         assert emp == pytest.approx(ref, abs=0.006)
-
-
-def test_decay_envelope_bounds():
-    from llt_lab import DecayEnvelope
-    env = DecayEnvelope("power", coeff=2.0, alpha=2.0)
-    assert env.bound(10.0) == pytest.approx(0.02)
-    assert env.tail_integral(10.0) == pytest.approx(0.2)
-    assert math.isinf(DecayEnvelope("power", coeff=1.0, alpha=1.0).tail_integral(5.0))
-    exp_env = DecayEnvelope("exp", coeff=0.5, rate=1.0)
-    assert exp_env.tail_integral(3.0) == pytest.approx(0.5 * math.exp(-3.0))
-    comp = DecayEnvelope("compact", radius=2.0)
-    assert comp.bound(3.0) == 0.0
-    assert comp.tail_integral(2.5) == 0.0
-    # gaussian tail bound dominates the true tail integral
-    from scipy.integrate import quad
-    g = DecayEnvelope("gauss", coeff=1.0, rate=0.5)
-    true, _ = quad(lambda t: math.exp(-0.5 * t * t), 4.0, math.inf)
-    assert g.tail_integral(4.0) >= true

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from llt_lab.seriesaccel import richardson_inv_k, sum_series_blocks, wynn_epsilon
+from llt_lab.errors import InvalidParameterError
+from llt_lab.seriesaccel import (BlockSeries, richardson_inv_k, sum_series_blocks,
+                                 wynn_epsilon)
 
 
 def cosh_series(t: float, c: float) -> float:
@@ -133,3 +135,31 @@ def test_certified_tail_never_small_on_noisy_envelope():
     true_tail = 1.0 / (2.0 * mags3[-1][0] ** 2)
     assert tail >= true_tail
     assert tail <= 20.0 * true_tail
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_block_series_rejects_nonpositive_tol(tol):
+    with pytest.raises(InvalidParameterError):
+        BlockSeries(0.0, 64, tol)
+
+
+def test_block_series_resumes_after_extrapolation():
+    # an extrapolation taken mid-stream leaves the running state untouched
+    def feed(acc, j0, j1):
+        for j in range(j0, j1):
+            k = np.arange(j * 64 + 1, (j + 1) * 64 + 1)
+            inc = np.cos(np.outer([0.4, 1.3], k)) / k
+            assert not acc.add(k, inc, float(np.max(np.abs(inc).sum(axis=-1))))
+
+    paused = BlockSeries(np.zeros(2), 64, 1e-12)
+    straight = BlockSeries(np.zeros(2), 64, 1e-12)
+    feed(paused, 0, 16)
+    early, _ = paused.extrapolate()
+    feed(paused, 16, 32)
+    feed(straight, 0, 32)
+    assert np.array_equal(paused.total, straight.total)
+    late, err = paused.extrapolate()
+    assert np.array_equal(late, straight.extrapolate()[0])
+    target = -np.log(2.0 * np.sin(np.array([0.4, 1.3]) / 2.0))
+    assert np.max(np.abs(late - target)) <= max(float(np.max(err)), 1e-12)
+    assert not np.array_equal(early, late)

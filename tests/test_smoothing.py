@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from conftest import offset_grid_1d, offset_points
 from llt_lab import (InvalidParameterError, SmoothedModel, admissible_T,
                      bernoulli_noise, convergence_study, cos_power_window_transform,
-                     density, distance_to_gaussian, exact_mixture_density,
+                     default_grid, density, distance_to_gaussian, exact_mixture_density,
                      gaussian_window_deficit, grid_1d, make_fejer, make_gaussian,
                      make_laplace, make_uniform, monte_carlo_density, product,
                      smoothed_cf, uniform_noise)
@@ -95,6 +95,28 @@ def test_density_mass_conserved():
     model = SmoothedModel(GAUSSIAN, BERN)
     gd = density(model, 16, grid_1d(-6, 6, 1201))
     assert gd.mass() == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("src, n, certifies_early",
+                         [(GAUSSIAN, 16, True), (UNIFORM, 256, False)],
+                         ids=["gaussian-16", "uniform-256"])
+def test_cell_pass_snapshot_matches_short_pass(src, n, certifies_early):
+    # the quadrature check reads the main cell pass at the short k budget;
+    # that snapshot must be exactly what a separate short pass returns
+    from llt_lab.smoothing import _CELL_CHECK_K, _CELL_K, _cell_residual_sum, _gl_nodes
+    w = default_grid(1).axes[0].points() * math.sqrt(n)
+    a_frac = np.mod(w + n + 1.0, 2.0) - 1.0
+    s, ws = _gl_nodes(n, float(np.max(np.abs(w))))
+    tol = 1e-9 * 2.0 * math.pi / math.sqrt(n) * 0.25
+    (snap, snap_tail), (full, _) = _cell_residual_sum(
+        src.cf, n, w, a_frac, s, ws, tol, (_CELL_CHECK_K, _CELL_K))
+    [(short, short_tail)] = _cell_residual_sum(src.cf, n, w, a_frac, s, ws, tol,
+                                               (_CELL_CHECK_K,))
+    assert np.array_equal(snap, short)
+    assert snap_tail == short_tail
+    # gaussian certifies inside the short budget; uniform has to extrapolate
+    # there and the main pass runs on
+    assert np.array_equal(full, snap) == certifies_early
 
 
 @pytest.mark.parametrize("src", [LAPLACE, GAUSSIAN], ids=lambda d: d.label)
