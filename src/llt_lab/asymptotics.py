@@ -22,8 +22,7 @@ import numpy as np
 from .distributions import SourceDistribution
 from .errors import UnsupportedError
 from .inversion import Grid
-from .lattice import phased_cf_lattice_sum, sum_density_lattice
-from .seriesaccel import sum_series_blocks
+from .lattice import _require_summable, lattice_series, phased_cf_lattice_sum
 from .smoothing import SmoothedModel, default_grid, density
 
 __all__ = [
@@ -67,61 +66,44 @@ def _require_1d(model: SmoothedModel):
 # the two routes to A_n
 # ---------------------------------------------------------------------------
 
-def _phase_fracs(x: np.ndarray, n: int) -> np.ndarray:
-    a = np.asarray(x, dtype=float) * math.sqrt(n) + n
-    return np.mod(a + 1.0, 2.0) - 1.0
+def _offsets(x, n: int) -> np.ndarray:
+    """Lattice offsets a = x sqrt(n) + n of the grid points x."""
+    return np.asarray(x, dtype=float) * math.sqrt(n) + n
 
 
-def _a_factor_cf_vec(source: SourceDistribution, n: int, x: np.ndarray,
-                     k_budget: int, tol: float):
-    fr = _phase_fracs(x, n)
+def _route(source: SourceDistribution) -> str:
+    """The canonical route to A_n: the density lattice sum for a continuous
+    density, the cf sum otherwise, where lattice-point density values would
+    be boundary-convention artifacts."""
+    if source.flags.density_continuous and source.density is not None:
+        return "density"
+    return "cf"
+
+
+def _a_factor(source: SourceDistribution, a, tol: float, route: str,
+              K: int = 16384):
+    """A_n at the lattice offsets a along one route; returns (values, tail)."""
+    if route == "density":
+        if source.density is None:
+            raise UnsupportedError(f"{source.label}: no density for the lattice route")
+        vals, tail = lattice_series(source.density, 2.0, a,
+                                    source.density_support_radius, tol, source.label)
+        return 2.0 * vals, 2.0 * tail
+    fr = np.mod(a + 1.0, 2.0) - 1.0
     vals, tail, _ = phased_cf_lattice_sum(source, math.pi, -math.pi * fr,
-                                          tol=tol, k_budget=k_budget)
-    if tail > max(tol, 1e-7):
-        raise UnsupportedError(
-            f"{source.label}: cf lattice sum not summable to {tol:g} "
-            f"(certified only {tail:g})")
+                                          tol=tol, k_budget=K)
+    _require_summable(tail, tol, f"{source.label}: cf lattice sum")
     im = float(np.max(np.abs(vals.imag)))
     if im > 1e-9 * max(1.0, float(np.max(np.abs(vals.real)))):
         raise UnsupportedError(f"oscillation sum has imaginary residue {im:.3g}")
     return vals.real, tail
 
 
-def _a_factor_density_vec(source: SourceDistribution, n: int, x: np.ndarray,
-                          tol: float):
-    if source.density is None:
-        raise UnsupportedError(f"{source.label}: no density for the lattice route")
-    a = np.asarray(x, dtype=float) * math.sqrt(n) + n
-    # lattice-invariant re-centering keeps the mass in the first blocks
-    a = a - 2.0 * np.round(a / 2.0)
-    p = source.density
-    r = source.density_support_radius
-    if r is not None:
-        # every lattice point within the support, batch-evaluated
-        m_lo = int(math.floor((-r - float(a.max())) / 2.0)) - 1
-        m_hi = int(math.ceil((r - float(a.min())) / 2.0)) + 1
-        m = np.arange(m_lo, m_hi + 1)
-        vals = np.asarray(p(2.0 * m[None, :] + a[:, None]), dtype=float).sum(axis=1)
-        return 2.0 * vals, 0.0
-
-    center = np.asarray(p(a), dtype=float)
-
-    def term_block(k0, k1):
-        m = np.arange(k0, k1)
-        return (np.asarray(p(2.0 * m[None, :] + a[:, None]), dtype=float)
-                + np.asarray(p(-2.0 * m[None, :] + a[:, None]), dtype=float))
-
-    res = sum_series_blocks(term_block, tol=tol, block=64, max_blocks=64)
-    if res.tail_estimate > max(tol, 1e-7):
-        raise UnsupportedError(f"{source.label}: density lattice tail not summable")
-    return 2.0 * (center + np.real(res.value)), 2.0 * res.tail_estimate
-
-
 def oscillation_factor_cf(model: SmoothedModel, n: int, x: float,
                           K: int = 16384, tol: float = 1e-10) -> float:
     """A_n(x) as the phase-twisted lattice sum of the source cf."""
     _require_1d(model)
-    vals, _ = _a_factor_cf_vec(model.source, n, np.atleast_1d(float(x)), K, tol)
+    vals, _ = _a_factor(model.source, _offsets(float(x), n), tol, "cf", K)
     return float(vals[0])
 
 
@@ -130,9 +112,8 @@ def oscillation_factor_density(model: SmoothedModel, n: int, x: float,
     """A_n(x) as twice the density sum over the even lattice shifted by
     x sqrt(n) + n."""
     _require_1d(model)
-    a = float(x) * math.sqrt(n) + n
-    s = sum_density_lattice(model.source, 2.0, a, tol=tol)
-    return 2.0 * float(np.real(s.value))
+    vals, _ = _a_factor(model.source, _offsets(float(x), n), tol, "density")
+    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +149,22 @@ def oscillation_report(model: SmoothedModel, n: int,
     if grid is None:
         grid = default_grid(1)
     x = grid.axes[0].points()
-    continuous = model.source.flags.density_continuous
-    a_cf, cf_tail = _a_factor_cf_vec(model.source, n, x, K, tol)
-    a_dn, dn_tail = _a_factor_density_vec(model.source, n, x, tol)
-    valid = _jump_lattice_mask(model.source, x * math.sqrt(n) + n)
+    src = model.source
+    route = _route(src)
+    a = _offsets(x, n)
+    a_cf, cf_tail = _a_factor(src, a, tol, "cf", K)
+    a_dn, dn_tail = _a_factor(src, a, tol, "density")
+    valid = _jump_lattice_mask(src, a)
     method_gap = float(np.max(np.abs(a_cf - a_dn)[valid])) if valid.any() else 0.0
-    canonical = a_dn if continuous else a_cf
+    canonical = a_dn if route == "density" else a_cf
 
     gd = density(model, n, grid, tol=tol)
     phi = np.exp(-0.5 * x * x) / _SQRT2PI
     residual_sup = float(np.max(np.abs(gd.values - canonical * phi)))
 
     probes = np.linspace(x[0], x[-1] - 2.0 / math.sqrt(n), 25)
-    if continuous:
-        ap, _ = _a_factor_density_vec(model.source, n, probes, tol)
-        aps, _ = _a_factor_density_vec(model.source, n,
-                                       probes + 2.0 / math.sqrt(n), tol)
-    else:
-        ap, _ = _a_factor_cf_vec(model.source, n, probes, K, tol)
-        aps, _ = _a_factor_cf_vec(model.source, n,
-                                  probes + 2.0 / math.sqrt(n), K, tol)
+    ap, _ = _a_factor(src, _offsets(probes, n), tol, route, K)
+    aps, _ = _a_factor(src, _offsets(probes + 2.0 / math.sqrt(n), n), tol, route, K)
     period_defect = float(np.max(np.abs(aps - ap)))
 
     return OscillationReport(
@@ -198,8 +175,7 @@ def oscillation_report(model: SmoothedModel, n: int,
         period_defect=period_defect,
         method_gap=method_gap,
         grid_meta={"lo": x[0], "hi": x[-1], "points": x.size},
-        meta={"cf_tail": cf_tail, "density_tail": dn_tail, "route":
-              "density" if continuous else "cf",
+        meta={"cf_tail": cf_tail, "density_tail": dn_tail, "route": route,
               "density_est_error": gd.est_tail_error},
     )
 
@@ -214,13 +190,6 @@ def even_odd_limits(source: SourceDistribution, tol: float = 1e-10) -> EvenOddLi
     """
     if source.dim != 1:
         raise UnsupportedError("even/odd limits are one-dimensional")
-    if source.flags.density_continuous and source.density is not None:
-        even = 2.0 * float(np.real(sum_density_lattice(source, 2.0, 0.0, tol).value))
-        odd = 2.0 * float(np.real(sum_density_lattice(source, 2.0, 1.0, tol).value))
-        return EvenOddLimits(_PHI0 * even, _PHI0 * odd, "density")
-    vals, tail, _ = phased_cf_lattice_sum(source, math.pi,
-                                          np.array([0.0, -math.pi]), tol=tol)
-    if tail > max(tol, 1e-7):
-        raise UnsupportedError(f"{source.label}: cf lattice tail not summable")
-    even, odd = float(vals[0].real), float(vals[1].real)
-    return EvenOddLimits(_PHI0 * even, _PHI0 * odd, "cf")
+    route = _route(source)
+    vals, _ = _a_factor(source, np.array([0.0, 1.0]), tol, route)
+    return EvenOddLimits(_PHI0 * float(vals[0]), _PHI0 * float(vals[1]), route)

@@ -1,6 +1,8 @@
 """Lattice sums and lattice-based conditions.
 
-Provides density-side sums sum_m p(Lm + a), characteristic-function sums
+Provides density-side sums sum_m g(Lm + a) (one routine, ``lattice_series``,
+serves the density lattice sum, the wrapped autocorrelation and the density
+route to the oscillation factor), characteristic-function sums
 sum_k e^{i k phi} f(sk) with certified or extrapolated tails, the pi-lattice
 vanishing check, the two-sided Poisson identity, the wrapped autocorrelation,
 distance to a scaled integer lattice, and the regularity-integral diagnostics
@@ -28,6 +30,7 @@ __all__ = [
     "LatticeZeroReport",
     "PoissonReport",
     "RegularityReport",
+    "lattice_series",
     "sum_density_lattice",
     "sum_cf_lattice",
     "phased_cf_lattice_sum",
@@ -45,10 +48,7 @@ _PHASED_BLOCK = 512
 @dataclass(frozen=True)
 class LatticeSum:
     value: complex | float
-    truncation_index: int
     tail_estimate: float
-    terms_used: int
-    extrapolated: bool = False
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,13 @@ class RegularityReport:
     estimate: float
     diverging: bool
     shell_contributions: tuple
+
+
+def _require_summable(tail: float, tol: float, what: str) -> None:
+    """Refuse a lattice sum whose tail misses tol (and the 1e-7 floor)."""
+    if tail > max(tol, 1e-7):
+        raise UnsupportedError(f"{what} not summable to {tol:g} "
+                               f"(certified only {tail:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +185,12 @@ def sum_cf_lattice(dist: SourceDistribution, step: float,
         raise InvalidParameterError("step must be positive")
     if dist.dim == 1:
         phi = 0.0 if phase is None else float(np.ravel(phase)[0])
-        vals, tail, info = phased_cf_lattice_sum(dist, step, np.array([phi]), tol)
-        if tail > max(tol, 1e-7):
-            raise UnsupportedError(
-                f"{dist.label}: cf lattice tail not summable to {tol:g} "
-                f"(certified only {tail:g})")
+        vals, tail, _ = phased_cf_lattice_sum(dist, step, np.array([phi]), tol)
+        _require_summable(tail, tol, f"{dist.label}: cf lattice tail")
         value = complex(vals[0])
         if abs(value.imag) < 1e-12 * max(1.0, abs(value.real)):
             value = value.real
-        return LatticeSum(value, info["K"], tail, info["terms"],
-                          bool(info.get("extrapolated", False)))
+        return LatticeSum(value, tail)
     if dist.dim == 2 and dist.components is not None:
         ph = (0.0, 0.0) if phase is None else tuple(np.ravel(phase))
         parts = [sum_cf_lattice(c, step, p, tol / 2.0)
@@ -195,17 +198,15 @@ def sum_cf_lattice(dist: SourceDistribution, step: float,
         value = parts[0].value * parts[1].value
         scale = max(abs(complex(parts[0].value)), abs(complex(parts[1].value)), 1.0)
         tail = (parts[0].tail_estimate + parts[1].tail_estimate) * scale
-        return LatticeSum(value, max(p.truncation_index for p in parts), tail,
-                          parts[0].terms_used * parts[1].terms_used,
-                          any(p.extrapolated for p in parts))
+        return LatticeSum(value, tail)
     return _cf_lattice_2d_generic(dist, step, phase, tol)
 
 
 def _cf_lattice_2d_generic(dist, step, phase, tol):
+    # one block per sup-norm shell s, so the certified tail is the integral
+    # test on the shell sums
     ph = np.zeros(2) if phase is None else np.asarray(phase, dtype=float)
-    total = complex(np.real(dist.cf(np.zeros(2))))
-    terms = 1
-    shells = []
+    acc = BlockSeries(complex(np.real(dist.cf(np.zeros(2)))), 1, tol)
     s = 1
     while s * 8 * (2 * s + 1) < K_CAP_2D:
         rng = np.arange(-s, s + 1)
@@ -218,21 +219,9 @@ def _cf_lattice_2d_generic(dist, step, phase, tol):
                 edge.append(np.stack([inner, np.full(inner.size, ky)], axis=-1))
         kpts = np.concatenate(edge, axis=0)
         fv = np.asarray(dist.cf(step * kpts), dtype=complex)
-        phases = np.exp(1j * (kpts @ ph))
-        contrib = complex((phases * fv).sum())
-        total += contrib
-        terms += kpts.shape[0]
-        shells.append(float(np.abs(fv).sum()))
-        if len(shells) >= 3 and shells[-1] <= shells[-2] <= shells[-3]:
-            if shells[-3] > 0 and shells[-1] > 0 and s > 2:
-                # shell sums ~ c * s^-alpha; integral test on the remainder
-                alpha = math.log(shells[-3] / shells[-1]) / math.log(s / (s - 2))
-                if alpha > 1.05:
-                    tail = 1.5 * shells[-1] * s / (alpha - 1.0) / s
-                    if tail <= tol:
-                        return LatticeSum(total, s, tail, terms, False)
-            elif shells[-1] == 0.0 and shells[-2] == 0.0:
-                return LatticeSum(total, s, 0.0, terms, False)
+        contrib = complex((np.exp(1j * (kpts @ ph)) * fv).sum())
+        if acc.add(np.array([s]), np.array([contrib]), float(np.abs(fv).sum())):
+            return LatticeSum(complex(acc.total), acc.tail)
         s += 1
     raise UnsupportedError(f"{dist.label}: 2-d cf lattice sum did not converge "
                            f"within the term cap")
@@ -241,6 +230,34 @@ def _cf_lattice_2d_generic(dist, step, phase, tol):
 # ---------------------------------------------------------------------------
 # density lattice sums
 # ---------------------------------------------------------------------------
+
+def lattice_series(g, step: float, offsets, radius, tol: float, label: str):
+    """sum_{m in Z} g(step m + a) for each offset a; returns (values, tail).
+
+    Each offset is first moved to the lattice point nearest it (the sum is
+    lattice-invariant, and the block engine assumes decay from the first
+    blocks outward).  When g vanishes outside [-radius, radius], every
+    lattice point within it is summed and the tail is 0; otherwise the
+    two-sided series is summed in blocks and refused unless its tail meets
+    tol.
+    """
+    a = np.atleast_1d(np.asarray(offsets, dtype=float))
+    a = a - step * np.round(a / step)
+    if radius is not None:
+        m_lo = int(math.ceil((-radius - float(a.max())) / step - 1e-12))
+        m_hi = int(math.floor((radius - float(a.min())) / step + 1e-12))
+        m = np.arange(m_lo, m_hi + 1)[None, :]
+        return np.asarray(g(step * m + a[:, None]), dtype=float).sum(axis=1), 0.0
+
+    def term_block(k0, k1):
+        m = np.arange(k0, k1)[None, :]
+        return (np.asarray(g(step * m + a[:, None]), dtype=float)
+                + np.asarray(g(-step * m + a[:, None]), dtype=float))
+
+    res = sum_series_blocks(term_block, tol=tol, block=128, max_blocks=192)
+    _require_summable(res.tail_estimate, tol, f"{label}: density lattice tail")
+    return np.asarray(g(a), dtype=float) + np.real(res.value), res.tail_estimate
+
 
 def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
                         tol: float = 1e-10) -> LatticeSum:
@@ -251,51 +268,18 @@ def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density available")
     if dist.dim == 1:
-        a = float(np.ravel(offset)[0]) if np.ndim(offset) else float(offset)
-        return _density_lattice_1d(dist, L, a, tol)
+        if np.size(offset) != 1:
+            raise InvalidParameterError("a one-dimensional sum takes one offset")
+        vals, tail = lattice_series(dist.density, L, offset,
+                                    dist.density_support_radius, tol, dist.label)
+        return LatticeSum(float(vals[0]), tail)
     if dist.dim == 2 and dist.components is not None:
         a = np.ravel(np.asarray(offset, dtype=float))
-        parts = [_density_lattice_1d(c, L, float(ai), tol / 2.0)
-                 for c, ai in zip(dist.components, a)]
-        value = parts[0].value * parts[1].value
-        tail = parts[0].tail_estimate + parts[1].tail_estimate
-        return LatticeSum(value, max(p.truncation_index for p in parts), tail,
-                          parts[0].terms_used * parts[1].terms_used,
-                          any(p.extrapolated for p in parts))
+        (vx, ex), (vy, ey) = [lattice_series(c.density, L, ai, c.density_support_radius,
+                                             tol / 2.0, c.label)
+                              for c, ai in zip(dist.components, a)]
+        return LatticeSum(float(vx[0] * vy[0]), ex + ey)
     raise UnsupportedError("density lattice sums support dim 1 and separable dim 2")
-
-
-def _density_lattice_1d(dist, L, a, tol):
-    p = dist.density
-    # re-center so the lattice point nearest the density mode is m = 0; the
-    # sum is lattice-invariant and the block engine assumes decay from the
-    # first blocks outward
-    a = a - L * round(a / L)
-    r = dist.density_support_radius
-    if r is not None:
-        m_lo = int(math.ceil((-r - a) / L - 1e-12))
-        m_hi = int(math.floor((r - a) / L + 1e-12))
-        if m_hi < m_lo:
-            return LatticeSum(0.0, 0, 0.0, 0, False)
-        m = np.arange(m_lo, m_hi + 1)
-        vals = np.asarray(p(L * m + a), dtype=float)
-        return LatticeSum(float(vals.sum()), int(max(abs(m_lo), abs(m_hi))),
-                          0.0, m.size, False)
-
-    center = float(p(a))
-
-    def term_block(k0, k1):
-        m = np.arange(k0, k1)
-        return np.asarray(p(L * m + a), dtype=float) + np.asarray(p(-L * m + a), dtype=float)
-
-    res = sum_series_blocks(term_block, tol=tol, block=128, max_blocks=192)
-    if res.tail_estimate > max(tol, 1e-7):
-        raise UnsupportedError(
-            f"{dist.label}: density lattice tail not summable to {tol:g} "
-            f"(certified only {res.tail_estimate:g})")
-    value = center + float(np.real(res.value))
-    return LatticeSum(float(value), res.truncation_index, res.tail_estimate,
-                      2 * res.terms_used + 1, res.extrapolated)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +362,10 @@ def _wrapped_autocorr_1d(dist, tol):
         if not dist.flags.bounded_variation_density:
             raise UnsupportedError(f"{dist.label}: self-convolution unavailable")
         q = lambda y: np.vectorize(lambda yy: _selfconv_numeric(dist, yy))(y)  # noqa: E731
-    center = float(np.asarray(q(0.0)))
-    if dist.density_support_radius is not None:
-        radius = 2.0 * dist.density_support_radius
-        m_hi = int(math.floor(radius / 2.0 + 1e-12))
-        if m_hi >= 1:
-            m = np.arange(1, m_hi + 1)
-            vals = np.asarray(q(2.0 * m), dtype=float) + np.asarray(q(-2.0 * m), dtype=float)
-            return center + float(vals.sum())
-        return center
-
-    def term_block(k0, k1):
-        m = np.arange(k0, k1)
-        return np.asarray(q(2.0 * m), dtype=float) + np.asarray(q(-2.0 * m), dtype=float)
-
-    res = sum_series_blocks(term_block, tol=tol, block=128, max_blocks=192)
-    if res.tail_estimate > max(tol, 1e-7):
-        raise UnsupportedError(f"{dist.label}: autocorrelation tail not summable")
-    return center + float(np.real(res.value))
+    r = dist.density_support_radius
+    vals, _ = lattice_series(q, 2.0, 0.0, None if r is None else 2.0 * r,
+                             tol, dist.label)
+    return float(vals[0])
 
 
 def distance_to_lattice(t, lattice_step: float) -> float:

@@ -32,9 +32,7 @@ _WINDOW = 41   # trailing partial sums handed to an extrapolator
 @dataclass(frozen=True)
 class SeriesResult:
     value: np.ndarray | complex
-    truncation_index: int
     tail_estimate: float
-    terms_used: int
     extrapolated: bool
 
 
@@ -346,8 +344,8 @@ def sum_series_blocks(
         T = np.asarray(term_block(k0, k0 + block))
         if acc.add(np.arange(k0, k0 + block), T,
                    float(np.max(np.abs(T).sum(axis=-1)))):
-            return SeriesResult(acc.total, acc.ks[-1], acc.tail, acc.ks[-1], False)
+            return SeriesResult(acc.total, acc.tail, False)
     val, err = _extrapolate_geometric(acc.checkpoints, acc.ks)
     if np.ndim(val) == 0:
         val = complex(val)
-    return SeriesResult(val, acc.ks[-1], float(np.max(err)) * 4.0, acc.ks[-1], True)
+    return SeriesResult(val, float(np.max(err)) * 4.0, True)

@@ -286,6 +286,8 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
+    if not tol > 0:
+        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
     if grid is None:
         grid = default_grid(model.dim)
     if grid.dim != model.dim:

@@ -71,6 +71,19 @@ def test_report_laplace_inner_consistency():
     assert np.all(rep.a_values >= 0.0)
 
 
+@pytest.mark.parametrize("T", [0.7, 1.0])
+def test_report_fejer_factor_is_one(T):
+    # the Fejer cf vanishes on the nonzero pi-lattice, so A_n = 1; its heavy
+    # density tail must stay summable on the density route
+    from llt_lab import grid_1d
+    rep = oscillation_report(SmoothedModel(make_fejer(T), BERN), 64,
+                             grid_1d(-5.0, 5.0, 201))
+    tail = rep.meta["density_tail"]
+    assert rep.meta["route"] == "density"
+    assert float(np.max(np.abs(rep.a_values - 1.0))) <= tail
+    assert rep.method_gap <= tail
+
+
 def test_report_uniform_equals_plain_gaussian_residual():
     from llt_lab import density
     rep = oscillation_report(M_UNIFORM, 100)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import theta_sum
-from llt_lab import (UnsupportedError, check_pi_lattice_zeros, distance_to_lattice,
-                     make_fejer, make_gaussian, make_laplace, make_uniform,
-                     poisson_check, product, regularity_integral, sum_cf_lattice,
-                     sum_density_lattice, wrapped_autocorrelation)
+from llt_lab import (InvalidParameterError, UnsupportedError, check_pi_lattice_zeros,
+                     distance_to_lattice, make_fejer, make_gaussian, make_laplace,
+                     make_uniform, poisson_check, product, regularity_integral,
+                     sum_cf_lattice, sum_density_lattice, wrapped_autocorrelation)
 
 UNIFORM = make_uniform(1.0)
 LAPLACE = make_laplace(1.0)
 GAUSSIAN = make_gaussian(1.0)
 FEJER = make_fejer(1.0)
+E2 = math.e ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +56,13 @@ def test_density_sum_fejer_power_tail():
     bound = 4.0 / (math.pi * 1.0 * (2.0 * 2_000_000))  # envelope 2/(pi T y^2)
     r = sum_density_lattice(FEJER, 2.0, 0.0, tol=1e-8)
     assert abs(r.value - direct) <= bound + 1e-8
+
+
+def test_density_sum_1d_rejects_offset_array():
+    with pytest.raises(InvalidParameterError, match="one offset"):
+        sum_density_lattice(LAPLACE, 2.0, [0.0, 1.0])
+    r = sum_density_lattice(LAPLACE, 2.0, [0.0], tol=1e-12)
+    assert r.value == pytest.approx(0.5 * (E2 + 1.0) / (E2 - 1.0), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +303,37 @@ def test_cf_sum_2d_generic_shells():
     direct = float(np.sum(dist.cf(pts)))
     assert complex(r.value).real == pytest.approx(direct, abs=1e-13)
     assert not math.isinf(r.tail_estimate)
+
+
+def _radial_laplace_2d():
+    from llt_lab import DistFlags, SourceDistribution
+
+    def cf(t):
+        t = np.asarray(t, dtype=float)
+        return (1.0 + t[..., 0] ** 2 + t[..., 1] ** 2) ** -1.5
+
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-np.hypot(x[..., 0], x[..., 1])) / (2.0 * math.pi)
+
+    flags = DistFlags(symmetric_about_0=True, bounded_variation_density=True,
+                      cf_nonnegative=True)
+    return SourceDistribution(dim=2, density=density, cf=cf, flags=flags,
+                              label="laplace2d-radial")
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
+def test_cf_sum_2d_generic_tail_bounds_poisson(tol):
+    # shell sums of (1+|t|^2)^-3/2 decay like s^-2, so the tail is algebraic;
+    # by Poisson summation the full cf sum equals sum_m p(m), whose terms
+    # beyond sup-norm 60 are below e^-60
+    dist = _radial_laplace_2d()
+    rng = np.arange(-60, 61)
+    KX, KY = np.meshgrid(rng, rng, indexing="ij")
+    exact = float(np.sum(dist.density(np.stack([KX, KY], axis=-1).astype(float))))
+    r = sum_cf_lattice(dist, 2.0 * math.pi, None, tol=tol)
+    assert r.tail_estimate <= tol
+    assert abs(complex(r.value).real - exact) <= r.tail_estimate
 
 
 def test_poisson_2d_product():

@@ -97,6 +97,15 @@ def test_density_mass_conserved():
     assert gd.mass() == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("noise", ["bernoulli", "uniform"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_density_rejects_nonpositive_tol(tol, noise):
+    # every noise path refuses the tol before any work, not only the cell engine
+    model = SmoothedModel(LAPLACE, BERN if noise == "bernoulli" else uniform_noise())
+    with pytest.raises(InvalidParameterError, match="tol"):
+        density(model, 16, grid_1d(-2, 2, 5), tol=tol)
+
+
 @pytest.mark.parametrize("src, n, certifies_early",
                          [(GAUSSIAN, 16, True), (UNIFORM, 256, False)],
                          ids=["gaussian-16", "uniform-256"])
