@@ -80,8 +80,7 @@ def _route(source: SourceDistribution) -> str:
     return "cf"
 
 
-def _a_factor(source: SourceDistribution, a, tol: float, route: str,
-              K: int = 16384):
+def _a_factor(source: SourceDistribution, a, tol: float, route: str):
     """A_n at the lattice offsets a along one route; returns (values, tail)."""
     if route == "density":
         if source.density is None:
@@ -90,8 +89,7 @@ def _a_factor(source: SourceDistribution, a, tol: float, route: str,
                                     source.density_support_radius, tol, source.label)
         return 2.0 * vals, 2.0 * tail
     fr = np.mod(a + 1.0, 2.0) - 1.0
-    vals, tail, _ = phased_cf_lattice_sum(source, math.pi, -math.pi * fr,
-                                          tol=tol, k_budget=K)
+    vals, tail, _ = phased_cf_lattice_sum(source, math.pi, -math.pi * fr, tol=tol)
     _require_summable(tail, tol, f"{source.label}: cf lattice sum")
     im = float(np.max(np.abs(vals.imag)))
     if im > 1e-9 * max(1.0, float(np.max(np.abs(vals.real)))):
@@ -100,10 +98,10 @@ def _a_factor(source: SourceDistribution, a, tol: float, route: str,
 
 
 def oscillation_factor_cf(model: SmoothedModel, n: int, x: float,
-                          K: int = 16384, tol: float = 1e-10) -> float:
+                          tol: float = 1e-10) -> float:
     """A_n(x) as the phase-twisted lattice sum of the source cf."""
     _require_1d(model)
-    vals, _ = _a_factor(model.source, _offsets(float(x), n), tol, "cf", K)
+    vals, _ = _a_factor(model.source, _offsets(float(x), n), tol, "cf")
     return float(vals[0])
 
 
@@ -135,7 +133,7 @@ def _jump_lattice_mask(source: SourceDistribution, a: np.ndarray) -> np.ndarray:
 
 
 def oscillation_report(model: SmoothedModel, n: int,
-                       grid: Optional[Grid] = None, K: int = 16384,
+                       grid: Optional[Grid] = None,
                        tol: float = 1e-9) -> OscillationReport:
     """A_n along both routes on a grid, the residual sup |p_n - A_n phi|,
     and the periodicity defect of A_n at period 2/sqrt(n).
@@ -152,7 +150,7 @@ def oscillation_report(model: SmoothedModel, n: int,
     src = model.source
     route = _route(src)
     a = _offsets(x, n)
-    a_cf, cf_tail = _a_factor(src, a, tol, "cf", K)
+    a_cf, cf_tail = _a_factor(src, a, tol, "cf")
     a_dn, dn_tail = _a_factor(src, a, tol, "density")
     valid = _jump_lattice_mask(src, a)
     method_gap = float(np.max(np.abs(a_cf - a_dn)[valid])) if valid.any() else 0.0
@@ -163,8 +161,8 @@ def oscillation_report(model: SmoothedModel, n: int,
     residual_sup = float(np.max(np.abs(gd.values - canonical * phi)))
 
     probes = np.linspace(x[0], x[-1] - 2.0 / math.sqrt(n), 25)
-    ap, _ = _a_factor(src, _offsets(probes, n), tol, route, K)
-    aps, _ = _a_factor(src, _offsets(probes + 2.0 / math.sqrt(n), n), tol, route, K)
+    ap, _ = _a_factor(src, _offsets(probes, n), tol, route)
+    aps, _ = _a_factor(src, _offsets(probes + 2.0 / math.sqrt(n), n), tol, route)
     period_defect = float(np.max(np.abs(aps - ap)))
 
     return OscillationReport(

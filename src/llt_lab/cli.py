@@ -42,7 +42,16 @@ EXPERIMENTS = ("check-condition", "poisson", "autocorr", "density",
 # distribution spec strings
 # ---------------------------------------------------------------------------
 
-def _parse_params(name: str, body: str, spec: str) -> dict:
+# each catalog name takes one parameter (default 1.0) and its constructor
+_CATALOG = {
+    "uniform": ("h", make_uniform),
+    "laplace": ("b", make_laplace),
+    "gaussian": ("sigma", make_gaussian),
+    "fejer": ("T", make_fejer),
+}
+
+
+def _parse_params(body: str, spec: str) -> dict:
     params = {}
     if not body:
         return params
@@ -72,19 +81,15 @@ def parse_spec(text: str) -> SourceDistribution:
         comps = [parse_spec(tok) for tok in body.split(",")]
         return product(comps)
     name, _, body = spec.partition(":")
-    params = _parse_params(name, body, spec)
-    try:
-        if name == "uniform":
-            return make_uniform(params.pop("h", 1.0))
-        if name == "laplace":
-            return make_laplace(params.pop("b", 1.0))
-        if name == "gaussian":
-            return make_gaussian(params.pop("sigma", 1.0))
-        if name == "fejer":
-            return make_fejer(params.pop("T", 1.0))
-    except InvalidParameterError:
-        raise
-    raise UnknownDistributionError(f"unknown distribution: {name}")
+    params = _parse_params(body, spec)
+    if name not in _CATALOG:
+        raise UnknownDistributionError(f"unknown distribution: {name}")
+    key, make = _CATALOG[name]
+    unknown = sorted(set(params) - {key})
+    if unknown:
+        raise UnknownDistributionError(
+            f"{name} takes only the parameter {key!r}, got {unknown} in {spec!r}")
+    return make(params.get(key, 1.0))
 
 
 def parse_noise_spec(text: str, dim: int) -> NoiseDistribution:
@@ -140,24 +145,18 @@ def _parse_schedule(text: str) -> tuple:
     try:
         vals = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise InvalidParameterError(f"bad n schedule: {text!r}")
+        raise argparse.ArgumentTypeError(f"bad n schedule: {text!r}")
     if not vals:
-        raise InvalidParameterError("empty n schedule")
+        raise argparse.ArgumentTypeError("empty n schedule")
     return vals
 
 
-def _read_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidParameterError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val
-    return out
+def _parse_grid(text: str) -> tuple:
+    try:
+        lo, hi, pts = text.split(",")
+        return float(lo), float(hi), int(pts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad grid spec: {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +341,20 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flags left out stay out of the namespace, so ExperimentConfig alone
+    # holds the defaults
     ap = _ArgumentParser(
         prog="llt-lab",
-        description="numerical experiments on noise-smoothed random walks")
+        description="numerical experiments on noise-smoothed random walks",
+        argument_default=argparse.SUPPRESS)
     ap.add_argument("experiment", choices=EXPERIMENTS)
     ap.add_argument("--source", help="source distribution spec, e.g. laplace:b=1")
     ap.add_argument("--noise",
                     help="noise spec: bernoulli | uniform | gaussian (default bernoulli)")
-    ap.add_argument("--n", dest="n_schedule",
+    ap.add_argument("--n", dest="n_schedule", type=_parse_schedule,
                     help="comma-separated n schedule, e.g. 4,16,64,256")
-    ap.add_argument("--grid", help="grid as min,max,points (default -5,5,1001)")
+    ap.add_argument("--grid", type=_parse_grid,
+                    help="grid as min,max,points (default -5,5,1001)")
     ap.add_argument("--norm", choices=("l1", "l2", "sup"))
     ap.add_argument("--tol", type=float)
     ap.add_argument("--k", dest="trunc_k", type=int,
@@ -376,45 +379,45 @@ def _join_grid_value(argv: Sequence[str]) -> list:
     return out
 
 
+def _config_file_flags(ap: argparse.ArgumentParser, path: str) -> list:
+    """The ``key = value`` lines of a config file as ``--flag=value`` tokens;
+    a key is the name of a setting (the flag's destination)."""
+    flags = {a.dest: a.option_strings[0] for a in ap._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    out = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise InvalidParameterError(f"cannot read config file: {exc}")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidParameterError(f"bad config line: {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in flags:
+            raise InvalidParameterError(
+                f"unknown config key {key!r} in {path}; keys: {', '.join(flags)}")
+        out.append(f"{flags[key]}={val}")
+    return out
+
+
 def _config_from_args(argv: Sequence[str]) -> ExperimentConfig:
     ap = _build_parser()
-    ns = ap.parse_args(_join_grid_value(argv))
-    file_vals = _read_config_file(ns.config) if ns.config else {}
-
-    def pick(flag_val, key, conv, default):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return conv(file_vals[key])
-        return default
-
-    source = pick(ns.source, "source", str, None)
-    if not source:
+    argv = _join_grid_value(argv)
+    ns = ap.parse_args(argv)
+    if "config" in ns:
+        # file lines go first, so an explicit flag overrides them
+        ns = ap.parse_args(_config_file_flags(ap, ns.config) + argv)
+    vals = vars(ns)
+    vals.pop("config", None)
+    if not vals.get("source"):
         raise InvalidParameterError("--source is required")
-    sched_text = pick(ns.n_schedule, "n_schedule", str, None)
-    schedule = _parse_schedule(sched_text) if sched_text else ()
-    gmin, gmax, gpts = -5.0, 5.0, 1001
-    grid_text = pick(ns.grid, "grid", str, None)
-    if grid_text:
-        try:
-            lo, hi, pts = grid_text.split(",")
-            gmin, gmax, gpts = float(lo), float(hi), int(pts)
-        except ValueError:
-            raise InvalidParameterError(f"bad grid spec: {grid_text!r}")
-    return ExperimentConfig(
-        experiment=ns.experiment,
-        source=source,
-        noise=pick(ns.noise, "noise", str, "bernoulli"),
-        n_schedule=schedule,
-        grid_min=gmin, grid_max=gmax, grid_points=gpts,
-        norm=pick(ns.norm, "norm", str, "l2"),
-        tol=pick(ns.tol, "tol", float, 1e-9),
-        trunc_k=pick(ns.trunc_k, "trunc_k", int, 20),
-        kind=pick(ns.kind, "kind", str, "condition_3_1"),
-        seed=pick(ns.seed, "seed", int, 0),
-        out_json=pick(ns.out_json, "out_json", str, None),
-        out_csv=pick(ns.out_csv, "out_csv", str, None),
-    )
+    if "grid" in vals:
+        vals["grid_min"], vals["grid_max"], vals["grid_points"] = vals.pop("grid")
+    return ExperimentConfig(**vals)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -540,8 +540,7 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
     )
 
 
-def as_noise(dist: SourceDistribution, beta3_value: Optional[float] = None,
-             tol: float = 1e-10) -> NoiseDistribution:
+def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
     """Promote a symmetric unit-variance source distribution to a noise law.
 
     Isotropy (unit variance per coordinate) is required; the check is
@@ -557,10 +556,9 @@ def as_noise(dist: SourceDistribution, beta3_value: Optional[float] = None,
             f"got E X^2 = {dist.second_moment!r}")
     if not dist.flags.symmetric_about_0:
         raise UnsupportedError(f"{dist.label}: noise catalog requires symmetry about 0")
-    b3 = beta3_value if beta3_value is not None else dist.abs_moment3
 
     def sum_sampler(rng, size, n, _s=dist.sampler):
-        chunk = 16384
+        chunk = 1 << 14
         out = np.empty(size)
         done = 0
         while done < size:
@@ -584,7 +582,7 @@ def as_noise(dist: SourceDistribution, beta3_value: Optional[float] = None,
         components=dist.components,
         label=dist.label,
         flags=dist.flags,
-        beta3=b3,
+        beta3=dist.abs_moment3,
         is_symmetric_bernoulli=False,
         zero_atom_free=dist.density is not None,
         sum_sampler=sum_sampler if dist.sampler is not None else None,

@@ -103,7 +103,7 @@ class GridDensity:
 # ---------------------------------------------------------------------------
 
 def _tail_from_samples(radii: np.ndarray, samples: np.ndarray, dim: int,
-                       R: float, oscillatory: bool) -> float:
+                       R: float, sign_changes: bool) -> float:
     """Fit a decay envelope to |cf| samples on shells beyond R and integrate it.
 
     Tries power, exponential and Gaussian profiles on the positive samples and
@@ -133,7 +133,7 @@ def _tail_from_samples(radii: np.ndarray, samples: np.ndarray, dim: int,
         alpha = -c1
         if dim == 1:
             if alpha <= 1.02:
-                if not oscillatory:
+                if not sign_changes:
                     return math.inf
                 # alternating-block bound: one oscillation wavelength worth of
                 # the envelope controls the signed tail
@@ -162,12 +162,12 @@ def _tail_from_samples(radii: np.ndarray, samples: np.ndarray, dim: int,
     return float(tail) / (2.0 * math.pi) ** dim
 
 
-def estimate_tail(cf_eval: Callable, dim: int, R: float,
-                  oscillatory: Optional[bool] = None) -> float:
+def estimate_tail(cf_eval: Callable, dim: int, R: float) -> float:
     """Conservative upper estimate of (2 pi)^-d  integral of |cf| over |t| > R.
 
     Samples |cf| on shells beyond R assuming monotone envelope decay; returns
-    +inf when no decay is detected, which forces callers to reject.
+    +inf when no decay is detected, which forces callers to reject.  A 1-D
+    envelope no faster than 1/|t| counts only if the cf changes sign.
     """
     if R <= 0:
         raise InvalidParameterError("R must be positive")
@@ -182,9 +182,8 @@ def estimate_tail(cf_eval: Callable, dim: int, R: float,
         raw = np.asarray(cf_eval(tt), dtype=complex)
         vals = np.abs(raw)
         vals = np.maximum(vals, np.abs(np.asarray(cf_eval(-tt), dtype=complex)))
-        if oscillatory is None:
-            sgn = np.sign(raw.real)
-            oscillatory = bool(np.sum(np.abs(np.diff(sgn, axis=1)) > 0) >= 3)
+        sgn = np.sign(raw.real)
+        sign_changes = bool(np.sum(np.abs(np.diff(sgn, axis=1)) > 0) >= 3)
         samples = vals.max(axis=1)
     else:
         theta = np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False)
@@ -192,12 +191,11 @@ def estimate_tail(cf_eval: Callable, dim: int, R: float,
         pts = radii[:, None, None] * dirs[None, :, :]
         vals = np.abs(np.asarray(cf_eval(pts), dtype=complex))
         samples = vals.max(axis=1)
-        if oscillatory is None:
-            oscillatory = False
+        sign_changes = False
     samples = np.asarray(samples, dtype=float)
     if np.all(samples == 0.0):
         return 0.0
-    return 4.0 * _tail_from_samples(radii, samples, dim, R, bool(oscillatory))
+    return 4.0 * _tail_from_samples(radii, samples, dim, R, sign_changes)
 
 
 # ---------------------------------------------------------------------------

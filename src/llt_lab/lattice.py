@@ -43,6 +43,7 @@ __all__ = [
 
 K_CAP_2D = 4_000_000
 _PHASED_BLOCK = 512
+_K_BUDGET = 16384     # k budget of the phased cf sum: 32 blocks
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ def _cos_k2_closed(theta: np.ndarray) -> np.ndarray:
 
 
 def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
-                          phases: np.ndarray, tol: float,
-                          k_budget: int = 16384):
+                          phases: np.ndarray, tol: float):
     """sum_{k in Z} e^{i k phi} f(step k) for a batch of phases phi.
 
     Returns (values, tail_estimate, info).  The sum is split into the k = 0
@@ -125,7 +125,7 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
     acc = BlockSeries(np.zeros(phi.shape, dtype=complex), block, tol)
     cos_k2_partial = np.zeros(phi.shape)
     gamma_samples = []
-    for j in range(max(8, int(math.ceil(k_budget / block)))):
+    for j in range(_K_BUDGET // block):
         k = np.arange(j * block + 1, (j + 1) * block + 1)
         fp = np.asarray(f(step * k), dtype=float)
         ang = np.outer(phi, k)
@@ -286,20 +286,20 @@ def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
 # lattice condition, Poisson identity, wrapped autocorrelation
 # ---------------------------------------------------------------------------
 
-def check_pi_lattice_zeros(dist: SourceDistribution, K: int) -> LatticeZeroReport:
-    """max |f(pi k)| over nonzero integer vectors with sup-norm at most K."""
-    if K < 1:
-        raise InvalidParameterError("K must be >= 1")
+def check_pi_lattice_zeros(dist: SourceDistribution, k_max: int) -> LatticeZeroReport:
+    """max |f(pi k)| over nonzero integer vectors with sup-norm at most k_max."""
+    if k_max < 1:
+        raise InvalidParameterError("k_max must be >= 1")
     if dist.dim == 1:
-        k = np.arange(1, K + 1)
+        k = np.arange(1, k_max + 1)
         vp = np.abs(np.asarray(dist.cf(math.pi * k), dtype=complex))
         vm = np.abs(np.asarray(dist.cf(-math.pi * k), dtype=complex))
         both = np.concatenate([vp, vm])
         idx = int(np.argmax(both))
-        kbest = int(k[idx % K]) * (1 if idx < K else -1)
+        kbest = int(k[idx % k_max]) * (1 if idx < k_max else -1)
         return LatticeZeroReport(float(both[idx]), (kbest,))
     if dist.dim == 2:
-        rng = np.arange(-K, K + 1)
+        rng = np.arange(-k_max, k_max + 1)
         KX, KY = np.meshgrid(rng, rng, indexing="ij")
         pts = np.stack([KX, KY], axis=-1).reshape(-1, 2)
         keep = ~np.all(pts == 0, axis=1)
@@ -413,7 +413,7 @@ def regularity_integral(dist: SourceDistribution, kind: str,
     raise UnsupportedError("regularity integral supports dim 1 and 2")
 
 
-def _regularity_1d(dist, kind, K):
+def _regularity_1d(dist, kind, window_K):
     def integrand(t):
         g = abs(dist.cf_grad(t))
         if kind == "condition_2_3":
@@ -422,7 +422,7 @@ def _regularity_1d(dist, kind, K):
 
     shells = []
     total, _ = quad(integrand, -math.pi / 2, math.pi / 2, limit=100)
-    for j in range(1, K + 1):
+    for j in range(1, window_K + 1):
         lo, hi = math.pi * (j - 0.5), math.pi * (j + 0.5)
         cj, _ = quad(integrand, lo, hi, limit=100)
         cj_m, _ = quad(integrand, -hi, -lo, limit=100)
@@ -431,11 +431,11 @@ def _regularity_1d(dist, kind, K):
     slope = _shell_slope(shells)
     diverging = slope >= -1.05
     if not diverging and shells[-1] > 0:
-        total += shells[-1] * K / (-slope - 1.0)
+        total += shells[-1] * window_K / (-slope - 1.0)
     return RegularityReport(float(total), bool(diverging), tuple(shells))
 
 
-def _regularity_2d(dist, kind, K):
+def _regularity_2d(dist, kind, window_K):
     ntheta, nr = 96, 48
     theta = (np.arange(ntheta) + 0.5) * (2.0 * math.pi / ntheta)
     ct, st = np.cos(theta), np.sin(theta)
@@ -457,7 +457,7 @@ def _regularity_2d(dist, kind, K):
 
     total = cell_integral(0, 0)
     shells = []
-    for s in range(1, K + 1):
+    for s in range(1, window_K + 1):
         cs = 0.0
         for kx in range(-s, s + 1):
             for ky in range(-s, s + 1):
@@ -468,5 +468,5 @@ def _regularity_2d(dist, kind, K):
     slope = _shell_slope(shells)
     diverging = slope >= -1.05
     if not diverging and shells[-1] > 0:
-        total += shells[-1] * K / (-slope - 1.0)
+        total += shells[-1] * window_K / (-slope - 1.0)
     return RegularityReport(float(total), bool(diverging), tuple(shells))

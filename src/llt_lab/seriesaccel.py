@@ -27,6 +27,7 @@ __all__ = ["SeriesResult", "BlockSeries", "sum_series_blocks", "wynn_epsilon",
            "richardson_inv_k"]
 
 _WINDOW = 41   # trailing partial sums handed to an extrapolator
+_RICHARDSON_LEVELS = 12   # deepest Neville level of richardson_inv_k
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def wynn_epsilon(partials: np.ndarray):
     return val, err
 
 
-def richardson_inv_k(partials: np.ndarray, ks: np.ndarray, max_levels: int = 12):
+def richardson_inv_k(partials: np.ndarray, ks: np.ndarray):
     """Neville extrapolation of S(k) to k = infinity, polynomial in 1/k.
 
     Suits monotone algebraic tails (remainder c1/k + c2/k^2 + ...).  Returns
@@ -130,7 +131,7 @@ def richardson_inv_k(partials: np.ndarray, ks: np.ndarray, max_levels: int = 12)
     T = S.copy()
     val = S[..., -1].copy()
     err = np.abs(S[..., -1] - S[..., -2]) if m >= 2 else np.full(S.shape[:-1], np.inf)
-    levels = min(max_levels, m - 1)
+    levels = min(_RICHARDSON_LEVELS, m - 1)
     for level in range(1, levels + 1):
         jj = np.arange(level, m)
         denom = x[jj] - x[jj - level]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
 from .errors import InconsistentCfError, InvalidParameterError, UnsupportedError
@@ -62,10 +62,10 @@ _CELL_CHECK_K = 1024    # k budget at which the quadrature check compares
 
 def _max_threads() -> int:
     raw = os.environ.get("LLT_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise InvalidParameterError(
+            f"LLT_LAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -326,15 +326,10 @@ def _general_noise_density(model: SmoothedModel, n: int, grid: Grid,
         return smoothed_cf(model, n, t)
 
     rt = math.sqrt(n)
-    if model.source.cf_support_radius is not None:
-        R = model.source.cf_support_radius * rt
-        gd = invert(cf_eval, model.dim, grid, truncation_radius=R)
-        gd.meta["est_tail_error"] = gd.meta.get("est_quad_error", 0.0)
-        gd.meta["n_used"] = n
-        gd.meta["engine"] = "invert-compact"
-        return gd
-    # no compact support: grow the window until the sampled tail certifies
-    R = max(10.6, 2.0 * rt)
+    compact = model.source.cf_support_radius is not None
+    # grow the window until the sampled tail certifies; a compact cf starts
+    # at its support edge, where the sampled tail is already 0
+    R = model.source.cf_support_radius * rt if compact else max(10.6, 2.0 * rt)
     tail = math.inf
     for _ in range(9):
         tail = estimate_tail(cf_eval, model.dim, R)
@@ -344,8 +339,9 @@ def _general_noise_density(model: SmoothedModel, n: int, grid: Grid,
     if not math.isfinite(tail):
         raise UnsupportedError(f"{model.source.label}: smoothed cf tail does not decay")
     gd = invert(cf_eval, model.dim, grid, truncation_radius=R)
+    gd.meta["est_tail_error"] = gd.meta["est_total_error"]
     gd.meta["n_used"] = n
-    gd.meta["engine"] = "invert"
+    gd.meta["engine"] = "invert-compact" if compact else "invert"
     return gd
 
 
@@ -366,10 +362,9 @@ def _phi_on_grid(gd: GridDensity) -> np.ndarray:
 def gaussian_window_deficit(grid: Grid) -> float:
     """Standard-normal mass outside the grid window (out-of-window bound
     for the grid distances)."""
-    from scipy.stats import norm
     dims = []
     for ax in grid.axes:
-        dims.append(norm.cdf(ax.upper) - norm.cdf(ax.origin))
+        dims.append(ndtr(ax.upper) - ndtr(ax.origin))
     inside = float(np.prod(dims))
     return max(0.0, 1.0 - inside)
 

@@ -137,10 +137,19 @@ _DENSITY = ["density", "--source", "laplace:b=1", "--n", "4"]
     (_DENSITY + ["--bogus", "3"], 1),
     (["frobnicate", "--source", "laplace:b=1"], 1),
     (_DENSITY + ["--grid", "-5,5,11"], 0),
+    (["limits", "--source", "laplace:h=2"], 1),
+    (["limits", "--source", "uniform:b=3"], 1),
+    (["check-condition", "--source", "product:laplace:h=2,uniform:h=1"], 1),
+    (["limits", "--config", "norms.cfg"], 1),
+    (["limits", "--config", "no-such-file.cfg"], 1),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
-        "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space"])
-def test_cli_hostile_input_exit_code(argv, code, capsys):
+        "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
+        "spec-param-laplace", "spec-param-uniform", "spec-param-product",
+        "config-unknown-key", "config-missing"])
+def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -161,6 +170,33 @@ def test_cli_config_file(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["body"]["config"]["source"] == "laplace:b=1"
     assert doc["body"]["config"]["n_schedule"] == [16]
+
+
+def _body_text(path):
+    return path.read_text().split('"body":', 1)[1]
+
+
+def test_cli_config_file_matches_flags(tmp_path):
+    # every config key, then the same settings as flags
+    cfgfile = tmp_path / "all.cfg"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    cfgfile.write_text(
+        "# all keys\nsource = laplace:b=1\nnoise = bernoulli\nn_schedule = 4,16\n"
+        "grid = -4,4,81\nnorm = l1\ntol = 1e-8\ntrunc_k = 7\n"
+        "kind = condition_2_3\nseed = 3\n"
+        f"out_json = {a}\nout_csv = {tmp_path / 'a.csv'}\n")
+    assert main(["check-condition", "--config", str(cfgfile)]) == 0
+    flags = ["check-condition", "--source", "laplace:b=1", "--noise", "bernoulli",
+             "--n", "4,16", "--grid", "-4,4,81", "--norm", "l1", "--tol", "1e-8",
+             "--k", "7", "--kind", "condition_2_3", "--seed", "3"]
+    assert main(flags + ["--out", str(b)]) == 0
+    assert _body_text(a) == _body_text(b)
+    # an explicit flag overrides the file value
+    assert main(["check-condition", "--config", str(cfgfile), "--k", "5",
+                 "--out", str(a)]) == 0
+    assert main(flags + ["--k", "5", "--out", str(b)]) == 0
+    assert _body_text(a) == _body_text(b)
+    assert json.loads(a.read_text())["body"]["config"]["trunc_k"] == 5
 
 
 def test_cli_determinism_byte_identical(tmp_path):

@@ -159,6 +159,22 @@ def test_general_noise_density_compact_cf_regime():
         assert abs(gd.values[i] - est.values[j]) <= 3.0 * est.stderr[j]
 
 
+def test_general_noise_declares_quadrature_error():
+    # the declared error is the sampled tail plus the quadrature error, also
+    # where the sampled tail underflows to 0
+    gd = density(SmoothedModel(LAPLACE, uniform_noise()), 256)
+    assert gd.meta["engine"] == "invert"
+    assert gd.est_tail_error >= gd.meta["est_quad_error"] > 0.0
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+def test_bad_thread_env_is_invalid(raw, monkeypatch):
+    # only invalid values: the check runs before any thread starts
+    monkeypatch.setenv("LLT_LAB_THREADS", raw)
+    with pytest.raises(InvalidParameterError, match="LLT_LAB_THREADS"):
+        convergence_study(SmoothedModel(GAUSSIAN, BERN), (4, 16))
+
+
 def test_density_2d_product_matches_mixture():
     from llt_lab import exact_mixture_density_2d
     from llt_lab.inversion import Axis, Grid
