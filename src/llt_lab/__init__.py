@@ -26,8 +26,7 @@ from .lattice import (LatticeSum, LatticeZeroReport, PoissonReport,
 from .oracle import (MixtureWeights, MonteCarloEstimate, exact_mixture_density,
                      exact_mixture_density_2d, mixture_weights, monte_carlo_density)
 from .smoothing import (AdmissibleT, ConvergenceReport, SmoothedModel, admissible_T,
-                        convergence_study, cos_power_window_transform, default_grid,
-                        density, distance_to_gaussian, gaussian_window_deficit,
-                        smoothed_cf)
+                        convergence_study, default_grid, density, distance_to_gaussian,
+                        gaussian_window_deficit, smoothed_cf)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

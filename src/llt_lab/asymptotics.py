@@ -43,6 +43,7 @@ class EvenOddLimits:
     even_limit: float
     odd_limit: float
     route: str
+    tail: float             # omitted series part, bounding each limit's error
 
 
 @dataclass
@@ -189,5 +190,6 @@ def even_odd_limits(source: SourceDistribution, tol: float = 1e-10) -> EvenOddLi
     if source.dim != 1:
         raise UnsupportedError("even/odd limits are one-dimensional")
     route = _route(source)
-    vals, _ = _a_factor(source, np.array([0.0, 1.0]), tol, route)
-    return EvenOddLimits(_PHI0 * float(vals[0]), _PHI0 * float(vals[1]), route)
+    vals, tail = _a_factor(source, np.array([0.0, 1.0]), tol, route)
+    return EvenOddLimits(_PHI0 * float(vals[0]), _PHI0 * float(vals[1]), route,
+                         _PHI0 * tail)

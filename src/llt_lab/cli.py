@@ -193,10 +193,10 @@ def _run_poisson(cfg):
 
 def _run_autocorr(cfg):
     src = parse_spec(cfg.source)
-    val = wrapped_autocorrelation(src, tol=cfg.tol)
+    ac = wrapped_autocorrelation(src, tol=cfg.tol)
     target = 0.5 ** src.dim
-    return {"value": val, "target": target, "deviation": abs(val - target),
-            "error_estimates": {"series_tol": cfg.tol}}, None
+    return {"value": ac.value, "target": target, "deviation": abs(ac.value - target),
+            "error_estimates": {"series_tail": ac.tail_estimate}}, None
 
 
 def _run_density(cfg):
@@ -259,12 +259,12 @@ def _run_limits(cfg):
     src = parse_spec(cfg.source)
     lim = even_odd_limits(src, tol=cfg.tol)
     return {"even": lim.even_limit, "odd": lim.odd_limit, "route": lim.route,
-            "error_estimates": {"series_tol": cfg.tol}}, None
+            "error_estimates": {"series_tail": lim.tail}}, None
 
 
 def _run_regularity(cfg):
     src = parse_spec(cfg.source)
-    rep = regularity_integral(src, cfg.kind, max(cfg.trunc_k, 4))
+    rep = regularity_integral(src, cfg.kind, cfg.trunc_k)
     return {"estimate": rep.estimate, "diverging": rep.diverging,
             "shell_contributions": list(rep.shell_contributions)}, None
 

@@ -11,12 +11,13 @@ intervals of length pi centered at pi k gives
     p_n(x) = (sqrt n / 2 pi) [ C_n(w) A(x) + sum_k e^{-i pi k a} D_k(w) ],
 
 with w = x sqrt(n), a = w + n,
-    C_n(w) = integral of cos^n(s) e^{-isw} over |s| <= pi/2  (closed form via
-             the binomial expansion of cos^n),
+    C_n(w) = integral of cos^n(s) e^{-isw} over |s| <= pi/2,
     A(x)   = sum_k e^{-i pi k a} f(pi k)      (phased cf lattice sum),
     D_k(w) = integral of (f(pi k + s) - f(pi k)) cos^n(s) e^{-isw} ds.
 
-The D_k series is summed by Gauss-Legendre cell quadrature with certified or
+Both integrals run on one Gauss-Legendre rule over the window |s| <= S,
+S = min(pi/2, U/sqrt n), where cos^n(s) <= e^{-ns^2/2} keeps all but
+erfc(U/sqrt 2) of the mass; the D_k series is summed with certified or
 extrapolated tails.  This reaches oracle-level accuracy (~1e-9) for any n,
 which a plain truncated transform cannot do for slowly decaying cfs.  For
 general (non-Bernoulli) noise the plain trapezoid inversion applies, with the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import erfc, ndtr
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
 from .errors import InconsistentCfError, InvalidParameterError, UnsupportedError
@@ -50,7 +51,6 @@ __all__ = [
     "gaussian_window_deficit",
     "convergence_study",
     "admissible_T",
-    "cos_power_window_transform",
     "default_grid",
 ]
 
@@ -58,6 +58,7 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _CELL_BLOCK = 128
 _CELL_K = 8192          # k budget of the main cell pass
 _CELL_CHECK_K = 1024    # k budget at which the quadrature check compares
+_WINDOW_U = 9.0         # cell window |s| <= U/sqrt(n): erfc(U/sqrt 2) ~ 2e-19 left out
 
 
 def _max_threads() -> int:
@@ -138,64 +139,56 @@ def smoothed_cf(model: SmoothedModel, n: int, t):
 
 
 # ---------------------------------------------------------------------------
-# exact window transform of cos^n
-# ---------------------------------------------------------------------------
-
-def _half_period_sinc(mu: np.ndarray) -> np.ndarray:
-    """2 sin(mu pi / 2) / mu with the limit pi at mu = 0."""
-    mu = np.asarray(mu, dtype=float)
-    small = np.abs(mu) < 1e-6
-    safe = np.where(small, 1.0, mu)
-    z = math.pi * mu / 2.0
-    series = math.pi * (1.0 - z * z / 6.0)
-    return np.where(small, series, 2.0 * np.sin(math.pi * safe / 2.0) / safe)
-
-
-def cos_power_window_transform(n: int, w) -> np.ndarray:
-    """C_n(w) = integral over |s| <= pi/2 of cos^n(s) e^{-i s w} ds (real).
-
-    Exact binomial expansion: cos^n = 2^-n sum_j C(n,j) e^{i(2j-n)s}, each
-    mode integrating to a shifted half-period sinc; log-domain weights keep
-    n up to 10^4 stable.
-    """
-    ws = np.atleast_1d(np.asarray(w, dtype=float))
-    j = np.arange(n + 1)
-    logw = gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1) - n * math.log(2.0)
-    bw = np.exp(logw)
-    out = np.zeros(ws.size)
-    chunk = max(1, int(2_000_000 // max(ws.size, 1)))
-    for j0 in range(0, n + 1, chunk):
-        jj = j[j0:j0 + chunk]
-        mu = (2.0 * jj - n)[None, :] - ws[:, None]
-        out += _half_period_sinc(mu) @ bw[j0:j0 + chunk]
-    return out if np.ndim(w) else float(out[0])
-
-
-# ---------------------------------------------------------------------------
 # Bernoulli-noise cell engine (d = 1)
 # ---------------------------------------------------------------------------
 
-def _gl_nodes(n: int, w_max: float):
-    m = max(128, int(0.8 * (w_max + 6.0 * math.sqrt(n))) + 64)
-    x, wq = np.polynomial.legendre.leggauss(m)
-    s = 0.5 * math.pi * x
-    ws = 0.5 * math.pi * wq
-    return s, ws
+def _gl_nodes(m: int, half_width: float):
+    """m-point Gauss-Legendre nodes and weights on [-half_width, half_width].
+
+    Newton on the three-term recurrence of P_m, which converges from the
+    asymptotic guess in four steps, and weights 2/((1-x^2) P_m'^2): numpy's
+    leggauss weights are off by up to 1e-11 relative, which moves a
+    128-node integral of cos^16 by 7e-15."""
+    x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return half_width * x, half_width * 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-def _cell_residual_sum(f, n: int, w: np.ndarray, a_frac: np.ndarray,
-                       s: np.ndarray, ws: np.ndarray, tol: float,
-                       budgets: Sequence[int]):
+def _cell_rules(n: int, w_max: float):
+    """The main rule on the window |s| <= min(pi/2, U/sqrt n) and the check
+    rule with 3/4 of its nodes, as (nodes, weights) pairs.  The node count
+    covers the phase e^{-isw} up to |w| = w_max, scaled by the window share."""
+    rt = math.sqrt(n)
+    half = min(0.5 * math.pi, _WINDOW_U / rt)
+    m = max(128, int(half / (0.5 * math.pi) * (0.8 * (w_max + 6.0 * rt) + 64)))
+    return _gl_nodes(m, half), _gl_nodes(max(96, int(0.75 * m)), half)
+
+
+def _window_phases(n: int, w: np.ndarray, s: np.ndarray, ws: np.ndarray):
+    """phi[x, s] = ws cos^n(s) e^{-isw}, the weighted phase matrix of one
+    window rule; its row sums are C_n(w).
+
+    cos^n goes through cos s = 1 - 2 sin^2(s/2): log(cos s) would inherit
+    the rounding of cos s near 1, a relative error of n eps."""
+    cosn = np.exp(n * np.log1p(-2.0 * np.sin(0.5 * s) ** 2))
+    return (ws * cosn)[None, :] * np.exp(-1j * np.outer(w, s))
+
+
+def _cell_residual_sum(f, phi: np.ndarray, s: np.ndarray, a_frac: np.ndarray,
+                       tol: float, budgets: Sequence[int]):
     """sum_k e^{-i pi k a} D_k(w) over all k, for symmetric real f.
 
-    Shares one Gauss-Legendre s-grid across cells; per block of k the cell
-    integrals form a matrix product, and the +-k pair reduces to twice a real
-    part.  One pass runs through the increasing k ``budgets`` and returns a
-    (values (X,), tail_estimate) pair for each, read off the pass as it
-    stands when that budget is reached."""
+    Shares one window rule (nodes s, phase matrix ``phi``) across cells; per
+    block of k the cell integrals form a matrix product, and the +-k pair
+    reduces to twice a real part.  One pass runs through the increasing k
+    ``budgets`` and returns a (values (X,), tail_estimate) pair for each,
+    read off the pass as it stands when that budget is reached."""
     block = _CELL_BLOCK
-    cosn = _stable_real_power(np.cos(s), n)
-    phi = (ws * cosn)[None, :] * np.exp(-1j * np.outer(w, s))   # (X, M)
     phiT = np.ascontiguousarray(phi.T)                          # (M, X)
     f0 = float(np.real(f(0.0)))
     fs = np.asarray(f(s), dtype=float)
@@ -236,31 +229,42 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray,
             f"{source.label}: the cell engine requires a symmetric source")
     rt = math.sqrt(n)
     w = np.asarray(x, dtype=float) * rt
-    a = w + n
-    a_frac = np.mod(a + 1.0, 2.0) - 1.0        # wrapped to (-1, 1]
+    # a = w + n wrapped to [-1, 1]; w - 2 round(.) is exact, where forming
+    # w + n first would round at eps n
+    par = n % 2
+    a_frac = (w - 2.0 * np.round((w + par) / 2.0)) + par
     pref = rt / (2.0 * math.pi)
 
-    C = cos_power_window_transform(n, w)
     A, a_tail, _ = phased_cf_lattice_sum(source, math.pi, -math.pi * a_frac,
                                          tol=tol * _SQRT2PI * 0.25)
-    s, ws = _gl_nodes(n, float(np.max(np.abs(w))) if w.size else 0.0)
+    (s, ws), (s2, ws2) = _cell_rules(n, float(np.max(np.abs(w))) if w.size else 0.0)
     d_tol = tol * 2.0 * math.pi / rt * 0.25
+    phi = _window_phases(n, w, s, ws)
+    C = phi.sum(axis=1).real
     (D1_short, _), (D, d_tail) = _cell_residual_sum(
-        source.cf, n, w, a_frac, s, ws, d_tol, (_CELL_CHECK_K, _CELL_K))
-    # independent node count certifies the cell quadrature, compared with the
-    # main pass at the same k budget
-    s2, ws2 = np.polynomial.legendre.leggauss(max(96, int(0.75 * s.size)))
-    s2, ws2 = 0.5 * math.pi * s2, 0.5 * math.pi * ws2
-    [(D2, _)] = _cell_residual_sum(source.cf, n, w, a_frac, s2, ws2, d_tol,
+        source.cf, phi, s, a_frac, d_tol, (_CELL_CHECK_K, _CELL_K))
+    # the check rule certifies the main rule, compared with the main pass at
+    # the same k budget; 9/7 is the order-2 Richardson factor
+    # 1/((4/3)^2 - 1), as a cf with a kink (fejer) converges like m^-2
+    phi2 = _window_phases(n, w, s2, ws2)
+    [(D2, _)] = _cell_residual_sum(source.cf, phi2, s2, a_frac, d_tol,
                                    (_CELL_CHECK_K,))
-    quad_err = float(np.max(np.abs(D1_short - D2)))
+    C2 = phi2.sum(axis=1).real
+    quad_err = 9.0 / 7.0 * float(np.max(np.abs(D1_short - D2)
+                                        + np.abs(C - C2) * np.abs(A)))
 
     vals = pref * (C * A + D)
     im_max = float(np.max(np.abs(vals.imag)))
-    scale = max(1.0, float(np.max(np.abs(vals.real))))
-    if im_max > 1e-6 * scale:
+    p_max = float(np.max(np.abs(vals.real)))
+    if im_max > 1e-6 * max(1.0, p_max):
         raise InconsistentCfError(f"imaginary residue {im_max:.3g} in cell engine")
-    est = pref * (float(np.max(np.abs(C))) * a_tail + d_tail + quad_err)
+    # |sum_k e^{-i pi k a} f(pi k + s)| <= A(x) at every s (Poisson summation),
+    # so the integrand outside the window is below A e^{-ns^2/2}
+    a_max = float(np.max(np.abs(A))) + a_tail
+    window_err = erfc(_WINDOW_U / math.sqrt(2.0)) / _SQRT2PI * a_max
+    roundoff = 16.0 * np.finfo(float).eps * p_max
+    est = (pref * (float(np.max(np.abs(C))) * a_tail + d_tail + quad_err)
+           + window_err + roundoff)
     return vals.real, est, im_max
 
 

@@ -70,9 +70,9 @@ def test_criterion_2_transform_density_matches_binomial_mixture():
 
 def test_criterion_3_lattice_condition_equivalence():
     uni, lap = make_uniform(1.0), make_laplace(1.0)
-    ac_u = wrapped_autocorrelation(uni)
+    ac_u = wrapped_autocorrelation(uni).value
     z_u = check_pi_lattice_zeros(uni, 20).max_abs
-    ac_l = wrapped_autocorrelation(lap)
+    ac_l = wrapped_autocorrelation(lap).value
     f_pi = lap.cf(math.pi)
     ok = (abs(ac_u - 0.5) <= 1e-10 and z_u <= 1e-12
           and abs(ac_l - 0.5) >= 0.005

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from llt_lab import even_odd_limits, make_fejer, make_laplace, wrapped_autocorrelation
 from llt_lab.cli import (ExperimentConfig, main, parse_noise_spec, parse_spec, run)
 from llt_lab.errors import UnknownDistributionError
 
@@ -142,11 +143,12 @@ _DENSITY = ["density", "--source", "laplace:b=1", "--n", "4"]
     (["check-condition", "--source", "product:laplace:h=2,uniform:h=1"], 1),
     (["limits", "--config", "norms.cfg"], 1),
     (["limits", "--config", "no-such-file.cfg"], 1),
+    (["regularity", "--source", "laplace:b=1", "--k", "2"], 1),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
         "spec-param-laplace", "spec-param-uniform", "spec-param-product",
-        "config-unknown-key", "config-missing"])
+        "config-unknown-key", "config-missing", "regularity-k-below-4"])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
@@ -240,3 +242,18 @@ def test_run_autocorr_value(tmp_path):
     res = json.loads(out.read_text())["body"]["results"]
     assert res["value"] == pytest.approx(0.509274, abs=1e-5)
     assert res["deviation"] >= 0.005
+
+
+@pytest.mark.parametrize("experiment, spec", [("autocorr", "fejer:T=0.5"),
+                                              ("limits", "laplace:b=1")])
+def test_body_reports_library_tail(experiment, spec, tmp_path):
+    # the achieved tail, not the requested tol
+    out = tmp_path / "t.json"
+    assert main([experiment, "--source", spec, "--out", str(out)]) == 0
+    reported = json.loads(out.read_text())["body"]["results"]["error_estimates"]
+    if experiment == "autocorr":
+        tail = wrapped_autocorrelation(make_fejer(0.5), tol=1e-9).tail_estimate
+    else:
+        tail = even_odd_limits(make_laplace(1.0), tol=1e-9).tail
+    assert reported == {"series_tail": tail}
+    assert tail != 1e-9

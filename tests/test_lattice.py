@@ -165,14 +165,14 @@ def test_poisson_fejer_rejected_infinite_moment():
 # ---------------------------------------------------------------------------
 
 def test_autocorr_uniform_exact_half():
-    assert wrapped_autocorrelation(UNIFORM) == pytest.approx(0.5, abs=1e-12)
+    assert wrapped_autocorrelation(UNIFORM).value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_autocorr_laplace():
     # (p*p)(y) = (1+|y|) e^{-|y|} / 4 summed over even integers
     q = lambda y: 0.25 * (1 + abs(y)) * math.exp(-abs(y))  # noqa: E731
     target = theta_sum(lambda m: q(2 * m), 40)
-    val = wrapped_autocorrelation(LAPLACE)
+    val = wrapped_autocorrelation(LAPLACE).value
     assert val == pytest.approx(target, abs=1e-12)
     assert val == pytest.approx(0.509274, abs=1e-6)
     assert abs(val - 0.5) >= 0.005
@@ -181,7 +181,7 @@ def test_autocorr_laplace():
 def test_autocorr_gaussian_differs_from_half():
     q = lambda y: math.exp(-y * y / 4.0) / (2.0 * math.sqrt(math.pi))  # noqa: E731
     target = theta_sum(lambda m: q(2 * m), 30)
-    val = wrapped_autocorrelation(GAUSSIAN)
+    val = wrapped_autocorrelation(GAUSSIAN).value
     assert val == pytest.approx(target, abs=1e-11)
     assert abs(val - 0.5) > 1e-5
 
@@ -189,20 +189,20 @@ def test_autocorr_gaussian_differs_from_half():
 def test_autocorr_fejer_half():
     # triangular cf vanishes on the nonzero pi-lattice, so the identity
     # forces exactly one half despite the heavy density tail
-    assert wrapped_autocorrelation(FEJER) == pytest.approx(0.5, abs=1e-8)
+    assert wrapped_autocorrelation(FEJER).value == pytest.approx(0.5, abs=1e-8)
 
 
 def test_autocorr_quadrature_fallback():
     import dataclasses
     stripped = dataclasses.replace(LAPLACE, self_convolution=None)
-    val = wrapped_autocorrelation(stripped, tol=1e-8)
+    val = wrapped_autocorrelation(stripped, tol=1e-8).value
     assert val == pytest.approx(0.509274, abs=1e-6)
 
 
 def test_equivalence_zeros_iff_autocorr_half():
     for dist in (UNIFORM, LAPLACE, GAUSSIAN, FEJER):
         zeros = check_pi_lattice_zeros(dist, 20).max_abs <= 1e-12
-        half = abs(wrapped_autocorrelation(dist) - 0.5) <= 1e-8
+        half = abs(wrapped_autocorrelation(dist).value - 0.5) <= 1e-8
         assert zeros == half, dist.label
 
 

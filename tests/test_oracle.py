@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,23 @@ def test_mixture_weights_normalized():
         assert np.all(np.isfinite(w.log_weights))
         assert w.total() == pytest.approx(1.0, abs=1e-10)
         assert float(w.weights().sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mixture_matches_mpmath_at_large_n():
+    # gammaln differences lose |gammaln(n+1)| eps: 5.2e-12 here
+    n, x = 16384, 0.15
+    w = x * math.sqrt(n)
+    with mpmath.workdps(40):
+        two_n = mpmath.mpf(2) ** n
+        js = [j for j in range(n + 1) if abs(w - (2 * j - n)) < 45.0]
+        ref = mpmath.sqrt(n) * mpmath.fsum(
+            mpmath.binomial(n, j) / two_n * mpmath.npdf(w - (2 * j - n)) for j in js)
+        mode = np.arange(n // 2 - 1000, n // 2 + 1001, 37)
+        exact = [mpmath.binomial(n, int(j)) / two_n for j in mode]
+        weights = mixture_weights(n).weights()[mode]
+        rel = max(abs(float(v / e - 1)) for v, e in zip(weights, exact))
+    assert abs(exact_mixture_density(GAUSSIAN, n, x) - float(ref)) <= 1e-14
+    assert rel <= 1.5e-14
 
 
 def test_mixture_uniform_hand_values():

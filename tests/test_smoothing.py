@@ -1,13 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import offset_grid_1d, offset_points
 from llt_lab import (InvalidParameterError, SmoothedModel, admissible_T,
-                     bernoulli_noise, convergence_study, cos_power_window_transform,
-                     default_grid, density, distance_to_gaussian, exact_mixture_density,
+                     bernoulli_noise, convergence_study, default_grid, density, distance_to_gaussian, exact_mixture_density,
                      gaussian_window_deficit, grid_1d, make_fejer, make_gaussian,
                      make_laplace, make_uniform, monte_carlo_density, product,
                      smoothed_cf, uniform_noise)
@@ -53,11 +55,19 @@ def test_smoothed_cf_no_underflow_large_n():
 # window transform of cos^n
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,w", [(1, 0.0), (2, 1.3), (7, 4.2), (64, 11.0)])
+@pytest.mark.parametrize("n,w", [(1, 0.0), (2, 1.3), (7, 4.2), (64, 11.0),
+                                 (4096, 40.96), (16384, 101.3)])
 def test_cos_power_window_matches_quadrature(n, w):
-    ref_re, _ = quad(lambda s: math.cos(s) ** n * math.cos(s * w),
-                     -math.pi / 2, math.pi / 2, limit=200)
-    assert cos_power_window_transform(n, w) == pytest.approx(ref_re, abs=1e-12)
+    # C_n(w) read off the cell engine's own window rule, against an mpmath
+    # quadrature over the whole half period, split where cos^n has decayed
+    from llt_lab.smoothing import _cell_rules, _window_phases
+    with mpmath.workdps(30):
+        cut = min(mpmath.pi / 2, 10 / mpmath.sqrt(n))
+        ref = mpmath.quad(lambda s: mpmath.cos(s) ** n * mpmath.cos(s * w),
+                          [-mpmath.pi / 2, -cut, 0, cut, mpmath.pi / 2])
+    (s, ws), _ = _cell_rules(n, abs(w))
+    C = _window_phases(n, np.array([w]), s, ws).sum(axis=1).real[0]
+    assert C == pytest.approx(float(ref), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +82,39 @@ def test_density_matches_mixture(src, n):
     gd = density(model, n, grid)
     ref = exact_mixture_density(src, n, offset_points())
     assert float(np.max(np.abs(gd.values - ref))) <= 1e-7
+
+
+_CELL_SOURCES = {"uniform": make_uniform, "laplace": make_laplace,
+                 "gaussian": make_gaussian}
+
+
+def _mixture_reference(name, param, n, x):
+    """The exact mixture; where a box source's mixture jumps, the mean of the
+    one-sided limits, which is what the Fourier inverse converges to."""
+    src = _CELL_SOURCES[name](param)
+    ref = exact_mixture_density(src, n, x)
+    if name == "uniform":
+        a = x * math.sqrt(n) + n
+        j = np.zeros(x.shape, dtype=bool)
+        for v in (a - param, a + param):
+            j |= np.abs(v - 2.0 * np.round(v / 2.0)) < 1e-9
+        d = 1e-7 / math.sqrt(n)
+        ref[j] = 0.5 * (exact_mixture_density(src, n, x[j] - d)
+                        + exact_mixture_density(src, n, x[j] + d))
+    return ref
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(_CELL_SOURCES)), param=st.floats(0.25, 4.0),
+       n=st.integers(1, 20000),
+       grid=st.builds(lambda lo, hi: grid_1d(lo, hi, 41),
+                      st.floats(-6.0, -1.0), st.floats(1.0, 6.0)))
+@example(name="gaussian", param=1.0, n=16, grid=default_grid(1))
+def test_density_error_within_estimate(name, param, n, grid):
+    # the declared est_tail_error bounds the error at every point
+    gd = density(SmoothedModel(_CELL_SOURCES[name](param), BERN), n, grid)
+    err = np.abs(gd.values - _mixture_reference(name, param, n, grid.axes[0].points()))
+    assert np.all(err <= gd.est_tail_error), (float(err.max()), gd.est_tail_error)
 
 
 def test_density_hand_values():
@@ -112,14 +155,16 @@ def test_density_rejects_nonpositive_tol(tol, noise):
 def test_cell_pass_snapshot_matches_short_pass(src, n, certifies_early):
     # the quadrature check reads the main cell pass at the short k budget;
     # that snapshot must be exactly what a separate short pass returns
-    from llt_lab.smoothing import _CELL_CHECK_K, _CELL_K, _cell_residual_sum, _gl_nodes
+    from llt_lab.smoothing import (_CELL_CHECK_K, _CELL_K, _cell_residual_sum,
+                                   _cell_rules, _window_phases)
     w = default_grid(1).axes[0].points() * math.sqrt(n)
     a_frac = np.mod(w + n + 1.0, 2.0) - 1.0
-    s, ws = _gl_nodes(n, float(np.max(np.abs(w))))
+    (s, ws), _ = _cell_rules(n, float(np.max(np.abs(w))))
+    phi = _window_phases(n, w, s, ws)
     tol = 1e-9 * 2.0 * math.pi / math.sqrt(n) * 0.25
     (snap, snap_tail), (full, _) = _cell_residual_sum(
-        src.cf, n, w, a_frac, s, ws, tol, (_CELL_CHECK_K, _CELL_K))
-    [(short, short_tail)] = _cell_residual_sum(src.cf, n, w, a_frac, s, ws, tol,
+        src.cf, phi, s, a_frac, tol, (_CELL_CHECK_K, _CELL_K))
+    [(short, short_tail)] = _cell_residual_sum(src.cf, phi, s, a_frac, tol,
                                                (_CELL_CHECK_K,))
     assert np.array_equal(snap, short)
     assert snap_tail == short_tail
