@@ -196,7 +196,8 @@ def _run_autocorr(cfg):
     ac = wrapped_autocorrelation(src, tol=cfg.tol)
     target = 0.5 ** src.dim
     return {"value": ac.value, "target": target, "deviation": abs(ac.value - target),
-            "error_estimates": {"series_tail": ac.tail_estimate}}, None
+            "error_estimates": {"series_tail": ac.tail_estimate,
+                                "tol_met": bool(ac.tail_estimate <= cfg.tol)}}, None
 
 
 def _run_density(cfg):
@@ -259,7 +260,8 @@ def _run_limits(cfg):
     src = parse_spec(cfg.source)
     lim = even_odd_limits(src, tol=cfg.tol)
     return {"even": lim.even_limit, "odd": lim.odd_limit, "route": lim.route,
-            "error_estimates": {"series_tail": lim.tail}}, None
+            "error_estimates": {"series_tail": lim.tail,
+                                "tol_met": bool(lim.tail <= cfg.tol)}}, None
 
 
 def _run_regularity(cfg):

@@ -109,41 +109,60 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
     f = dist.cf
     f0 = float(np.real(f(0.0)))
     symmetric = dist.flags.symmetric_about_0
+    ftype = float if symmetric else complex   # a symmetric law has a real cf
 
     if dist.cf_support_radius is not None:
         kmax = int(math.floor(dist.cf_support_radius / step + 1e-12))
         if kmax == 0:
             return np.full(phi.shape, f0, dtype=complex), 0.0, {"K": 0, "terms": 1}
         k = np.arange(1, kmax + 1)
-        fp = np.asarray(f(step * k), dtype=float)
-        fm = fp if symmetric else np.asarray(f(-step * k), dtype=float)
+        fp = np.asarray(f(step * k), dtype=ftype)
+        fm = fp if symmetric else np.asarray(f(-step * k), dtype=ftype)
         ang = np.outer(phi, k)
         vals = f0 + (np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm).sum(axis=1)
         return vals, 0.0, {"K": kmax, "terms": 2 * kmax + 1}
 
     block = _PHASED_BLOCK
+    n_blocks = _K_BUDGET // block
     acc = BlockSeries(np.zeros(phi.shape, dtype=complex), block, tol)
+    # one phase table per call: block j's phases are e^{i phi k0} table with
+    # k0 = j block + 1, so each block total is one matrix product
+    table = np.exp(1j * np.outer(phi, np.arange(block)))
     cos_k2_partial = np.zeros(phi.shape)
     gamma_samples = []
-    for j in range(_K_BUDGET // block):
+    for j in range(n_blocks):
         k = np.arange(j * block + 1, (j + 1) * block + 1)
-        fp = np.asarray(f(step * k), dtype=float)
-        ang = np.outer(phi, k)
+        fp = np.asarray(f(step * k), dtype=ftype)
+        rot = np.exp(1j * phi * k[0])
         if symmetric:
-            cosang = np.cos(ang)
-            inc = 2.0 * cosang * fp[None, :]
-            cos_k2_partial += cosang @ (1.0 / (k * k))
+            S = (table @ np.stack([fp, 1.0 / (k * k)], axis=1)) * rot[:, None]
+            block_sum = 2.0 * S[:, 0].real
+            cos_k2_partial += S[:, 1].real
             mag = 2.0 * float(np.abs(fp).sum())
+            gamma_samples.append(float(np.mean(k * k * fp)))
         else:
-            fm = np.asarray(f(-step * k), dtype=float)
-            inc = np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm
-            cos_k2_partial += (np.cos(ang) @ (1.0 / (k * k)))
+            fm = np.asarray(f(-step * k), dtype=ftype)
+            # conj(table) @ fm e^{-i phi k0} is the conjugate of the second column
+            S = (table @ np.stack([fp, np.conj(fm)], axis=1)) * rot[:, None]
+            block_sum = S[:, 0] + np.conj(S[:, 1])
             mag = float(np.abs(fp).sum() + np.abs(fm).sum())
-        gamma_samples.append(float(np.mean(k * k * fp)))
-        if acc.add(k, inc, mag):
+        if j < n_blocks - 1:
+            done = acc.add_total(k[-1], block_sum, mag)
+        else:
+            # the final block, the one the extrapolation and the resonance
+            # floor read, goes in term by term: the table, rotated in place,
+            # becomes its phases
+            table *= rot[:, None]
+            if symmetric:
+                table *= fp                 # e^{i phi k} f(step k)
+                inc, cinc = 2.0 * table.real, table
+            else:
+                inc = cinc = table * fp + np.conj(table) * fm
+            done = acc.add(k, inc, mag)
+        if done:
             k_last = acc.ks[-1]
             return f0 + acc.total, acc.tail, {"K": k_last, "terms": 2 * k_last + 1}
-    # budget spent: k, fp, ang and inc now hold the final block
+    # budget spent: k, fp and cinc now hold the final block
     k_last = acc.ks[-1]
     # closed-form k^-2 kink correction: exact whenever k^2 f(step k) settles
     # to a constant, which covers inverse-quadratic cf tails at any phase,
@@ -164,7 +183,6 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
     v_ext, e_ext = acc.extrapolate()
     # extrapolation cannot see tails whose phase rotation is slower than the
     # k budget (cf oscillation near-commensurate with the lattice step)
-    cinc = np.exp(1j * ang) * fp[None, :] if symmetric else inc
     e_ext = np.maximum(e_ext, resonance_floor(cinc, float(k_last)))
     v_ext = f0 + v_ext
     if v_kink is not None:

@@ -263,7 +263,9 @@ class BlockSeries:
     (``.tail``) is at most ``tol``, and ``.total`` then holds the sum.
     Until then the accumulator keeps the block checkpoints and the last
     block's unit-stride partial sums, so :meth:`extrapolate` may be called
-    after any block and summation resumed afterwards.
+    after any block added by :meth:`add` and summation resumed afterwards.
+    A block that no extrapolation will read may be added by its total alone
+    (:meth:`add_total`).
     """
 
     def __init__(self, start, block: int, tol: float):
@@ -281,12 +283,25 @@ class BlockSeries:
 
     def add(self, k: np.ndarray, inc: np.ndarray, mag: float) -> bool:
         run = np.asarray(self.total)[..., None] + np.cumsum(inc, axis=-1)
-        self.total = run[..., -1].copy()
-        k_last = int(k[-1])
-        self.mags.append((k_last, mag))
-        self.checkpoints.append(self.total)
-        self.ks.append(k_last)
         self._run, self._run_ks = run, k
+        return self._close(int(k[-1]), run[..., -1].copy(), mag)
+
+    def add_total(self, k_last: int, block_sum, mag: float) -> bool:
+        """Add a block by the sum of its increments, ending at index k_last.
+
+        Updates the total, checkpoints and certification as :meth:`add`
+        does; a block_sum summed sequentially over k gives the same total
+        bit for bit.  No unit-stride partials are kept, so
+        :meth:`extrapolate` refuses until a block is next added by
+        :meth:`add`."""
+        self._run = self._run_ks = None
+        return self._close(int(k_last), np.asarray(self.total) + block_sum, mag)
+
+    def _close(self, k_last: int, total, mag: float) -> bool:
+        self.total = total
+        self.mags.append((k_last, mag))
+        self.checkpoints.append(total)
+        self.ks.append(k_last)
         tail = certified_tail(self.mags, self.block)
         if tail is not None and tail <= self.tol:
             self.tail = tail
@@ -297,6 +312,9 @@ class BlockSeries:
         """Dual-stride extrapolation of the partial sums so far: unit stride
         over the last block, block stride over the checkpoints.  Returns
         (values, per-element errors) and leaves the state untouched."""
+        if self._run is None:
+            raise RuntimeError("extrapolate needs the last block's increments, "
+                               "but that block was added by its total")
         w = min(_WINDOW, self._run.shape[-1])
         wb = min(_WINDOW, len(self.checkpoints))
         return extrapolate_dual_stride(

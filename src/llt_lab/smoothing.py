@@ -207,8 +207,15 @@ def _cell_residual_sum(f, phi: np.ndarray, s: np.ndarray, a_frac: np.ndarray,
             G = F @ phiT                                        # (B, X) complex
             PG = np.exp(-1j * math.pi * np.outer(k, a_frac)) * G
             inc = 2.0 * np.real(PG)
-            certified = acc.add(k, inc.T,
-                                float(np.max(np.abs(inc).sum(axis=0))))
+            mag = float(np.max(np.abs(inc).sum(axis=0)))
+            if k_done >= budget:
+                # an extrapolation may read this block: keep its partials
+                certified = acc.add(k, inc.T, mag)
+            else:
+                # summed over axis 0, sequentially in k: the total is the
+                # one the per-term partials would end on, bit for bit (a
+                # one-point grid is summed pairwise, which differs by roundoff)
+                certified = acc.add_total(k[-1], inc.sum(axis=0), mag)
         if certified:
             out.append((acc.total, acc.tail))
             continue

@@ -255,5 +255,16 @@ def test_body_reports_library_tail(experiment, spec, tmp_path):
         tail = wrapped_autocorrelation(make_fejer(0.5), tol=1e-9).tail_estimate
     else:
         tail = even_odd_limits(make_laplace(1.0), tol=1e-9).tail
-    assert reported == {"series_tail": tail}
+    assert reported == {"series_tail": tail, "tol_met": tail <= 1e-9}
     assert tail != 1e-9
+
+
+@pytest.mark.parametrize("spec, met", [("fejer:T=0.7", False), ("laplace:b=1", True)])
+def test_limits_says_whether_tol_was_met(spec, met, tmp_path):
+    # fejer:T=0.7's density series is accepted with a tail near 7e-8, above
+    # the default tol of 1e-9 but below the 1e-7 refusal floor
+    out = tmp_path / "lim.json"
+    assert main(["limits", "--source", spec, "--out", str(out)]) == 0
+    est = json.loads(out.read_text())["body"]["results"]["error_estimates"]
+    assert est["tol_met"] is met
+    assert (est["series_tail"] <= 1e-9) is met

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,9 @@ from llt_lab import (InvalidParameterError, UnsupportedError, check_pi_lattice_z
                      distance_to_lattice, make_fejer, make_gaussian, make_laplace,
                      make_uniform, poisson_check, product, regularity_integral,
                      sum_cf_lattice, sum_density_lattice, wrapped_autocorrelation)
+from llt_lab import lattice
+from llt_lab.lattice import phased_cf_lattice_sum
+from llt_lab.seriesaccel import BlockSeries, resonance_floor
 
 UNIFORM = make_uniform(1.0)
 LAPLACE = make_laplace(1.0)
@@ -110,6 +114,129 @@ def test_cf_sum_product_separable():
     r = sum_cf_lattice(p2, 2.0 * math.pi, None, tol=1e-10)
     one = 1.0 + 2.0 * math.exp(-2 * math.pi ** 2)
     assert complex(r.value).real == pytest.approx(one * one, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# phased cf sums against the direct-exponential loop
+# ---------------------------------------------------------------------------
+
+def _direct_phased_sum(dist, step, phases, tol):
+    """Reference for phased_cf_lattice_sum: every block's phases come from
+    np.exp(1j * outer(phi, k)) and every block goes into the accumulator term
+    by term; tails, routes and info are chosen as in the library."""
+    phi = np.atleast_1d(np.asarray(phases, dtype=float))
+    f = dist.cf
+    f0 = float(np.real(f(0.0)))
+    symmetric = dist.flags.symmetric_about_0
+    ftype = float if symmetric else complex
+    if dist.cf_support_radius is not None:
+        kmax = int(math.floor(dist.cf_support_radius / step + 1e-12))
+        k = np.arange(1, kmax + 1)
+        fp = np.asarray(f(step * k), dtype=ftype)
+        fm = fp if symmetric else np.asarray(f(-step * k), dtype=ftype)
+        ang = np.outer(phi, k)
+        vals = f0 + (np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm).sum(axis=1)
+        return vals, 0.0, {"K": kmax, "terms": 2 * kmax + 1}
+    block = lattice._PHASED_BLOCK
+    acc = BlockSeries(np.zeros(phi.shape, dtype=complex), block, tol)
+    cos_k2_partial = np.zeros(phi.shape)
+    gamma_samples = []
+    for j in range(lattice._K_BUDGET // block):
+        k = np.arange(j * block + 1, (j + 1) * block + 1)
+        fp = np.asarray(f(step * k), dtype=ftype)
+        ang = np.outer(phi, k)
+        if symmetric:
+            cosang = np.cos(ang)
+            inc = 2.0 * cosang * fp[None, :]
+            cos_k2_partial += cosang @ (1.0 / (k * k))
+            mag = 2.0 * float(np.abs(fp).sum())
+            gamma_samples.append(float(np.mean(k * k * fp)))
+        else:
+            fm = np.asarray(f(-step * k), dtype=ftype)
+            inc = np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm
+            mag = float(np.abs(fp).sum() + np.abs(fm).sum())
+        if acc.add(k, inc, mag):
+            k_last = acc.ks[-1]
+            return f0 + acc.total, acc.tail, {"K": k_last, "terms": 2 * k_last + 1}
+    k_last = acc.ks[-1]
+    err_kink, v_kink = math.inf, None
+    if symmetric:
+        g1, g2 = gamma_samples[-2], gamma_samples[-1]
+        if math.isfinite(g1) and math.isfinite(g2) and abs(g2) > 0 and \
+                abs(g1 - g2) <= 2e-3 * abs(g2):
+            c4 = float(np.max(np.abs(k * k * fp - g2) * k * k))
+            kink = 2.0 * g2 * (lattice._cos_k2_closed(phi) - cos_k2_partial)
+            v_kink = f0 + acc.total + kink
+            err_kink = 4.0 * c4 / (3.0 * k_last ** 3) + 64.0 * np.finfo(float).eps * abs(g2)
+    v_ext, e_ext = acc.extrapolate()
+    cinc = np.exp(1j * ang) * fp[None, :] if symmetric else inc
+    e_ext = np.maximum(e_ext, resonance_floor(cinc, float(k_last)))
+    v_ext = f0 + v_ext
+    vals, errs = v_ext, e_ext
+    if v_kink is not None:
+        use_kink = (err_kink < e_ext) | (np.abs(v_kink - v_ext) > err_kink + e_ext)
+        vals = np.where(use_kink, v_kink, v_ext)
+        errs = np.where(use_kink, err_kink, e_ext)
+    return vals, float(np.max(errs)) * 2.0, {"K": k_last, "terms": 2 * k_last + 1,
+                                             "extrapolated": True}
+
+
+def _shifted_gaussian(mu):
+    # cf e^{i mu t - t^2/2}: not symmetric about 0, so the sum takes its
+    # asymmetric route
+    g = make_gaussian(1.0)
+    return dataclasses.replace(
+        g, cf=lambda t: np.exp(1j * mu * np.asarray(t, dtype=float)) * g.cf(t),
+        flags=dataclasses.replace(g.flags, symmetric_about_0=False),
+        label=f"gaussian-shift:mu={mu}")
+
+
+def _grid_phases(n):
+    w = np.linspace(-5.0, 5.0, 1001) * math.sqrt(n)
+    par = n % 2
+    return -math.pi * ((w - 2.0 * np.round((w + par) / 2.0)) + par)
+
+
+PHASE_SETS = {
+    "grid-n16": _grid_phases(16),
+    "grid-n16384": _grid_phases(16384),
+    "random57": np.random.default_rng(20261018).uniform(-math.pi, math.pi, 57),
+    "limits": -math.pi * np.array([0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("phases", list(PHASE_SETS.values()), ids=list(PHASE_SETS))
+@pytest.mark.parametrize("dist", [UNIFORM, LAPLACE, GAUSSIAN, make_fejer(0.7),
+                                  _shifted_gaussian(0.3)], ids=lambda d: d.label)
+def test_phased_sum_matches_direct_loop(dist, phases):
+    tol = 1e-9 * math.sqrt(2.0 * math.pi) * 0.25   # the cell engine's A tolerance
+    vals, tail, info = phased_cf_lattice_sum(dist, math.pi, phases, tol)
+    ref, ref_tail, ref_info = _direct_phased_sum(dist, math.pi, phases, tol)
+    k = np.arange(1, info["K"] + 1)
+    mass = abs(dist.cf(0.0)) + float(np.sum(np.abs(dist.cf(math.pi * k))
+                                            + np.abs(dist.cf(-math.pi * k))))
+    assert np.max(np.abs(vals - ref)) <= 64.0 * np.finfo(float).eps * mass
+    assert info == ref_info
+    if info.get("extrapolated"):
+        # an extrapolated tail is formed from differences of partial sums;
+        # for uniform:h=1, whose f(pi k) are roundoff (~1e-17), the block
+        # totals' own roundoff moves it in the 12th digit
+        assert tail == pytest.approx(ref_tail, rel=1e-9, abs=0.0)
+    else:
+        assert tail == ref_tail
+
+
+def test_phased_sum_asymmetric_matches_theta_series():
+    # e^{i mu pi k - pi^2 k^2 / 2} is below 1e-300 beyond |k| = 12
+    mu, phases = 0.3, np.array([-2.0, 0.0, 0.7, 3.0])
+    k = np.arange(-12, 13)
+    direct = (np.exp(1j * np.outer(phases, k)) * np.exp(1j * mu * math.pi * k
+                                                        - 0.5 * (math.pi * k) ** 2)).sum(axis=1)
+    vals, tail, _ = phased_cf_lattice_sum(_shifted_gaussian(mu), math.pi, phases, 1e-12)
+    # read as real, the cf would lose its shift: 2 cos(phi k) cos(mu pi k)
+    # in place of 2 cos((phi + mu pi) k), off by about 0.02 at these phases
+    assert np.max(np.abs(vals - direct)) <= 1e-15
+    assert tail <= 1e-12
 
 
 # ---------------------------------------------------------------------------

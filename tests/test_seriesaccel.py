@@ -163,3 +163,43 @@ def test_block_series_resumes_after_extrapolation():
     target = -np.log(2.0 * np.sin(np.array([0.4, 1.3]) / 2.0))
     assert np.max(np.abs(late - target)) <= max(float(np.max(err)), 1e-12)
     assert not np.array_equal(early, late)
+
+
+def _phased_blocks(count, x=3):
+    # increments laid out (k, batch), as the cell engine forms them
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(0.1, 3.0, x)
+    for j in range(count):
+        k = np.arange(j * 64 + 1, (j + 1) * 64 + 1)
+        inc = np.cos(np.outer(k, theta)) / k[:, None] * rng.uniform(0.5, 2.0, (64, x))
+        yield k, inc, float(np.max(np.abs(inc).sum(axis=0)))
+
+
+def test_block_series_totals_match_increments():
+    # a block total summed sequentially over k (axis 0 of a (k, batch)
+    # array) leaves the books exactly as the per-term increments do
+    by_term = BlockSeries(np.full(3, 0.25 + 0.5j), 64, 1e-14)
+    by_total = BlockSeries(np.full(3, 0.25 + 0.5j), 64, 1e-14)
+    for k, inc, mag in _phased_blocks(24):
+        assert by_term.add(k, inc.T, mag) == by_total.add_total(k[-1], inc.sum(axis=0), mag)
+    assert np.array_equal(by_term.total, by_total.total)
+    assert len(by_term.checkpoints) == len(by_total.checkpoints) == 24
+    for a, b in zip(by_term.checkpoints, by_total.checkpoints):
+        assert np.array_equal(a, b)
+    assert by_term.ks == by_total.ks and by_term.mags == by_total.mags
+
+
+def test_block_series_refuses_to_extrapolate_a_total():
+    acc = BlockSeries(np.zeros(3), 64, 1e-14)
+    blocks = list(_phased_blocks(9))
+    for k, inc, mag in blocks[:8]:
+        acc.add_total(k[-1], inc.sum(axis=0), mag)
+    with pytest.raises(RuntimeError, match="by its total"):
+        acc.extrapolate()
+    k, inc, mag = blocks[8]
+    acc.add(k, inc.T, mag)
+    vals, errs = acc.extrapolate()       # a per-term block reopens it
+    assert vals.shape == errs.shape == (3,)
+    acc.add_total(k[-1] + 64, inc.sum(axis=0), mag)
+    with pytest.raises(RuntimeError, match="by its total"):
+        acc.extrapolate()

@@ -173,6 +173,54 @@ def test_cell_pass_snapshot_matches_short_pass(src, n, certifies_early):
     assert np.array_equal(full, snap) == certifies_early
 
 
+def _per_term_cell_sum(f, phi, s, a_frac, tol, budgets):
+    # the cell pass with every block fed to the accumulator term by term
+    from llt_lab.seriesaccel import BlockSeries, resonance_floor
+    from llt_lab.smoothing import _CELL_BLOCK as block
+    phiT = np.ascontiguousarray(phi.T)
+    f0 = float(np.real(f(0.0)))
+    acc = BlockSeries(np.asarray(phi @ (np.asarray(f(s), dtype=float) - f0),
+                                 dtype=complex), block, tol)
+    out, k_done, certified = [], 0, False
+    for budget in budgets:
+        while not certified and k_done < budget:
+            k = np.arange(k_done + 1, k_done + block + 1)
+            k_done += block
+            F = np.asarray(f(math.pi * k[:, None] + s[None, :]), dtype=float)
+            F -= np.asarray(f(math.pi * k), dtype=float)[:, None]
+            PG = np.exp(-1j * math.pi * np.outer(k, a_frac)) * (F @ phiT)
+            inc = 2.0 * np.real(PG)
+            certified = acc.add(k, inc.T, float(np.max(np.abs(inc).sum(axis=0))))
+        if certified:
+            out.append((acc.total, acc.tail))
+            continue
+        vals, errs = acc.extrapolate()
+        floor = resonance_floor(np.ascontiguousarray(PG.T), float(k[-1]))
+        out.append((vals, float(np.max(np.maximum(errs, floor))) * 2.0))
+    return out
+
+
+@pytest.mark.parametrize("src, n", [(UNIFORM, 256), (LAPLACE, 16)],
+                         ids=["uniform-256", "laplace-16"])
+def test_cell_sum_matches_per_term_pass(src, n):
+    # blocks that end no budget go in by their totals; the D sums and their
+    # tails must be exactly those of a pass that keeps every partial sum
+    from llt_lab.smoothing import (_CELL_CHECK_K, _CELL_K, _cell_residual_sum,
+                                   _cell_rules, _window_phases)
+    w = default_grid(1).axes[0].points() * math.sqrt(n)
+    a_frac = (w - 2.0 * np.round((w + n % 2) / 2.0)) + n % 2
+    (s, ws), _ = _cell_rules(n, float(np.max(np.abs(w))))
+    phi = _window_phases(n, w, s, ws)
+    tol = 1e-9 * 2.0 * math.pi / math.sqrt(n) * 0.25
+    for budgets in [(_CELL_CHECK_K, _CELL_K), (_CELL_CHECK_K,)]:
+        got = _cell_residual_sum(src.cf, phi, s, a_frac, tol, budgets)
+        ref = _per_term_cell_sum(src.cf, phi, s, a_frac, tol, budgets)
+        assert len(got) == len(ref) == len(budgets)
+        for (v, t), (rv, rt) in zip(got, ref):
+            assert np.array_equal(v, rv)
+            assert t == rt
+
+
 @pytest.mark.parametrize("src", [LAPLACE, GAUSSIAN], ids=lambda d: d.label)
 def test_parseval_consistency(src):
     # squared L2 norm of p_n equals (2 pi)^-1 integral of |f_n|^2; the
