@@ -44,6 +44,7 @@ class EvenOddLimits:
     odd_limit: float
     route: str
     tail: float             # omitted series part, bounding each limit's error
+    tol_met: bool           # tail <= the tol asked for
 
 
 @dataclass
@@ -192,4 +193,4 @@ def even_odd_limits(source: SourceDistribution, tol: float = 1e-10) -> EvenOddLi
     route = _route(source)
     vals, tail = _a_factor(source, np.array([0.0, 1.0]), tol, route)
     return EvenOddLimits(_PHI0 * float(vals[0]), _PHI0 * float(vals[1]), route,
-                         _PHI0 * tail)
+                         _PHI0 * tail, bool(_PHI0 * tail <= tol))

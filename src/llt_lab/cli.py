@@ -197,7 +197,7 @@ def _run_autocorr(cfg):
     target = 0.5 ** src.dim
     return {"value": ac.value, "target": target, "deviation": abs(ac.value - target),
             "error_estimates": {"series_tail": ac.tail_estimate,
-                                "tol_met": bool(ac.tail_estimate <= cfg.tol)}}, None
+                                "tol_met": ac.tol_met}}, None
 
 
 def _run_density(cfg):
@@ -208,7 +208,8 @@ def _run_density(cfg):
     grid = _grid_from_cfg(cfg, model.dim)
     gd = density(model, n, grid, tol=cfg.tol)
     res = {"n": n,
-           "error_estimates": {"density_tail": gd.meta.get("est_tail_error", 0.0)},
+           "error_estimates": {"density_tail": gd.est_tail_error,
+                               "tol_met": gd.meta["tol_met"]},
            "engine": gd.meta.get("engine", ""),
            "mass": gd.mass(),
            "sup_distance_to_gaussian": distance_to_gaussian(gd, "sup")}
@@ -261,7 +262,7 @@ def _run_limits(cfg):
     lim = even_odd_limits(src, tol=cfg.tol)
     return {"even": lim.even_limit, "odd": lim.odd_limit, "route": lim.route,
             "error_estimates": {"series_tail": lim.tail,
-                                "tol_met": bool(lim.tail <= cfg.tol)}}, None
+                                "tol_met": lim.tol_met}}, None
 
 
 def _run_regularity(cfg):

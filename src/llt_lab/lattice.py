@@ -50,6 +50,7 @@ _K_BUDGET = 16384     # k budget of the phased cf sum: 32 blocks
 class LatticeSum:
     value: complex | float
     tail_estimate: float
+    tol_met: bool       # tail_estimate <= the tol asked for
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def sum_cf_lattice(dist: SourceDistribution, step: float,
         value = complex(vals[0])
         if abs(value.imag) < 1e-12 * max(1.0, abs(value.real)):
             value = value.real
-        return LatticeSum(value, tail)
+        return LatticeSum(value, tail, bool(tail <= tol))
     if dist.dim == 2 and dist.components is not None:
         ph = (0.0, 0.0) if phase is None else tuple(np.ravel(phase))
         parts = [sum_cf_lattice(c, step, p, tol / 2.0)
@@ -220,7 +221,7 @@ def sum_cf_lattice(dist: SourceDistribution, step: float,
         value = parts[0].value * parts[1].value
         scale = max(abs(complex(parts[0].value)), abs(complex(parts[1].value)), 1.0)
         tail = (parts[0].tail_estimate + parts[1].tail_estimate) * scale
-        return LatticeSum(value, tail)
+        return LatticeSum(value, tail, bool(tail <= tol))
     return _cf_lattice_2d_generic(dist, step, phase, tol)
 
 
@@ -243,7 +244,7 @@ def _cf_lattice_2d_generic(dist, step, phase, tol):
         fv = np.asarray(dist.cf(step * kpts), dtype=complex)
         contrib = complex((np.exp(1j * (kpts @ ph)) * fv).sum())
         if acc.add(np.array([s]), np.array([contrib]), float(np.abs(fv).sum())):
-            return LatticeSum(complex(acc.total), acc.tail)
+            return LatticeSum(complex(acc.total), acc.tail, True)
         s += 1
     raise UnsupportedError(f"{dist.label}: 2-d cf lattice sum did not converge "
                            f"within the term cap")
@@ -260,8 +261,9 @@ def lattice_series(g, step: float, offsets, radius, tol: float, label: str):
     lattice-invariant, and the block engine assumes decay from the first
     blocks outward).  When g vanishes outside [-radius, radius], every
     lattice point within it is summed and the tail is 0; otherwise the
-    two-sided series is summed in blocks and refused unless its tail meets
-    tol.
+    two-sided series is summed in blocks and refused when its tail misses
+    max(tol, 1e-7); a tail between the two is returned, and the callers'
+    results flag it with ``tol_met``.
     """
     a = np.atleast_1d(np.asarray(offsets, dtype=float))
     a = a - step * np.round(a / step)
@@ -294,13 +296,13 @@ def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
             raise InvalidParameterError("a one-dimensional sum takes one offset")
         vals, tail = lattice_series(dist.density, L, offset,
                                     dist.density_support_radius, tol, dist.label)
-        return LatticeSum(float(vals[0]), tail)
+        return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
     if dist.dim == 2 and dist.components is not None:
         a = np.ravel(np.asarray(offset, dtype=float))
         (vx, ex), (vy, ey) = [lattice_series(c.density, L, ai, c.density_support_radius,
                                              tol / 2.0, c.label)
                               for c, ai in zip(dist.components, a)]
-        return LatticeSum(float(vx[0] * vy[0]), ex + ey)
+        return LatticeSum(float(vx[0] * vy[0]), ex + ey, bool(ex + ey <= tol))
     raise UnsupportedError("density lattice sums support dim 1 and separable dim 2")
 
 
@@ -366,8 +368,8 @@ def wrapped_autocorrelation(dist: SourceDistribution, tol: float = 1e-9) -> Latt
     if dist.dim == 2 and dist.components is not None:
         x, y = (_wrapped_autocorr_1d(c, tol / 2.0) for c in dist.components)
         ex, ey = x.tail_estimate, y.tail_estimate
-        return LatticeSum(x.value * y.value,
-                          ex * abs(y.value) + ey * (abs(x.value) + ex))
+        tail = ex * abs(y.value) + ey * (abs(x.value) + ex)
+        return LatticeSum(x.value * y.value, tail, bool(tail <= tol))
     raise UnsupportedError("wrapped autocorrelation supports dim 1 and separable dim 2")
 
 
@@ -389,7 +391,7 @@ def _wrapped_autocorr_1d(dist, tol):
     r = dist.density_support_radius
     vals, tail = lattice_series(q, 2.0, 0.0, None if r is None else 2.0 * r,
                                 tol, dist.label)
-    return LatticeSum(float(vals[0]), tail)
+    return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
 
 
 def distance_to_lattice(t, lattice_step: float) -> float:

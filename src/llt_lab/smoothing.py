@@ -17,11 +17,17 @@ with w = x sqrt(n), a = w + n,
 
 Both integrals run on one Gauss-Legendre rule over the window |s| <= S,
 S = min(pi/2, U/sqrt n), where cos^n(s) <= e^{-ns^2/2} keeps all but
-erfc(U/sqrt 2) of the mass; the D_k series is summed with certified or
-extrapolated tails.  This reaches oracle-level accuracy (~1e-9) for any n,
-which a plain truncated transform cannot do for slowly decaying cfs.  For
-general (non-Bernoulli) noise the plain trapezoid inversion applies, with the
-window taken from a compact cf support or from sampled decay.
+erfc(U/sqrt 2) of the mass; the D_k series is summed in blocks of k with
+certified or extrapolated tails.  Each block's cell integrals are one real
+matrix product, and its phases e^{-i pi k a} are one table e^{-i pi j a},
+j <= 128, times a row per block, with every k a reduced mod 2 exactly.  A
+check rule with 3/4 of the nodes bounds the quadrature error: the same pass
+sums the differences between the two rules' terms as one series, so its
+roundoff scales with those differences, not with D.  This reaches
+oracle-level accuracy (~1e-9) for any n, which a plain truncated transform
+cannot do for slowly decaying cfs.  For general (non-Bernoulli) noise the
+plain trapezoid inversion applies, with the window taken from a compact cf
+support or from sampled decay.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ __all__ = [
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _CELL_BLOCK = 128
 _CELL_K = 8192          # k budget of the main cell pass
-_CELL_CHECK_K = 1024    # k budget at which the quadrature check compares
+_CELL_CHECK_K = 1024    # k budget of the quadrature check's difference series
 _WINDOW_U = 9.0         # cell window |s| <= U/sqrt(n): erfc(U/sqrt 2) ~ 2e-19 left out
 
 
@@ -179,54 +185,106 @@ def _window_phases(n: int, w: np.ndarray, s: np.ndarray, ws: np.ndarray):
     return (ws * cosn)[None, :] * np.exp(-1j * np.outer(w, s))
 
 
-def _cell_residual_sum(f, phi: np.ndarray, s: np.ndarray, a_frac: np.ndarray,
-                       tol: float, budgets: Sequence[int]):
-    """sum_k e^{-i pi k a} D_k(w) over all k, for symmetric real f.
+def _exp_pi(k: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray) -> np.ndarray:
+    """e^{-i pi k a} for integers k (axis 0) and a = a_hi + a_lo (axis 1).
 
-    Shares one window rule (nodes s, phase matrix ``phi``) across cells; per
-    block of k the cell integrals form a matrix product, and the +-k pair
-    reduces to twice a real part.  One pass runs through the increasing k
-    ``budgets`` and returns a (values (X,), tail_estimate) pair for each,
-    read off the pass as it stands when that budget is reached."""
-    block = _CELL_BLOCK
-    phiT = np.ascontiguousarray(phi.T)                          # (M, X)
+    a_hi lies on the 2^-39 grid and |a_hi| <= 1, so k a_hi is exact for
+    k <= 2^13 and reduces mod 2 without rounding; the quarter turn nearest
+    it is applied exactly, which leaves an angle of at most pi/4 plus
+    pi k a_lo, |k a_lo| <= 2^-27, to round."""
+    r = np.mod(np.multiply.outer(k, a_hi), 2.0)
+    q = np.round(2.0 * r)
+    theta = math.pi * ((r - 0.5 * q) + np.multiply.outer(k, a_lo))
+    return np.exp(-1j * theta) * np.array([1.0, -1j, -1.0, 1j, 1.0])[q.astype(int)]
+
+
+def _phase_blocks(a: np.ndarray):
+    """Yield (k, e^{-i pi k a}) for the cell blocks k = 1.._CELL_K.
+
+    One table e^{-i pi j a}, j = 1..B, serves every block: block k0 + j has
+    the table times the row e^{-i pi k0 a}.  Both are reduced exactly by
+    :func:`_exp_pi`, so no phase carries the eps k error of a rounded k a."""
+    a_hi = np.round(a * 2.0 ** 39) * 2.0 ** -39
+    a_lo = a - a_hi
+    j = np.arange(1, _CELL_BLOCK + 1)
+    table = _exp_pi(j, a_hi, a_lo)
+    for k0 in range(0, _CELL_K, _CELL_BLOCK):
+        yield k0 + j, table if k0 == 0 else table * _exp_pi(k0, a_hi, a_lo)
+
+
+def _feed(acc: BlockSeries, k: np.ndarray, cinc: np.ndarray, last: bool) -> bool:
+    """Add one block of complex increments e^{-i pi k a} G_k (B, X); the +-k
+    pair contributes twice their real part.  Only a budget's last block,
+    the one an extrapolation reads, goes in term by term."""
+    inc = 2.0 * cinc.real
+    mag = float(np.max(np.abs(inc).sum(axis=0)))
+    if last:
+        return acc.add(k, inc.T, mag)
+    # summed over axis 0, sequentially in k: the total is the one the
+    # per-term partials would end on, bit for bit (a one-point grid is
+    # summed pairwise, which differs by roundoff)
+    return acc.add_total(k[-1], inc.sum(axis=0), mag)
+
+
+def _series_value(acc: BlockSeries, certified: bool, cinc: np.ndarray):
+    """(values, tail) of a fed series: its certified sum, or the dual-stride
+    extrapolation with the resonance floor of its last block ``cinc``."""
+    if certified:
+        return acc.total, acc.tail
+    # unit stride preserves the phase signature e^{+-i pi(1 -+ a)}, block
+    # stride conditions monotone tails
+    vals, errs = acc.extrapolate()
+    # grid points near a density jump make the cell phases rotate slower
+    # than the k budget resolves; the floor keeps the estimate honest there
+    floor = resonance_floor(np.ascontiguousarray(cinc.T), float(acc.ks[-1]))
+    return vals, float(np.max(np.maximum(errs, floor))) * 2.0
+
+
+def _cell_series(f, rule, check_rule, a_frac: np.ndarray, tol: float):
+    """Feed D = sum_k e^{-i pi k a} D_k(w) on the main rule, and the
+    difference between the main and the check rule's terms, in one pass.
+
+    Each rule is (nodes s, phase matrix phi); per block of k the cell
+    integrals are one real matrix product per rule.  D runs to _CELL_K, the
+    difference series to _CELL_CHECK_K; each stops early once certified.
+    Returns (accumulator, certified, last block's complex increments) for D
+    and for the difference."""
     f0 = float(np.real(f(0.0)))
-    fs = np.asarray(f(s), dtype=float)
-    acc = BlockSeries(np.asarray((phi @ (fs - f0)), dtype=complex),  # k = 0 cell
-                      block, tol)
-    out = []
-    k_done = 0
-    certified = False
-    for budget in budgets:
-        while not certified and k_done < budget:
-            k = np.arange(k_done + 1, k_done + block + 1)
-            k_done += block
-            fk = np.asarray(f(math.pi * k), dtype=float)        # (B,)
+
+    def start(s, phi):                                          # k = 0 cell
+        return phi @ (np.asarray(f(s), dtype=float) - f0)
+
+    def cells(s, phi):
+        # G[k, x] = sum_s (f(pi k + s) - f(pi k)) phi[x, s]: a real F times
+        # the interleaved real and imaginary parts of phi
+        phiT = np.ascontiguousarray(phi.T).view(np.float64)     # (M, 2X)
+
+        def G(k, fk):
             F = np.asarray(f(math.pi * k[:, None] + s[None, :]), dtype=float)
             F -= fk[:, None]
-            G = F @ phiT                                        # (B, X) complex
-            PG = np.exp(-1j * math.pi * np.outer(k, a_frac)) * G
-            inc = 2.0 * np.real(PG)
-            mag = float(np.max(np.abs(inc).sum(axis=0)))
-            if k_done >= budget:
-                # an extrapolation may read this block: keep its partials
-                certified = acc.add(k, inc.T, mag)
-            else:
-                # summed over axis 0, sequentially in k: the total is the
-                # one the per-term partials would end on, bit for bit (a
-                # one-point grid is summed pairwise, which differs by roundoff)
-                certified = acc.add_total(k[-1], inc.sum(axis=0), mag)
-        if certified:
-            out.append((acc.total, acc.tail))
-            continue
-        # dual-stride extrapolation: unit stride preserves the phase signature
-        # e^{+-i pi(1 -+ a)}, block stride conditions monotone tails
-        vals, errs = acc.extrapolate()
-        # grid points near a density jump make the cell phases rotate slower
-        # than the k budget resolves; the floor keeps the estimate honest there
-        floor = resonance_floor(np.ascontiguousarray(PG.T), float(k[-1]))
-        out.append((vals, float(np.max(np.maximum(errs, floor))) * 2.0))
-    return out
+            return (F @ phiT).view(np.complex128)
+        return G
+
+    (s, phi), (s2, phi2) = rule, check_rule
+    main, check = cells(s, phi), cells(s2, phi2)
+    d0 = start(s, phi)
+    acc = BlockSeries(d0, _CELL_BLOCK, tol)
+    dacc = BlockSeries(d0 - start(s2, phi2), _CELL_BLOCK, tol)
+    done = ddone = False
+    cinc = dcinc = None
+    for k, P in _phase_blocks(a_frac):
+        check_on = not ddone and k[0] <= _CELL_CHECK_K
+        if done and not check_on:
+            break
+        fk = np.asarray(f(math.pi * k), dtype=float)
+        G = main(k, fk)
+        if not done:
+            cinc = P * G
+            done = _feed(acc, k, cinc, k[-1] == _CELL_K)
+        if check_on:
+            dcinc = P * (G - check(k, fk))
+            ddone = _feed(dacc, k, dcinc, k[-1] == _CELL_CHECK_K)
+    return (acc, done, cinc), (dacc, ddone, dcinc)
 
 
 def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray,
@@ -247,18 +305,16 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray,
     (s, ws), (s2, ws2) = _cell_rules(n, float(np.max(np.abs(w))) if w.size else 0.0)
     d_tol = tol * 2.0 * math.pi / rt * 0.25
     phi = _window_phases(n, w, s, ws)
-    C = phi.sum(axis=1).real
-    (D1_short, _), (D, d_tail) = _cell_residual_sum(
-        source.cf, phi, s, a_frac, d_tol, (_CELL_CHECK_K, _CELL_K))
-    # the check rule certifies the main rule, compared with the main pass at
-    # the same k budget; 9/7 is the order-2 Richardson factor
-    # 1/((4/3)^2 - 1), as a cf with a kink (fejer) converges like m^-2
     phi2 = _window_phases(n, w, s2, ws2)
-    [(D2, _)] = _cell_residual_sum(source.cf, phi2, s2, a_frac, d_tol,
-                                   (_CELL_CHECK_K,))
+    C = phi.sum(axis=1).real
     C2 = phi2.sum(axis=1).real
-    quad_err = 9.0 / 7.0 * float(np.max(np.abs(D1_short - D2)
-                                        + np.abs(C - C2) * np.abs(A)))
+    (D, d_tail), (dD, dD_err) = (_series_value(*fed) for fed in _cell_series(
+        source.cf, (s, phi), (s2, phi2), a_frac, d_tol))
+    # the check rule certifies the main rule through the series of their
+    # term differences, summed like D itself; 9/7 is the order-2 Richardson
+    # factor 1/((4/3)^2 - 1), as a cf with a kink (fejer) converges like m^-2
+    quad_err = 9.0 / 7.0 * (dD_err + float(np.max(np.abs(dD)
+                                                  + np.abs(C - C2) * np.abs(A))))
 
     vals = pref * (C * A + D)
     im_max = float(np.max(np.abs(vals.imag)))
@@ -293,7 +349,8 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
 
     Bernoulli noise runs the exact cell engine (any n, near-oracle accuracy);
     separable two-dimensional models tensorize it; general noise uses the
-    trapezoid inversion with a certified window.
+    trapezoid inversion with a certified window.  ``meta["tol_met"]`` says
+    whether the declared ``est_tail_error`` is at most ``tol``.
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
@@ -309,9 +366,8 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
         vals, est, im_max = _bernoulli_density_1d(model.source, n, x, tol)
         meta = {"n_used": n, "truncation_radius": math.inf,
                 "est_tail_error": est, "max_imag": im_max, "engine": "cell"}
-        return GridDensity(dim=1, axes=grid.axes, values=vals, meta=meta)
-
-    if (model.dim == 2 and _is_bernoulli(model.noise)
+        gd = GridDensity(dim=1, axes=grid.axes, values=vals, meta=meta)
+    elif (model.dim == 2 and _is_bernoulli(model.noise)
             and model.source.components is not None):
         vx, ex, im1 = _bernoulli_density_1d(model.source.components[0], n,
                                             grid.axes[0].points(), tol)
@@ -322,9 +378,11 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
         meta = {"n_used": n, "truncation_radius": math.inf,
                 "est_tail_error": (ex + ey) * sup, "max_imag": max(im1, im2),
                 "engine": "cell-tensor"}
-        return GridDensity(dim=2, axes=grid.axes, values=vals, meta=meta)
-
-    return _general_noise_density(model, n, grid, tol)
+        gd = GridDensity(dim=2, axes=grid.axes, values=vals, meta=meta)
+    else:
+        gd = _general_noise_density(model, n, grid, tol)
+    gd.meta["tol_met"] = gd.est_tail_error <= tol
+    return gd
 
 
 def _general_noise_density(model: SmoothedModel, n: int, grid: Grid,

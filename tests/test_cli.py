@@ -268,3 +268,14 @@ def test_limits_says_whether_tol_was_met(spec, met, tmp_path):
     est = json.loads(out.read_text())["body"]["results"]["error_estimates"]
     assert est["tol_met"] is met
     assert (est["series_tail"] <= 1e-9) is met
+
+
+@pytest.mark.parametrize("spec, met", [("uniform:h=1", False), ("gaussian:sigma=1", True)])
+def test_density_says_whether_tol_was_met(spec, met, tmp_path):
+    # uniform:h=1 at n = 16 declares a resonance-floored D tail far above the
+    # default tol of 1e-9; gaussian certifies far below it
+    out = tmp_path / "d.json"
+    assert main(["density", "--source", spec, "--n", "16", "--out", str(out)]) == 0
+    est = json.loads(out.read_text())["body"]["results"]["error_estimates"]
+    assert est["tol_met"] is met
+    assert (est["density_tail"] <= 1e-9) is met

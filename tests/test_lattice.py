@@ -6,7 +6,7 @@ import pytest
 
 from conftest import theta_sum
 from llt_lab import (InvalidParameterError, UnsupportedError, check_pi_lattice_zeros,
-                     distance_to_lattice, make_fejer, make_gaussian, make_laplace,
+                     distance_to_lattice, even_odd_limits, make_fejer, make_gaussian, make_laplace,
                      make_uniform, poisson_check, product, regularity_integral,
                      sum_cf_lattice, sum_density_lattice, wrapped_autocorrelation)
 from llt_lab import lattice
@@ -60,6 +60,19 @@ def test_density_sum_fejer_power_tail():
     bound = 4.0 / (math.pi * 1.0 * (2.0 * 2_000_000))  # envelope 2/(pi T y^2)
     r = sum_density_lattice(FEJER, 2.0, 0.0, tol=1e-8)
     assert abs(r.value - direct) <= bound + 1e-8
+
+
+@pytest.mark.parametrize("dist, met", [(make_fejer(0.7), False), (LAPLACE, True)],
+                         ids=["fejer:T=0.7", "laplace:b=1"])
+def test_density_sum_says_whether_tol_was_met(dist, met):
+    # fejer's 1/m^2 density tail is accepted near 8e-8, between tol and the
+    # 1e-7 refusal floor; the flag says that tol was missed
+    r = sum_density_lattice(dist, 2.0, 0.0, tol=1e-12)
+    assert r.tol_met is met
+    assert (r.tail_estimate <= 1e-12) is met
+    lim = even_odd_limits(dist, tol=1e-9)
+    assert lim.tol_met is met
+    assert (lim.tail <= 1e-9) is met
 
 
 def test_density_sum_1d_rejects_offset_array():

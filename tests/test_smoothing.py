@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ LAPLACE = make_laplace(1.0)
 GAUSSIAN = make_gaussian(1.0)
 BERN = bernoulli_noise(1)
 SQRT2PI = math.sqrt(2.0 * math.pi)
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -149,76 +151,121 @@ def test_density_rejects_nonpositive_tol(tol, noise):
         density(model, 16, grid_1d(-2, 2, 5), tol=tol)
 
 
-@pytest.mark.parametrize("src, n, certifies_early",
-                         [(GAUSSIAN, 16, True), (UNIFORM, 256, False)],
-                         ids=["gaussian-16", "uniform-256"])
-def test_cell_pass_snapshot_matches_short_pass(src, n, certifies_early):
-    # the quadrature check reads the main cell pass at the short k budget;
-    # that snapshot must be exactly what a separate short pass returns
-    from llt_lab.smoothing import (_CELL_CHECK_K, _CELL_K, _cell_residual_sum,
-                                   _cell_rules, _window_phases)
+def _cell_inputs(src, n):
+    # the cell engine's inputs for the default grid: both window rules, the
+    # wrapped offsets a and the D tolerance
+    from llt_lab.smoothing import _cell_rules, _window_phases
     w = default_grid(1).axes[0].points() * math.sqrt(n)
-    a_frac = np.mod(w + n + 1.0, 2.0) - 1.0
-    (s, ws), _ = _cell_rules(n, float(np.max(np.abs(w))))
-    phi = _window_phases(n, w, s, ws)
-    tol = 1e-9 * 2.0 * math.pi / math.sqrt(n) * 0.25
-    (snap, snap_tail), (full, _) = _cell_residual_sum(
-        src.cf, phi, s, a_frac, tol, (_CELL_CHECK_K, _CELL_K))
-    [(short, short_tail)] = _cell_residual_sum(src.cf, phi, s, a_frac, tol,
-                                               (_CELL_CHECK_K,))
-    assert np.array_equal(snap, short)
-    assert snap_tail == short_tail
-    # gaussian certifies inside the short budget; uniform has to extrapolate
-    # there and the main pass runs on
-    assert np.array_equal(full, snap) == certifies_early
+    a_frac = (w - 2.0 * np.round((w + n % 2) / 2.0)) + n % 2
+    rules = [(s, _window_phases(n, w, s, ws))
+             for s, ws in _cell_rules(n, float(np.max(np.abs(w))))]
+    return rules, a_frac, 1e-9 * 2.0 * math.pi / math.sqrt(n) * 0.25
 
 
-def _per_term_cell_sum(f, phi, s, a_frac, tol, budgets):
-    # the cell pass with every block fed to the accumulator term by term
-    from llt_lab.seriesaccel import BlockSeries, resonance_floor
-    from llt_lab.smoothing import _CELL_BLOCK as block
-    phiT = np.ascontiguousarray(phi.T)
-    f0 = float(np.real(f(0.0)))
-    acc = BlockSeries(np.asarray(phi @ (np.asarray(f(s), dtype=float) - f0),
-                                 dtype=complex), block, tol)
-    out, k_done, certified = [], 0, False
-    for budget in budgets:
-        while not certified and k_done < budget:
-            k = np.arange(k_done + 1, k_done + block + 1)
-            k_done += block
-            F = np.asarray(f(math.pi * k[:, None] + s[None, :]), dtype=float)
-            F -= np.asarray(f(math.pi * k), dtype=float)[:, None]
-            PG = np.exp(-1j * math.pi * np.outer(k, a_frac)) * (F @ phiT)
-            inc = 2.0 * np.real(PG)
-            certified = acc.add(k, inc.T, float(np.max(np.abs(inc).sum(axis=0))))
-        if certified:
-            out.append((acc.total, acc.tail))
-            continue
-        vals, errs = acc.extrapolate()
-        floor = resonance_floor(np.ascontiguousarray(PG.T), float(k[-1]))
-        out.append((vals, float(np.max(np.maximum(errs, floor))) * 2.0))
-    return out
+def _exact_phases(a, k_max):
+    # e^{-i pi r} for k = 1..k_max, with r = (k a) mod 2 formed exactly:
+    # a = p/q from fractions.Fraction (q a power of two), k p mod 2q in
+    # integers, then one long-double cos and sin
+    k = np.arange(1, k_max + 1)
+    r = np.empty((k_max, a.size), dtype=np.longdouble)
+    for i, ai in enumerate(a):
+        fr = Fraction(float(ai))
+        p, q = fr.numerator, fr.denominator
+        if 2 * q <= 2 ** 64:    # uint64 products wrap mod 2^64, a multiple of 2q
+            num = (k.astype(np.uint64) * np.uint64(p % (2 * q))) & np.uint64(2 * q - 1)
+            r[:, i] = num.astype(np.longdouble) / np.longdouble(q)
+        else:                   # r to 2^-62, far below the double eps
+            r62 = [((kk * p) % (2 * q) << 62) // q for kk in range(1, k_max + 1)]
+            r[:, i] = np.array(r62, dtype=np.uint64).astype(np.longdouble) / 2.0 ** 62
+    theta = np.longdouble("3.14159265358979323846264338327950288") * r
+    return np.cos(theta).astype(float) - 1j * np.sin(theta).astype(float)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the exact reference needs an extended long double")
+@pytest.mark.parametrize("n", [16, 16384])
+def test_phase_table_matches_exact_reduction(n):
+    # every cell phase, table times block row, is within 4 eps of e^{-i pi r}
+    # with r = (k a) mod 2 exact; a rounded k a would miss by up to eps k
+    from llt_lab.smoothing import _CELL_K, _phase_blocks
+    _, a, _ = _cell_inputs(UNIFORM, n)
+    blocks = list(_phase_blocks(a))
+    assert np.array_equal(np.concatenate([k for k, _ in blocks]),
+                          np.arange(1, _CELL_K + 1))
+    got = np.concatenate([P for _, P in blocks])
+    assert np.max(np.abs(got - _exact_phases(a, _CELL_K))) <= 4.0 * EPS
+
+
+def _per_term_cell_sum(f, rule, a_frac, tol, budget):
+    # one rule's cell pass with every block fed to the accumulator term by
+    # term and every phase reduced for its own k, not read off the table;
+    # returns the pass as _cell_series does, and sum_k |inc_k| per point
+    # with the k = 0 cell counted as the first increment
+    from llt_lab.seriesaccel import BlockSeries
+    from llt_lab.smoothing import _CELL_BLOCK as block, _exp_pi
+    s, phi = rule
+    a_hi = np.round(a_frac * 2.0 ** 39) * 2.0 ** -39
+    phiT = np.ascontiguousarray(phi.T).view(np.float64)
+    d0 = phi @ (np.asarray(f(s), dtype=float) - float(np.real(f(0.0))))
+    acc, absum = BlockSeries(d0, block, tol), np.abs(d0)
+    for k0 in range(0, budget, block):
+        k = np.arange(k0 + 1, k0 + block + 1)
+        F = np.asarray(f(math.pi * k[:, None] + s[None, :]), dtype=float)
+        F -= np.asarray(f(math.pi * k), dtype=float)[:, None]
+        cinc = _exp_pi(k, a_hi, a_frac - a_hi) * (F @ phiT).view(np.complex128)
+        inc = 2.0 * cinc.real
+        absum = absum + np.abs(inc).sum(axis=0)
+        if acc.add(k, inc.T, float(np.max(np.abs(inc).sum(axis=0)))):
+            return (acc, True, cinc), absum
+    return (acc, False, cinc), absum
 
 
 @pytest.mark.parametrize("src, n", [(UNIFORM, 256), (LAPLACE, 16)],
                          ids=["uniform-256", "laplace-16"])
 def test_cell_sum_matches_per_term_pass(src, n):
-    # blocks that end no budget go in by their totals; the D sums and their
-    # tails must be exactly those of a pass that keeps every partial sum
-    from llt_lab.smoothing import (_CELL_CHECK_K, _CELL_K, _cell_residual_sum,
-                                   _cell_rules, _window_phases)
-    w = default_grid(1).axes[0].points() * math.sqrt(n)
-    a_frac = (w - 2.0 * np.round((w + n % 2) / 2.0)) + n % 2
-    (s, ws), _ = _cell_rules(n, float(np.max(np.abs(w))))
-    phi = _window_phases(n, w, s, ws)
-    tol = 1e-9 * 2.0 * math.pi / math.sqrt(n) * 0.25
-    for budgets in [(_CELL_CHECK_K, _CELL_K), (_CELL_CHECK_K,)]:
-        got = _cell_residual_sum(src.cf, phi, s, a_frac, tol, budgets)
-        ref = _per_term_cell_sum(src.cf, phi, s, a_frac, tol, budgets)
-        assert len(got) == len(ref) == len(budgets)
-        for (v, t), (rv, rt) in zip(got, ref):
-            assert np.array_equal(v, rv)
-            assert t == rt
+    # blocks that end no budget go in by their totals and take their phases
+    # from the table; D and its tail stay within 64 eps sum_k |inc_k| (the
+    # tail twice that, as it is doubled) of a pass that keeps every partial
+    # sum and reduces every phase itself.  The phases differ by a few eps,
+    # so the two passes are no longer bit-identical.
+    from llt_lab.smoothing import _CELL_K, _cell_series, _series_value
+    rules, a_frac, tol = _cell_inputs(src, n)
+    fed, _ = _cell_series(src.cf, *rules, a_frac, tol)
+    ref, absum = _per_term_cell_sum(src.cf, rules[0], a_frac, tol, _CELL_K)
+    assert fed[0].ks == ref[0].ks and fed[1] == ref[1]
+    (v, t), (rv, rt) = _series_value(*fed), _series_value(*ref)
+    bound = 64.0 * EPS * absum
+    assert np.all(np.abs(v - rv) <= bound)
+    assert abs(t - rt) <= 2.0 * float(np.max(bound))
+
+
+@pytest.mark.parametrize("src, n", [(UNIFORM, 256), (LAPLACE, 16)],
+                         ids=["uniform-256", "laplace-16"])
+def test_difference_series_matches_two_passes(src, n):
+    # the quadrature check sums the main minus the check rule's terms as one
+    # series; un-extrapolated at k = _CELL_CHECK_K it is the difference of
+    # the two rules' own partial sums, to 64 eps sum_k |inc_k| of both
+    from llt_lab.smoothing import _CELL_CHECK_K, _cell_series
+    rules, a_frac, tol = _cell_inputs(src, n)
+    _, (dacc, certified, _) = _cell_series(src.cf, *rules, a_frac, tol)
+    assert not certified and dacc.ks[-1] == _CELL_CHECK_K
+    (r1, _, _), ab1 = _per_term_cell_sum(src.cf, rules[0], a_frac, tol, _CELL_CHECK_K)
+    (r2, _, _), ab2 = _per_term_cell_sum(src.cf, rules[1], a_frac, tol, _CELL_CHECK_K)
+    assert r1.ks[-1] == r2.ks[-1] == _CELL_CHECK_K
+    assert np.all(np.abs(dacc.total - (r1.total - r2.total)) <= 64.0 * EPS * (ab1 + ab2))
+
+
+@pytest.mark.parametrize("n", [256, 4096, 16384])
+def test_uniform_estimate_tight_at_large_n(n):
+    # the quadrature check no longer differences two extrapolated sums, whose
+    # roundoff alone made it 3e-10 and 9e-10 at n = 4096 and 16384
+    grid = default_grid(1)
+    gd = density(SmoothedModel(UNIFORM, BERN), n, grid)
+    assert gd.est_tail_error <= 1e-10
+    x = grid.axes[0].points()
+    ref = np.concatenate([_mixture_reference("uniform", 1.0, n, x[i:i + 100])
+                          for i in range(0, x.size, 100)])
+    assert np.all(np.abs(gd.values - ref) <= gd.est_tail_error)
 
 
 @pytest.mark.parametrize("src", [LAPLACE, GAUSSIAN], ids=lambda d: d.label)
