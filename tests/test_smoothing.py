@@ -151,7 +151,7 @@ def test_density_rejects_nonpositive_tol(tol, noise):
         density(model, 16, grid_1d(-2, 2, 5), tol=tol)
 
 
-def _cell_inputs(src, n):
+def _cell_inputs(n):
     # the cell engine's inputs for the default grid: both window rules, the
     # wrapped offsets a and the D tolerance
     from llt_lab.smoothing import _cell_rules, _window_phases
@@ -188,7 +188,7 @@ def test_phase_table_matches_exact_reduction(n):
     # every cell phase, table times block row, is within 4 eps of e^{-i pi r}
     # with r = (k a) mod 2 exact; a rounded k a would miss by up to eps k
     from llt_lab.smoothing import _CELL_K, _phase_blocks
-    _, a, _ = _cell_inputs(UNIFORM, n)
+    _, a, _ = _cell_inputs(n)
     blocks = list(_phase_blocks(a))
     assert np.array_equal(np.concatenate([k for k, _ in blocks]),
                           np.arange(1, _CELL_K + 1))
@@ -229,7 +229,7 @@ def test_cell_sum_matches_per_term_pass(src, n):
     # sum and reduces every phase itself.  The phases differ by a few eps,
     # so the two passes are no longer bit-identical.
     from llt_lab.smoothing import _CELL_K, _cell_series, _series_value
-    rules, a_frac, tol = _cell_inputs(src, n)
+    rules, a_frac, tol = _cell_inputs(n)
     fed, _ = _cell_series(src.cf, *rules, a_frac, tol)
     ref, absum = _per_term_cell_sum(src.cf, rules[0], a_frac, tol, _CELL_K)
     assert fed[0].ks == ref[0].ks and fed[1] == ref[1]
@@ -246,7 +246,7 @@ def test_difference_series_matches_two_passes(src, n):
     # series; un-extrapolated at k = _CELL_CHECK_K it is the difference of
     # the two rules' own partial sums, to 64 eps sum_k |inc_k| of both
     from llt_lab.smoothing import _CELL_CHECK_K, _cell_series
-    rules, a_frac, tol = _cell_inputs(src, n)
+    rules, a_frac, tol = _cell_inputs(n)
     _, (dacc, certified, _) = _cell_series(src.cf, *rules, a_frac, tol)
     assert not certified and dacc.ks[-1] == _CELL_CHECK_K
     (r1, _, _), ab1 = _per_term_cell_sum(src.cf, rules[0], a_frac, tol, _CELL_CHECK_K)
