@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import offset_points
-from llt_lab import (InconsistentCfError, InvalidParameterError, estimate_tail,
-                     grid_1d, grid_2d, invert, make_fejer, make_gaussian,
-                     make_laplace, make_uniform, product)
+from llt_lab import (InconsistentCfError, InvalidParameterError, SmoothedModel,
+                     density, estimate_tail, gaussian_noise, grid_1d, grid_2d,
+                     invert, make_fejer, make_gaussian, make_laplace, make_uniform,
+                     product, smoothed_cf, uniform_noise)
 from llt_lab.inversion import Axis, Grid
 
 
@@ -174,3 +175,103 @@ def test_invert_2d_correlated_gaussian():
     j = int(round((x[1] + 3) / 0.25))
     ref = math.exp(-0.5 * float(x @ Sinv @ x)) / (2 * math.pi * math.sqrt(det))
     assert gd.values[i, j] == pytest.approx(ref, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# node trimming: the kept nodes reproduce the full window within the declared
+# dropped mass
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+TRIM_SOURCES = {"laplace:b=1": make_laplace(1.0), "gaussian:sigma=1": make_gaussian(1.0),
+                "fejer:T=0.7": make_fejer(0.7)}
+TRIM_NOISES = {"uniform": uniform_noise, "gaussian": gaussian_noise}
+
+
+def _full_nodes(R, h):
+    """Every node and weight of the trapezoid rule on [-R, R]."""
+    m = max(2, int(math.ceil(2.0 * R / h)))
+    m += m % 2
+    w = np.full(m + 1, 2.0 * R / m)
+    w[[0, -1]] *= 0.5
+    return np.linspace(-R, R, m + 1), w
+
+
+def _full_window_1d(cf, x, R, h):
+    """The full rule summed point by point; returns the fine values, the
+    Richardson estimate and sum |cf w|."""
+    t, w = _full_nodes(R, h)
+    ft = np.asarray(cf(t), dtype=complex) * w
+    fine = np.array([np.sum(np.exp(-1j * xi * t) * ft) for xi in x]) / (2 * math.pi)
+    coarse = np.array([np.sum(np.exp(-1j * xi * t[::2]) * 2.0 * ft[::2]) for xi in x])
+    est = float(np.max(np.abs(fine - coarse / (2 * math.pi)))) / 3.0
+    return fine.real, est, float(np.sum(np.abs(ft)))
+
+
+@pytest.mark.parametrize("n", [16, 16384])
+@pytest.mark.parametrize("noise", sorted(TRIM_NOISES))
+@pytest.mark.parametrize("source", sorted(TRIM_SOURCES))
+def test_trimmed_inversion_matches_full_window(source, noise, n):
+    model = SmoothedModel(TRIM_SOURCES[source], TRIM_NOISES[noise]())
+    # same x_max, hence the same step, as the default grid
+    grid = grid_1d(-5.0, 5.0, 101)
+    gd = density(model, n, grid)
+    cf = lambda t: smoothed_cf(model, n, t)  # noqa: E731
+    full, full_est, mass = _full_window_1d(cf, grid.axes[0].points(),
+                                           gd.meta["truncation_radius"],
+                                           gd.meta["quad_step"])
+    kept, total = gd.meta["quad_nodes"]
+    assert kept <= total
+    roundoff = 64.0 * EPS * mass / (2 * math.pi)
+    dropped = gd.meta["dropped_mass"]
+    assert float(np.max(np.abs(gd.values - full))) <= roundoff + dropped
+    assert gd.meta["est_quad_error"] >= full_est - roundoff
+
+
+@pytest.mark.parametrize("R", [12.0, 256.0])
+def test_trapezoid_weight_is_the_exact_step(R):
+    # a weight taken as t[1] - t[0] is eps * R / h off: 409 eps at R = 256
+    gd = invert(make_gaussian(1.0).cf, 1, grid_1d(-5, 5, 101), truncation_radius=R,
+                quad_step=0.05)
+    assert abs(gd.values[50] - 1.0 / math.sqrt(2 * math.pi)) <= 4.0 * EPS
+
+
+def test_trimming_keeps_only_the_carried_nodes():
+    model = SmoothedModel(make_gaussian(1.0), gaussian_noise())
+    gd = density(model, 16384)
+    kept, total = gd.meta["quad_nodes"]
+    assert total == 10241
+    assert kept <= 1024
+    # a 1/t^2 cf carries mass out to the window edge: nothing is dropped
+    gd = invert(make_laplace(1.0).cf, 1, grid_1d(-5, 5, 101), truncation_radius=3000.0)
+    kept, total = gd.meta["quad_nodes"]
+    assert kept == total
+    assert gd.meta["dropped_mass"] == 0.0
+
+
+def _correlated_gaussian_cf(t):
+    t = np.asarray(t, dtype=float)
+    return np.exp(-0.5 * (t[..., 0] ** 2 + t[..., 0] * t[..., 1] + t[..., 1] ** 2))
+
+
+@pytest.mark.parametrize("cf, R", [
+    (_correlated_gaussian_cf, 12.0),
+    (product([make_gaussian(1.0), make_gaussian(0.5)]).cf, 30.0),
+], ids=["correlated-gaussian", "gaussian-product"])
+def test_trimmed_2d_inversion_matches_full_window(cf, R):
+    h = 0.05
+    grid = grid_2d(-3, 3, 25)
+    gd = invert(cf, 2, grid, truncation_radius=R, quad_step=h)
+    t, w = _full_nodes(R, h)
+    T1, T2 = np.meshgrid(t, t, indexing="ij")
+    Fw = np.asarray(cf(np.stack([T1, T2], axis=-1)), dtype=complex) * np.outer(w, w)
+    E = np.exp(-1j * np.outer(grid.axes[0].points(), t))
+    scale = 1.0 / (2 * math.pi) ** 2
+    full = (E @ Fw @ E.T).real * scale
+    coarse = (E[:, ::2] @ (4.0 * Fw[::2, ::2]) @ E[:, ::2].T).real * scale
+    full_est = float(np.max(np.abs(full - coarse))) / 3.0
+    kept, total = gd.meta["quad_nodes"]
+    assert kept < total == t.size ** 2
+    roundoff = 64.0 * EPS * float(np.sum(np.abs(Fw))) * scale
+    assert float(np.max(np.abs(gd.values - full))) <= roundoff + gd.meta["dropped_mass"]
+    assert gd.meta["est_quad_error"] >= full_est - roundoff

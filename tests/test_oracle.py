@@ -6,8 +6,10 @@ import pytest
 
 from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError,
                      bernoulli_noise, exact_mixture_density,
-                     exact_mixture_density_2d, make_gaussian, make_laplace,
-                     make_uniform, mixture_weights, monte_carlo_density, product)
+                     exact_mixture_density_2d, gaussian_noise, make_fejer,
+                     make_gaussian, make_laplace, make_uniform, mixture_weights,
+                     monte_carlo_density, product, uniform_noise)
+from llt_lab.oracle import _CHUNK, _chunk_rng, _draw_z
 
 UNIFORM = make_uniform(1.0)
 LAPLACE = make_laplace(1.0)
@@ -141,3 +143,43 @@ def test_monte_carlo_silverman_recorded():
     assert est.bandwidth > 0
     assert est.samples == 20_000
     assert est.seed == 1
+
+
+def _seeded_sample(model, n, samples, seed):
+    return np.concatenate([_draw_z(model, n, min(_CHUNK, samples - i0), _chunk_rng(seed, c))
+                           for c, i0 in enumerate(range(0, samples, _CHUNK))])
+
+
+@pytest.mark.parametrize("bandwidth", [None, 1e-3])
+@pytest.mark.parametrize("model", [
+    SmoothedModel(LAPLACE, uniform_noise()),
+    SmoothedModel(GAUSSIAN, gaussian_noise()),
+    SmoothedModel(make_fejer(0.7), bernoulli_noise(1)),
+], ids=["laplace-uniform", "gaussian-gaussian", "fejer-bernoulli"])
+def test_windowed_kde_matches_full_kernel_sum(model, bandwidth):
+    samples = 2 * _CHUNK + 1234   # not a multiple of the chunk
+    z = _seeded_sample(model, 4, samples, seed=5)
+    h = monte_carlo_density(model, 4, [0.0], samples, bandwidth=bandwidth, seed=5).bandwidth
+    # two points beyond the sample range by 10 bandwidths, where no kernel reaches
+    xs = np.concatenate([[z.min() - 10.0 * h, z.max() + 10.0 * h],
+                         np.linspace(-4.0, 4.0, 41)])
+    est = monte_carlo_density(model, 4, xs, samples, bandwidth=bandwidth, seed=5)
+    # brute force: every kernel of the sample at every point
+    norm = 1.0 / (h * math.sqrt(2.0 * math.pi))
+    kern = norm * np.exp(-0.5 * ((xs[:, None] - z[None, :]) / h) ** 2)
+    ref = kern.sum(axis=1) / samples
+    ref_se = np.sqrt(np.maximum((kern * kern).sum(axis=1) / samples - ref * ref, 0.0)
+                     / samples)
+    eps = float(np.finfo(float).eps)
+    assert np.all(np.abs(est.values - ref) <= norm * math.exp(-40.5) + 64.0 * eps * ref)
+    assert np.allclose(est.stderr, ref_se, rtol=1e-9, atol=norm * 1e-15)
+    assert np.all(est.values[:2] == 0.0) and np.all(est.stderr[:2] == 0.0)
+
+
+def test_monte_carlo_rejects_non_finite_input():
+    model = SmoothedModel(GAUSSIAN, bernoulli_noise(1))
+    with pytest.raises(InvalidParameterError):
+        monte_carlo_density(model, 4, [0.0, math.nan], samples=100)
+    for h in (math.nan, math.inf, 0.0):
+        with pytest.raises(InvalidParameterError):
+            monte_carlo_density(model, 4, [0.0], samples=100, bandwidth=h)
