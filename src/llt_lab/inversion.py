@@ -232,7 +232,8 @@ def _trim_pairs(mass: np.ndarray):
 def _invert_1d(cf_eval, x: np.ndarray, R: float, h: float):
     t, w = _trapezoid_nodes(R, h)
     ft = np.asarray(cf_eval(t), dtype=complex) * w
-    lo, hi, dropped = _trim_pairs(np.abs(ft))
+    a = np.abs(ft)
+    lo, hi, dropped = _trim_pairs(a)
     # columns: the fine rule, and the step-2h rule as doubled fine weights on
     # the even global indices (interior h -> 2h, endpoint h/2 -> h; t.size is
     # odd, so both endpoints sit on even indices)
@@ -250,7 +251,8 @@ def _invert_1d(cf_eval, x: np.ndarray, R: float, h: float):
     # Richardson difference of the fine and the step-2h rule estimates the
     # quadrature error of the fine rule
     quad_err = float(np.max(np.abs(fine - out[:, 1] * scale))) / 3.0
-    return fine, quad_err, dropped * scale, (hi - lo, t.size)
+    kept = float(a[lo:hi].sum())
+    return fine, quad_err, dropped * scale, kept * scale, (hi - lo, t.size)
 
 
 def _invert_2d(cf_eval, gx: np.ndarray, gy: np.ndarray, R: float, h: float):
@@ -261,7 +263,8 @@ def _invert_2d(cf_eval, gx: np.ndarray, gy: np.ndarray, R: float, h: float):
     a = np.abs(Fw)
     r0, r1, _ = _trim_pairs(a.sum(axis=1))
     c0, c1, _ = _trim_pairs(a.sum(axis=0))
-    dropped = float(a.sum() - a[r0:r1, c0:c1].sum())
+    kept = float(a[r0:r1, c0:c1].sum())
+    dropped = float(a.sum() - kept)
     Fw = Fw[r0:r1, c0:c1]
     E1 = np.exp(-1j * np.outer(gx, t[r0:r1]))
     E2 = np.exp(-1j * np.outer(gy, t[c0:c1]))
@@ -272,7 +275,8 @@ def _invert_2d(cf_eval, gx: np.ndarray, gy: np.ndarray, R: float, h: float):
     ec = np.arange(c0, c1) % 2 == 0
     coarse = (E1[:, er] @ (4.0 * Fw[er][:, ec]) @ E2[:, ec].T) * scale
     quad_err = float(np.max(np.abs(fine - coarse))) / 3.0
-    return fine, quad_err, dropped * scale, ((r1 - r0) * (c1 - c0), t.size ** 2)
+    return (fine, quad_err, dropped * scale, kept * scale,
+            ((r1 - r0) * (c1 - c0), t.size ** 2))
 
 
 def invert(cf_eval: Callable, dim: int, grid: Grid, truncation_radius: float,
@@ -282,6 +286,9 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, truncation_radius: float,
     The anti-aliasing rule h * x_max <= pi/4 is enforced; the imaginary part
     of the result must be roundoff (<= 1e-9 by contract) and is discarded
     after checking, values above 1e-6 signal a non-Hermitian cf.
+    ``meta["cf_mass"]`` is (2 pi)^-d sum |cf w| over the kept nodes: a
+    relative error delta in every cf value moves each result by at most
+    delta times it, which the estimates here cannot see.
     """
     if dim not in (1, 2):
         raise InvalidParameterError("invert supports dim 1 and 2")
@@ -308,12 +315,12 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, truncation_radius: float,
 
     if dim == 1:
         x = grid.axes[0].points()
-        vals, quad_err, dropped, nodes = _invert_1d(cf_eval, x, R, h)
+        vals, quad_err, dropped, cf_mass, nodes = _invert_1d(cf_eval, x, R, h)
         shape = (x.size,)
     else:
         gx = grid.axes[0].points()
         gy = grid.axes[1].points()
-        vals, quad_err, dropped, nodes = _invert_2d(cf_eval, gx, gy, R, h)
+        vals, quad_err, dropped, cf_mass, nodes = _invert_2d(cf_eval, gx, gy, R, h)
         shape = (gx.size, gy.size)
 
     im_max = float(np.max(np.abs(vals.imag)))
@@ -336,5 +343,6 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, truncation_radius: float,
         "n_used": None,
         "quad_nodes": nodes,
         "dropped_mass": dropped,
+        "cf_mass": cf_mass,
     }
     return GridDensity(dim=dim, axes=grid.axes, values=out, meta=meta)

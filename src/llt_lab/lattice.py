@@ -125,7 +125,9 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
 
     block = _PHASED_BLOCK
     n_blocks = _K_BUDGET // block
-    acc = BlockSeries(np.zeros(phi.shape, dtype=complex), block, tol)
+    # a symmetric law's series is real (2 Re of the phased terms), so its
+    # accumulator and extrapolation run in real arithmetic
+    acc = BlockSeries(np.zeros(phi.shape, dtype=ftype), block, tol)
     # one phase table per call: block j's phases are e^{i phi k0} table with
     # k0 = j block + 1, so each block total is one matrix product
     table = np.exp(1j * np.outer(phi, np.arange(block)))
@@ -162,7 +164,8 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
             done = acc.add(k, inc, mag)
         if done:
             k_last = acc.ks[-1]
-            return f0 + acc.total, acc.tail, {"K": k_last, "terms": 2 * k_last + 1}
+            return (np.asarray(f0 + acc.total, dtype=complex), acc.tail,
+                    {"K": k_last, "terms": 2 * k_last + 1})
     # budget spent: k, fp and cinc now hold the final block
     k_last = acc.ks[-1]
     # closed-form k^-2 kink correction: exact whenever k^2 f(step k) settles
@@ -197,7 +200,8 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
     else:
         vals, errs = v_ext, e_ext
     tail = float(np.max(errs)) * 2.0
-    return vals, tail, {"K": k_last, "terms": 2 * k_last + 1, "extrapolated": True}
+    return (np.asarray(vals, dtype=complex), tail,
+            {"K": k_last, "terms": 2 * k_last + 1, "extrapolated": True})
 
 
 def sum_cf_lattice(dist: SourceDistribution, step: float,

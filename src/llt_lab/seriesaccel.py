@@ -6,8 +6,10 @@ directly until an integral-test bound certifies the omitted tail.  Slowly
 decaying series (algebraic envelopes, possibly with unit-modulus phases) are
 handled by extrapolating the sequence of partial sums: Wynn's epsilon
 algorithm removes geometric-times-algebraic remainders, a Neville/Richardson
-table in 1/k removes purely algebraic ones.  Both run vectorized over a
-leading batch axis, so a whole evaluation grid is extrapolated at once.
+table in 1/k removes purely algebraic ones.  Both run vectorized over the
+batch axes behind the sequence axis 0, so a whole evaluation grid is
+extrapolated at once, and one table per method serves a window and its
+stability prefix.
 
 One accumulator, :class:`BlockSeries`, keeps the books for every such sum
 (running total, block magnitudes, certification, checkpoints); its callers
@@ -78,43 +80,105 @@ def certified_tail(mags, block_width: int):
     return 1.5 * tail / (alpha - 1.0)
 
 
+def _as_series(partials) -> np.ndarray:
+    """Partial sums as float64 or complex128, whichever holds them."""
+    S = np.asarray(partials)
+    return S.astype(np.result_type(S.dtype, np.float64), copy=False)
+
+
+def _window_starts(S: np.ndarray, lengths):
+    """Each window's fallback (last partial, last increment) before any
+    table level improves on it."""
+    vals = [S[L - 1].copy() for L in lengths]
+    errs = [np.abs(S[L - 1] - S[L - 2]) if L >= 2 else np.full(S.shape[1:], np.inf)
+            for L in lengths]
+    return vals, errs
+
+
+def _epsilon_windows(S: np.ndarray, lengths):
+    """Wynn's epsilon algorithm on the partial sums S (sequence on axis 0),
+    read off for each window S[:L], L in ``lengths``, from one table.
+
+    An entry eps_c^(j) depends only on S_j .. S_{j+c}, so every window's
+    table is part of the whole sequence's; each window's candidates are its
+    last even-column entries, and each window's (value, err) is what the
+    epsilon algorithm run on that window alone returns.  The one exception is
+    the tiny-difference threshold, 1e-300 |S_last| of the whole sequence for
+    every window, which matters only for differences within 1e-300 of the
+    partials.  Real partials run in real arithmetic, which gives the real
+    parts of the same run on their complex cast bit for bit.
+    """
+    m = S.shape[0]
+    thr = 1e-300 * np.maximum(np.abs(S[-1]), 1e-300)
+    # a complex 1/0 is inf + nan i, which acts as nan from then on; a real
+    # 1/0 (possible once thr underflows to 0) is made nan to match
+    zero_nan = not np.iscomplexobj(S) and bool(np.any(thr == 0.0))
+    vals, errs = _window_starts(S, lengths)
+    lasts = [S[L - 1] for L in lengths]     # each window's last finite estimate
+    prev, curr = np.zeros_like(S), S
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for c in range(1, m - 1):
+            diff = curr[1:] - curr[:-1]
+            tiny = np.abs(diff) < thr
+            inv = 1.0 / diff
+            if zero_nan:
+                np.copyto(inv, np.nan, where=(diff == 0.0) & ~tiny)
+            np.copyto(inv, np.inf, where=tiny)
+            prev, curr = curr, prev[1:m - c + 1] + inv
+            if c % 2:
+                continue
+            # curr is the even column c: estimates of the limit
+            for i, L in enumerate(lengths):
+                if c > L - 2:
+                    continue
+                cand = curr[L - 1 - c]
+                cand_err = np.abs(cand - lasts[i]) + np.abs(cand - curr[L - 2 - c])
+                ok = np.isfinite(cand) & (cand_err < errs[i])
+                vals[i] = np.where(ok, cand, vals[i])
+                errs[i] = np.where(ok, cand_err, errs[i])
+                lasts[i] = np.where(np.isfinite(cand), cand, lasts[i])
+    return list(zip(vals, errs))
+
+
+def _neville_windows(S: np.ndarray, x: np.ndarray, lengths):
+    """Neville extrapolation to x = 0 of the partial sums S at the nodes x
+    (sequence on axis 0), read off for each window S[:L], L in ``lengths``,
+    from one table.
+
+    The table entry P_{j-l..j} depends only on S_{j-l} .. S_j, so each
+    window's levels are part of the whole sequence's table.  Each step
+    multiplies by the reciprocal 1/(x_j - x_{j-l}), which is what numpy's
+    complex division by a real divisor computes: a real run gives the real
+    parts of the run on the complex cast bit for bit.
+    """
+    m = S.shape[0]
+    col = (-1,) + (1,) * (S.ndim - 1)
+    T = S.copy()
+    vals, errs = _window_starts(S, lengths)
+    for level in range(1, min(_RICHARDSON_LEVELS, m - 1) + 1):
+        xj, xl = x[level:].reshape(col), x[:m - level].reshape(col)
+        # T[j] becomes P_{j-level..j}; entries below the level are stale
+        T[level:] = (xj * T[level - 1:-1] - xl * T[level:]) * (1.0 / (xj - xl))
+        for i, L in enumerate(lengths):
+            if level > min(_RICHARDSON_LEVELS, L - 1):
+                continue
+            cand = T[L - 1]
+            cand_err = np.abs(cand - (T[L - 2] if L - 1 > level else vals[i]))
+            ok = np.isfinite(cand) & (cand_err < errs[i])
+            vals[i] = np.where(ok, cand, vals[i])
+            errs[i] = np.where(ok, cand_err, errs[i])
+    return list(zip(vals, errs))
+
+
 def wynn_epsilon(partials: np.ndarray):
     """Shanks-type extrapolation of partial sums via the epsilon algorithm.
 
     partials has the sequence along the last axis.  Returns (value, err)
     where err is a per-element accuracy estimate taken from the convergence
-    of the even epsilon columns.
+    of the even epsilon columns; real partials give a real value.
     """
-    S = np.asarray(partials, dtype=complex)
-    m = S.shape[-1]
-    scale = np.maximum(np.abs(S[..., -1]), 1e-300)
-    val = S[..., -1].copy()
-    err = np.abs(S[..., -1] - S[..., -2]) if m >= 2 else np.full(S.shape[:-1], np.inf)
-    prev = np.zeros_like(S)
-    curr = S.copy()
-    prev_even_last = S[..., -1].copy()
-    for k in range(m - 1):
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            diff = curr[..., 1:] - curr[..., :-1]
-            tiny = np.abs(diff) < 1e-300 * scale[..., None]
-            safe = np.where(tiny, 1.0, diff)
-            nxt = prev[..., 1:curr.shape[-1]] + np.where(tiny, np.inf, 1.0 / safe)
-        prev, curr = curr, nxt
-        if curr.shape[-1] < 1:
-            break
-        if k % 2 == 1:  # curr now holds an even epsilon column (estimates)
-            with np.errstate(invalid="ignore"):
-                cand = curr[..., -1]
-                cand_err = np.abs(cand - prev_even_last)
-                if curr.shape[-1] >= 2:
-                    cand_err = cand_err + np.abs(curr[..., -1] - curr[..., -2])
-            ok = np.isfinite(cand) & (cand_err < err)
-            val = np.where(ok, cand, val)
-            err = np.where(ok, cand_err, err)
-            prev_even_last = np.where(np.isfinite(cand), cand, prev_even_last)
-        if curr.shape[-1] < 3:
-            break
-    return val, err
+    S = np.moveaxis(_as_series(partials), -1, 0)
+    return _epsilon_windows(S, (S.shape[0],))[0]
 
 
 def richardson_inv_k(partials: np.ndarray, ks: np.ndarray):
@@ -123,51 +187,31 @@ def richardson_inv_k(partials: np.ndarray, ks: np.ndarray):
     Suits monotone algebraic tails (remainder c1/k + c2/k^2 + ...).  Returns
     (value, err) with err from the last stable table level.
     """
-    S = np.asarray(partials, dtype=complex)
+    S = np.moveaxis(_as_series(partials), -1, 0)
     x = 1.0 / np.asarray(ks, dtype=float)
-    m = S.shape[-1]
-    # T[..., j] holds the Neville value P_{j-level..j}(0); entries below the
-    # current level are stale and never read
-    T = S.copy()
-    val = S[..., -1].copy()
-    err = np.abs(S[..., -1] - S[..., -2]) if m >= 2 else np.full(S.shape[:-1], np.inf)
-    levels = min(_RICHARDSON_LEVELS, m - 1)
-    for level in range(1, levels + 1):
-        jj = np.arange(level, m)
-        denom = x[jj] - x[jj - level]
-        Tn = T.copy()
-        Tn[..., jj] = (x[jj] * T[..., jj - 1] - x[jj - level] * T[..., jj]) / denom
-        T = Tn
-        cand = T[..., -1]
-        if m - 1 > level:
-            cand_err = np.abs(T[..., -1] - T[..., -2])
-        else:
-            cand_err = np.abs(cand - val)
-        ok = np.isfinite(cand) & (cand_err < err)
-        val = np.where(ok, cand, val)
-        err = np.where(ok, cand_err, err)
-    return val, err
+    return _neville_windows(S, x, (S.shape[0],))[0]
 
 
 def _extrapolate(partials: np.ndarray, ks: np.ndarray):
     """Run both extrapolations and keep the per-element trustworthy one.
 
-    Self-reported errors alone cannot arbitrate: epsilon locks onto false
+    ``partials`` has the sequence on axis 0 and keeps its dtype.  Self-
+    reported errors alone cannot arbitrate: epsilon locks onto false
     plateaus on monotone-plus-jitter series, Richardson onto slow phase
     rotations, both while claiming high accuracy.  A converged extrapolation,
     however, is stable under shrinking the checkpoint window, so each
     method's effective error is its self-estimate widened by the shift
-    observed when re-running on the first two thirds of the window.
+    observed on the first two thirds of the window, read off the same
+    tables.
     """
-    m = partials.shape[-1]
+    m = partials.shape[0]
     cut = max(5, (2 * m) // 3)
-    v_e, e_e = wynn_epsilon(partials)
-    v_r, e_r = richardson_inv_k(partials, ks)
-    if cut < m:
-        v_e2, _ = wynn_epsilon(partials[..., :cut])
-        v_r2, _ = richardson_inv_k(partials[..., :cut], ks[:cut])
-        e_e = np.maximum(e_e, np.abs(v_e - v_e2))
-        e_r = np.maximum(e_r, np.abs(v_r - v_r2))
+    lengths = (m, cut) if cut < m else (m,)
+    (v_e, e_e), *short_e = _epsilon_windows(partials, lengths)
+    (v_r, e_r), *short_r = _neville_windows(partials, 1.0 / ks, lengths)
+    if short_e:
+        e_e = np.maximum(e_e, np.abs(v_e - short_e[0][0]))
+        e_r = np.maximum(e_r, np.abs(v_r - short_r[0][0]))
     use_e = e_e <= e_r
     val = np.where(use_e, v_e, v_r)
     err = np.where(use_e, e_e, e_r)
@@ -243,12 +287,12 @@ def extrapolate_dual_stride(unit_partials, unit_ks, block_partials, block_ks):
     can rotate a slow oscillation onto a false plateau); block-stride windows
     span a wide k-range, which conditions the 1/k polynomial extrapolation
     and averages out integer-frequency jitter.  The stability-gated error
-    estimates from :func:`_extrapolate` make the choice safe.
+    estimates from :func:`_extrapolate` make the choice safe.  The partials
+    have the sequence on axis 0 and keep their dtype: real series run in
+    real arithmetic.
     """
-    v1, e1 = _extrapolate(np.asarray(unit_partials, dtype=complex),
-                          np.asarray(unit_ks, dtype=float))
-    v2, e2 = _extrapolate(np.asarray(block_partials, dtype=complex),
-                          np.asarray(block_ks, dtype=float))
+    v1, e1 = _extrapolate(_as_series(unit_partials), np.asarray(unit_ks, dtype=float))
+    v2, e2 = _extrapolate(_as_series(block_partials), np.asarray(block_ks, dtype=float))
     use1 = e1 <= e2
     return np.where(use1, v1, v2), np.where(use1, e1, e2)
 
@@ -282,9 +326,13 @@ class BlockSeries:
         self._run_ks = None
 
     def add(self, k: np.ndarray, inc: np.ndarray, mag: float) -> bool:
-        run = np.asarray(self.total)[..., None] + np.cumsum(inc, axis=-1)
+        # the partials are kept with k on axis 0, row-major: the layout the
+        # extrapolation tables read
+        seq = np.moveaxis(np.asarray(inc), -1, 0)
+        run = np.cumsum(seq, axis=0, out=np.empty_like(seq, order="C"))
+        run = np.asarray(self.total) + run
         self._run, self._run_ks = run, k
-        return self._close(int(k[-1]), run[..., -1].copy(), mag)
+        return self._close(int(k[-1]), run[-1].copy(), mag)
 
     def add_total(self, k_last: int, block_sum, mag: float) -> bool:
         """Add a block by the sum of its increments, ending at index k_last.
@@ -315,11 +363,11 @@ class BlockSeries:
         if self._run is None:
             raise RuntimeError("extrapolate needs the last block's increments, "
                                "but that block was added by its total")
-        w = min(_WINDOW, self._run.shape[-1])
+        w = min(_WINDOW, self._run.shape[0])
         wb = min(_WINDOW, len(self.checkpoints))
         return extrapolate_dual_stride(
-            self._run[..., -w:], self._run_ks[-w:].astype(float),
-            np.stack(self.checkpoints[-wb:], axis=-1), self.ks[-wb:])
+            self._run[-w:], self._run_ks[-w:].astype(float),
+            np.stack(self.checkpoints[-wb:]), self.ks[-wb:])
 
 
 def _extrapolate_geometric(partials: list, ks: list):
@@ -328,14 +376,14 @@ def _extrapolate_geometric(partials: list, ks: list):
     geometric-in-k subsample of the whole history keeps the 1/k Neville table
     well conditioned for monotone tails."""
     w = min(_WINDOW, len(partials))
-    val, err = _extrapolate(np.stack(partials[-w:], axis=-1),
+    val, err = _extrapolate(_as_series(np.stack(partials[-w:])),
                             np.asarray(ks[-w:], dtype=float))
     if len(partials) >= 12:
         karr = np.asarray(ks, dtype=float)
         targets = np.geomspace(karr[len(karr) // 4], karr[-1], min(33, len(karr)))
         idx = np.unique(np.searchsorted(karr, targets).clip(0, len(karr) - 1))
         if idx.size >= 6:
-            Pg = np.stack([partials[i] for i in idx], axis=-1)
+            Pg = _as_series(np.stack([partials[i] for i in idx]))
             vg, eg = _extrapolate(Pg, karr[idx])
             use_g = eg < err
             val = np.where(use_g, vg, val)

@@ -32,6 +32,7 @@ support or from sampled decay.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -148,13 +149,14 @@ def smoothed_cf(model: SmoothedModel, n: int, t):
 # Bernoulli-noise cell engine (d = 1)
 # ---------------------------------------------------------------------------
 
-def _gl_nodes(m: int, half_width: float):
-    """m-point Gauss-Legendre nodes and weights on [-half_width, half_width].
+@functools.lru_cache(maxsize=None)
+def _gl_reference(m: int):
+    """m-point Gauss-Legendre nodes x on [-1, 1] and the denominators
+    (1 - x^2) P_m'(x)^2 of their weights, read-only.
 
     Newton on the three-term recurrence of P_m, which converges from the
-    asymptotic guess in four steps, and weights 2/((1-x^2) P_m'^2): numpy's
-    leggauss weights are off by up to 1e-11 relative, which moves a
-    128-node integral of cos^16 by 7e-15."""
+    asymptotic guess in four steps; numpy's leggauss weights are off by up
+    to 1e-11 relative, which moves a 128-node integral of cos^16 by 7e-15."""
     x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
     for _ in range(5):
         p0, p1 = np.ones_like(x), x
@@ -162,7 +164,16 @@ def _gl_nodes(m: int, half_width: float):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         dp = m * (x * p1 - p0) / (x * x - 1.0)
         x = x - p1 / dp
-    return half_width * x, half_width * 2.0 / ((1.0 - x * x) * dp * dp)
+    den = (1.0 - x * x) * dp * dp
+    x.flags.writeable = den.flags.writeable = False
+    return x, den
+
+
+def _gl_nodes(m: int, half_width: float):
+    """m-point Gauss-Legendre nodes and weights 2/((1-x^2) P_m'^2) on
+    [-half_width, half_width], scaled from the cached reference rule."""
+    x, den = _gl_reference(m)
+    return half_width * x, half_width * 2.0 / den
 
 
 def _cell_rules(n: int, w_max: float):
@@ -226,18 +237,21 @@ def _feed(acc: BlockSeries, k: np.ndarray, cinc: np.ndarray, last: bool) -> bool
     return acc.add_total(k[-1], inc.sum(axis=0), mag)
 
 
-def _series_value(acc: BlockSeries, certified: bool, cinc: np.ndarray):
+def _series_value(acc: BlockSeries, certified: bool, cinc: np.ndarray,
+                  imag=0.0):
     """(values, tail) of a fed series: its certified sum, or the dual-stride
-    extrapolation with the resonance floor of its last block ``cinc``."""
+    extrapolation with the resonance floor of its last block ``cinc``.  A
+    real series fed without its start's imaginary part gets ``imag`` added
+    back."""
     if certified:
-        return acc.total, acc.tail
+        return acc.total + 1j * imag, acc.tail
     # unit stride preserves the phase signature e^{+-i pi(1 -+ a)}, block
     # stride conditions monotone tails
     vals, errs = acc.extrapolate()
     # grid points near a density jump make the cell phases rotate slower
     # than the k budget resolves; the floor keeps the estimate honest there
     floor = resonance_floor(np.ascontiguousarray(cinc.T), float(acc.ks[-1]))
-    return vals, float(np.max(np.maximum(errs, floor))) * 2.0
+    return vals + 1j * imag, float(np.max(np.maximum(errs, floor))) * 2.0
 
 
 def _cell_series(f, rule, check_rule, a_frac: np.ndarray, tol: float):
@@ -247,8 +261,11 @@ def _cell_series(f, rule, check_rule, a_frac: np.ndarray, tol: float):
     Each rule is (nodes s, phase matrix phi); per block of k the cell
     integrals are one real matrix product per rule.  D runs to _CELL_K, the
     difference series to _CELL_CHECK_K; each stops early once certified.
-    Returns (accumulator, certified, last block's complex increments) for D
-    and for the difference."""
+    Every increment is real (the +-k pair gives twice the real part), so
+    both series are fed the real part of their start, the k = 0 cell, and
+    run in real arithmetic.  Returns (accumulator, certified, last block's
+    complex increments, the start's imaginary part) for D and for the
+    difference."""
     f0 = float(np.real(f(0.0)))
 
     def start(s, phi):                                          # k = 0 cell
@@ -268,8 +285,9 @@ def _cell_series(f, rule, check_rule, a_frac: np.ndarray, tol: float):
     (s, phi), (s2, phi2) = rule, check_rule
     main, check = cells(s, phi), cells(s2, phi2)
     d0 = start(s, phi)
-    acc = BlockSeries(d0, _CELL_BLOCK, tol)
-    dacc = BlockSeries(d0 - start(s2, phi2), _CELL_BLOCK, tol)
+    dd0 = d0 - start(s2, phi2)
+    acc = BlockSeries(d0.real, _CELL_BLOCK, tol)
+    dacc = BlockSeries(dd0.real, _CELL_BLOCK, tol)
     done = ddone = False
     cinc = dcinc = None
     for k, P in _phase_blocks(a_frac):
@@ -284,7 +302,7 @@ def _cell_series(f, rule, check_rule, a_frac: np.ndarray, tol: float):
         if check_on:
             dcinc = P * (G - check(k, fk))
             ddone = _feed(dacc, k, dcinc, k[-1] == _CELL_CHECK_K)
-    return (acc, done, cinc), (dacc, ddone, dcinc)
+    return (acc, done, cinc, d0.imag), (dacc, ddone, dcinc, dd0.imag)
 
 
 def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray,
@@ -408,7 +426,11 @@ def _general_noise_density(model: SmoothedModel, n: int, grid: Grid,
     if not math.isfinite(tail):
         raise UnsupportedError(f"{model.source.label}: smoothed cf tail does not decay")
     gd = invert(cf_eval, model.dim, grid, truncation_radius=R)
-    gd.meta["est_tail_error"] = gd.meta["est_total_error"]
+    # v(t/sqrt n)^n carries about n eps relative rounding in every cf value;
+    # both trapezoid rules read the same values, so only this allowance
+    # covers it
+    gd.meta["est_tail_error"] = float(gd.meta["est_total_error"] + 2.0 * n
+                                      * np.finfo(float).eps * gd.meta["cf_mass"])
     gd.meta["n_used"] = n
     gd.meta["engine"] = "invert-compact" if compact else "invert"
     return gd

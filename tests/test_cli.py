@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -279,3 +280,15 @@ def test_density_says_whether_tol_was_met(spec, met, tmp_path):
     est = json.loads(out.read_text())["body"]["results"]["error_estimates"]
     assert est["tol_met"] is met
     assert (est["density_tail"] <= 1e-9) is met
+
+
+def test_fixed_cli_bodies_unchanged(capsys):
+    # cheap runs that reach the extrapolated A and D sums of both tail
+    # regimes; a change that moves a body tables the move in CHANGES.md and
+    # re-records tests/data/cli_bodies.json
+    path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
+    runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    assert len(runs) == 8
+    for run_ in runs:
+        assert main(run_["argv"]) == 0
+        assert capsys.readouterr().out == run_["body"] + "\n", run_["argv"]

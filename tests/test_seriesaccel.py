@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -203,3 +204,141 @@ def test_block_series_refuses_to_extrapolate_a_total():
     acc.add_total(k[-1] + 64, inc.sum(axis=0), mag)
     with pytest.raises(RuntimeError, match="by its total"):
         acc.extrapolate()
+
+
+# ---------------------------------------------------------------------------
+# one table per method: reference copies of the two-run extrapolation
+# ---------------------------------------------------------------------------
+
+def _two_run_wynn(partials):
+    # the epsilon algorithm on one window, sequence on the last axis, in
+    # complex arithmetic
+    S = np.asarray(partials, dtype=complex)
+    m = S.shape[-1]
+    scale = np.maximum(np.abs(S[..., -1]), 1e-300)
+    val = S[..., -1].copy()
+    err = np.abs(S[..., -1] - S[..., -2]) if m >= 2 else np.full(S.shape[:-1], np.inf)
+    prev = np.zeros_like(S)
+    curr = S.copy()
+    prev_even_last = S[..., -1].copy()
+    for k in range(m - 1):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            diff = curr[..., 1:] - curr[..., :-1]
+            tiny = np.abs(diff) < 1e-300 * scale[..., None]
+            safe = np.where(tiny, 1.0, diff)
+            nxt = prev[..., 1:curr.shape[-1]] + np.where(tiny, np.inf, 1.0 / safe)
+        prev, curr = curr, nxt
+        if curr.shape[-1] < 1:
+            break
+        if k % 2 == 1:
+            with np.errstate(invalid="ignore"):
+                cand = curr[..., -1]
+                cand_err = np.abs(cand - prev_even_last)
+                if curr.shape[-1] >= 2:
+                    cand_err = cand_err + np.abs(curr[..., -1] - curr[..., -2])
+            ok = np.isfinite(cand) & (cand_err < err)
+            val = np.where(ok, cand, val)
+            err = np.where(ok, cand_err, err)
+            prev_even_last = np.where(np.isfinite(cand), cand, prev_even_last)
+        if curr.shape[-1] < 3:
+            break
+    return val, err
+
+
+def _two_run_richardson(partials, ks):
+    S = np.asarray(partials, dtype=complex)
+    x = 1.0 / np.asarray(ks, dtype=float)
+    m = S.shape[-1]
+    T = S.copy()
+    val = S[..., -1].copy()
+    err = np.abs(S[..., -1] - S[..., -2]) if m >= 2 else np.full(S.shape[:-1], np.inf)
+    for level in range(1, min(12, m - 1) + 1):
+        jj = np.arange(level, m)
+        denom = x[jj] - x[jj - level]
+        Tn = T.copy()
+        Tn[..., jj] = (x[jj] * T[..., jj - 1] - x[jj - level] * T[..., jj]) / denom
+        T = Tn
+        cand = T[..., -1]
+        if m - 1 > level:
+            cand_err = np.abs(T[..., -1] - T[..., -2])
+        else:
+            cand_err = np.abs(cand - val)
+        ok = np.isfinite(cand) & (cand_err < err)
+        val = np.where(ok, cand, val)
+        err = np.where(ok, cand_err, err)
+    return val, err
+
+
+def _two_run_extrapolate(partials, ks):
+    # each method on the whole window and again on its first two thirds
+    m = partials.shape[-1]
+    cut = max(5, (2 * m) // 3)
+    v_e, e_e = _two_run_wynn(partials)
+    v_r, e_r = _two_run_richardson(partials, ks)
+    if cut < m:
+        v_e2, _ = _two_run_wynn(partials[..., :cut])
+        v_r2, _ = _two_run_richardson(partials[..., :cut], ks[:cut])
+        e_e = np.maximum(e_e, np.abs(v_e - v_e2))
+        e_r = np.maximum(e_r, np.abs(v_r - v_r2))
+    use_e = e_e <= e_r
+    val = np.where(use_e, v_e, v_r)
+    err = np.where(use_e, e_e, e_r)
+    return val, np.maximum(err, 8.0 * np.finfo(float).eps * np.abs(val))
+
+
+def _test_series(kind, m, batch):
+    # partial sums (batch..., m) of tails the extrapolators meet
+    rng = np.random.default_rng([m, len(batch), zlib.crc32(kind.encode())])
+    k0 = int(rng.integers(1, 4000))
+    ks = np.arange(k0, k0 + m, dtype=float)
+    amp = rng.uniform(0.5, 2.0, batch + (1,))
+    if kind == "geometric":
+        inc = amp * rng.uniform(0.3, 0.9, batch + (1,)) ** np.arange(m)
+    elif kind == "inverse_k":
+        inc = amp / ks ** 2 + 0.3 * amp / ks ** 3
+    elif kind == "phased":
+        inc = amp * np.cos(rng.uniform(0.1, 3.0, batch + (1,)) * ks) / ks
+    else:   # exact repeats: zero increments at random (the 1/0 = inf path)
+        zero = rng.uniform(0.0, 1.0, batch + (m,)) < 0.5
+        inc = np.where(zero, 0.0, amp * rng.uniform(-1.0, 1.0, batch + (m,)) / ks)
+    if kind == "tiny_repeats":
+        # partials below 1e-24, where the threshold 1e-300 |S| underflows to
+        # 0 and a zero difference is divided by
+        return 1e-30 * np.cumsum(inc, axis=-1), ks
+    return 1.0 + np.cumsum(inc, axis=-1), ks
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 27, 41])
+@pytest.mark.parametrize("kind", ["geometric", "inverse_k", "phased", "repeats",
+                                  "tiny_repeats"])
+def test_extrapolation_tables_match_two_runs(kind, m):
+    # one epsilon and one Neville table per window give the values and
+    # errors of the two runs on the complex cast (m <= 5 has no shorter
+    # window); real series come out real
+    from llt_lab.seriesaccel import _extrapolate
+    eq = np.array_equal
+    S, ks = _test_series(kind, m, (7,))
+    seq = np.ascontiguousarray(S.T)
+    ref_v, ref_e = _two_run_extrapolate(S, ks)
+    val, err = _extrapolate(seq, ks)
+    assert not np.iscomplexobj(val) and eq(val, ref_v.real) and eq(err, ref_e)
+    assert not np.any(ref_v.imag)
+    # a batch-free sequence, and the one-window public routines
+    v1, e1 = _extrapolate(S[0], ks)
+    assert np.ndim(v1) == 0 and eq(v1, ref_v[0].real) and eq(e1, ref_e[0])
+    for got, ref in ((wynn_epsilon(S), _two_run_wynn(S)),
+                     (richardson_inv_k(S, ks), _two_run_richardson(S, ks))):
+        assert not np.iscomplexobj(got[0])
+        assert eq(got[0], ref[0].real) and eq(got[1], ref[1])
+    # complex series stay complex and reproduce the complex run
+    Z = S + 1j * _test_series(kind, m, (7,))[0][::-1]
+    val, err = _extrapolate(np.ascontiguousarray(Z.T), ks)
+    ref_v, ref_e = _two_run_extrapolate(Z, ks)
+    assert eq(val, ref_v) and eq(err, ref_e)
+    # a constant imaginary part run on the real part; the k = 0 cell's is
+    # about 1e-19 of D, far below the 1e-8 relative at which it would move
+    # the complex run's error floor 8 eps |val|
+    c = 1e-19 * np.abs(S[:, -1]) * np.linspace(-1.0, 1.0, 7)
+    ref_v, ref_e = _two_run_extrapolate(S + 1j * c[:, None], ks)
+    val, err = _extrapolate(seq, ks)
+    assert eq(val, ref_v.real) and eq(err, ref_e)

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from conftest import offset_grid_1d, offset_points
 from llt_lab import (InvalidParameterError, SmoothedModel, admissible_T,
                      bernoulli_noise, convergence_study, default_grid, density, distance_to_gaussian, exact_mixture_density,
-                     gaussian_window_deficit, grid_1d, make_fejer, make_gaussian,
+                     gaussian_noise, gaussian_window_deficit, grid_1d, make_fejer, make_gaussian,
                      make_laplace, make_uniform, monte_carlo_density, product,
                      smoothed_cf, uniform_noise)
 from llt_lab.inversion import GridDensity
@@ -247,12 +247,14 @@ def test_difference_series_matches_two_passes(src, n):
     # the two rules' own partial sums, to 64 eps sum_k |inc_k| of both
     from llt_lab.smoothing import _CELL_CHECK_K, _cell_series
     rules, a_frac, tol = _cell_inputs(n)
-    _, (dacc, certified, _) = _cell_series(src.cf, *rules, a_frac, tol)
+    _, (dacc, certified, _, imag) = _cell_series(src.cf, *rules, a_frac, tol)
     assert not certified and dacc.ks[-1] == _CELL_CHECK_K
     (r1, _, _), ab1 = _per_term_cell_sum(src.cf, rules[0], a_frac, tol, _CELL_CHECK_K)
     (r2, _, _), ab2 = _per_term_cell_sum(src.cf, rules[1], a_frac, tol, _CELL_CHECK_K)
     assert r1.ks[-1] == r2.ks[-1] == _CELL_CHECK_K
-    assert np.all(np.abs(dacc.total - (r1.total - r2.total)) <= 64.0 * EPS * (ab1 + ab2))
+    # the series runs on the real part; its start's imaginary part comes back
+    total = dacc.total + 1j * imag
+    assert np.all(np.abs(total - (r1.total - r2.total)) <= 64.0 * EPS * (ab1 + ab2))
 
 
 @pytest.mark.parametrize("n", [256, 4096, 16384])
@@ -305,6 +307,37 @@ def test_general_noise_declares_quadrature_error():
     gd = density(SmoothedModel(LAPLACE, uniform_noise()), 256)
     assert gd.meta["engine"] == "invert"
     assert gd.est_tail_error >= gd.meta["est_quad_error"] > 0.0
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_general_noise_estimate_covers_cf_rounding(n):
+    # v(t/sqrt n)^n carries about n eps relative error in every cf value,
+    # which the Richardson difference cannot see: the declared error must
+    # still bound the error against N(0, 1 + 1/n) at every point
+    gd = density(SmoothedModel(GAUSSIAN, gaussian_noise()), n)
+    x = gd.axes[0].points()
+    var = 1.0 + 1.0 / n
+    exact = np.exp(-0.5 * x * x / var) / math.sqrt(2.0 * math.pi * var)
+    assert np.all(np.abs(gd.values - exact) <= gd.est_tail_error)
+    assert gd.meta["tol_met"]
+
+
+@pytest.mark.parametrize("m", [96, 128, 300])
+@pytest.mark.parametrize("half", [0.5 * math.pi, 9.0 / math.sqrt(16384)])
+def test_gauss_legendre_cache_matches_direct_rule(m, half):
+    # the cached reference rule, scaled per call, is the rule built afresh
+    from llt_lab.smoothing import _gl_nodes
+    x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    for _ in range(2):          # a cache miss, then a hit
+        s, w = _gl_nodes(m, half)
+        assert np.array_equal(s, half * x)
+        assert np.array_equal(w, half * 2.0 / ((1.0 - x * x) * dp * dp))
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
