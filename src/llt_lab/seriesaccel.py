@@ -376,14 +376,13 @@ def _extrapolate_geometric(partials: list, ks: list):
     geometric-in-k subsample of the whole history keeps the 1/k Neville table
     well conditioned for monotone tails."""
     w = min(_WINDOW, len(partials))
-    val, err = _extrapolate(_as_series(np.stack(partials[-w:])),
-                            np.asarray(ks[-w:], dtype=float))
+    val, err = _extrapolate(np.stack(partials[-w:]), np.asarray(ks[-w:], dtype=float))
     if len(partials) >= 12:
         karr = np.asarray(ks, dtype=float)
         targets = np.geomspace(karr[len(karr) // 4], karr[-1], min(33, len(karr)))
         idx = np.unique(np.searchsorted(karr, targets).clip(0, len(karr) - 1))
         if idx.size >= 6:
-            Pg = _as_series(np.stack([partials[i] for i in idx]))
+            Pg = np.stack([partials[i] for i in idx])
             vg, eg = _extrapolate(Pg, karr[idx])
             use_g = eg < err
             val = np.where(use_g, vg, val)
