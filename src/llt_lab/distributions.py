@@ -11,11 +11,10 @@ numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParameterError, UnsupportedError
 
@@ -540,6 +539,9 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
     )
 
 
+_SUM_BLOCK = 1 << 18
+
+
 def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
     """Promote a symmetric unit-variance source distribution to a noise law.
 
@@ -558,13 +560,13 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
         raise UnsupportedError(f"{dist.label}: noise catalog requires symmetry about 0")
 
     def sum_sampler(rng, size, n, _s=dist.sampler):
-        chunk = 1 << 14
+        # row blocks of about 2^18 draws consume the stream in the C order of
+        # one (size, n) draw, so the sums are those of that draw
+        rows = max(1, _SUM_BLOCK // n)
         out = np.empty(size)
-        done = 0
-        while done < size:
-            m = min(chunk, size - done)
-            out[done:done + m] = _s(rng, (m, n)).sum(axis=1)
-            done += m
+        for i in range(0, size, rows):
+            m = min(rows, size - i)
+            out[i:i + m] = _s(rng, (m, n)).sum(axis=1)
         return out
 
     return NoiseDistribution(
@@ -595,8 +597,11 @@ def uniform_noise() -> NoiseDistribution:
 
 
 def gaussian_noise() -> NoiseDistribution:
-    """Standard Gaussian noise."""
-    return as_noise(make_gaussian(1.0))
+    """Standard Gaussian noise; its n-step sum is drawn as one N(0, n)."""
+    def sum_sampler(rng, size, n):
+        return rng.normal(0.0, math.sqrt(n), size)
+
+    return replace(as_noise(make_gaussian(1.0)), sum_sampler=sum_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +621,7 @@ def beta3(noise: SourceDistribution) -> float:
         return float(m3)
     if noise.density is None:
         raise UnsupportedError(f"{noise.label}: no density and no stored third moment")
+    from scipy.integrate import quad
     val, err = quad(lambda x: abs(x) ** 3 * noise.density(x), -np.inf, np.inf, limit=400)
     if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
         raise UnsupportedError(f"{noise.label}: third-moment quadrature did not converge")

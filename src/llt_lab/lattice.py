@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.integrate import quad
 
 from .distributions import SourceDistribution
 from .errors import InvalidParameterError, UnsupportedError
@@ -379,6 +378,7 @@ def wrapped_autocorrelation(dist: SourceDistribution, tol: float = 1e-9) -> Latt
 
 def _selfconv_numeric(dist, y: float) -> float:
     # overlap integral p(y + x) p(x) dx by adaptive quadrature
+    from scipy.integrate import quad
     val, _ = quad(lambda x: dist.density(y + x) * dist.density(x),
                   -np.inf, np.inf, limit=200)
     return val
@@ -387,6 +387,11 @@ def _selfconv_numeric(dist, y: float) -> float:
 def _wrapped_autocorr_1d(dist, tol):
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density")
+    if dist.cf_support_radius is not None:
+        # the cf side of the Poisson pair, 1/2 sum_m |f(pi m)|^2, is finite
+        kmax = int(math.floor(dist.cf_support_radius / math.pi + 1e-12))
+        f = np.abs(np.asarray(dist.cf(math.pi * np.arange(-kmax, kmax + 1)), dtype=complex))
+        return LatticeSum(0.5 * float(np.sum(f * f)), 0.0, True)
     q = dist.self_convolution
     if q is None:
         if not dist.flags.bounded_variation_density:
@@ -444,6 +449,8 @@ def regularity_integral(dist: SourceDistribution, kind: str,
 
 
 def _regularity_1d(dist, kind, window_K):
+    from scipy.integrate import quad
+
     def integrand(t):
         g = abs(dist.cf_grad(t))
         if kind == "condition_2_3":

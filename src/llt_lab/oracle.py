@@ -7,13 +7,15 @@ mixture density
 
 computed here with binomial weights multiplied out from the mode, so each
 weight near the mode carries only a few roundings at any n.
-For general noise a kernel-density Monte Carlo estimate with a counter-based
-random stream provides a seeded, reproducible fallback.
+For general noise a kernel-density Monte Carlo estimate provides a seeded,
+reproducible fallback: its samples come in fixed chunks, each drawn from its
+own PCG64 stream spawned from the seed by numpy's SeedSequence.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,7 +111,7 @@ def exact_mixture_density_2d(source: SourceDistribution, n: int, x) -> float | n
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo with a splittable counter-based stream
+# Monte Carlo with one spawned stream per chunk
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -128,10 +130,19 @@ _KERNEL_REACH = 9.0
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    # independent Philox streams keyed by (seed, chunk); identical draws
-    # regardless of execution order, so parallel evaluation stays bit-stable
-    key = (int(seed) << 64) ^ (0x9E3779B97F4A7C15 * (chunk_index + 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    # the chunk's PCG64 stream is spawned from (seed, chunk) by SeedSequence
+    # alone, so the draws are identical in any execution order
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+
+
+def _check_seed(seed) -> int:
+    try:
+        s = operator.index(seed)
+    except TypeError:
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}") from None
+    if s < 0:
+        raise InvalidParameterError(f"seed must be nonnegative, got {s}")
+    return s
 
 
 def _draw_z(model, n: int, m: int, rng) -> np.ndarray:
@@ -150,8 +161,9 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
                         seed: int = 0) -> MonteCarloEstimate:
     """Gaussian-kernel density estimate of the smoothed law at ``x_points``.
 
-    Deterministic for a given seed: the sample stream is generated in fixed
-    chunks from counter-based generators.  Returns pointwise values and
+    Deterministic for a given seed, a nonnegative integer: the sample stream
+    is generated in fixed chunks, each from its own generator spawned from
+    (seed, chunk).  Returns pointwise values and
     standard errors; the bandwidth used (Silverman's rule when not supplied)
     is recorded for reproducibility.
 
@@ -163,6 +175,7 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     """
     if samples < 1:
         raise InvalidParameterError("samples must be a positive integer")
+    seed = _check_seed(seed)
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
     if model.source.sampler is None or (model.noise.sampler is None
@@ -207,4 +220,4 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     var = sq / samples - vals * vals
     stderr = np.sqrt(np.maximum(var, 0.0) / samples)
     return MonteCarloEstimate(values=vals, stderr=stderr, bandwidth=h,
-                              samples=int(samples), seed=int(seed))
+                              samples=int(samples), seed=seed)

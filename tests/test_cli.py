@@ -292,3 +292,15 @@ def test_fixed_cli_bodies_unchanged(capsys):
     for run_ in runs:
         assert main(run_["argv"]) == 0
         assert capsys.readouterr().out == run_["body"] + "\n", run_["argv"]
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quad is imported where it is called, so the package and its CLI load
+    # without scipy.integrate and the modules it pulls in
+    import llt_lab
+    src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import llt_lab, llt_lab.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -488,3 +488,17 @@ def test_density_sum_2d_generic_unsupported():
     dist, _ = _correlated_gaussian_2d()
     with pytest.raises(UnsupportedError):
         sum_density_lattice(dist, 1.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("T", [0.5, 0.7, 1.0, 4.0])
+def test_autocorr_fejer_cf_side_sum(T):
+    # Poisson pair: the sum equals 1/2 sum_{|pi m| < T} (1 - |pi m|/T)^2,
+    # a finite sum with no tail; T = 4 keeps m = -1, 0, 1
+    ms = [m for m in range(-2, 3) if math.pi * abs(m) < T]
+    exact = 0.5 * sum((1.0 - math.pi * abs(m) / T) ** 2 for m in ms)
+    if T == 4.0:
+        assert exact == pytest.approx(0.5 * (1.0 + 2.0 * (1.0 - math.pi / 4.0) ** 2),
+                                      abs=1e-15)
+    ac = wrapped_autocorrelation(make_fejer(T), tol=1e-9)
+    assert abs(ac.value - exact) <= max(ac.tail_estimate, 1e-15)
+    assert ac.tol_met
