@@ -365,7 +365,9 @@ def poisson_check(dist: SourceDistribution, tol: float = 1e-10) -> PoissonReport
 def wrapped_autocorrelation(dist: SourceDistribution, tol: float = 1e-9) -> LatticeSum:
     """sum over the lattice 2 Z^d of the density's self-correlation
     integral p*p~ evaluated at even integer points; equals 2^-d exactly when
-    the cf vanishes on the nonzero pi-lattice."""
+    the cf vanishes on the nonzero pi-lattice.  A one-dimensional cf of
+    compact support is summed on the cf side of the Poisson pair,
+    1/2 sum_m |f(pi m)|^2, a finite sum with tail 0."""
     if dist.dim == 1:
         return _wrapped_autocorr_1d(dist, tol)
     if dist.dim == 2 and dist.components is not None:
@@ -388,7 +390,7 @@ def _wrapped_autocorr_1d(dist, tol):
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density")
     if dist.cf_support_radius is not None:
-        # the cf side of the Poisson pair, 1/2 sum_m |f(pi m)|^2, is finite
+        # |f(pi m)| is 0 beyond the cf support (and at its edge)
         kmax = int(math.floor(dist.cf_support_radius / math.pi + 1e-12))
         f = np.abs(np.asarray(dist.cf(math.pi * np.arange(-kmax, kmax + 1)), dtype=complex))
         return LatticeSum(0.5 * float(np.sum(f * f)), 0.0, True)

@@ -135,14 +135,14 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
 
 
-def _check_seed(seed) -> int:
+def _integer_at_least(value, low: int, name: str) -> int:
     try:
-        s = operator.index(seed)
+        v = operator.index(value)
     except TypeError:
-        raise InvalidParameterError(f"seed must be an integer, got {seed!r}") from None
-    if s < 0:
-        raise InvalidParameterError(f"seed must be nonnegative, got {s}")
-    return s
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if v < low:
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {v}")
+    return v
 
 
 def _draw_z(model, n: int, m: int, rng) -> np.ndarray:
@@ -163,9 +163,9 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
 
     Deterministic for a given seed, a nonnegative integer: the sample stream
     is generated in fixed chunks, each from its own generator spawned from
-    (seed, chunk).  Returns pointwise values and
-    standard errors; the bandwidth used (Silverman's rule when not supplied)
-    is recorded for reproducibility.
+    (seed, chunk).  Returns pointwise values and standard errors; the
+    bandwidth used (Silverman's rule when not supplied) is recorded for
+    reproducibility.
 
     Each point sums the Gaussian kernels of the samples within 9 bandwidths
     of it, found in the sorted sample.  Every omitted kernel is at most
@@ -173,11 +173,9 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     the value moves by at most that much; a point with no sample in reach
     gets value 0 and standard error 0.
     """
-    if samples < 1:
-        raise InvalidParameterError("samples must be a positive integer")
-    seed = _check_seed(seed)
-    if n < 1:
-        raise InvalidParameterError("n must be a positive integer")
+    samples = _integer_at_least(samples, 1, "samples")
+    n = _integer_at_least(n, 1, "n")
+    seed = _integer_at_least(seed, 0, "seed")
     if model.source.sampler is None or (model.noise.sampler is None
                                         and model.noise.sum_sampler is None):
         raise UnsupportedError("samplers unavailable for source or noise")
@@ -220,4 +218,4 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     var = sq / samples - vals * vals
     stderr = np.sqrt(np.maximum(var, 0.0) / samples)
     return MonteCarloEstimate(values=vals, stderr=stderr, bandwidth=h,
-                              samples=int(samples), seed=seed)
+                              samples=samples, seed=seed)

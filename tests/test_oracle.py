@@ -219,11 +219,15 @@ def test_monte_carlo_gaussian_noise_one_draw_sum():
     assert np.all(np.abs(est.values - ref) <= 6.0 * est.stderr + one_sample)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, np.float64(2.0)])
-def test_monte_carlo_rejects_bad_seed(seed):
-    model = SmoothedModel(GAUSSIAN, bernoulli_noise(1))
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": None}, {"seed": np.float64(2.0)},
+    {"samples": 100.5}, {"samples": math.nan}, {"n": 2.5}, {"n": 0},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_monte_carlo_rejects_non_integer_inputs(kwargs):
+    model = SmoothedModel(GAUSSIAN, uniform_noise())
+    args = {"n": 4, "samples": 100, "seed": 0} | kwargs
     with pytest.raises(InvalidParameterError):
-        monte_carlo_density(model, 4, [0.0], samples=100, seed=seed)
+        monte_carlo_density(model, args["n"], [0.0], args["samples"], seed=args["seed"])
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64, 2 ** 130, np.int64(5)])
