@@ -11,7 +11,7 @@ numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -539,9 +539,6 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
     )
 
 
-_SUM_BLOCK = 1 << 18
-
-
 def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
     """Promote a symmetric unit-variance source distribution to a noise law.
 
@@ -558,16 +555,6 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
             f"got E X^2 = {dist.second_moment!r}")
     if not dist.flags.symmetric_about_0:
         raise UnsupportedError(f"{dist.label}: noise catalog requires symmetry about 0")
-
-    def sum_sampler(rng, size, n, _s=dist.sampler):
-        # row blocks of about 2^18 draws consume the stream in the C order of
-        # one (size, n) draw, so the sums are those of that draw
-        rows = max(1, _SUM_BLOCK // n)
-        out = np.empty(size)
-        for i in range(0, size, rows):
-            m = min(rows, size - i)
-            out[i:i + m] = _s(rng, (m, n)).sum(axis=1)
-        return out
 
     return NoiseDistribution(
         dim=1,
@@ -587,7 +574,6 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
         beta3=dist.abs_moment3,
         is_symmetric_bernoulli=False,
         zero_atom_free=dist.density is not None,
-        sum_sampler=sum_sampler if dist.sampler is not None else None,
     )
 
 
@@ -597,11 +583,8 @@ def uniform_noise() -> NoiseDistribution:
 
 
 def gaussian_noise() -> NoiseDistribution:
-    """Standard Gaussian noise; its n-step sum is drawn as one N(0, n)."""
-    def sum_sampler(rng, size, n):
-        return rng.normal(0.0, math.sqrt(n), size)
-
-    return replace(as_noise(make_gaussian(1.0)), sum_sampler=sum_sampler)
+    """Standard Gaussian noise."""
+    return as_noise(make_gaussian(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ class MonteCarloEstimate:
 
 
 _CHUNK = 1 << 14
+# the generic n-step noise sum is drawn in row blocks of about this many values
+_SUM_BLOCK = 1 << 18
 # kernels farther than this many bandwidths are left out of the estimate;
 # each is below norm * exp(-40.5) = 2.6e-18 * norm
 _KERNEL_REACH = 9.0
@@ -152,7 +154,13 @@ def _draw_z(model, n: int, m: int, rng) -> np.ndarray:
     if noise.sum_sampler is not None:
         s = noise.sum_sampler(rng, m, n)
     else:
-        s = noise.sampler(rng, (m, n)).sum(axis=1)
+        # the row blocks consume the stream in the C order of one (m, n)
+        # draw, so the sums are those of that draw
+        rows = max(1, _SUM_BLOCK // n)
+        s = np.empty(m)
+        for i in range(0, m, rows):
+            k = min(rows, m - i)
+            s[i:i + k] = noise.sampler(rng, (k, n)).sum(axis=1)
     return (x + s) / math.sqrt(n)
 
 

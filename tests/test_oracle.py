@@ -146,8 +146,11 @@ def test_monte_carlo_silverman_recorded():
 
 
 def _seeded_sample(model, n, samples, seed):
-    return np.concatenate([_draw_z(model, n, min(_CHUNK, samples - i0), _chunk_rng(seed, c))
-                           for c, i0 in enumerate(range(0, samples, _CHUNK))])
+    # the chunks are drawn last first: each stream depends on (seed, chunk) alone
+    starts = list(enumerate(range(0, samples, _CHUNK)))
+    parts = {c: _draw_z(model, n, min(_CHUNK, samples - i0), _chunk_rng(seed, c))
+             for c, i0 in reversed(starts)}
+    return np.concatenate([parts[c] for c, _ in starts])
 
 
 @pytest.mark.parametrize("bandwidth", [None, 1e-3])
@@ -187,36 +190,14 @@ def test_monte_carlo_rejects_non_finite_input():
 
 @pytest.mark.parametrize("n", [1, 3, 16, 256, 4097])
 def test_blocked_step_sum_matches_one_draw(n):
-    noise = uniform_noise()
-    h = math.sqrt(3.0)
-    m = (1 << 18) // n + 7          # not a multiple of the row block
-    blocked = noise.sum_sampler(np.random.default_rng(11), m, n)
-    one = np.random.default_rng(11).uniform(-h, h, (m, n)).sum(axis=1)
-    assert np.array_equal(blocked, one)
-
-
-def test_chunk_streams_independent_of_order():
     model = SmoothedModel(LAPLACE, uniform_noise())
-    samples = 3 * _CHUNK + 99
-    starts = list(enumerate(range(0, samples, _CHUNK)))
-    parts = {c: _draw_z(model, 16, min(_CHUNK, samples - i0), _chunk_rng(7, c))
-             for c, i0 in reversed(starts)}
-    z = np.concatenate([parts[c] for c, _ in starts])
-    assert np.array_equal(z, _seeded_sample(model, 16, samples, seed=7))
-
-
-def test_monte_carlo_gaussian_noise_one_draw_sum():
-    # S_n ~ N(0, n) exactly, so Z_n ~ N(0, 1 + 1/n) and the kernel estimate's
-    # mean is the N(0, 1 + 1/n + h^2) density
-    n, samples = 256, 1 << 16
-    xs = np.linspace(-4.0, 4.0, 41)
-    est = monte_carlo_density(SmoothedModel(GAUSSIAN, gaussian_noise()), n, xs,
-                              samples, seed=9)
-    h = est.bandwidth
-    v = 1.0 + 1.0 / n + h * h
-    ref = np.exp(-0.5 * xs * xs / v) / math.sqrt(2.0 * math.pi * v)
-    one_sample = 1.0 / (h * math.sqrt(2.0 * math.pi) * samples)
-    assert np.all(np.abs(est.values - ref) <= 6.0 * est.stderr + one_sample)
+    m = (1 << 18) // n + 7          # not a multiple of the row block
+    blocked = _draw_z(model, n, m, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    x = LAPLACE.sampler(rng, m)
+    h = math.sqrt(3.0)
+    one = (x + rng.uniform(-h, h, (m, n)).sum(axis=1)) / math.sqrt(n)
+    assert np.array_equal(blocked, one)
 
 
 @pytest.mark.parametrize("kwargs", [
