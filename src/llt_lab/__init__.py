@@ -21,7 +21,7 @@ from .errors import (InconsistentCfError, InvalidParameterError, LltLabError,
 from .inversion import Axis, Grid, GridDensity, estimate_tail, grid_1d, grid_2d, invert
 from .lattice import (LatticeSum, LatticeZeroReport, PoissonReport,
                       RegularityReport, check_pi_lattice_zeros, distance_to_lattice,
-                      poisson_check, regularity_integral, sum_cf_lattice,
+                      periodized_cf, poisson_check, regularity_integral, sum_cf_lattice,
                       sum_density_lattice, wrapped_autocorrelation)
 from .oracle import (MixtureWeights, MonteCarloEstimate, exact_mixture_density,
                      exact_mixture_density_2d, mixture_weights, monte_carlo_density)

@@ -22,7 +22,7 @@ import numpy as np
 from .distributions import SourceDistribution
 from .errors import UnsupportedError
 from .inversion import Grid
-from .lattice import _require_summable, lattice_series, phased_cf_lattice_sum
+from .lattice import _JUMP_TOL, _require_summable, lattice_series, phased_cf_lattice_sum
 from .smoothing import SmoothedModel, default_grid, density
 
 __all__ = [
@@ -131,7 +131,7 @@ def _jump_lattice_mask(source: SourceDistribution, a: np.ndarray) -> np.ndarray:
         return np.ones(a.shape, dtype=bool)
     d1 = np.abs(np.mod(a - h + 1.0, 2.0) - 1.0)
     d2 = np.abs(np.mod(a + h + 1.0, 2.0) - 1.0)
-    return np.minimum(d1, d2) > 1e-9
+    return np.minimum(d1, d2) > _JUMP_TOL
 
 
 def oscillation_report(model: SmoothedModel, n: int,
@@ -176,7 +176,8 @@ def oscillation_report(model: SmoothedModel, n: int,
         method_gap=method_gap,
         grid_meta={"lo": x[0], "hi": x[-1], "points": x.size},
         meta={"cf_tail": cf_tail, "density_tail": dn_tail, "route": route,
-              "density_est_error": gd.est_tail_error},
+              "density_est_error": gd.est_tail_error,
+              "tol_met": bool(gd.meta["tol_met"] and max(cf_tail, dn_tail) <= tol)},
     )
 
 

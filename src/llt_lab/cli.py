@@ -235,7 +235,8 @@ def _run_converge(cfg):
         "odd_slope": rep.odd_slope,
         "slope_norm": rep.slope_norm,
         "condition_max_abs": rep.condition_max_abs,
-        "error_estimates": {"density_tails": list(rep.est_errors)},
+        "error_estimates": {"density_tails": list(rep.est_errors),
+                            "tol_met": list(rep.tol_met)},
         "grid_meta": rep.grid_meta,
     }, None
 

@@ -64,6 +64,9 @@ class SourceDistribution:
     for "not stored" (the latter triggers quadrature in :func:`beta3`).
     ``cf_support_radius`` and ``density_support_radius`` are the radii beyond
     which the cf or the density vanishes, None where it does not.
+    ``density_lattice_tail(R, L)`` bounds the sum of the density over the
+    points y of any lattice a + L Z with |y| > R, for a density that decays
+    fast enough to be summed on a lattice; None where no bound is declared.
     Densities and cfs accept floats or numpy arrays; for dim >= 2 the point
     arrays have the coordinate axis last.
     """
@@ -78,6 +81,7 @@ class SourceDistribution:
     abs_moment3: Optional[float] = None
     cf_support_radius: Optional[float] = None
     density_support_radius: Optional[float] = None
+    density_lattice_tail: Optional[Callable] = None
     self_convolution: Optional[Callable] = None
     sampler: Optional[Callable] = None
     components: Optional[tuple] = None
@@ -129,15 +133,9 @@ def _sinc_prime(u):
 
 
 def _one_minus_cos_over_sq(u):
-    """(1 - cos u)/u**2 with series near 0."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SMALL
-    safe = np.where(small, 1.0, u)
-    u2 = u * u
-    series = 0.5 - u2 / 24.0 + u2 * u2 / 720.0
-    direct = (1.0 - np.cos(safe)) / (safe * safe)
-    out = np.where(small, series, direct)
-    return out
+    """(1 - cos u)/u**2 as (1/2) sinc(u/2)^2: 1 - cos u itself would lose
+    eps/u^2 of its relative accuracy to cancellation."""
+    return 0.5 * _sinc(0.5 * np.asarray(u, dtype=float)) ** 2
 
 
 def _one_minus_sinc_over_sq(u):
@@ -237,6 +235,10 @@ def make_laplace(scale: float) -> SourceDistribution:
         out = (1.0 + a) * np.exp(-a) / (4.0 * b)
         return float(out) if out.ndim == 0 else out
 
+    def lattice_tail(R, L):
+        # two geometric series from |y| = R on, ratio e^{-L/b}
+        return math.exp(-R / b) / (b * -math.expm1(-L / b))
+
     def sampler(rng, size):
         return rng.laplace(0.0, b, size)
 
@@ -253,6 +255,7 @@ def make_laplace(scale: float) -> SourceDistribution:
             bounded_variation_density=True,
             cf_nonnegative=True,
         ),
+        density_lattice_tail=lattice_tail,
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"laplace:b={b:g}",
@@ -285,6 +288,11 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         out = np.exp(-y * y / (2.0 * v)) / math.sqrt(v) / _SQRT2PI
         return float(out) if out.ndim == 0 else out
 
+    def lattice_tail(R, L):
+        # a decreasing density sums to at most its first value plus its
+        # integral over L, on each side
+        return 2.0 * (float(density(R)) + 0.5 * math.erfc(R / (s * math.sqrt(2.0))) / L)
+
     def sampler(rng, size):
         return rng.normal(0.0, s, size)
 
@@ -301,6 +309,7 @@ def make_gaussian(sigma: float) -> SourceDistribution:
             bounded_variation_density=True,
             cf_nonnegative=True,
         ),
+        density_lattice_tail=lattice_tail,
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"gaussian:sigma={s:g}",
@@ -566,6 +575,7 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
         abs_moment3=dist.abs_moment3,
         cf_support_radius=dist.cf_support_radius,
         density_support_radius=dist.density_support_radius,
+        density_lattice_tail=dist.density_lattice_tail,
         self_convolution=dist.self_convolution,
         sampler=dist.sampler,
         components=dist.components,

@@ -328,7 +328,7 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, truncation_radius: float,
     if im_max > _IM_REJECT * scale:
         raise InconsistentCfError(
             f"imaginary residue {im_max:.3g} exceeds {_IM_REJECT}; cf is not Hermitian")
-    out = vals.real.reshape(shape)
+    out = vals.real.reshape(shape).copy()      # owns its buffer; the complex one goes
     # the dropped nodes shift the fine rule by at most `dropped` and the
     # step-2h rule, whose weights are 2^dim times the fine ones, by at most
     # 2^dim * dropped; so the Richardson difference moves by (1 + 2^dim)/3 of it

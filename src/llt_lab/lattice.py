@@ -3,10 +3,12 @@
 Provides density-side sums sum_m g(Lm + a) (one routine, ``lattice_series``,
 serves the density lattice sum, the wrapped autocorrelation and the density
 route to the oscillation factor), characteristic-function sums
-sum_k e^{i k phi} f(sk) with certified or extrapolated tails, the pi-lattice
-vanishing check, the two-sided Poisson identity, the wrapped autocorrelation,
-distance to a scaled integer lattice, and the regularity-integral diagnostics
-in one and two dimensions.
+sum_k e^{i k phi} f(sk) with certified or extrapolated tails, the periodized
+cf F(s, a) = sum_k e^{-i pi k a} f(pi k + s) summed on the short side of its
+Poisson pair (``periodized_cf``; the Bernoulli cell engine integrates it),
+the pi-lattice vanishing check, the two-sided Poisson identity, the wrapped
+autocorrelation, distance to a scaled integer lattice, and the
+regularity-integral diagnostics in one and two dimensions.
 
 Slow cf tails (~ gamma/k^2) get an exact closed-form correction built on the
 classical Fourier series sum_{k>=1} cos(k t)/k^2 = pi^2/6 - pi t/2 + t^2/4,
@@ -33,6 +35,7 @@ __all__ = [
     "sum_density_lattice",
     "sum_cf_lattice",
     "phased_cf_lattice_sum",
+    "periodized_cf",
     "check_pi_lattice_zeros",
     "poisson_check",
     "wrapped_autocorrelation",
@@ -43,6 +46,9 @@ __all__ = [
 K_CAP_2D = 4_000_000
 _PHASED_BLOCK = 512
 _K_BUDGET = 16384     # k budget of the phased cf sum: 32 blocks
+_SHORT_TAIL = 2.0 ** -64  # truncation bound of a decaying density's short side
+_SHORT_TERMS = 2048   # most lattice terms a density short side may take
+_JUMP_TOL = 1e-9      # a lattice point this close to a density jump sits on it
 
 
 @dataclass(frozen=True)
@@ -201,6 +207,90 @@ def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
     tail = float(np.max(errs)) * 2.0
     return (np.asarray(vals, dtype=complex), tail,
             {"K": k_last, "terms": 2 * k_last + 1, "extrapolated": True})
+
+
+@dataclass(frozen=True)
+class _ShortSide:
+    """The short side of F(s, a) = sum_k e^{-i pi k a} f(pi k + s)
+    = 2 sum_m p(a + 2m) e^{is(a + 2m)} for offsets a in [-1, 1].
+
+    On the density side ``m`` are the lattice indices and ``p[i, j]`` is
+    p(a_i + 2 m_j), with the midpoint value where a_i + 2 m_j sits on a
+    density jump; on the cf side ``k`` are the indices with f(pi k + s) != 0
+    for some |s| <= s_max.  ``tail`` bounds |F - F_short| at every (s, a)."""
+
+    tail: float
+    m: np.ndarray | None = None
+    p: np.ndarray | None = None
+    k: np.ndarray | None = None
+
+
+def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float) -> _ShortSide:
+    """The side of the Poisson pair that ``dist`` declares short: a compact
+    density (its 1 or 2 lattice points per offset, tail 0), a compact cf
+    (the k with |pi k + s| <= T, tail 0), or a density with a declared
+    lattice tail, summed over |y| <= R for the least even R whose tail is
+    at most 2^-64.  Raises UnsupportedError for any other source."""
+    if dist.dim != 1:
+        raise InvalidParameterError("the periodized cf is one-dimensional")
+    h = dist.density_support_radius
+    if dist.density is not None and (h is not None or dist.density_lattice_tail is not None):
+        if h is not None:
+            R, tail = h + _JUMP_TOL, 0.0
+        else:
+            R = 2.0
+            while dist.density_lattice_tail(R, 2.0) > _SHORT_TAIL and R <= 2 * _SHORT_TERMS:
+                R += 2.0
+            tail = 2.0 * dist.density_lattice_tail(R, 2.0)
+        m = np.arange(-math.ceil((R + 1.0) / 2.0), math.ceil((R + 1.0) / 2.0) + 1)
+        if m.size > _SHORT_TERMS:
+            raise UnsupportedError(f"{dist.label}: the density side of the periodized "
+                                   f"cf needs more than {_SHORT_TERMS} terms")
+        y = a[:, None] + 2.0 * m
+        p = np.asarray(dist.density(y), dtype=float)
+        if h is not None and not dist.flags.density_continuous:
+            # the Fourier inverse converges to the mean of the one-sided
+            # limits; outside the closed support the density is 0
+            edge = np.abs(np.abs(y) - h) <= _JUMP_TOL
+            p[edge] = 0.5 * np.asarray(dist.density(np.clip(y[edge], -h, h)), dtype=float)
+        keep = np.any(p != 0.0, axis=0)
+        return _ShortSide(tail, m=m[keep], p=p[:, keep])
+    T = dist.cf_support_radius
+    if T is not None:
+        kmax = math.floor((T + s_max) / math.pi)
+        return _ShortSide(0.0, k=np.arange(-kmax, kmax + 1))
+    raise UnsupportedError(f"{dist.label}: no short side declared for the periodized cf "
+                           "(a compact density or cf, or a density lattice tail)")
+
+
+def _reduced_periodized_cf(dist: SourceDistribution, side: _ShortSide,
+                           s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """e^{-isa} F(s, a) from its short side, (offsets a) x (points s): on the
+    density side 2 sum_m p(a + 2m) e^{2ism}, one product of the (a x m)
+    density table with the (m x s) phases; on the cf side
+    sum_k e^{-ia(pi k + s)} f(pi k + s)."""
+    if side.k is None:
+        return 2.0 * (side.p @ np.exp(2j * np.outer(side.m, s)))
+    out = np.zeros((a.size, s.size), dtype=complex)
+    for k in side.k:
+        t = math.pi * k + s
+        out += np.exp(-1j * np.outer(a, t)) * dist.cf(t)
+    return out
+
+
+def periodized_cf(dist: SourceDistribution, s, a):
+    """F(s, a) = sum_k e^{-i pi k a} f(pi k + s) on the short side of the
+    Poisson pair, for offsets a (axis 0) and points s (axis 1).
+
+    Returns (values, tail) with |F - values| <= tail.  At a density jump the
+    density side takes the midpoint value, which is what the cf side
+    converges to."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a = a - 2.0 * np.round(a / 2.0)
+    side = _short_side(dist, a, float(np.max(np.abs(s))))
+    G = _reduced_periodized_cf(dist, side, s, a)
+    return np.exp(1j * np.outer(a, s)) * G, side.tail
 
 
 def sum_cf_lattice(dist: SourceDistribution, step: float,

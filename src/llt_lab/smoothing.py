@@ -4,30 +4,26 @@ The model is Z_n = (X + X_1 + ... + X_n)/sqrt(n) with X drawn from a catalog
 source and X_k i.i.d. isotropic noise.  Its characteristic function is
 f(t/sqrt n) v(t/sqrt n)^n.
 
-For symmetric Bernoulli noise, v = cos and the inverse transform is computed
-exactly cell by cell: substituting t = sqrt(n) u and splitting R into the
-intervals of length pi centered at pi k gives
+For symmetric Bernoulli noise, v = cos; substituting t = sqrt(n) u and
+folding R onto the half period |s| <= pi/2 gives
 
-    p_n(x) = (sqrt n / 2 pi) [ C_n(w) A(x) + sum_k e^{-i pi k a} D_k(w) ],
+    p_n(x) = (sqrt n / 2 pi) integral of cos^n(s) e^{-isw} F(s, a) ds,
 
-with w = x sqrt(n), a = w + n,
-    C_n(w) = integral of cos^n(s) e^{-isw} over |s| <= pi/2,
-    A(x)   = sum_k e^{-i pi k a} f(pi k)      (phased cf lattice sum),
-    D_k(w) = integral of (f(pi k + s) - f(pi k)) cos^n(s) e^{-isw} ds.
-
-Both integrals run on one Gauss-Legendre rule over the window |s| <= S,
-S = min(pi/2, U/sqrt n), where cos^n(s) <= e^{-ns^2/2} keeps all but
-erfc(U/sqrt 2) of the mass; the D_k series is summed in blocks of k with
-certified or extrapolated tails.  Each block's cell integrals are one real
-matrix product, and its phases e^{-i pi k a} are one table e^{-i pi j a},
-j <= 128, times a row per block, with every k a reduced mod 2 exactly.  A
-check rule with 3/4 of the nodes bounds the quadrature error: the same pass
-sums the differences between the two rules' terms as one series, so its
-roundoff scales with those differences, not with D.  This reaches
-oracle-level accuracy (~1e-9) for any n, which a plain truncated transform
-cannot do for slowly decaying cfs.  For general (non-Bernoulli) noise the
-plain trapezoid inversion applies, with the window taken from a compact cf
-support or from sampled decay.
+with w = x sqrt(n), a = w + n and the periodized cf
+    F(s, a) = sum_k e^{-i pi k a} f(pi k + s) = 2 sum_m p(a + 2m) e^{is(a + 2m)},
+the two sides of the Poisson pair.  F is summed on the side the source
+declares short (``lattice.periodized_cf``): the 1 or 2 lattice points of a
+compact density, the few k of a compact cf, or a density with a declared
+lattice tail.  The integral runs on one Gauss-Legendre rule over the window
+|s| <= min(pi/2, U/sqrt n), where cos^n(s) <= e^{-ns^2/2} keeps all but
+erfc(U/sqrt 2) of the mass, split into panels at the kinks of a compact cf.
+With w = j + a, j an exact integer, the phase e^{-isw} F is e^{-isj} times
+e^{-isa} F, and on the density side e^{-isa} F is one product of the
+(points x terms) density table with the (terms x nodes) phases e^{2ism}: one
+weighted product per rule.  A check rule with 3/4 of the nodes bounds the
+quadrature error.  For general (non-Bernoulli) noise the plain trapezoid
+inversion applies, with the window taken from a compact cf support or from
+sampled decay.
 """
 
 from __future__ import annotations
@@ -43,10 +39,9 @@ import numpy as np
 from scipy.special import erfc, ndtr
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
-from .errors import InconsistentCfError, InvalidParameterError, UnsupportedError
+from .errors import InvalidParameterError, UnsupportedError
 from .inversion import Grid, GridDensity, estimate_tail, grid_1d, grid_2d, invert
-from .lattice import check_pi_lattice_zeros, phased_cf_lattice_sum
-from .seriesaccel import BlockSeries, resonance_floor
+from .lattice import _reduced_periodized_cf, _short_side, check_pi_lattice_zeros
 
 __all__ = [
     "SmoothedModel",
@@ -62,9 +57,6 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_CELL_BLOCK = 128
-_CELL_K = 8192          # k budget of the main cell pass
-_CELL_CHECK_K = 1024    # k budget of the quadrature check's difference series
 _WINDOW_U = 9.0         # cell window |s| <= U/sqrt(n): erfc(U/sqrt 2) ~ 2e-19 left out
 
 
@@ -108,6 +100,7 @@ class ConvergenceReport:
     even_slope: Optional[float] = None
     odd_slope: Optional[float] = None
     est_errors: tuple = ()          # per-n density truncation budgets
+    tol_met: tuple = ()             # per-n: est_errors[i] <= tol
     grid_meta: dict = field(default_factory=dict)
 
 
@@ -176,177 +169,77 @@ def _gl_nodes(m: int, half_width: float):
     return half_width * x, half_width * 2.0 / den
 
 
-def _cell_rules(n: int, w_max: float):
+def _cell_rules(n: int, reach: float, breaks=()):
     """The main rule on the window |s| <= min(pi/2, U/sqrt n) and the check
-    rule with 3/4 of its nodes, as (nodes, weights) pairs.  The node count
-    covers the phase e^{-isw} up to |w| = w_max, scaled by the window share."""
+    rule with 3/4 of its nodes, as (nodes, weights) pairs.  The window is
+    split into Gauss-Legendre panels at the ``breaks`` inside it; each
+    panel's node count covers phases e^{isq} up to |q| = reach and the
+    cos^n bump, scaled by the panel's share of the window."""
     rt = math.sqrt(n)
     half = min(0.5 * math.pi, _WINDOW_U / rt)
-    m = max(128, int(half / (0.5 * math.pi) * (0.8 * (w_max + 6.0 * rt) + 64)))
-    return _gl_nodes(m, half), _gl_nodes(max(96, int(0.75 * m)), half)
+    edges = [-half, *sorted(b for b in set(breaks) if -half < b < half), half]
+    per = 0.8 * (reach + 6.0 * rt) + 64          # nodes per half-width pi/2
+    rules = ([], []), ([], [])
+    for lo, hi in zip(edges, edges[1:]):
+        hp, share = 0.5 * (hi - lo), (hi - lo) / (2.0 * half)
+        m = max(16, math.ceil(128 * share), int(hp / (0.5 * math.pi) * per))
+        m2 = max(12, math.ceil(96 * share), int(0.75 * m))
+        for (nodes, weights), k in zip(rules, (m, m2)):
+            s, ws = _gl_nodes(k, hp)
+            nodes.append(s + 0.5 * (hi + lo))
+            weights.append(ws)
+    return tuple((np.concatenate(s), np.concatenate(ws)) for s, ws in rules)
 
 
-def _window_phases(n: int, w: np.ndarray, s: np.ndarray, ws: np.ndarray):
-    """phi[x, s] = ws cos^n(s) e^{-isw}, the weighted phase matrix of one
-    window rule; its row sums are C_n(w).
-
-    cos^n goes through cos s = 1 - 2 sin^2(s/2): log(cos s) would inherit
-    the rounding of cos s near 1, a relative error of n eps."""
-    cosn = np.exp(n * np.log1p(-2.0 * np.sin(0.5 * s) ** 2))
-    return (ws * cosn)[None, :] * np.exp(-1j * np.outer(w, s))
+def _cos_power(n: int, s: np.ndarray) -> np.ndarray:
+    """cos^n(s) on the window, through cos s = 1 - 2 sin^2(s/2): log(cos s)
+    would inherit the rounding of cos s near 1, a relative error of n eps."""
+    return np.exp(n * np.log1p(-2.0 * np.sin(0.5 * s) ** 2))
 
 
-def _exp_pi(k: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray) -> np.ndarray:
-    """e^{-i pi k a} for integers k (axis 0) and a = a_hi + a_lo (axis 1).
-
-    a_hi lies on the 2^-39 grid and |a_hi| <= 1, so k a_hi is exact for
-    k <= 2^13 and reduces mod 2 without rounding; the quarter turn nearest
-    it is applied exactly, which leaves an angle of at most pi/4 plus
-    pi k a_lo, |k a_lo| <= 2^-27, to round."""
-    r = np.mod(np.multiply.outer(k, a_hi), 2.0)
-    q = np.round(2.0 * r)
-    theta = math.pi * ((r - 0.5 * q) + np.multiply.outer(k, a_lo))
-    return np.exp(-1j * theta) * np.array([1.0, -1j, -1.0, 1j, 1.0])[q.astype(int)]
-
-
-def _phase_blocks(a: np.ndarray):
-    """Yield (k, e^{-i pi k a}) for the cell blocks k = 1.._CELL_K.
-
-    One table e^{-i pi j a}, j = 1..B, serves every block: block k0 + j has
-    the table times the row e^{-i pi k0 a}.  Both are reduced exactly by
-    :func:`_exp_pi`, so no phase carries the eps k error of a rounded k a."""
-    a_hi = np.round(a * 2.0 ** 39) * 2.0 ** -39
-    a_lo = a - a_hi
-    j = np.arange(1, _CELL_BLOCK + 1)
-    table = _exp_pi(j, a_hi, a_lo)
-    for k0 in range(0, _CELL_K, _CELL_BLOCK):
-        yield k0 + j, table if k0 == 0 else table * _exp_pi(k0, a_hi, a_lo)
-
-
-def _feed(acc: BlockSeries, k: np.ndarray, cinc: np.ndarray, last: bool) -> bool:
-    """Add one block of complex increments e^{-i pi k a} G_k (B, X); the +-k
-    pair contributes twice their real part.  Only a budget's last block,
-    the one an extrapolation reads, goes in term by term."""
-    inc = 2.0 * cinc.real
-    mag = float(np.max(np.abs(inc).sum(axis=0)))
-    if last:
-        return acc.add(k, inc.T, mag)
-    # summed over axis 0, sequentially in k: the total is the one the
-    # per-term partials would end on, bit for bit (a one-point grid is
-    # summed pairwise, which differs by roundoff)
-    return acc.add_total(k[-1], inc.sum(axis=0), mag)
-
-
-def _series_value(acc: BlockSeries, certified: bool, cinc: np.ndarray,
-                  imag=0.0):
-    """(values, tail) of a fed series: its certified sum, or the dual-stride
-    extrapolation with the resonance floor of its last block ``cinc``.  A
-    real series fed without its start's imaginary part gets ``imag`` added
-    back."""
-    if certified:
-        return acc.total + 1j * imag, acc.tail
-    # unit stride preserves the phase signature e^{+-i pi(1 -+ a)}, block
-    # stride conditions monotone tails
-    vals, errs = acc.extrapolate()
-    # grid points near a density jump make the cell phases rotate slower
-    # than the k budget resolves; the floor keeps the estimate honest there
-    floor = resonance_floor(np.ascontiguousarray(cinc.T), float(acc.ks[-1]))
-    return vals + 1j * imag, float(np.max(np.maximum(errs, floor))) * 2.0
-
-
-def _cell_series(f, rule, check_rule, a_frac: np.ndarray, tol: float):
-    """Feed D = sum_k e^{-i pi k a} D_k(w) on the main rule, and the
-    difference between the main and the check rule's terms, in one pass.
-
-    Each rule is (nodes s, phase matrix phi); per block of k the cell
-    integrals are one real matrix product per rule.  D runs to _CELL_K, the
-    difference series to _CELL_CHECK_K; each stops early once certified.
-    Every increment is real (the +-k pair gives twice the real part), so
-    both series are fed the real part of their start, the k = 0 cell, and
-    run in real arithmetic.  Returns (accumulator, certified, last block's
-    complex increments, the start's imaginary part) for D and for the
-    difference."""
-    f0 = float(np.real(f(0.0)))
-
-    def start(s, phi):                                          # k = 0 cell
-        return phi @ (np.asarray(f(s), dtype=float) - f0)
-
-    def cells(s, phi):
-        # G[k, x] = sum_s (f(pi k + s) - f(pi k)) phi[x, s]: a real F times
-        # the interleaved real and imaginary parts of phi
-        phiT = np.ascontiguousarray(phi.T).view(np.float64)     # (M, 2X)
-
-        def G(k, fk):
-            F = np.asarray(f(math.pi * k[:, None] + s[None, :]), dtype=float)
-            F -= fk[:, None]
-            return (F @ phiT).view(np.complex128)
-        return G
-
-    (s, phi), (s2, phi2) = rule, check_rule
-    main, check = cells(s, phi), cells(s2, phi2)
-    d0 = start(s, phi)
-    dd0 = d0 - start(s2, phi2)
-    acc = BlockSeries(d0.real, _CELL_BLOCK, tol)
-    dacc = BlockSeries(dd0.real, _CELL_BLOCK, tol)
-    done = ddone = False
-    cinc = dcinc = None
-    for k, P in _phase_blocks(a_frac):
-        check_on = not ddone and k[0] <= _CELL_CHECK_K
-        if done and not check_on:
-            break
-        fk = np.asarray(f(math.pi * k), dtype=float)
-        G = main(k, fk)
-        if not done:
-            cinc = P * G
-            done = _feed(acc, k, cinc, k[-1] == _CELL_K)
-        if check_on:
-            dcinc = P * (G - check(k, fk))
-            ddone = _feed(dacc, k, dcinc, k[-1] == _CELL_CHECK_K)
-    return (acc, done, cinc, d0.imag), (dacc, ddone, dcinc, dd0.imag)
-
-
-def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray,
-                          tol: float):
-    if not source.flags.symmetric_about_0:
-        raise UnsupportedError(
-            f"{source.label}: the cell engine requires a symmetric source")
+def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     rt = math.sqrt(n)
     w = np.asarray(x, dtype=float) * rt
-    # a = w + n wrapped to [-1, 1]; w - 2 round(.) is exact, where forming
-    # w + n first would round at eps n
+    # w = j + a with j = n mod 2 an exact integer and a = w + n wrapped to
+    # [-1, 1]; w - 2 round(.) is exact, where forming w + n would round
     par = n % 2
-    a_frac = (w - 2.0 * np.round((w + par) / 2.0)) + par
+    r = np.round((w + par) / 2.0)
+    j = 2.0 * r - par
+    a = (w - 2.0 * r) + par
     pref = rt / (2.0 * math.pi)
+    half = min(0.5 * math.pi, _WINDOW_U / rt)
+    side = _short_side(source, a, half)
+    reach = float(np.max(np.abs(j))) + 1.0     # highest frequency of e^{-isw}
+    if side.k is None:
+        # e^{isa} (e^{2is})^m: frequencies j - 2m, integers
+        reach += 2.0 * float(np.max(np.abs(side.m)))
+        rules, phase_max = _cell_rules(n, reach), half * reach
+    else:
+        # the rule's panels end at the cf's kinks, s = 0 and |pi k + s| = T
+        T = source.cf_support_radius
+        rules = _cell_rules(n, reach, [0.0] + [e * T - math.pi * k
+                                               for k in side.k for e in (-1, 1)])
+        phase_max = half * reach + T
 
-    A, a_tail, _ = phased_cf_lattice_sum(source, math.pi, -math.pi * a_frac,
-                                         tol=tol * _SQRT2PI * 0.25)
-    (s, ws), (s2, ws2) = _cell_rules(n, float(np.max(np.abs(w))) if w.size else 0.0)
-    d_tol = tol * 2.0 * math.pi / rt * 0.25
-    phi = _window_phases(n, w, s, ws)
-    phi2 = _window_phases(n, w, s2, ws2)
-    C = phi.sum(axis=1).real
-    C2 = phi2.sum(axis=1).real
-    (D, d_tail), (dD, dD_err) = (_series_value(*fed) for fed in _cell_series(
-        source.cf, (s, phi), (s2, phi2), a_frac, d_tol))
-    # the check rule certifies the main rule through the series of their
-    # term differences, summed like D itself; 9/7 is the order-2 Richardson
-    # factor 1/((4/3)^2 - 1), as a cf with a kink (fejer) converges like m^-2
-    quad_err = 9.0 / 7.0 * (dD_err + float(np.max(np.abs(dD)
-                                                  + np.abs(C - C2) * np.abs(A))))
+    def window_sum(s, ws):
+        # e^{-isw} F(s, a) = e^{-isj} e^{-isa} F(s, a): j exact, so no phase
+        # carries the rounding of w
+        G = _reduced_periodized_cf(source, side, s, a)
+        return pref * ((np.exp(-1j * np.outer(j, s)) * G).real @ (ws * _cos_power(n, s)))
 
-    vals = pref * (C * A + D)
-    im_max = float(np.max(np.abs(vals.imag)))
-    p_max = float(np.max(np.abs(vals.real)))
-    if im_max > 1e-6 * max(1.0, p_max):
-        raise InconsistentCfError(f"imaginary residue {im_max:.3g} in cell engine")
-    # |sum_k e^{-i pi k a} f(pi k + s)| <= A(x) at every s (Poisson summation),
-    # so the integrand outside the window is below A e^{-ns^2/2}
-    a_max = float(np.max(np.abs(A))) + a_tail
+    vals, check = (window_sum(s, ws) for s, ws in rules)
+    A = _reduced_periodized_cf(source, side, np.zeros(1), a)[:, 0].real      # F(0, a)
+    c0 = float(rules[0][1] @ _cos_power(n, rules[0][0]))
+    # |F(s, a)| <= F(0, a) for a density p >= 0 (Poisson summation), so the
+    # integrand outside the window is below F(0, a) e^{-ns^2/2}
+    a_max = float(np.max(np.abs(A))) + side.tail
     window_err = erfc(_WINDOW_U / math.sqrt(2.0)) / _SQRT2PI * a_max
-    roundoff = 16.0 * np.finfo(float).eps * p_max
-    est = (pref * (float(np.max(np.abs(C))) * a_tail + d_tail + quad_err)
-           + window_err + roundoff)
-    return vals.real, est, im_max
+    # the check rule has 3/4 of the nodes; 9/7 is the order-2 Richardson
+    # factor 1/((4/3)^2 - 1), a floor for the panels' faster convergence
+    quad_err = 9.0 / 7.0 * float(np.max(np.abs(vals - check)))
+    roundoff = (16.0 + phase_max) * np.finfo(float).eps * pref * c0 * a_max
+    est = quad_err + pref * c0 * side.tail + window_err + roundoff
+    return vals, est
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +274,20 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
 
     if model.dim == 1 and _is_bernoulli(model.noise):
         x = grid.axes[0].points()
-        vals, est, im_max = _bernoulli_density_1d(model.source, n, x, tol)
+        vals, est = _bernoulli_density_1d(model.source, n, x)
         meta = {"n_used": n, "truncation_radius": math.inf,
-                "est_tail_error": est, "max_imag": im_max, "engine": "cell"}
+                "est_tail_error": est, "engine": "cell"}
         gd = GridDensity(dim=1, axes=grid.axes, values=vals, meta=meta)
     elif (model.dim == 2 and _is_bernoulli(model.noise)
             and model.source.components is not None):
-        vx, ex, im1 = _bernoulli_density_1d(model.source.components[0], n,
-                                            grid.axes[0].points(), tol)
-        vy, ey, im2 = _bernoulli_density_1d(model.source.components[1], n,
-                                            grid.axes[1].points(), tol)
+        vx, ex = _bernoulli_density_1d(model.source.components[0], n,
+                                       grid.axes[0].points())
+        vy, ey = _bernoulli_density_1d(model.source.components[1], n,
+                                       grid.axes[1].points())
         vals = np.outer(vx, vy)
         sup = max(float(np.max(np.abs(vx))), float(np.max(np.abs(vy))), 1.0)
         meta = {"n_used": n, "truncation_radius": math.inf,
-                "est_tail_error": (ex + ey) * sup, "max_imag": max(im1, im2),
-                "engine": "cell-tensor"}
+                "est_tail_error": (ex + ey) * sup, "engine": "cell-tensor"}
         gd = GridDensity(dim=2, axes=grid.axes, values=vals, meta=meta)
     else:
         gd = _general_noise_density(model, n, grid, tol)
@@ -523,7 +415,7 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
     def one(nv):
         gd = density(model, nv, grid, tol=tol)
         row = {nm: distance_to_gaussian(gd, nm) for nm in ("l1", "l2", "sup")}
-        row["est"] = gd.est_tail_error
+        row["est"], row["tol_met"] = gd.est_tail_error, gd.meta["tol_met"]
         return row
 
     workers = min(_max_threads(), len(ns))
@@ -533,7 +425,6 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
     else:
         rows = [one(nv) for nv in ns]
     distances = {nm: tuple(r[nm] for r in rows) for nm in ("l1", "l2", "sup")}
-    est_errors = tuple(r["est"] for r in rows)
 
     cond = check_pi_lattice_zeros(model.source, 20).max_abs
     ds = distances[norm]
@@ -560,7 +451,8 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
         condition_max_abs=float(cond),
         even_slope=even_slope,
         odd_slope=odd_slope,
-        est_errors=est_errors,
+        est_errors=tuple(r["est"] for r in rows),
+        tol_met=tuple(r["tol_met"] for r in rows),
         grid_meta={
             "lo": grid.axes[0].origin,
             "hi": grid.axes[0].upper,

@@ -1,0 +1,56 @@
+"""Re-record ``cli_bodies.json``, the JSON bodies of eight fixed CLI runs.
+
+    PYTHONPATH=src python tests/data/record_cli_bodies.py
+
+``tests/test_cli.py::test_fixed_cli_bodies_unchanged`` replays these runs and
+requires each body byte for byte.  A change that moves a body tables every
+moved number in CHANGES.md, with the error the parent declared for it, and
+then re-records the file with this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+
+from llt_lab.cli import main
+
+ABOUT = ("canonical JSON bodies of fixed CLI runs, as written to standard output; "
+         "a change that moves one tables the move in CHANGES.md and re-records this "
+         "file with record_cli_bodies.py")
+
+# cheap runs that reach the cell engine on both sides of its short side, the
+# density and cf routes of the oscillation factor, and the lattice sums
+RUNS = [
+    ["density", "--source", "uniform:h=1", "--n", "16", "--grid=-5,5,201"],
+    ["density", "--source", "laplace:b=1", "--n", "256", "--grid=-5,5,201"],
+    ["converge", "--source", "uniform:h=1", "--n", "4,16", "--grid=-5,5,201"],
+    ["oscillate", "--source", "laplace:b=1", "--n", "16", "--grid=-5,5,201"],
+    ["limits", "--source", "laplace:b=1"],
+    ["limits", "--source", "uniform:h=1"],
+    ["autocorr", "--source", "laplace:b=1"],
+    ["autocorr", "--source", "uniform:h=1"],
+]
+
+
+def body(argv: list) -> str:
+    """Standard output of one run, without its final newline."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    text = out.getvalue()
+    if code != 0 or not text.endswith("\n"):
+        raise SystemExit(f"{' '.join(argv)}: exit code {code}")
+    return text[:-1]
+
+
+def main_record(path: pathlib.Path) -> None:
+    runs = [{"argv": argv, "body": body(argv)} for argv in RUNS]
+    path.write_text(json.dumps({"about": ABOUT, "runs": runs}, indent=1) + "\n",
+                    encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main_record(pathlib.Path(__file__).with_name("cli_bodies.json"))

@@ -271,21 +271,39 @@ def test_limits_says_whether_tol_was_met(spec, met, tmp_path):
     assert (est["series_tail"] <= 1e-9) is met
 
 
-@pytest.mark.parametrize("spec, met", [("uniform:h=1", False), ("gaussian:sigma=1", True)])
-def test_density_says_whether_tol_was_met(spec, met, tmp_path):
-    # uniform:h=1 at n = 16 declares a resonance-floored D tail far above the
-    # default tol of 1e-9; gaussian certifies far below it
+@pytest.mark.parametrize("spec, tol, met", [
+    pytest.param("uniform:h=1", 1e-16, False, id="uniform:h=1-False"),
+    pytest.param("gaussian:sigma=1", 1e-9, True, id="gaussian:sigma=1-True")])
+def test_density_says_whether_tol_was_met(spec, tol, met, tmp_path):
+    # the cell engine declares a few eps, above a tol of 1e-16 and far below
+    # the default tol of 1e-9
     out = tmp_path / "d.json"
-    assert main(["density", "--source", spec, "--n", "16", "--out", str(out)]) == 0
+    assert main(["density", "--source", spec, "--n", "16", "--tol", str(tol),
+                 "--out", str(out)]) == 0
     est = json.loads(out.read_text())["body"]["results"]["error_estimates"]
     assert est["tol_met"] is met
-    assert (est["density_tail"] <= 1e-9) is met
+    assert (est["density_tail"] <= tol) is met
+
+
+@pytest.mark.parametrize("tol, met", [(1e-9, True), (1e-16, False)])
+def test_converge_and_oscillate_say_whether_tol_was_met(tol, met, tmp_path):
+    # converge gives one flag per n; oscillate's flag also covers the tails
+    # of both routes to A_n
+    out = tmp_path / "r.json"
+    for argv in (["converge", "--source", "uniform:h=1", "--n", "4,16"],
+                 ["oscillate", "--source", "uniform:h=1", "--n", "101"]):
+        assert main([*argv, "--grid=-5,5,201", "--tol", str(tol), "--out", str(out)]) == 0
+        est = json.loads(out.read_text())["body"]["results"]["error_estimates"]
+        if argv[0] == "converge":
+            assert est["tol_met"] == [t <= tol for t in est["density_tails"]] == [met, met]
+        else:
+            assert est["tol_met"] is met
 
 
 def test_fixed_cli_bodies_unchanged(capsys):
-    # cheap runs that reach the extrapolated A and D sums of both tail
-    # regimes; a change that moves a body tables the move in CHANGES.md and
-    # re-records tests/data/cli_bodies.json
+    # cheap runs over the cell engine and the lattice sums; a change that
+    # moves a body tables the move in CHANGES.md and re-records
+    # tests/data/cli_bodies.json with tests/data/record_cli_bodies.py
     path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
     assert len(runs) == 8

@@ -10,7 +10,7 @@ from llt_lab import (InvalidParameterError, UnsupportedError, check_pi_lattice_z
                      make_uniform, poisson_check, product, regularity_integral,
                      sum_cf_lattice, sum_density_lattice, wrapped_autocorrelation)
 from llt_lab import lattice
-from llt_lab.lattice import phased_cf_lattice_sum
+from llt_lab.lattice import periodized_cf, phased_cf_lattice_sum
 from llt_lab.seriesaccel import BlockSeries, resonance_floor
 
 UNIFORM = make_uniform(1.0)
@@ -250,6 +250,56 @@ def test_phased_sum_asymmetric_matches_theta_series():
     # in place of 2 cos((phi + mu pi) k), off by about 0.02 at these phases
     assert np.max(np.abs(vals - direct)) <= 1e-15
     assert tail <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the periodized cf on its short side
+# ---------------------------------------------------------------------------
+
+def _cf_shifted_by(dist, s):
+    # f(t + s): no longer even, so the phased sum takes its asymmetric route;
+    # a compact cf's support moves by s
+    T = dist.cf_support_radius
+    return dataclasses.replace(
+        dist, cf=lambda t: dist.cf(np.asarray(t, dtype=float) + s),
+        flags=dataclasses.replace(dist.flags, symmetric_about_0=False),
+        cf_support_radius=None if T is None else T + abs(s))
+
+
+@pytest.mark.parametrize("dist", [UNIFORM, make_uniform(0.25), make_uniform(2.3), LAPLACE,
+                                  make_laplace(0.4), GAUSSIAN, make_gaussian(2.5),
+                                  make_fejer(0.7), make_fejer(2.668)],
+                         ids=lambda d: d.label)
+def test_periodized_cf_is_the_phased_cf_sum(dist):
+    # Poisson: sum_k e^{-i pi k a} f(pi k + s) = 2 sum_m p(a + 2m) e^{is(a + 2m)},
+    # summed here on the short side and there on the cf side, within both
+    # declared tails and 2 eps per cf term (the rounding of pi k + s moves
+    # sin(h t)/(h t) by up to eps)
+    rng = np.random.default_rng(20261018)
+    a = rng.uniform(-3.0, 3.0, 9)
+    for s in [0.0, *rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 4)]:
+        got, tail = periodized_cf(dist, [s], a)
+        ref, ref_tail, info = phased_cf_lattice_sum(_cf_shifted_by(dist, s), math.pi,
+                                                    -math.pi * a, 1e-12)
+        allow = tail + ref_tail + 2.0 * np.finfo(float).eps * info["terms"]
+        assert np.max(np.abs(got[:, 0] - ref)) <= allow, (s, tail, ref_tail)
+
+
+def test_periodized_cf_takes_the_midpoint_at_jumps():
+    # a = +-1 puts y = +-1 on the edges of uniform:h=1; the cf side sums to
+    # f(0) = 1 there, as sin(pi k) = 0
+    got, tail = periodized_cf(UNIFORM, [0.0, 0.3], [1.0, -1.0, 3.0])
+    assert tail == 0.0
+    assert np.allclose(got[:, 0], 1.0, rtol=0.0, atol=1e-15)
+    assert np.allclose(got[:, 1], math.cos(0.3), rtol=0.0, atol=1e-15)
+
+
+def test_periodized_cf_needs_a_short_side():
+    # a decaying density that declares no lattice tail, and a cf of no
+    # compact support, have no short side
+    bare = dataclasses.replace(LAPLACE, density_lattice_tail=None)
+    with pytest.raises(UnsupportedError, match="short side"):
+        periodized_cf(bare, [0.0], [0.5])
 
 
 # ---------------------------------------------------------------------------
