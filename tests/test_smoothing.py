@@ -124,20 +124,20 @@ def test_density_error_within_estimate(name, param, n, grid):
     assert np.all(err <= gd.est_tail_error), (float(err.max()), gd.est_tail_error)
 
 
-@pytest.mark.parametrize("name, param, n, est_max", [
-    ("uniform", 0.25, 3, 1e-12),        # was 7.9e-4 off against a declared 3.5e-4
-    ("fejer", 2.668, 3, 1e-12),         # was 2.73e-5 off against 1.52e-5
-    ("fejer", 0.7, 16, 1e-12),          # was 1.2e-4 off, declared and not met
-    ("uniform", 1.0, 4, 1e-12),         # declared 0.55 at the mixture's jumps
-    ("uniform", 1.0, 16, 1e-12),        # declared 0.33 at the mixture's jumps
+@pytest.mark.parametrize("name, param, n", [
+    ("uniform", 0.25, 3),       # was 7.9e-4 off against a declared 3.5e-4
+    ("fejer", 2.668, 3),        # was 2.73e-5 off against 1.52e-5
+    ("fejer", 0.7, 16),         # was 1.2e-4 off, declared and not met
+    ("uniform", 1.0, 4),        # declared 0.55 at the mixture's jumps
+    ("uniform", 1.0, 16),       # declared 0.33 at the mixture's jumps
 ])
-def test_density_mended_cases(name, param, n, est_max):
+def test_density_mended_cases(name, param, n):
     # on the default grid; uniform:h=1 has 10 and 20 points on the jumps
     grid = default_grid(1)
     gd = density(SmoothedModel(_CELL_SOURCES[name](param), BERN), n, grid)
     err = np.abs(gd.values - _chunked_reference(name, param, n, grid.axes[0].points()))
     assert np.all(err <= gd.est_tail_error), (float(err.max()), gd.est_tail_error)
-    assert gd.est_tail_error <= est_max and gd.meta["tol_met"]
+    assert gd.est_tail_error <= 1e-12
 
 
 @pytest.mark.parametrize("spec", ["uniform:1", "laplace:1", "gaussian:1", "fejer:0.7"])
