@@ -142,7 +142,8 @@ def smoothed_cf(model: SmoothedModel, n: int, t):
 # Bernoulli-noise cell engine (d = 1)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+# bounded: panel node counts vary with n, the grid and a compact cf's kinks
+@functools.lru_cache(maxsize=128)
 def _gl_reference(m: int):
     """m-point Gauss-Legendre nodes x on [-1, 1] and the denominators
     (1 - x^2) P_m'(x)^2 of their weights, read-only.

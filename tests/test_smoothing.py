@@ -153,12 +153,17 @@ def test_density_at_a_million_steps(spec, n):
     assert np.all(np.abs(gd.values - ref) <= gd.est_tail_error)
 
 
-def test_cell_engine_needs_a_short_side():
+@pytest.mark.parametrize("source, match", [
+    ("bare", "no short side"),                  # a decaying density with no declared tail
+    ("wide", "more than 2048 terms"),           # |2m + a| <= R needs about 4400 terms
+])
+def test_cell_engine_needs_a_short_side(source, match):
     import dataclasses
     from llt_lab import UnsupportedError
-    bare = dataclasses.replace(LAPLACE, density_lattice_tail=None)
-    with pytest.raises(UnsupportedError, match="short side"):
-        density(SmoothedModel(bare, BERN), 16, grid_1d(-2, 2, 5))
+    src = (dataclasses.replace(LAPLACE, density_lattice_tail=None) if source == "bare"
+           else make_laplace(100.0))
+    with pytest.raises(UnsupportedError, match=match):
+        density(SmoothedModel(src, BERN), 16, grid_1d(-2, 2, 5))
 
 
 def test_density_hand_values():
