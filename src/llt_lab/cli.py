@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .asymptotics import even_odd_limits, oscillation_report
 from .distributions import (NoiseDistribution, SourceDistribution, as_noise,
-                            bernoulli_noise, make_fejer, make_gaussian,
-                            make_laplace, make_uniform, product)
+                            bernoulli_noise, gaussian_noise, make_fejer,
+                            make_gaussian, make_laplace, make_uniform, product,
+                            uniform_noise)
 from .errors import (InvalidParameterError, LltLabError, UnknownDistributionError,
                      UnsupportedError)
 from .inversion import Grid, grid_1d, grid_2d
@@ -102,9 +103,9 @@ def parse_noise_spec(text: str, dim: int) -> NoiseDistribution:
     if dim != 1:
         raise UnsupportedError("non-Bernoulli noise is catalogued for dim 1 only")
     if spec == "uniform":
-        return as_noise(make_uniform(math.sqrt(3.0)))
+        return uniform_noise()
     if spec == "gaussian":
-        return as_noise(make_gaussian(1.0))
+        return gaussian_noise()
     return as_noise(parse_spec(spec), tol=1e-6)
 
 

@@ -10,8 +10,9 @@ numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -587,9 +588,89 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
     )
 
 
+# ---------------------------------------------------------------------------
+# uniform step sums from digit-sum alias tables
+# ---------------------------------------------------------------------------
+#
+# A step uniform on [-h, h] is drawn as h (2 (K + 1/2) 2^-55 - 1) with K
+# uniform on [0, 2^55): eleven independent base-32 digits.  The n steps'
+# K sum to sum_l 32^l D_l, where the digit sums D_l are i.i.d., each the sum
+# of n uniform digits on [0, 32).  Each D_l is drawn from a Walker alias table
+# of its exact law (Walker, ACM TOMS 1977), the steps in groups of at most
+# 256 so that a table has at most 256 * 31 + 1 = 7937 entries.
+
+_DIGIT_BITS = 5
+_DIGITS = 11
+_GROUP = 256
+
+
+def _digit_sum_pmf(g: int) -> np.ndarray:
+    """Law of the sum of g i.i.d. digits uniform on [0, 2^b), j = 0..g(2^b - 1),
+    by g direct convolutions of nonnegative terms (relative error a few g eps
+    where it does not underflow)."""
+    digit = np.full(1 << _DIGIT_BITS, 2.0 ** -_DIGIT_BITS)
+    p = np.ones(1)
+    for _ in range(g):
+        p = np.convolve(p, digit)
+    return p
+
+
+@functools.lru_cache(maxsize=8)
+def _alias_table(g: int) -> tuple:
+    """Walker alias table (prob, alias) of ``_digit_sum_pmf(g)``, built by
+    Vose's pairing: column j keeps j with probability prob[j] and gives
+    alias[j] otherwise.  The arrays are read-only."""
+    p = _digit_sum_pmf(g)
+    k = p.size
+    q = (p * k).tolist()
+    prob = np.ones(k)
+    alias = np.arange(k)
+    small = [j for j in range(k) if q[j] < 1.0]
+    large = [j for j in range(k) if q[j] >= 1.0]
+    while small and large:
+        s, big = small.pop(), large[-1]
+        prob[s], alias[s] = q[s], big
+        q[big] = (q[big] + q[s]) - 1.0
+        if q[big] < 1.0:
+            small.append(large.pop())
+    # the columns left on either list are full to within rounding
+    prob.flags.writeable = alias.flags.writeable = False
+    return prob, alias
+
+
+def _uniform_sum_sampler(h: float) -> Callable:
+    scale = 2.0 * h * 2.0 ** -(_DIGIT_BITS * _DIGITS)
+    radix = float(1 << _DIGIT_BITS)
+
+    def sum_sampler(rng, size, n):
+        # per group and digit: one index draw, then one coin draw; rows of
+        # `size` values keep the temporaries small (half the time of one
+        # (digits, size) block per group at size 2^14)
+        d = np.zeros((_DIGITS, size), dtype=np.int64)
+        full, rest = divmod(n, _GROUP)
+        for g in [_GROUP] * full + [rest] * (rest > 0):
+            prob, alias = _alias_table(g)
+            for row in d:
+                idx = rng.integers(0, prob.size, size)
+                coin = rng.random(size)
+                row += np.where(coin < prob[idx], idx, alias[idx])
+        # each centred digit sum is a half-integer, so the Horner sum of the
+        # centred digits rounds only once it passes 2^53
+        c = d - 0.5 * n * (radix - 1.0)
+        t = c[-1]
+        for row in c[-2::-1]:
+            t = t * radix + row
+        return scale * t
+
+    return sum_sampler
+
+
 def uniform_noise() -> NoiseDistribution:
-    """Isotropic uniform noise on [-sqrt(3), sqrt(3)] (unit variance)."""
-    return as_noise(make_uniform(math.sqrt(3.0)))
+    """Isotropic uniform noise on [-sqrt(3), sqrt(3)] (unit variance).  Its
+    ``sum_sampler`` draws an n-step sum from eleven digit-sum alias tables
+    per group of 256 steps (see ``_uniform_sum_sampler``)."""
+    h = math.sqrt(3.0)
+    return replace(as_noise(make_uniform(h)), sum_sampler=_uniform_sum_sampler(h))
 
 
 def gaussian_noise() -> NoiseDistribution:

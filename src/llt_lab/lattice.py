@@ -353,10 +353,11 @@ def lattice_series(g, step: float, offsets, radius, tol: float, label: str):
     Each offset is first moved to the lattice point nearest it (the sum is
     lattice-invariant, and the block engine assumes decay from the first
     blocks outward).  When g vanishes outside [-radius, radius], every
-    lattice point within it is summed and the tail is 0; otherwise the
-    two-sided series is summed in blocks and refused when its tail misses
-    max(tol, 1e-7); a tail between the two is returned, and the callers'
-    results flag it with ``tol_met``.
+    lattice point within it is summed and nothing is truncated; otherwise
+    the two-sided series is summed in blocks and refused when its truncation
+    tail misses max(tol, 1e-7); a tail between the two is returned, and the
+    callers' results flag it with ``tol_met``.  The returned tail adds the
+    rounding of the sum (``_sum_rounding``) to the truncation.
     """
     a = np.atleast_1d(np.asarray(offsets, dtype=float))
     a = a - step * np.round(a / step)
@@ -364,16 +365,36 @@ def lattice_series(g, step: float, offsets, radius, tol: float, label: str):
         m_lo = int(math.ceil((-radius - float(a.max())) / step - 1e-12))
         m_hi = int(math.floor((radius - float(a.min())) / step + 1e-12))
         m = np.arange(m_lo, m_hi + 1)[None, :]
-        return np.asarray(g(step * m + a[:, None]), dtype=float).sum(axis=1), 0.0
+        t = np.asarray(g(step * m + a[:, None]), dtype=float)
+        return t.sum(axis=1), _sum_rounding(np.abs(t).sum(axis=1), t.shape[1])
+
+    centre = np.asarray(g(a), dtype=float)
+    mass = [np.abs(centre)]
 
     def term_block(k0, k1):
         m = np.arange(k0, k1)[None, :]
-        return (np.asarray(g(step * m + a[:, None]), dtype=float)
-                + np.asarray(g(-step * m + a[:, None]), dtype=float))
+        up = np.asarray(g(step * m + a[:, None]), dtype=float)
+        down = np.asarray(g(-step * m + a[:, None]), dtype=float)
+        mass.append((np.abs(up) + np.abs(down)).sum(axis=1))
+        return up + down
 
     res = sum_series_blocks(term_block, tol=tol, block=128, max_blocks=192)
     _require_summable(res.tail_estimate, tol, f"{label}: density lattice tail")
-    return np.asarray(g(a), dtype=float) + np.real(res.value), res.tail_estimate
+    rounding = _sum_rounding(np.sum(mass, axis=0), 1 + 256 * (len(mass) - 1))
+    return centre + np.real(res.value), res.tail_estimate + rounding
+
+
+def _sum_rounding(abs_sum, terms: int) -> float:
+    """Declared rounding of a lattice sum of ``terms`` terms whose absolute
+    values add up to ``abs_sum`` (the largest over the offsets counts):
+    eps min(terms - 1, 8 + log2 terms) abs_sum.  A sum of N terms makes
+    N - 1 additions, each off by at most eps/2 of the absolute sum, which
+    leaves eps/2 per addition for the terms' own argument and value; a long
+    sum of decaying terms is charged 8 + log2 N roundings instead.  A single
+    term is returned as the source evaluates it."""
+    eps = float(np.finfo(float).eps)
+    ulps = min(max(terms - 1.0, 0.0), 8.0 + math.log2(max(terms, 1)))
+    return eps * ulps * float(np.max(abs_sum))
 
 
 def sum_density_lattice(dist: SourceDistribution, scale: float, offset,

@@ -1,4 +1,5 @@
 import math
+from math import comb
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError,
                      exact_mixture_density_2d, gaussian_noise, make_fejer,
                      make_gaussian, make_laplace, make_uniform, mixture_weights,
                      monte_carlo_density, product, uniform_noise)
+from llt_lab.distributions import _DIGIT_BITS, _alias_table, _digit_sum_pmf
 from llt_lab.oracle import _CHUNK, _chunk_rng, _draw_z
 
 UNIFORM = make_uniform(1.0)
@@ -22,6 +24,9 @@ def test_mixture_weights_normalized():
         assert np.all(np.isfinite(w.log_weights))
         assert w.total() == pytest.approx(1.0, abs=1e-10)
         assert float(w.weights().sum()) == pytest.approx(1.0, abs=1e-12)
+        # cached, and read-only so that no caller can change the cached entry
+        assert mixture_weights(n) is w
+        assert not w.log_weights.flags.writeable
 
 
 def test_mixture_matches_mpmath_at_large_n():
@@ -190,14 +195,90 @@ def test_monte_carlo_rejects_non_finite_input():
 
 @pytest.mark.parametrize("n", [1, 3, 16, 256, 4097])
 def test_blocked_step_sum_matches_one_draw(n):
-    model = SmoothedModel(LAPLACE, uniform_noise())
+    # gaussian noise declares no sum sampler, so its steps take the row blocks
+    noise = gaussian_noise()
+    assert noise.sum_sampler is None
+    model = SmoothedModel(LAPLACE, noise)
     m = (1 << 18) // n + 7          # not a multiple of the row block
     blocked = _draw_z(model, n, m, np.random.default_rng(11))
     rng = np.random.default_rng(11)
     x = LAPLACE.sampler(rng, m)
-    h = math.sqrt(3.0)
-    one = (x + rng.uniform(-h, h, (m, n)).sum(axis=1)) / math.sqrt(n)
+    one = (x + rng.normal(0.0, 1.0, (m, n)).sum(axis=1)) / math.sqrt(n)
     assert np.array_equal(blocked, one)
+
+
+# ---------------------------------------------------------------------------
+# uniform step sums from digit-sum alias tables
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+
+
+def _digit_sum_law(g):
+    # sum_i (-1)^i C(g,i) C(j - i r + g - 1, g - 1) / r^g with r = 2^b, as
+    # correctly rounded quotients of exact integers
+    r = 1 << _DIGIT_BITS
+    counts = [sum((-1) ** i * comb(g, i) * comb(j - i * r + g - 1, g - 1)
+                  for i in range(j // r + 1))
+              for j in range(g * (r - 1) + 1)]
+    return np.array([c / r ** g for c in counts])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 17])
+def test_digit_sum_pmf_matches_exact_counts(g):
+    p, ref = _digit_sum_pmf(g), _digit_sum_law(g)
+    assert p.shape == ref.shape
+    assert np.all(np.abs(p - ref) <= 4.0 * g * EPS * ref)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 17, 256])
+def test_alias_table_reproduces_the_pmf(g):
+    prob, alias = _alias_table(g)
+    k = prob.size
+    assert k == g * ((1 << _DIGIT_BITS) - 1) + 1
+    assert np.all((prob >= 0.0) & (prob <= 1.0))
+    assert not prob.flags.writeable and not alias.flags.writeable
+    # column j gives j with probability prob[j] and alias[j] otherwise
+    law = prob.copy()
+    np.add.at(law, alias, 1.0 - prob)
+    law /= k
+    assert float(np.abs(law - _digit_sum_pmf(g)).sum()) <= k * EPS
+
+
+@pytest.mark.parametrize("n", [1, 16, 256, 4097])
+def test_uniform_sum_sampler_moments(n):
+    # mean 0, variance n and fourth cumulant -1.2 n, each within 5 Monte
+    # Carlo standard errors (delta method for the cumulant)
+    s = uniform_noise().sum_sampler(np.random.default_rng(2718), 1 << 16, n)
+    m = s.size
+    m2 = float(np.mean(s * s))
+    k4 = float(np.mean(s ** 4)) - 3.0 * m2 * m2
+    assert abs(float(s.mean())) <= 5.0 * math.sqrt(m2 / m)
+    assert abs(m2 - n) <= 5.0 * float(np.std(s * s)) / math.sqrt(m)
+    assert abs(k4 + 1.2 * n) <= 5.0 * float(np.std(s ** 4 - 6.0 * m2 * s * s)) / math.sqrt(m)
+    assert np.all(np.abs(s) <= math.sqrt(3.0) * n)
+
+
+def test_uniform_sum_sampler_at_a_million_steps():
+    # 3906 groups of 256 steps and one of 64: two tables, within the cache bound
+    _alias_table.cache_clear()
+    n = 10 ** 6
+    s = uniform_noise().sum_sampler(np.random.default_rng(3), 100, n)
+    assert s.shape == (100,) and np.all(np.isfinite(s))
+    assert 0.5 * n <= float(np.mean(s * s)) <= 1.6 * n
+    info = _alias_table.cache_info()
+    assert info.currsize == 2 and info.currsize <= info.maxsize
+
+
+def test_uniform_sum_draws_do_not_depend_on_chunk_order():
+    model = SmoothedModel(LAPLACE, uniform_noise())
+    samples, n = 2 * _CHUNK + 1234, 300    # groups of 256 and 44 steps
+    _alias_table.cache_clear()
+    backward = _seeded_sample(model, n, samples, seed=7)
+    forward = np.concatenate([
+        _draw_z(model, n, min(_CHUNK, samples - i0), _chunk_rng(7, c))
+        for c, i0 in enumerate(range(0, samples, _CHUNK))])
+    assert np.array_equal(backward, forward)
 
 
 @pytest.mark.parametrize("kwargs", [
