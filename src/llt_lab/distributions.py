@@ -644,8 +644,7 @@ def _uniform_sum_sampler(h: float) -> Callable:
 
     def sum_sampler(rng, size, n):
         # per group and digit: one index draw, then one coin draw; rows of
-        # `size` values keep the temporaries small (half the time of one
-        # (digits, size) block per group at size 2^14)
+        # `size` values keep the temporaries small
         d = np.zeros((_DIGITS, size), dtype=np.int64)
         full, rest = divmod(n, _GROUP)
         for g in [_GROUP] * full + [rest] * (rest > 0):

@@ -378,9 +378,10 @@ def lattice_series(g, step: float, offsets, radius, tol: float, label: str):
         mass.append((np.abs(up) + np.abs(down)).sum(axis=1))
         return up + down
 
-    res = sum_series_blocks(term_block, tol=tol, block=128, max_blocks=192)
+    block = 128
+    res = sum_series_blocks(term_block, tol=tol, block=block, max_blocks=192)
     _require_summable(res.tail_estimate, tol, f"{label}: density lattice tail")
-    rounding = _sum_rounding(np.sum(mass, axis=0), 1 + 256 * (len(mass) - 1))
+    rounding = _sum_rounding(np.sum(mass, axis=0), 1 + 2 * block * (len(mass) - 1))
     return centre + np.real(res.value), res.tail_estimate + rounding
 
 
