@@ -4,15 +4,15 @@ function pairs.
 Every entry carries closed-form moments, derivative functions where they exist,
 the support radius of a compactly supported density or characteristic function
 (used by the lattice and inversion engines to sum or integrate over the support
-exactly), and structural flags.  All objects are immutable; the evaluation callables are pure and vectorized over
-numpy arrays.
+exactly), and structural flags.  All objects are immutable; the evaluation
+callables are pure and follow one float-or-array rule (``_pointwise``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,10 +46,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 class DistFlags:
     symmetric_about_0: bool
     bounded_variation_density: bool
-    cf_nonnegative: bool
     density_continuous: bool = True
     cf_integrable: bool = True
-    cf_square_integrable: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +92,9 @@ class SourceDistribution:
 
 @dataclass(frozen=True, eq=False)
 class NoiseDistribution(SourceDistribution):
-    """A mean-zero isotropic smoothing noise; same shape as a source
-    distribution plus the maximal directional third absolute moment."""
+    """A mean-zero isotropic smoothing noise: a source distribution's
+    fields plus how its steps and their sums are drawn."""
 
-    beta3: Optional[float] = None
     is_symmetric_bernoulli: bool = False
     zero_atom_free: bool = True
     sum_sampler: Optional[Callable] = None
@@ -139,17 +136,14 @@ def _one_minus_cos_over_sq(u):
     return 0.5 * _sinc(0.5 * np.asarray(u, dtype=float)) ** 2
 
 
-def _one_minus_sinc_over_sq(u):
-    """(1 - sin(u)/u)/u**2 with series near 0 (used by the triangular-cf
-    self-convolution)."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SMALL
-    safe = np.where(small, 1.0, u)
-    u2 = u * u
-    series = 1.0 / 6.0 - u2 / 120.0 + u2 * u2 / 5040.0
-    direct = (1.0 - np.sin(safe) / safe) / (safe * safe)
-    out = np.where(small, series, direct)
-    return out
+def _pointwise(fn: Callable) -> Callable:
+    """The catalog's float-or-array rule: ``fn`` receives the points as a
+    float array, and a 0-d result is returned as a Python float."""
+    @functools.wraps(fn)
+    def at(x):
+        out = fn(np.asarray(x, dtype=float))
+        return float(out) if np.ndim(out) == 0 else out
+    return at
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -167,23 +161,21 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
     """Uniform distribution on [-h, h]; cf(t) = sin(ht)/(ht)."""
     h = _require_positive("halfwidth", halfwidth)
 
+    @_pointwise
     def density(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(np.abs(x) <= h, 1.0 / (2.0 * h), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(np.abs(x) <= h, 1.0 / (2.0 * h), 0.0)
 
+    @_pointwise
     def cf(t):
-        out = _sinc(np.asarray(t, dtype=float) * h)
-        return float(out) if out.ndim == 0 else out
+        return _sinc(t * h)
 
+    @_pointwise
     def cf_grad(t):
-        out = h * _sinc_prime(np.asarray(t, dtype=float) * h)
-        return float(out) if out.ndim == 0 else out
+        return h * _sinc_prime(t * h)
 
+    @_pointwise
     def self_convolution(y):
-        y = np.asarray(y, dtype=float)
-        out = np.maximum(2.0 * h - np.abs(y), 0.0) / (4.0 * h * h)
-        return float(out) if out.ndim == 0 else out
+        return np.maximum(2.0 * h - np.abs(y), 0.0) / (4.0 * h * h)
 
     def sampler(rng, size):
         return rng.uniform(-h, h, size)
@@ -199,10 +191,8 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
         flags=DistFlags(
             symmetric_about_0=True,
             bounded_variation_density=True,
-            cf_nonnegative=False,
             density_continuous=False,
             cf_integrable=False,
-            cf_square_integrable=True,
         ),
         density_support_radius=h,
         self_convolution=self_convolution,
@@ -215,26 +205,22 @@ def make_laplace(scale: float) -> SourceDistribution:
     """Two-sided exponential with density exp(-|x|/b)/(2b); cf(t) = 1/(1+b^2 t^2)."""
     b = _require_positive("scale", scale)
 
+    @_pointwise
     def density(x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-np.abs(x) / b) / (2.0 * b)
-        return float(out) if out.ndim == 0 else out
+        return np.exp(-np.abs(x) / b) / (2.0 * b)
 
+    @_pointwise
     def cf(t):
-        t = np.asarray(t, dtype=float)
-        out = 1.0 / (1.0 + (b * t) ** 2)
-        return float(out) if out.ndim == 0 else out
+        return 1.0 / (1.0 + (b * t) ** 2)
 
+    @_pointwise
     def cf_grad(t):
-        t = np.asarray(t, dtype=float)
-        out = -2.0 * b * b * t / (1.0 + (b * t) ** 2) ** 2
-        return float(out) if out.ndim == 0 else out
+        return -2.0 * b * b * t / (1.0 + (b * t) ** 2) ** 2
 
+    @_pointwise
     def self_convolution(y):
-        y = np.asarray(y, dtype=float)
         a = np.abs(y) / b
-        out = (1.0 + a) * np.exp(-a) / (4.0 * b)
-        return float(out) if out.ndim == 0 else out
+        return (1.0 + a) * np.exp(-a) / (4.0 * b)
 
     def lattice_tail(R, L):
         # two geometric series from |y| = R on, ratio e^{-L/b}
@@ -251,11 +237,7 @@ def make_laplace(scale: float) -> SourceDistribution:
         abs_moment1=b,
         second_moment=2.0 * b * b,
         abs_moment3=6.0 * b ** 3,
-        flags=DistFlags(
-            symmetric_about_0=True,
-            bounded_variation_density=True,
-            cf_nonnegative=True,
-        ),
+        flags=DistFlags(symmetric_about_0=True, bounded_variation_density=True),
         density_lattice_tail=lattice_tail,
         self_convolution=self_convolution,
         sampler=sampler,
@@ -268,31 +250,27 @@ def make_gaussian(sigma: float) -> SourceDistribution:
     s = _require_positive("sigma", sigma)
     s2 = s * s
 
+    @_pointwise
     def density(x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-x * x / (2.0 * s2)) / (s * _SQRT2PI)
-        return float(out) if out.ndim == 0 else out
+        return np.exp(-x * x / (2.0 * s2)) / (s * _SQRT2PI)
 
+    @_pointwise
     def cf(t):
-        t = np.asarray(t, dtype=float)
-        out = np.exp(-0.5 * s2 * t * t)
-        return float(out) if out.ndim == 0 else out
+        return np.exp(-0.5 * s2 * t * t)
 
+    @_pointwise
     def cf_grad(t):
-        t = np.asarray(t, dtype=float)
-        out = -s2 * t * np.exp(-0.5 * s2 * t * t)
-        return float(out) if out.ndim == 0 else out
+        return -s2 * t * np.exp(-0.5 * s2 * t * t)
 
+    @_pointwise
     def self_convolution(y):
-        y = np.asarray(y, dtype=float)
         v = 2.0 * s2
-        out = np.exp(-y * y / (2.0 * v)) / math.sqrt(v) / _SQRT2PI
-        return float(out) if out.ndim == 0 else out
+        return np.exp(-y * y / (2.0 * v)) / math.sqrt(v) / _SQRT2PI
 
     def lattice_tail(R, L):
         # a decreasing density sums to at most its first value plus its
         # integral over L, on each side
-        return 2.0 * (float(density(R)) + 0.5 * math.erfc(R / (s * math.sqrt(2.0))) / L)
+        return 2.0 * (density(R) + 0.5 * math.erfc(R / (s * math.sqrt(2.0))) / L)
 
     def sampler(rng, size):
         return rng.normal(0.0, s, size)
@@ -305,11 +283,7 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         abs_moment1=s * math.sqrt(2.0 / math.pi),
         second_moment=s2,
         abs_moment3=2.0 * math.sqrt(2.0) * s ** 3 / math.sqrt(math.pi),
-        flags=DistFlags(
-            symmetric_about_0=True,
-            bounded_variation_density=True,
-            cf_nonnegative=True,
-        ),
+        flags=DistFlags(symmetric_about_0=True, bounded_variation_density=True),
         density_lattice_tail=lattice_tail,
         self_convolution=self_convolution,
         sampler=sampler,
@@ -326,28 +300,20 @@ def make_fejer(support_radius: float) -> SourceDistribution:
     """
     T = _require_positive("support_radius", support_radius)
 
+    @_pointwise
     def density(x):
-        x = np.asarray(x, dtype=float)
-        out = (T / math.pi) * _one_minus_cos_over_sq(T * x)
-        return float(out) if out.ndim == 0 else out
+        return (T / math.pi) * _one_minus_cos_over_sq(T * x)
 
+    @_pointwise
     def cf(t):
-        t = np.asarray(t, dtype=float)
-        out = np.maximum(1.0 - np.abs(t) / T, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.maximum(1.0 - np.abs(t) / T, 0.0)
 
+    @_pointwise
     def cf_grad(t):
         # defined away from the kinks at 0 and +-T; the convention at the
         # isolated kink points (value 0 at t=0, one-sided slope elsewhere)
         # only affects sets of measure zero in the integrals that use it
-        t = np.asarray(t, dtype=float)
-        out = np.where(np.abs(t) < T, -np.sign(t) / T, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def self_convolution(y):
-        y = np.asarray(y, dtype=float)
-        out = (2.0 * T / math.pi) * _one_minus_sinc_over_sq(T * y)
-        return float(out) if out.ndim == 0 else out
+        return np.where(np.abs(t) < T, -np.sign(t) / T, 0.0)
 
     def sampler(rng, size):
         return _fejer_rejection_sample(rng, T, size)
@@ -361,12 +327,7 @@ def make_fejer(support_radius: float) -> SourceDistribution:
         second_moment=None,
         abs_moment3=math.inf,
         cf_support_radius=T,
-        flags=DistFlags(
-            symmetric_about_0=True,
-            bounded_variation_density=True,
-            cf_nonnegative=True,
-        ),
-        self_convolution=self_convolution,
+        flags=DistFlags(symmetric_about_0=True, bounded_variation_density=True),
         sampler=sampler,
         label=f"fejer:T={T:g}",
     )
@@ -421,28 +382,28 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
             raise InvalidParameterError("product components must be one-dimensional")
     d = len(comps)
 
+    @_pointwise
     def density(x):
-        x = np.asarray(x, dtype=float)
         if x.shape[-1] != d:
             raise InvalidParameterError(f"expected points with last axis {d}")
         out = np.ones(x.shape[:-1])
         for i, c in enumerate(comps):
             out = out * c.density(x[..., i])
-        return float(out) if out.ndim == 0 else out
+        return out
 
+    @_pointwise
     def cf(t):
-        t = np.asarray(t, dtype=float)
         if t.shape[-1] != d:
             raise InvalidParameterError(f"expected points with last axis {d}")
         out = np.ones(t.shape[:-1])
         for i, c in enumerate(comps):
             out = out * c.cf(t[..., i])
-        return float(out) if out.ndim == 0 else out
+        return out
 
     have_grads = all(c.cf_grad is not None for c in comps)
 
+    @_pointwise
     def cf_grad(t):
-        t = np.asarray(t, dtype=float)
         vals = [c.cf(t[..., i]) for i, c in enumerate(comps)]
         grads = []
         for i, c in enumerate(comps):
@@ -481,14 +442,8 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
         second_moment=m2,
         abs_moment3=None,
         cf_support_radius=radius,
-        flags=DistFlags(
-            symmetric_about_0=all(c.flags.symmetric_about_0 for c in comps),
-            bounded_variation_density=all(c.flags.bounded_variation_density for c in comps),
-            cf_nonnegative=all(c.flags.cf_nonnegative for c in comps),
-            density_continuous=all(c.flags.density_continuous for c in comps),
-            cf_integrable=all(c.flags.cf_integrable for c in comps),
-            cf_square_integrable=all(c.flags.cf_square_integrable for c in comps),
-        ),
+        flags=DistFlags(**{f.name: all(getattr(c.flags, f.name) for c in comps)
+                           for f in fields(DistFlags)}),
         sampler=sampler if have_samplers else None,
         components=comps,
         label="product:" + ",".join(c.label for c in comps),
@@ -505,15 +460,13 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
     if d < 1:
         raise InvalidParameterError("dim must be a positive integer")
 
+    @_pointwise
     def cf(t):
-        t = np.asarray(t, dtype=float)
         if d == 1:
-            out = np.cos(t)
-        else:
-            if t.shape[-1] != d:
-                raise InvalidParameterError(f"expected points with last axis {d}")
-            out = np.prod(np.cos(t), axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+            return np.cos(t)
+        if t.shape[-1] != d:
+            raise InvalidParameterError(f"expected points with last axis {d}")
+        return np.prod(np.cos(t), axis=-1)
 
     def sampler(rng, size):
         shape = (size, d) if d > 1 else size
@@ -535,14 +488,11 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
         flags=DistFlags(
             symmetric_about_0=True,
             bounded_variation_density=False,
-            cf_nonnegative=False,
             density_continuous=False,
             cf_integrable=False,
-            cf_square_integrable=False,
         ),
         sampler=sampler,
         label="bernoulli" if d == 1 else f"bernoulli:d={d}",
-        beta3=1.0 if d == 1 else None,
         is_symmetric_bernoulli=True,
         zero_atom_free=True,
         sum_sampler=sum_sampler,
@@ -566,26 +516,8 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
     if not dist.flags.symmetric_about_0:
         raise UnsupportedError(f"{dist.label}: noise catalog requires symmetry about 0")
 
-    return NoiseDistribution(
-        dim=1,
-        density=dist.density,
-        cf=dist.cf,
-        cf_grad=dist.cf_grad,
-        abs_moment1=dist.abs_moment1,
-        second_moment=dist.second_moment,
-        abs_moment3=dist.abs_moment3,
-        cf_support_radius=dist.cf_support_radius,
-        density_support_radius=dist.density_support_radius,
-        density_lattice_tail=dist.density_lattice_tail,
-        self_convolution=dist.self_convolution,
-        sampler=dist.sampler,
-        components=dist.components,
-        label=dist.label,
-        flags=dist.flags,
-        beta3=dist.abs_moment3,
-        is_symmetric_bernoulli=False,
-        zero_atom_free=dist.density is not None,
-    )
+    return NoiseDistribution(**{f.name: getattr(dist, f.name) for f in fields(SourceDistribution)},
+                             zero_atom_free=dist.density is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ class RegularityReport:
     shell_contributions: tuple
 
 
+def _separable(x: LatticeSum, y: LatticeSum, tol: float) -> LatticeSum:
+    """The product of two one-dimensional sums, with the tail
+    |XY - xy| = |(X - x) Y + x (Y - y)| <= ex |y| + ey (|x| + ex) for true
+    sums X, Y within the tails ex, ey of x, y."""
+    ex, ey = x.tail_estimate, y.tail_estimate
+    tail = ex * abs(y.value) + ey * (abs(x.value) + ex)
+    return LatticeSum(x.value * y.value, tail, bool(tail <= tol))
+
+
 def _require_summable(tail: float, tol: float, what: str) -> None:
     """Refuse a lattice sum whose tail misses tol (and the 1e-7 floor)."""
     if tail > max(tol, 1e-7):
@@ -309,12 +318,8 @@ def sum_cf_lattice(dist: SourceDistribution, step: float,
         return LatticeSum(value, tail, bool(tail <= tol))
     if dist.dim == 2 and dist.components is not None:
         ph = (0.0, 0.0) if phase is None else tuple(np.ravel(phase))
-        parts = [sum_cf_lattice(c, step, p, tol / 2.0)
-                 for c, p in zip(dist.components, ph)]
-        value = parts[0].value * parts[1].value
-        scale = max(abs(complex(parts[0].value)), abs(complex(parts[1].value)), 1.0)
-        tail = (parts[0].tail_estimate + parts[1].tail_estimate) * scale
-        return LatticeSum(value, tail, bool(tail <= tol))
+        return _separable(*(sum_cf_lattice(c, step, p, tol / 2.0)
+                            for c, p in zip(dist.components, ph)), tol)
     return _cf_lattice_2d_generic(dist, step, phase, tol)
 
 
@@ -414,10 +419,8 @@ def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
         return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
     if dist.dim == 2 and dist.components is not None:
         a = np.ravel(np.asarray(offset, dtype=float))
-        (vx, ex), (vy, ey) = [lattice_series(c.density, L, ai, c.density_support_radius,
-                                             tol / 2.0, c.label)
-                              for c, ai in zip(dist.components, a)]
-        return LatticeSum(float(vx[0] * vy[0]), ex + ey, bool(ex + ey <= tol))
+        return _separable(*(sum_density_lattice(c, L, ai, tol / 2.0)
+                            for c, ai in zip(dist.components, a)), tol)
     raise UnsupportedError("density lattice sums support dim 1 and separable dim 2")
 
 
@@ -483,10 +486,7 @@ def wrapped_autocorrelation(dist: SourceDistribution, tol: float = 1e-9) -> Latt
     if dist.dim == 1:
         return _wrapped_autocorr_1d(dist, tol)
     if dist.dim == 2 and dist.components is not None:
-        x, y = (_wrapped_autocorr_1d(c, tol / 2.0) for c in dist.components)
-        ex, ey = x.tail_estimate, y.tail_estimate
-        tail = ex * abs(y.value) + ey * (abs(x.value) + ex)
-        return LatticeSum(x.value * y.value, tail, bool(tail <= tol))
+        return _separable(*(_wrapped_autocorr_1d(c, tol / 2.0) for c in dist.components), tol)
     raise UnsupportedError("wrapped autocorrelation supports dim 1 and separable dim 2")
 
 

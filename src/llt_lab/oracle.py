@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,13 +45,20 @@ _MAX_2D_N = 256
 
 @dataclass(frozen=True)
 class MixtureWeights:
-    """log C(n,j) - n log 2 for j = 0..n; exponentiated weights sum to 1."""
+    """log C(n,j) - n log 2 for j = 0..n; the weights, exponentiated once
+    into a read-only array, sum to 1."""
 
     n: int
     log_weights: np.ndarray
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = np.exp(self.log_weights)
+        w.flags.writeable = False
+        object.__setattr__(self, "_weights", w)
 
     def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
+        return self._weights
 
     def total(self) -> float:
         return float(math.exp(logsumexp(self.log_weights)))
@@ -62,13 +69,14 @@ def mixture_weights(n: int) -> MixtureWeights:
     C(n,j+1)/C(n,j) = (n-j)/(j+1) out from the mode, normalised by an exact
     sum.  gammaln differences would lose |gammaln(n+1)| eps, 1.3e-11
     relative at n = 16384; they remain only where the product underflows.
-    The last few n are cached; their ``log_weights`` are read-only."""
+    The last few n are cached; their ``log_weights`` and ``weights()`` are
+    read-only."""
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
     return _mixture_weights(n)
 
 
-# at n = 10^6 one entry holds 8 MB and takes about 0.2 s to build
+# at n = 10^6 one entry holds 16 MB and takes about 0.2 s to build
 @functools.lru_cache(maxsize=8)
 def _mixture_weights(n: int) -> MixtureWeights:
     j = np.arange(n + 1, dtype=float)

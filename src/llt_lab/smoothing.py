@@ -72,16 +72,14 @@ def _max_threads() -> int:
 class SmoothedModel:
     source: SourceDistribution
     noise: NoiseDistribution
-    dim: int = 0
 
     def __post_init__(self):
-        d = self.source.dim
-        if self.noise.dim != d:
+        if self.noise.dim != self.source.dim:
             raise InvalidParameterError("source and noise dimensions differ")
-        if self.dim == 0:
-            object.__setattr__(self, "dim", d)
-        elif self.dim != d:
-            raise InvalidParameterError("model dim inconsistent with source")
+
+    @property
+    def dim(self) -> int:
+        return self.source.dim
 
 
 @dataclass(frozen=True)
@@ -108,34 +106,14 @@ class ConvergenceReport:
 # smoothed characteristic function
 # ---------------------------------------------------------------------------
 
-def _stable_real_power(v: np.ndarray, n: int) -> np.ndarray:
-    """v^n for real v in [-1, 1] without underflow surprises: the magnitude
-    goes through n*log|v|, the sign through the parity of n."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    nz = np.abs(v) > 0.0
-    with np.errstate(divide="ignore"):
-        mag = np.exp(n * np.log(np.abs(v, where=nz, out=np.ones_like(v))))
-    sgn = np.where((v < 0) & (n % 2 == 1), -1.0, 1.0)
-    out = np.where(nz, sgn * mag, 0.0)
-    return out
-
-
 def smoothed_cf(model: SmoothedModel, n: int, t):
     """f(t/sqrt n) * v(t/sqrt n)^n at points t (scalar, array, or (..., d))."""
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
     rt = math.sqrt(n)
     ts = np.asarray(t, dtype=float) / rt
-    fv = np.asarray(model.source.cf(ts))
-    vv = np.asarray(model.noise.cf(ts))
-    if np.iscomplexobj(vv):
-        out = fv * np.power(vv, n)
-    else:
-        out = fv * _stable_real_power(vv, n)
-    if np.ndim(out) == 0:
-        return complex(out) if np.iscomplexobj(np.asarray(out)) else float(out)
-    return out
+    out = np.asarray(model.source.cf(ts) * np.power(model.noise.cf(ts), n))
+    return out.item() if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import sici
 
-from llt_lab import (InvalidParameterError, UnsupportedError, as_noise,
-                     bernoulli_noise, beta3, make_fejer, make_gaussian,
+from llt_lab import (InvalidParameterError, SourceDistribution, UnsupportedError,
+                     as_noise, bernoulli_noise, beta3, make_fejer, make_gaussian,
                      make_laplace, make_uniform, product, uniform_noise)
 
 UNIFORM = make_uniform(1.0)
@@ -80,7 +81,7 @@ def test_bernoulli_noise_examples():
     assert b1.cf(math.pi) == pytest.approx(-1.0, rel=1e-15)
     b2 = bernoulli_noise(2)
     assert abs(b2.cf(np.array([math.pi / 2, 0.0]))) <= 1e-16
-    assert b1.beta3 == 1.0
+    assert b1.abs_moment3 == 1.0
     assert b1.is_symmetric_bernoulli
 
 
@@ -197,7 +198,45 @@ def test_as_noise_requires_unit_variance():
         as_noise(make_uniform(1.0))
     noise = uniform_noise()
     assert noise.second_moment == pytest.approx(1.0, abs=1e-12)
-    assert noise.beta3 == pytest.approx(3.0 * math.sqrt(3.0) / 4.0)
+    assert beta3(noise) == pytest.approx(3.0 * math.sqrt(3.0) / 4.0)
+
+
+@pytest.mark.parametrize("dist", [make_uniform(math.sqrt(3.0)), make_gaussian(1.0),
+                                  make_laplace(1.0 / math.sqrt(2.0))],
+                         ids=lambda d: d.label)
+def test_as_noise_carries_every_source_field(dist):
+    noise = as_noise(dist)
+    for f in dataclasses.fields(SourceDistribution):
+        assert getattr(noise, f.name) is getattr(dist, f.name), f.name
+    assert noise.zero_atom_free and not noise.is_symmetric_bernoulli
+
+
+def _pointwise_callables():
+    for d in CATALOG:
+        for name in ("density", "cf", "cf_grad", "self_convolution"):
+            if getattr(d, name) is not None:
+                yield f"{d.label}.{name}", getattr(d, name), 1
+    p2 = product([UNIFORM, LAPLACE])
+    yield "product.density", p2.density, 2
+    yield "product.cf", p2.cf, 2
+    yield "bernoulli.cf", bernoulli_noise(1).cf, 1
+
+
+POINTWISE = list(_pointwise_callables())
+
+
+@pytest.mark.parametrize("name, fn, d", POINTWISE, ids=[c[0] for c in POINTWISE])
+def test_callables_return_float_or_array_of_the_points(name, fn, d):
+    one = 0.3 if d == 1 else np.array([0.3, -0.2])
+    assert type(fn(one)) is float
+    if d == 1:
+        assert type(fn(np.float64(0.3))) is float
+    pts = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    if d == 2:
+        pts = np.stack([pts, -0.5 * pts], axis=-1)
+    out = fn(pts)
+    assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+    assert np.array_equal(out.ravel()[5], fn(pts.reshape(12, *pts.shape[2:])[5]))
 
 
 def test_fejer_sampler_matches_density():

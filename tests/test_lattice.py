@@ -82,6 +82,16 @@ def test_density_sum_1d_rejects_offset_array():
     assert r.value == pytest.approx(0.5 * (E2 + 1.0) / (E2 - 1.0), abs=1e-13)
 
 
+def test_density_sum_product_tail_scales_with_the_other_factor():
+    # each factor sums to coth(1/2)/2 > 1, so the product's tail must exceed
+    # the sum of the two factors' tails
+    x = sum_density_lattice(LAPLACE, 1.0, 0.0, tol=5e-11)
+    assert x.value > 1.0 and x.tail_estimate > 0.0
+    r = sum_density_lattice(product([LAPLACE, LAPLACE]), 1.0, [0.0, 0.0], tol=1e-10)
+    assert r.value == x.value * x.value
+    assert r.tail_estimate >= 2.0 * x.tail_estimate * x.value > 2.0 * x.tail_estimate
+
+
 # ---------------------------------------------------------------------------
 # cf lattice sums
 # ---------------------------------------------------------------------------
@@ -477,8 +487,7 @@ def _correlated_gaussian_2d():
              + x[..., 1] ** 2 * Sinv[1, 1])
         return np.exp(-0.5 * q) / (2 * math.pi * math.sqrt(det))
 
-    flags = DistFlags(symmetric_about_0=True, bounded_variation_density=True,
-                      cf_nonnegative=True)
+    flags = DistFlags(symmetric_about_0=True, bounded_variation_density=True)
     return SourceDistribution(dim=2, density=density, cf=cf, flags=flags,
                               label="gauss2d-correlated"), S
 
@@ -506,8 +515,7 @@ def _radial_laplace_2d():
         x = np.asarray(x, dtype=float)
         return np.exp(-np.hypot(x[..., 0], x[..., 1])) / (2.0 * math.pi)
 
-    flags = DistFlags(symmetric_about_0=True, bounded_variation_density=True,
-                      cf_nonnegative=True)
+    flags = DistFlags(symmetric_about_0=True, bounded_variation_density=True)
     return SourceDistribution(dim=2, density=density, cf=cf, flags=flags,
                               label="laplace2d-radial")
 

@@ -27,6 +27,7 @@ def test_mixture_weights_normalized():
         # cached, and read-only so that no caller can change the cached entry
         assert mixture_weights(n) is w
         assert not w.log_weights.flags.writeable
+        assert not w.weights().flags.writeable and w.weights() is w.weights()
 
 
 def test_mixture_matches_mpmath_at_large_n():

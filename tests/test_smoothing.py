@@ -51,6 +51,13 @@ def test_smoothed_cf_no_underflow_large_n():
     assert math.isfinite(v)
 
 
+def test_model_refuses_mismatched_dimensions():
+    for source, noise in ((UNIFORM, bernoulli_noise(2)), (product([UNIFORM, LAPLACE]), BERN)):
+        with pytest.raises(InvalidParameterError, match="dimensions differ"):
+            SmoothedModel(source, noise)
+    assert SmoothedModel(product([UNIFORM, LAPLACE]), bernoulli_noise(2)).dim == 2
+
+
 # ---------------------------------------------------------------------------
 # window transform of cos^n
 # ---------------------------------------------------------------------------
