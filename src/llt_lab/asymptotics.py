@@ -6,9 +6,11 @@ pointwise; instead p_n(x) tracks A_n(x) phi(x) where the oscillation factor
     A_n(x) = sum_k e^{-i pi k (x sqrt n + n)} f(pi k)
            = 2 sum_m p(2m + x sqrt n + n)
 
-is computed here along both routes independently (phased cf lattice sum vs
-density lattice sum), with their gap, the 2/sqrt(n) periodicity defect, and
-the sup residual against A_n * phi reported per n.
+is computed here on both sides of that Poisson pair independently: the cf
+side in closed form (``lattice._cf_side``: a finite head plus Bernoulli
+polynomials) and the density side on its short side (``lattice._short_side``).
+The report gives their gap, the 2/sqrt(n) periodicity defect, and the sup
+residual against A_n * phi per n.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .distributions import SourceDistribution
-from .errors import UnsupportedError
+from .errors import UnsupportedError, require_tol
 from .inversion import Grid
-from .lattice import _JUMP_TOL, _require_summable, lattice_series, phased_cf_lattice_sum
+from .lattice import _JUMP_TOL, _cf_side, _density_sum, _require_summable
 from .smoothing import SmoothedModel, default_grid, density
 
 __all__ = [
@@ -84,19 +86,18 @@ def _route(source: SourceDistribution) -> str:
 
 def _a_factor(source: SourceDistribution, a, tol: float, route: str):
     """A_n at the lattice offsets a along one route; returns (values, tail)."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    fr = a - 2.0 * np.round(a / 2.0)
     if route == "density":
-        if source.density is None:
-            raise UnsupportedError(f"{source.label}: no density for the lattice route")
-        vals, tail = lattice_series(source.density, 2.0, a,
-                                    source.density_support_radius, tol, source.label)
+        vals, tail = _density_sum(source, 2.0, fr)
         return 2.0 * vals, 2.0 * tail
-    fr = np.mod(a + 1.0, 2.0) - 1.0
-    vals, tail, _ = phased_cf_lattice_sum(source, math.pi, -math.pi * fr, tol=tol)
+    # e^{-i pi k a} is e^{2 pi i k x} at x = -a/2, formed from a mod 2
+    vals, tail = _cf_side(source, math.pi, -0.5 * fr)
     _require_summable(tail, tol, f"{source.label}: cf lattice sum")
-    im = float(np.max(np.abs(vals.imag)))
-    if im > 1e-9 * max(1.0, float(np.max(np.abs(vals.real)))):
+    im = float(np.max(np.abs(np.imag(vals))))
+    if im > 1e-9 * max(1.0, float(np.max(np.abs(np.real(vals))))):
         raise UnsupportedError(f"oscillation sum has imaginary residue {im:.3g}")
-    return vals.real, tail
+    return np.real(vals), tail
 
 
 def oscillation_factor_cf(model: SmoothedModel, n: int, x: float,
@@ -146,6 +147,7 @@ def oscillation_report(model: SmoothedModel, n: int,
     convention-free points.
     """
     _require_1d(model)
+    require_tol(tol)
     if grid is None:
         grid = default_grid(1)
     x = grid.axes[0].points()
@@ -189,6 +191,7 @@ def even_odd_limits(source: SourceDistribution, tol: float = 1e-10) -> EvenOddLi
     has lattice-point discontinuities (uniform) switch to the cf route, where
     the answer is convention-free.
     """
+    require_tol(tol)
     if source.dim != 1:
         raise UnsupportedError("even/odd limits are one-dimensional")
     route = _route(source)

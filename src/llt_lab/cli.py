@@ -26,7 +26,7 @@ from .distributions import (NoiseDistribution, SourceDistribution, as_noise,
                             make_gaussian, make_laplace, make_uniform, product,
                             uniform_noise)
 from .errors import (InvalidParameterError, LltLabError, UnknownDistributionError,
-                     UnsupportedError)
+                     UnsupportedError, require_tol)
 from .inversion import Grid, grid_1d, grid_2d
 from .lattice import (check_pi_lattice_zeros, poisson_check, regularity_integral,
                       wrapped_autocorrelation)
@@ -297,8 +297,7 @@ def run(cfg: ExperimentConfig) -> int:
     experiment is grid-valued) and returns the process exit status."""
     if cfg.experiment not in _RUNNERS:
         raise InvalidParameterError(f"unknown experiment: {cfg.experiment}")
-    if not cfg.tol > 0:
-        raise InvalidParameterError(f"tol must be positive, got {cfg.tol!r}")
+    require_tol(cfg.tol)
     results, rows = _RUNNERS[cfg.experiment](cfg)
     config_echo = cfg.to_mapping()
     # output paths carry no experiment semantics; echoing them would break

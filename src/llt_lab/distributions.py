@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_LAPLACE_CF_TERMS = 3      # terms of the laplace cf declared at infinity
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +67,12 @@ class SourceDistribution:
     ``density_lattice_tail(R, L)`` bounds the sum of the density over the
     points y of any lattice a + L Z with |y| > R, for a density that decays
     fast enough to be summed on a lattice; None where no bound is declared.
-    Densities and cfs accept floats or numpy arrays; for dim >= 2 the point
-    arrays have the coordinate axis last.
+    An even cf declares its behaviour at infinity once: ``cf_terms`` are
+    terms (c, p, omega), c t^-p cos(omega t) for even p and
+    c t^-p sin(omega t) for odd p, and ``cf_lattice_tail(R, L)`` bounds the
+    sum of |f - terms| over the points t of L Z with |t| >= R; None where
+    no bound is declared.  Densities and cfs accept floats or numpy arrays;
+    for dim >= 2 the point arrays have the coordinate axis last.
     """
 
     dim: int
@@ -81,6 +86,8 @@ class SourceDistribution:
     cf_support_radius: Optional[float] = None
     density_support_radius: Optional[float] = None
     density_lattice_tail: Optional[Callable] = None
+    cf_terms: tuple = ()
+    cf_lattice_tail: Optional[Callable] = None
     self_convolution: Optional[Callable] = None
     sampler: Optional[Callable] = None
     components: Optional[tuple] = None
@@ -195,6 +202,8 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
             cf_integrable=False,
         ),
         density_support_radius=h,
+        cf_terms=((1.0 / h, 1, h),),            # sin(ht)/(ht) is its own term
+        cf_lattice_tail=lambda R, L: 0.0,
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"uniform:h={h:g}",
@@ -226,6 +235,18 @@ def make_laplace(scale: float) -> SourceDistribution:
         # two geometric series from |y| = R on, ratio e^{-L/b}
         return math.exp(-R / b) / (b * -math.expm1(-L / b))
 
+    # 1/(1 + u^2) = u^-2 - u^-4 + u^-6 - ... at u = bt; after its first
+    # J = _LAPLACE_CF_TERMS terms the remainder is u^-2J/(1 + u^2) <= u^-q,
+    # q = 2J + 2
+    q = 2 * _LAPLACE_CF_TERMS + 2
+    cf_terms = tuple(((-1.0) ** (j + 1) * b ** (-2 * j), 2 * j, 0.0)
+                     for j in range(1, _LAPLACE_CF_TERMS + 1))
+
+    def cf_lattice_tail(R, L):
+        # a decreasing bound sums to at most its first value plus its
+        # integral over L, on each side
+        return 2.0 * (b * R) ** -q * (1.0 + R / (L * (q - 1)))
+
     def sampler(rng, size):
         return rng.laplace(0.0, b, size)
 
@@ -239,6 +260,8 @@ def make_laplace(scale: float) -> SourceDistribution:
         abs_moment3=6.0 * b ** 3,
         flags=DistFlags(symmetric_about_0=True, bounded_variation_density=True),
         density_lattice_tail=lattice_tail,
+        cf_terms=cf_terms,
+        cf_lattice_tail=cf_lattice_tail,
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"laplace:b={b:g}",
@@ -272,6 +295,10 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         # integral over L, on each side
         return 2.0 * (density(R) + 0.5 * math.erfc(R / (s * math.sqrt(2.0))) / L)
 
+    def cf_lattice_tail(R, L):
+        # the same bound for the cf, which has no terms at infinity
+        return 2.0 * (cf(R) + math.sqrt(0.5 * math.pi) / s * math.erfc(s * R / math.sqrt(2.0)) / L)
+
     def sampler(rng, size):
         return rng.normal(0.0, s, size)
 
@@ -285,6 +312,7 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         abs_moment3=2.0 * math.sqrt(2.0) * s ** 3 / math.sqrt(math.pi),
         flags=DistFlags(symmetric_about_0=True, bounded_variation_density=True),
         density_lattice_tail=lattice_tail,
+        cf_lattice_tail=cf_lattice_tail,
         self_convolution=self_convolution,
         sampler=sampler,
         label=f"gaussian:sigma={s:g}",

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+requested tolerance."""
 
 
 class LltLabError(Exception):
@@ -22,3 +23,9 @@ class InconsistentCfError(LltLabError):
 
 class UnknownDistributionError(InvalidParameterError):
     """A distribution spec string could not be resolved."""
+
+
+def require_tol(tol) -> None:
+    """Refuse a requested tolerance that is not positive (NaN included)."""
+    if not tol > 0:
+        raise InvalidParameterError(f"tol must be positive, got {tol!r}")

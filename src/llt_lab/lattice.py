@@ -1,40 +1,47 @@
 """Lattice sums and lattice-based conditions.
 
-Provides density-side sums sum_m g(Lm + a) (one routine, ``lattice_series``,
-serves the density lattice sum, the wrapped autocorrelation and the density
-route to the oscillation factor), characteristic-function sums
-sum_k e^{i k phi} f(sk) with certified or extrapolated tails, the periodized
-cf F(s, a) = sum_k e^{-i pi k a} f(pi k + s) summed on the short side of its
-Poisson pair (``periodized_cf``; the Bernoulli cell engine integrates it),
-the pi-lattice vanishing check, the two-sided Poisson identity, the wrapped
-autocorrelation, distance to a scaled integer lattice, and the
-regularity-integral diagnostics in one and two dimensions.
+A lattice sum is one side of the Poisson pair
 
-Slow cf tails (~ gamma/k^2) get an exact closed-form correction built on the
-classical Fourier series sum_{k>=1} cos(k t)/k^2 = pi^2/6 - pi t/2 + t^2/4,
-which stays accurate arbitrarily close to phase resonance where sequence
-extrapolation cannot see the |t|-kink.
+    L sum_m p(a + Lm) e^{is(a + Lm)} = sum_k e^{-i (2 pi k/L) a} f(2 pi k/L + s),
+
+and each side has one declared mechanism:
+
+- the short side (``_short_side``): the lattice points of a compact density
+  (the midpoint value at its jumps), the finitely many k of a compact cf,
+  or the points |y| <= R of a density with a declared lattice tail.  It
+  serves ``sum_density_lattice``, the periodized cf F(s, a) that the
+  Bernoulli cell engine integrates (``periodized_cf``, L = 2) and the
+  density route to the oscillation factor.
+- the cf side (``_cf_side``): sum_k e^{2 pi i k x} f(step k) as a finite
+  head plus the terms that the law declares for its cf at infinity,
+  c t^-p cos(omega t) or c t^-p sin(omega t), whose Fourier series are
+  Bernoulli polynomials (DLMF 24.8.1-2).  It serves ``sum_cf_lattice`` and
+  the cf route to the oscillation factor.
+
+Also here: the pi-lattice vanishing check, the two-sided Poisson identity,
+the wrapped autocorrelation, distance to a scaled integer lattice, and the
+regularity-integral diagnostics in one and two dimensions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 import numpy as np
 
-from .distributions import SourceDistribution
-from .errors import InvalidParameterError, UnsupportedError
-from .seriesaccel import BlockSeries, resonance_floor, sum_series_blocks
+from .distributions import SourceDistribution, _require_positive
+from .errors import InvalidParameterError, UnsupportedError, require_tol
+from .seriesaccel import BlockSeries, sum_series_blocks
 
 __all__ = [
     "LatticeSum",
     "LatticeZeroReport",
     "PoissonReport",
     "RegularityReport",
-    "lattice_series",
     "sum_density_lattice",
     "sum_cf_lattice",
-    "phased_cf_lattice_sum",
     "periodized_cf",
     "check_pi_lattice_zeros",
     "poisson_check",
@@ -44,11 +51,10 @@ __all__ = [
 ]
 
 K_CAP_2D = 4_000_000
-_PHASED_BLOCK = 512
-_K_BUDGET = 16384     # k budget of the phased cf sum: 32 blocks
-_SHORT_TAIL = 2.0 ** -64  # truncation bound of a decaying density's short side
-_SHORT_TERMS = 2048   # most lattice terms a density short side may take
+_SHORT_TAIL = 2.0 ** -64  # truncation bound of a decaying side
+_SHORT_TERMS = 2048   # most lattice terms a side may take
 _JUMP_TOL = 1e-9      # a lattice point this close to a density jump sits on it
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -80,12 +86,16 @@ class RegularityReport:
     shell_contributions: tuple
 
 
+def _product_tail(ex: float, x: float, ey: float, y: float) -> float:
+    """|XY - xy| = |(X - x) Y + x (Y - y)| <= ex |y| + ey (|x| + ex) for true
+    values X, Y within ex, ey of x, y: the one bound of every separable
+    product."""
+    return ex * abs(y) + ey * (abs(x) + ex)
+
+
 def _separable(x: LatticeSum, y: LatticeSum, tol: float) -> LatticeSum:
-    """The product of two one-dimensional sums, with the tail
-    |XY - xy| = |(X - x) Y + x (Y - y)| <= ex |y| + ey (|x| + ex) for true
-    sums X, Y within the tails ex, ey of x, y."""
-    ex, ey = x.tail_estimate, y.tail_estimate
-    tail = ex * abs(y.value) + ey * (abs(x.value) + ex)
+    """The product of two one-dimensional sums, with ``_product_tail``."""
+    tail = _product_tail(x.tail_estimate, x.value, y.tail_estimate, y.value)
     return LatticeSum(x.value * y.value, tail, bool(tail <= tol))
 
 
@@ -96,150 +106,54 @@ def _require_summable(tail: float, tol: float, what: str) -> None:
                                f"(certified only {tail:g})")
 
 
+def _require_finite(name: str, value) -> np.ndarray:
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise InvalidParameterError(f"{name} must be finite")
+    return v
+
+
+def _sum_rounding(abs_sum, terms: int) -> float:
+    """Declared rounding of a lattice sum of ``terms`` terms whose absolute
+    values add up to ``abs_sum`` (the largest over the offsets counts):
+    eps min(terms - 1, 8 + log2 terms) abs_sum.  A sum of N terms makes
+    N - 1 additions, each off by at most eps/2 of the absolute sum, which
+    leaves eps/2 per addition for the terms' own argument and value; a long
+    sum of decaying terms is charged 8 + log2 N roundings instead.  A single
+    term is returned as the source evaluates it."""
+    ulps = min(max(terms - 1.0, 0.0), 8.0 + math.log2(max(terms, 1)))
+    return _EPS * ulps * float(np.max(abs_sum))
+
+
 # ---------------------------------------------------------------------------
-# phased cf sums, vectorized over a batch of phases
+# the short side
 # ---------------------------------------------------------------------------
-
-def _cos_k2_closed(theta: np.ndarray) -> np.ndarray:
-    """sum_{k>=1} cos(k t)/k^2 = pi^2/6 - pi t/2 + t^2/4 on t in [0, 2 pi]."""
-    t = np.mod(theta, 2.0 * math.pi)
-    return math.pi ** 2 / 6.0 - math.pi * t / 2.0 + t * t / 4.0
-
-
-def phased_cf_lattice_sum(dist: SourceDistribution, step: float,
-                          phases: np.ndarray, tol: float):
-    """sum_{k in Z} e^{i k phi} f(step k) for a batch of phases phi.
-
-    Returns (values, tail_estimate, info).  The sum is split into the k = 0
-    term plus one-sided series; tails are certified directly when |f| decays
-    fast, corrected in closed form when k^2 f(step k) approaches a constant
-    (cf with an integrable second-derivative profile), and otherwise handled
-    by sequence extrapolation with an honest error estimate.
-    """
-    if dist.dim != 1:
-        raise InvalidParameterError("phased_cf_lattice_sum is one-dimensional")
-    if step <= 0:
-        raise InvalidParameterError("step must be positive")
-    phi = np.atleast_1d(np.asarray(phases, dtype=float))
-    f = dist.cf
-    f0 = float(np.real(f(0.0)))
-    symmetric = dist.flags.symmetric_about_0
-    ftype = float if symmetric else complex   # a symmetric law has a real cf
-
-    if dist.cf_support_radius is not None:
-        kmax = int(math.floor(dist.cf_support_radius / step + 1e-12))
-        if kmax == 0:
-            return np.full(phi.shape, f0, dtype=complex), 0.0, {"K": 0, "terms": 1}
-        k = np.arange(1, kmax + 1)
-        fp = np.asarray(f(step * k), dtype=ftype)
-        fm = fp if symmetric else np.asarray(f(-step * k), dtype=ftype)
-        ang = np.outer(phi, k)
-        vals = f0 + (np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm).sum(axis=1)
-        return vals, 0.0, {"K": kmax, "terms": 2 * kmax + 1}
-
-    block = _PHASED_BLOCK
-    n_blocks = _K_BUDGET // block
-    # a symmetric law's series is real (2 Re of the phased terms), so its
-    # accumulator and extrapolation run in real arithmetic
-    acc = BlockSeries(np.zeros(phi.shape, dtype=ftype), block, tol)
-    # one phase table per call: block j's phases are e^{i phi k0} table with
-    # k0 = j block + 1, so each block total is one matrix product
-    table = np.exp(1j * np.outer(phi, np.arange(block)))
-    cos_k2_partial = np.zeros(phi.shape)
-    gamma_samples = []
-    for j in range(n_blocks):
-        k = np.arange(j * block + 1, (j + 1) * block + 1)
-        fp = np.asarray(f(step * k), dtype=ftype)
-        rot = np.exp(1j * phi * k[0])
-        if symmetric:
-            S = (table @ np.stack([fp, 1.0 / (k * k)], axis=1)) * rot[:, None]
-            block_sum = 2.0 * S[:, 0].real
-            cos_k2_partial += S[:, 1].real
-            mag = 2.0 * float(np.abs(fp).sum())
-            gamma_samples.append(float(np.mean(k * k * fp)))
-        else:
-            fm = np.asarray(f(-step * k), dtype=ftype)
-            # conj(table) @ fm e^{-i phi k0} is the conjugate of the second column
-            S = (table @ np.stack([fp, np.conj(fm)], axis=1)) * rot[:, None]
-            block_sum = S[:, 0] + np.conj(S[:, 1])
-            mag = float(np.abs(fp).sum() + np.abs(fm).sum())
-        if j < n_blocks - 1:
-            done = acc.add_total(k[-1], block_sum, mag)
-        else:
-            # the final block, the one the extrapolation and the resonance
-            # floor read, goes in term by term: the table, rotated in place,
-            # becomes its phases
-            table *= rot[:, None]
-            if symmetric:
-                table *= fp                 # e^{i phi k} f(step k)
-                inc, cinc = 2.0 * table.real, table
-            else:
-                inc = cinc = table * fp + np.conj(table) * fm
-            done = acc.add(k, inc, mag)
-        if done:
-            k_last = acc.ks[-1]
-            return (np.asarray(f0 + acc.total, dtype=complex), acc.tail,
-                    {"K": k_last, "terms": 2 * k_last + 1})
-    # budget spent: k, fp and cinc now hold the final block
-    k_last = acc.ks[-1]
-    # closed-form k^-2 kink correction: exact whenever k^2 f(step k) settles
-    # to a constant, which covers inverse-quadratic cf tails at any phase,
-    # resonant ones included
-    err_kink = math.inf
-    v_kink = None
-    if symmetric and len(gamma_samples) >= 2:
-        g1, g2 = gamma_samples[-2], gamma_samples[-1]
-        if math.isfinite(g1) and math.isfinite(g2) and abs(g2) > 0 and \
-                abs(g1 - g2) <= 2e-3 * abs(g2):
-            gamma = g2
-            resid = np.abs(k * k * fp - gamma) * k * k
-            c4 = float(np.max(resid))
-            tail_resid = 4.0 * c4 / (3.0 * k_last ** 3)
-            kink = 2.0 * gamma * (_cos_k2_closed(phi) - cos_k2_partial)
-            v_kink = f0 + acc.total + kink
-            err_kink = tail_resid + 64.0 * np.finfo(float).eps * abs(gamma)
-    v_ext, e_ext = acc.extrapolate()
-    # extrapolation cannot see tails whose phase rotation is slower than the
-    # k budget (cf oscillation near-commensurate with the lattice step)
-    e_ext = np.maximum(e_ext, resonance_floor(cinc, float(k_last)))
-    v_ext = f0 + v_ext
-    if v_kink is not None:
-        # routes that disagree beyond their claims: the extrapolation is the
-        # one to distrust, as a phase whose period divides the block stride
-        # (theta = pi/4) makes epsilon claim 0 error for a value off by the
-        # whole k^-2 remainder
-        use_kink = (err_kink < e_ext) | (np.abs(v_kink - v_ext) > err_kink + e_ext)
-        vals = np.where(use_kink, v_kink, v_ext)
-        errs = np.where(use_kink, err_kink, e_ext)
-    else:
-        vals, errs = v_ext, e_ext
-    tail = float(np.max(errs)) * 2.0
-    return (np.asarray(vals, dtype=complex), tail,
-            {"K": k_last, "terms": 2 * k_last + 1, "extrapolated": True})
-
 
 @dataclass(frozen=True)
 class _ShortSide:
-    """The short side of F(s, a) = sum_k e^{-i pi k a} f(pi k + s)
-    = 2 sum_m p(a + 2m) e^{is(a + 2m)} for offsets a in [-1, 1].
+    """The short side of L sum_m p(a + Lm) e^{is(a + Lm)}
+    = sum_k e^{-i (2 pi k/L) a} f(2 pi k/L + s) for offsets a in [-L/2, L/2].
 
     On the density side ``m`` are the lattice indices and ``p[i, j]`` is
-    p(a_i + 2 m_j), with the midpoint value where a_i + 2 m_j sits on a
-    density jump; on the cf side ``k`` are the indices with f(pi k + s) != 0
-    for some |s| <= s_max.  ``tail`` bounds |F - F_short| at every (s, a)."""
+    p(a_i + L m_j), with the midpoint value where a_i + L m_j sits on a
+    density jump; on the cf side ``k`` are the indices with
+    f(2 pi k/L + s) != 0 for some |s| <= s_max.  ``tail`` bounds the
+    truncation of the left-hand side times L at every (s, a)."""
 
+    L: float
     tail: float
     m: np.ndarray | None = None
     p: np.ndarray | None = None
     k: np.ndarray | None = None
 
 
-def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float) -> _ShortSide:
+def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
+                L: float = 2.0) -> _ShortSide:
     """The side of the Poisson pair that ``dist`` declares short: a compact
-    density (its 1 or 2 lattice points per offset, tail 0), a compact cf
-    (the k with |pi k + s| <= T, tail 0), or a density with a declared
-    lattice tail, summed over |y| <= R for the least even R whose tail is
-    at most 2^-64.  Raises UnsupportedError for any other source."""
+    density (its lattice points per offset, tail 0), a compact cf (the k
+    with |2 pi k/L + s| <= T, tail 0), or a density with a declared lattice
+    tail, summed over |y| <= R for the least R in L N whose tail is at most
+    2^-64.  Raises UnsupportedError for any other source."""
     if dist.dim != 1:
         raise InvalidParameterError("the periodized cf is one-dimensional")
     h = dist.density_support_radius
@@ -247,15 +161,16 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float) -> _Short
         if h is not None:
             R, tail = h + _JUMP_TOL, 0.0
         else:
-            R = 2.0
-            while dist.density_lattice_tail(R, 2.0) > _SHORT_TAIL and R <= 2 * _SHORT_TERMS:
-                R += 2.0
-            tail = 2.0 * dist.density_lattice_tail(R, 2.0)
-        m = np.arange(-math.ceil((R + 1.0) / 2.0), math.ceil((R + 1.0) / 2.0) + 1)
+            R = L
+            while dist.density_lattice_tail(R, L) > _SHORT_TAIL and R <= L * _SHORT_TERMS:
+                R += L
+            tail = L * dist.density_lattice_tail(R, L)
+        reach = math.ceil((R + 0.5 * L) / L)
+        m = np.arange(-reach, reach + 1)
         if m.size > _SHORT_TERMS:
-            raise UnsupportedError(f"{dist.label}: the density side of the periodized "
-                                   f"cf needs more than {_SHORT_TERMS} terms")
-        y = a[:, None] + 2.0 * m
+            raise UnsupportedError(f"{dist.label}: the density side of the lattice sum "
+                                   f"needs more than {_SHORT_TERMS} terms")
+        y = a[:, None] + L * m
         p = np.asarray(dist.density(y), dtype=float)
         if h is not None and not dist.flags.density_continuous:
             # the Fourier inverse converges to the mean of the one-sided
@@ -263,26 +178,27 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float) -> _Short
             edge = np.abs(np.abs(y) - h) <= _JUMP_TOL
             p[edge] = 0.5 * np.asarray(dist.density(np.clip(y[edge], -h, h)), dtype=float)
         keep = np.any(p != 0.0, axis=0)
-        return _ShortSide(tail, m=m[keep], p=p[:, keep])
+        return _ShortSide(L, tail, m=m[keep], p=p[:, keep])
     T = dist.cf_support_radius
     if T is not None:
-        kmax = math.floor((T + s_max) / math.pi)
-        return _ShortSide(0.0, k=np.arange(-kmax, kmax + 1))
+        kmax = math.floor((T + s_max) * L / (2.0 * math.pi))
+        return _ShortSide(L, 0.0, k=np.arange(-kmax, kmax + 1))
     raise UnsupportedError(f"{dist.label}: no short side declared for the periodized cf "
                            "(a compact density or cf, or a density lattice tail)")
 
 
 def _reduced_periodized_cf(dist: SourceDistribution, side: _ShortSide,
                            s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """e^{-isa} F(s, a) from its short side, (offsets a) x (points s): on the
-    density side 2 sum_m p(a + 2m) e^{2ism}, one product of the (a x m)
-    density table with the (m x s) phases; on the cf side
-    sum_k e^{-ia(pi k + s)} f(pi k + s)."""
+    """e^{-isa} L sum_m p(a + Lm) e^{is(a + Lm)} from its short side,
+    (offsets a) x (points s): on the density side L sum_m p(a + Lm) e^{isLm},
+    one product of the (a x m) density table with the (m x s) phases; on the
+    cf side sum_k e^{-ia t} f(t) with t = 2 pi k/L + s."""
+    L = side.L
     if side.k is None:
-        return 2.0 * (side.p @ np.exp(2j * np.outer(side.m, s)))
+        return L * (side.p @ np.exp(1j * L * np.outer(side.m, s)))
     out = np.zeros((a.size, s.size), dtype=complex)
     for k in side.k:
-        t = math.pi * k + s
+        t = (2.0 * math.pi / L) * k + s
         out += np.exp(-1j * np.outer(a, t)) * dist.cf(t)
     return out
 
@@ -294,23 +210,179 @@ def periodized_cf(dist: SourceDistribution, s, a):
     Returns (values, tail) with |F - values| <= tail.  At a density jump the
     density side takes the midpoint value, which is what the cf side
     converges to."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    s = _require_finite("s", np.atleast_1d(s))
+    a = _require_finite("a", np.atleast_1d(a))
     a = a - 2.0 * np.round(a / 2.0)
     side = _short_side(dist, a, float(np.max(np.abs(s))))
     G = _reduced_periodized_cf(dist, side, s, a)
     return np.exp(1j * np.outer(a, s)) * G, side.tail
 
 
+def _density_sum(dist: SourceDistribution, L: float, a: np.ndarray):
+    """sum_m p(a + Lm) at the offsets a, on the short side of its Poisson
+    pair, or on its cf side (1/L) sum_k e^{-i (2 pi k/L) a} f(2 pi k/L)
+    where that is the one declared or the density side is too long;
+    returns (values, tail), the tail adding the sum's rounding to the
+    side's truncation."""
+    a = a - L * np.round(a / L)
+    try:
+        side = _short_side(dist, a, 0.0, L)
+    except UnsupportedError:
+        if dist.cf_lattice_tail is None:
+            raise
+        vals, tail = _cf_side(dist, 2.0 * math.pi / L, -a / L)
+        # dividing by L rounds once more
+        return np.real(vals) / L, (tail + _EPS * float(np.max(np.abs(vals)))) / L
+    if side.k is None:
+        terms = side.p
+    else:
+        t = (2.0 * math.pi / L) * side.k
+        terms = np.real(np.exp(-1j * np.outer(a, t)) * dist.cf(t)) / L
+    rounding = _sum_rounding(np.abs(terms).sum(axis=1), terms.shape[1])
+    return terms.sum(axis=1), side.tail / L + rounding
+
+
+def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
+                        tol: float = 1e-10) -> LatticeSum:
+    """sum over the integer lattice of p(scale*m + offset), on the short side
+    of its Poisson pair; ``tol_met`` says whether the tail is at most tol."""
+    require_tol(tol)
+    L = _require_positive("scale", scale)
+    a = _require_finite("offset", offset)
+    if a.size != dist.dim:
+        raise InvalidParameterError(f"the sum takes one offset per dimension ({dist.dim}), "
+                                    f"got {a.size}")
+    if dist.density is None:
+        raise UnsupportedError(f"{dist.label}: no density available")
+    if dist.dim == 1:
+        vals, tail = _density_sum(dist, L, a.ravel())
+        return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
+    if dist.dim == 2 and dist.components is not None:
+        return _separable(*(sum_density_lattice(c, L, ai, tol / 2.0)
+                            for c, ai in zip(dist.components, a.ravel())), tol)
+    raise UnsupportedError("density lattice sums support dim 1 and separable dim 2")
+
+
+# ---------------------------------------------------------------------------
+# the cf side
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _bernoulli_coefficients(p: int) -> np.ndarray:
+    """Coefficients of y^0 .. y^p in the Bernoulli polynomial B_p, rounded
+    once from the exact Bernoulli numbers B_m = -sum_{j<m} C(m+1, j) B_j/(m+1);
+    read-only, as every caller shares them."""
+    B = [Fraction(1)]
+    for m in range(1, p + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    coef = np.array([float(math.comb(p, i) * B[p - i]) for i in range(p + 1)])
+    coef.flags.writeable = False
+    return coef
+
+
+def _bernoulli_series(p: int, y: np.ndarray, jump: float):
+    """sum_{k>=1} cos(2 pi k y)/k^p for even p, sum_{k>=1} sin(2 pi k y)/k^p
+    for odd p: (-1)^(floor(p/2) + 1) (2 pi)^p B_p(y mod 1)/(2 p!) (DLMF
+    24.8.1-2), the sawtooth p = 1 taking its midpoint 0 within ``jump`` of
+    its jumps.  B_p is evaluated on [0, 1/2] through
+    B_p(1 - y) = (-1)^p B_p(y).  Returns the values and (2 pi)^p/(2 p!) times
+    the sum of |coefficient| 2^-i of B_p, the scale of its Horner rounding."""
+    y = np.mod(y, 1.0)
+    r = np.minimum(y, 1.0 - y)
+    coef = _bernoulli_coefficients(p)
+    scale = (2.0 * math.pi) ** p / (2.0 * math.factorial(p))
+    sign = np.where((y > 0.5) & (p % 2 == 1), -1.0, 1.0)
+    vals = (-1) ** (p // 2 + 1) * scale * sign * np.polynomial.polynomial.polyval(r, coef)
+    if p == 1:
+        vals = np.where(r <= jump, 0.0, vals)
+    return vals, scale * float(np.abs(coef) @ 0.5 ** np.arange(p + 1))
+
+
+def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
+    """sum_k e^{2 pi i k x} f(step k) at the phases x (in turns), as
+    (values, tail).
+
+    A compact cf is summed over its support.  Otherwise the law declares
+    its cf at infinity (``cf_terms``, ``cf_lattice_tail``): over all k != 0
+    the terms sum to Bernoulli polynomials in x (``_bernoulli_series``), and
+    the head 0 < |k| < K sums the remainder f - terms, for the least
+    K = 2^j whose lattice tail is below the polynomials' rounding (2^-64
+    where there are no terms).  The tail adds both roundings to that
+    truncation.  Raises UnsupportedError for a law that declares neither."""
+    x = np.mod(x, 1.0)
+    f = dist.cf
+    f0 = float(np.real(f(0.0)))
+    T = dist.cf_support_radius
+    if T is not None:
+        k = np.arange(1, math.floor(T / step + 1e-12) + 1)
+        fp = np.asarray(f(step * k), dtype=complex)
+        fm = np.asarray(f(-step * k), dtype=complex)
+        ph = np.exp(2j * math.pi * np.outer(x, k))
+        vals = f0 + ph @ fp + np.conj(ph) @ fm
+        mass = abs(f0) + float(np.abs(fp).sum() + np.abs(fm).sum())
+        if dist.flags.symmetric_about_0:
+            vals = vals.real
+        return vals, _sum_rounding(mass, 2 * k.size + 1)
+    if dist.cf_lattice_tail is None:
+        raise UnsupportedError(f"{dist.label}: no cf side declared (a compact cf, or cf "
+                               "terms at infinity with a lattice tail)")
+    # over k != 0 the term c t^-p trig(omega t) at t = step k gives
+    # c step^-p [F_p(u + x) + F_p(u - x)] with u = omega step/2 pi
+    jump = _JUMP_TOL * step / (2.0 * math.pi)       # a density jump, in turns
+    for c, p, omega in dist.cf_terms:
+        if p == 1:
+            # a phase this close to a jump of the sawtooth sits on it, for
+            # both of its values
+            for sign in (1.0, -1.0):
+                y = omega * step / (2.0 * math.pi) + sign * x
+                d = y - np.round(y)
+                x = np.where(np.abs(d) <= jump, x - sign * d, x)
+    closed = np.zeros(x.shape)
+    closed_rounding = 0.0
+    for c, p, omega in dist.cf_terms:
+        u = omega * step / (2.0 * math.pi)
+        ck = c * step ** -p
+        plus, horner = _bernoulli_series(p, u + x, jump)
+        minus, _ = _bernoulli_series(p, u - x, jump)
+        closed += ck * (plus + minus)
+        # each value to within eps times: its 2p Horner steps, its last two
+        # products (|F_p| <= 2), and its argument u +- x, good to
+        # eps (|u| + 2), times the slope |F_p'| <= 2 pi zeta(2) < 4 pi
+        closed_rounding += 2.0 * _EPS * abs(ck) * (2 * p * horner + 4.0
+                                                   + 4.0 * math.pi * (abs(u) + 2.0))
+    K = 1
+    while dist.cf_lattice_tail(K * step, step) > max(_SHORT_TAIL, closed_rounding) \
+            and K < _SHORT_TERMS:
+        K *= 2
+    k = np.arange(1, K)
+    t = step * k
+    fk = np.asarray(f(t), dtype=float)
+    terms = [c * t ** -p * (np.sin(omega * t) if p % 2 else np.cos(omega * t))
+             for c, p, omega in dist.cf_terms]
+    r = fk - sum(terms)
+    head = 2.0 * (np.cos(2.0 * math.pi * np.outer(x, k)) @ r)
+    # r is formed from f and the terms, and its phase 2 pi k x carries
+    # eps 2 pi k; the closed forms are two more terms each
+    mass = abs(f0) + np.abs(closed) + 2.0 * float(np.sum(
+        np.abs(fk) + sum(np.abs(v) for v in terms) + 2.0 * math.pi * k * np.abs(r)))
+    tail = (dist.cf_lattice_tail(K * step, step) + closed_rounding
+            + _sum_rounding(mass, 2 * K - 1 + 2 * len(dist.cf_terms)))
+    return f0 + head + closed, tail
+
+
 def sum_cf_lattice(dist: SourceDistribution, step: float,
                    phase=None, tol: float = 1e-10) -> LatticeSum:
-    """sum_{k in Z^d} e^{i <phase, k>} f(step k), truncated/accelerated so the
-    omitted tail stays below tol."""
-    if step <= 0:
-        raise InvalidParameterError("step must be positive")
+    """sum_{k in Z^d} e^{i <phase, k>} f(step k): in one dimension on the cf
+    side (``_cf_side``), in two on the components of a product or on
+    certified sup-norm shells."""
+    require_tol(tol)
+    step = _require_positive("step", step)
+    if phase is not None and _require_finite("phase", phase).size != dist.dim:
+        raise InvalidParameterError(f"the sum takes one phase per dimension ({dist.dim}), "
+                                    f"got {np.size(phase)}")
     if dist.dim == 1:
         phi = 0.0 if phase is None else float(np.ravel(phase)[0])
-        vals, tail, _ = phased_cf_lattice_sum(dist, step, np.array([phi]), tol)
+        vals, tail = _cf_side(dist, step, np.array([phi / (2.0 * math.pi)]))
         _require_summable(tail, tol, f"{dist.label}: cf lattice tail")
         value = complex(vals[0])
         if abs(value.imag) < 1e-12 * max(1.0, abs(value.real)):
@@ -346,82 +418,6 @@ def _cf_lattice_2d_generic(dist, step, phase, tol):
         s += 1
     raise UnsupportedError(f"{dist.label}: 2-d cf lattice sum did not converge "
                            f"within the term cap")
-
-
-# ---------------------------------------------------------------------------
-# density lattice sums
-# ---------------------------------------------------------------------------
-
-def lattice_series(g, step: float, offsets, radius, tol: float, label: str):
-    """sum_{m in Z} g(step m + a) for each offset a; returns (values, tail).
-
-    Each offset is first moved to the lattice point nearest it (the sum is
-    lattice-invariant, and the block engine assumes decay from the first
-    blocks outward).  When g vanishes outside [-radius, radius], every
-    lattice point within it is summed and nothing is truncated; otherwise
-    the two-sided series is summed in blocks and refused when its truncation
-    tail misses max(tol, 1e-7); a tail between the two is returned, and the
-    callers' results flag it with ``tol_met``.  The returned tail adds the
-    rounding of the sum (``_sum_rounding``) to the truncation.
-    """
-    a = np.atleast_1d(np.asarray(offsets, dtype=float))
-    a = a - step * np.round(a / step)
-    if radius is not None:
-        m_lo = int(math.ceil((-radius - float(a.max())) / step - 1e-12))
-        m_hi = int(math.floor((radius - float(a.min())) / step + 1e-12))
-        m = np.arange(m_lo, m_hi + 1)[None, :]
-        t = np.asarray(g(step * m + a[:, None]), dtype=float)
-        return t.sum(axis=1), _sum_rounding(np.abs(t).sum(axis=1), t.shape[1])
-
-    centre = np.asarray(g(a), dtype=float)
-    mass = [np.abs(centre)]
-
-    def term_block(k0, k1):
-        m = np.arange(k0, k1)[None, :]
-        up = np.asarray(g(step * m + a[:, None]), dtype=float)
-        down = np.asarray(g(-step * m + a[:, None]), dtype=float)
-        mass.append((np.abs(up) + np.abs(down)).sum(axis=1))
-        return up + down
-
-    block = 128
-    res = sum_series_blocks(term_block, tol=tol, block=block, max_blocks=192)
-    _require_summable(res.tail_estimate, tol, f"{label}: density lattice tail")
-    rounding = _sum_rounding(np.sum(mass, axis=0), 1 + 2 * block * (len(mass) - 1))
-    return centre + np.real(res.value), res.tail_estimate + rounding
-
-
-def _sum_rounding(abs_sum, terms: int) -> float:
-    """Declared rounding of a lattice sum of ``terms`` terms whose absolute
-    values add up to ``abs_sum`` (the largest over the offsets counts):
-    eps min(terms - 1, 8 + log2 terms) abs_sum.  A sum of N terms makes
-    N - 1 additions, each off by at most eps/2 of the absolute sum, which
-    leaves eps/2 per addition for the terms' own argument and value; a long
-    sum of decaying terms is charged 8 + log2 N roundings instead.  A single
-    term is returned as the source evaluates it."""
-    eps = float(np.finfo(float).eps)
-    ulps = min(max(terms - 1.0, 0.0), 8.0 + math.log2(max(terms, 1)))
-    return eps * ulps * float(np.max(abs_sum))
-
-
-def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
-                        tol: float = 1e-10) -> LatticeSum:
-    """sum over the integer lattice of p(scale*m + offset) with tail <= tol."""
-    L = float(scale)
-    if L <= 0:
-        raise InvalidParameterError("scale must be positive")
-    if dist.density is None:
-        raise UnsupportedError(f"{dist.label}: no density available")
-    if dist.dim == 1:
-        if np.size(offset) != 1:
-            raise InvalidParameterError("a one-dimensional sum takes one offset")
-        vals, tail = lattice_series(dist.density, L, offset,
-                                    dist.density_support_radius, tol, dist.label)
-        return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
-    if dist.dim == 2 and dist.components is not None:
-        a = np.ravel(np.asarray(offset, dtype=float))
-        return _separable(*(sum_density_lattice(c, L, ai, tol / 2.0)
-                            for c, ai in zip(dist.components, a)), tol)
-    raise UnsupportedError("density lattice sums support dim 1 and separable dim 2")
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +479,7 @@ def wrapped_autocorrelation(dist: SourceDistribution, tol: float = 1e-9) -> Latt
     the cf vanishes on the nonzero pi-lattice.  A one-dimensional cf of
     compact support is summed on the cf side of the Poisson pair,
     1/2 sum_m |f(pi m)|^2, a finite sum with tail 0."""
+    require_tol(tol)
     if dist.dim == 1:
         return _wrapped_autocorr_1d(dist, tol)
     if dist.dim == 2 and dist.components is not None:
@@ -512,17 +509,35 @@ def _wrapped_autocorr_1d(dist, tol):
             raise UnsupportedError(f"{dist.label}: self-convolution unavailable")
         q = lambda y: np.vectorize(lambda yy: _selfconv_numeric(dist, yy))(y)  # noqa: E731
     r = dist.density_support_radius
-    vals, tail = lattice_series(q, 2.0, 0.0, None if r is None else 2.0 * r,
-                                tol, dist.label)
-    return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
+    if r is not None:
+        # q vanishes beyond 2r: every even point within it, nothing truncated
+        m = np.arange(-math.floor(r + 1e-12), math.floor(r + 1e-12) + 1)[None, :]
+        t = np.asarray(q(2.0 * m), dtype=float)
+        tail = _sum_rounding(np.abs(t).sum(axis=1), t.shape[1])
+        return LatticeSum(float(t.sum(axis=1)[0]), tail, bool(tail <= tol))
+    # a catalog self-convolution decays exponentially: sum_series_blocks
+    # certifies its tail or refuses it
+    centre = np.asarray(q(np.zeros(1)), dtype=float)
+    mass = [np.abs(centre)]
+
+    def term_block(k0, k1):
+        m = np.arange(k0, k1)[None, :]
+        up = np.asarray(q(2.0 * m), dtype=float)
+        down = np.asarray(q(-2.0 * m), dtype=float)
+        mass.append((np.abs(up) + np.abs(down)).sum(axis=1))
+        return up + down
+
+    block = 128
+    res = sum_series_blocks(term_block, tol=tol, block=block, max_blocks=192)
+    tail = res.tail_estimate + _sum_rounding(np.sum(mass, axis=0),
+                                             1 + 2 * block * (len(mass) - 1))
+    return LatticeSum(float(centre[0] + np.real(res.value)[0]), tail, bool(tail <= tol))
 
 
 def distance_to_lattice(t, lattice_step: float) -> float:
     """Euclidean distance from t to the scaled integer lattice (step s)Z^d."""
-    s = float(lattice_step)
-    if s <= 0:
-        raise InvalidParameterError("lattice_step must be positive")
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
+    s = _require_positive("lattice_step", lattice_step)
+    tv = _require_finite("t", np.atleast_1d(t))
     r = tv - s * np.round(tv / s)
     return float(np.linalg.norm(r))
 

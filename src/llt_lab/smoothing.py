@@ -39,9 +39,10 @@ import numpy as np
 from scipy.special import erfc, ndtr
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
-from .errors import InvalidParameterError, UnsupportedError
+from .errors import InvalidParameterError, UnsupportedError, require_tol
 from .inversion import Grid, GridDensity, estimate_tail, grid_1d, grid_2d, invert
-from .lattice import _reduced_periodized_cf, _short_side, check_pi_lattice_zeros
+from .lattice import (_product_tail, _reduced_periodized_cf, _short_side,
+                      check_pi_lattice_zeros)
 
 __all__ = [
     "SmoothedModel",
@@ -244,8 +245,7 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    if not tol > 0:
-        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
+    require_tol(tol)
     if grid is None:
         grid = default_grid(model.dim)
     if grid.dim != model.dim:
@@ -264,9 +264,9 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
         vy, ey = _bernoulli_density_1d(model.source.components[1], n,
                                        grid.axes[1].points())
         vals = np.outer(vx, vy)
-        sup = max(float(np.max(np.abs(vx))), float(np.max(np.abs(vy))), 1.0)
+        est = _product_tail(ex, float(np.max(np.abs(vx))), ey, float(np.max(np.abs(vy))))
         meta = {"n_used": n, "truncation_radius": math.inf,
-                "est_tail_error": (ex + ey) * sup, "engine": "cell-tensor"}
+                "est_tail_error": est, "engine": "cell-tensor"}
         gd = GridDensity(dim=2, axes=grid.axes, values=vals, meta=meta)
     else:
         gd = _general_noise_density(model, n, grid, tol)

@@ -1,4 +1,4 @@
-"""Re-record ``cli_bodies.json``, the JSON bodies of eight fixed CLI runs.
+"""Re-record ``cli_bodies.json``, the JSON bodies of eleven fixed CLI runs.
 
     PYTHONPATH=src python tests/data/record_cli_bodies.py
 
@@ -21,8 +21,9 @@ ABOUT = ("canonical JSON bodies of fixed CLI runs, as written to standard output
          "a change that moves one tables the move in CHANGES.md and re-records this "
          "file with record_cli_bodies.py")
 
-# cheap runs that reach the cell engine on both sides of its short side, the
-# density and cf routes of the oscillation factor, and the lattice sums
+# cheap runs that reach the cell engine on both sides of its short side, both
+# sides of the oscillation factor's Poisson pair for a continuous and a box
+# density, the compact cf side, and the lattice sums
 RUNS = [
     ["density", "--source", "uniform:h=1", "--n", "16", "--grid=-5,5,201"],
     ["density", "--source", "laplace:b=1", "--n", "256", "--grid=-5,5,201"],
@@ -32,6 +33,9 @@ RUNS = [
     ["limits", "--source", "uniform:h=1"],
     ["autocorr", "--source", "laplace:b=1"],
     ["autocorr", "--source", "uniform:h=1"],
+    ["limits", "--source", "fejer:T=0.7"],
+    ["poisson", "--source", "laplace:b=1"],
+    ["oscillate", "--source", "uniform:h=1", "--n", "17", "--grid=-5,5,201"],
 ]
 
 

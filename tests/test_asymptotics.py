@@ -73,8 +73,8 @@ def test_report_laplace_inner_consistency():
 
 @pytest.mark.parametrize("T", [0.7, 1.0])
 def test_report_fejer_factor_is_one(T):
-    # the Fejer cf vanishes on the nonzero pi-lattice, so A_n = 1; its heavy
-    # density tail must stay summable on the density route
+    # the Fejer cf vanishes on the nonzero pi-lattice, so A_n = 1; its
+    # density route is the finite sum over its compact cf
     from llt_lab import grid_1d
     rep = oscillation_report(SmoothedModel(make_fejer(T), BERN), 64,
                              grid_1d(-5.0, 5.0, 201))
@@ -143,11 +143,12 @@ def test_limits_gaussian_theta_oracle():
 
 def test_limits_fejer_compact():
     # the triangular cf vanishes on the nonzero pi-lattice, so both parity
-    # limits coincide at phi(0) up to the lattice-sum tail budgets
-    # the inverse-square density tail caps the lattice-sum accuracy near 1e-8
+    # limits coincide at phi(0); the density route sums the compact cf side,
+    # the single term f(0), with nothing truncated
     lim = even_odd_limits(make_fejer(0.7))
     assert lim.even_limit == pytest.approx(lim.odd_limit, abs=2e-8)
     assert lim.even_limit == pytest.approx(phi(0.0), abs=2e-8)
+    assert abs(lim.even_limit - phi(0.0)) <= lim.tail + 1e-16
 
 
 def test_parity_limit_approach():

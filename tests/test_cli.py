@@ -260,15 +260,17 @@ def test_body_reports_library_tail(experiment, spec, tmp_path):
     assert tail != 1e-9
 
 
-@pytest.mark.parametrize("spec, met", [("fejer:T=0.7", False), ("laplace:b=1", True)])
-def test_limits_says_whether_tol_was_met(spec, met, tmp_path):
-    # fejer:T=0.7's density series is accepted with a tail near 7e-8, above
-    # the default tol of 1e-9 but below the 1e-7 refusal floor
+@pytest.mark.parametrize("spec, tol, met", [
+    pytest.param("laplace:b=1", 1e-18, False, id="laplace:b=1-tol=1e-18-False"),
+    pytest.param("laplace:b=1", 1e-9, True, id="laplace:b=1-True")])
+def test_limits_says_whether_tol_was_met(spec, tol, met, tmp_path):
+    # the limits declare the rounding of their lattice sum, a few eps: above
+    # a tol of 1e-18, far below the default tol of 1e-9
     out = tmp_path / "lim.json"
-    assert main(["limits", "--source", spec, "--out", str(out)]) == 0
+    assert main(["limits", "--source", spec, "--tol", str(tol), "--out", str(out)]) == 0
     est = json.loads(out.read_text())["body"]["results"]["error_estimates"]
     assert est["tol_met"] is met
-    assert (est["series_tail"] <= 1e-9) is met
+    assert (est["series_tail"] <= tol) is met
 
 
 @pytest.mark.parametrize("spec, tol, met", [
@@ -306,7 +308,7 @@ def test_fixed_cli_bodies_unchanged(capsys):
     # tests/data/cli_bodies.json with tests/data/record_cli_bodies.py
     path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
-    assert len(runs) == 8
+    assert len(runs) == 11
     for run_ in runs:
         assert main(run_["argv"]) == 0
         assert capsys.readouterr().out == run_["body"] + "\n", run_["argv"]

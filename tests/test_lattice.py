@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import theta_sum
-from llt_lab import (InvalidParameterError, UnsupportedError, check_pi_lattice_zeros,
-                     distance_to_lattice, even_odd_limits, make_fejer, make_gaussian, make_laplace,
-                     make_uniform, poisson_check, product, regularity_integral,
-                     sum_cf_lattice, sum_density_lattice, wrapped_autocorrelation)
-from llt_lab import lattice
-from llt_lab.lattice import periodized_cf, phased_cf_lattice_sum
-from llt_lab.seriesaccel import BlockSeries, resonance_floor
+from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError, bernoulli_noise,
+                     check_pi_lattice_zeros, distance_to_lattice, even_odd_limits, make_fejer,
+                     make_gaussian, make_laplace, make_uniform, oscillation_report,
+                     poisson_check, product, regularity_integral, sum_cf_lattice,
+                     sum_density_lattice, wrapped_autocorrelation)
+from llt_lab import asymptotics, lattice
+from llt_lab.lattice import periodized_cf
 
 UNIFORM = make_uniform(1.0)
 LAPLACE = make_laplace(1.0)
@@ -62,17 +62,30 @@ def test_density_sum_fejer_power_tail():
     assert abs(r.value - direct) <= bound + 1e-8
 
 
-@pytest.mark.parametrize("dist, met", [(make_fejer(0.7), False), (LAPLACE, True)],
-                         ids=["fejer:T=0.7", "laplace:b=1"])
-def test_density_sum_says_whether_tol_was_met(dist, met):
-    # fejer's 1/m^2 density tail is accepted near 8e-8, between tol and the
-    # 1e-7 refusal floor; the flag says that tol was missed
-    r = sum_density_lattice(dist, 2.0, 0.0, tol=1e-12)
+@pytest.mark.parametrize("dist, tol, met", [
+    pytest.param(LAPLACE, 1e-12, True, id="laplace:b=1"),
+    pytest.param(LAPLACE, 1e-18, False, id="laplace:b=1-tol=1e-18")])
+def test_density_sum_says_whether_tol_was_met(dist, tol, met):
+    # a tol below the declared rounding of the sum (a few eps) is missed,
+    # and the flag says so
+    r = sum_density_lattice(dist, 2.0, 0.0, tol=tol)
     assert r.tol_met is met
-    assert (r.tail_estimate <= 1e-12) is met
-    lim = even_odd_limits(dist, tol=1e-9)
+    assert (r.tail_estimate <= tol) is met
+    lim = even_odd_limits(dist, tol=tol)
     assert lim.tol_met is met
-    assert (lim.tail <= 1e-9) is met
+    assert (lim.tail <= tol) is met
+
+
+@pytest.mark.parametrize("b", [0.25, 1.0, 4.0])
+def test_density_sum_takes_the_cf_side_when_the_density_side_is_long(b):
+    # at scale 0.01 the density side would need about 100 R terms; the cf
+    # side of the same pair, at step 2 pi/0.01, is the closed form alone
+    L = 0.01
+    for a in np.linspace(0.0, L, 23):
+        r = sum_density_lattice(make_laplace(b), L, a)
+        exact = math.cosh((0.5 * L - a) / b) / (2.0 * b * math.sinh(0.5 * L / b))
+        assert abs(r.value - exact) <= r.tail_estimate, (a, r.value - exact)
+        assert r.tol_met
 
 
 def test_density_sum_1d_rejects_offset_array():
@@ -140,159 +153,60 @@ def test_cf_sum_product_separable():
 
 
 # ---------------------------------------------------------------------------
-# phased cf sums against the direct-exponential loop
-# ---------------------------------------------------------------------------
-
-def _direct_phased_sum(dist, step, phases, tol):
-    """Reference for phased_cf_lattice_sum: every block's phases come from
-    np.exp(1j * outer(phi, k)) and every block goes into the accumulator term
-    by term; tails, routes and info are chosen as in the library."""
-    phi = np.atleast_1d(np.asarray(phases, dtype=float))
-    f = dist.cf
-    f0 = float(np.real(f(0.0)))
-    symmetric = dist.flags.symmetric_about_0
-    ftype = float if symmetric else complex
-    if dist.cf_support_radius is not None:
-        kmax = int(math.floor(dist.cf_support_radius / step + 1e-12))
-        k = np.arange(1, kmax + 1)
-        fp = np.asarray(f(step * k), dtype=ftype)
-        fm = fp if symmetric else np.asarray(f(-step * k), dtype=ftype)
-        ang = np.outer(phi, k)
-        vals = f0 + (np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm).sum(axis=1)
-        return vals, 0.0, {"K": kmax, "terms": 2 * kmax + 1}
-    block = lattice._PHASED_BLOCK
-    acc = BlockSeries(np.zeros(phi.shape, dtype=complex), block, tol)
-    cos_k2_partial = np.zeros(phi.shape)
-    gamma_samples = []
-    for j in range(lattice._K_BUDGET // block):
-        k = np.arange(j * block + 1, (j + 1) * block + 1)
-        fp = np.asarray(f(step * k), dtype=ftype)
-        ang = np.outer(phi, k)
-        if symmetric:
-            cosang = np.cos(ang)
-            inc = 2.0 * cosang * fp[None, :]
-            cos_k2_partial += cosang @ (1.0 / (k * k))
-            mag = 2.0 * float(np.abs(fp).sum())
-            gamma_samples.append(float(np.mean(k * k * fp)))
-        else:
-            fm = np.asarray(f(-step * k), dtype=ftype)
-            inc = np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm
-            mag = float(np.abs(fp).sum() + np.abs(fm).sum())
-        if acc.add(k, inc, mag):
-            k_last = acc.ks[-1]
-            return f0 + acc.total, acc.tail, {"K": k_last, "terms": 2 * k_last + 1}
-    k_last = acc.ks[-1]
-    err_kink, v_kink = math.inf, None
-    if symmetric:
-        g1, g2 = gamma_samples[-2], gamma_samples[-1]
-        if math.isfinite(g1) and math.isfinite(g2) and abs(g2) > 0 and \
-                abs(g1 - g2) <= 2e-3 * abs(g2):
-            c4 = float(np.max(np.abs(k * k * fp - g2) * k * k))
-            kink = 2.0 * g2 * (lattice._cos_k2_closed(phi) - cos_k2_partial)
-            v_kink = f0 + acc.total + kink
-            err_kink = 4.0 * c4 / (3.0 * k_last ** 3) + 64.0 * np.finfo(float).eps * abs(g2)
-    v_ext, e_ext = acc.extrapolate()
-    cinc = np.exp(1j * ang) * fp[None, :] if symmetric else inc
-    e_ext = np.maximum(e_ext, resonance_floor(cinc, float(k_last)))
-    v_ext = f0 + v_ext
-    vals, errs = v_ext, e_ext
-    if v_kink is not None:
-        use_kink = (err_kink < e_ext) | (np.abs(v_kink - v_ext) > err_kink + e_ext)
-        vals = np.where(use_kink, v_kink, v_ext)
-        errs = np.where(use_kink, err_kink, e_ext)
-    return vals, float(np.max(errs)) * 2.0, {"K": k_last, "terms": 2 * k_last + 1,
-                                             "extrapolated": True}
-
-
-def _shifted_gaussian(mu):
-    # cf e^{i mu t - t^2/2}: not symmetric about 0, so the sum takes its
-    # asymmetric route
-    g = make_gaussian(1.0)
-    return dataclasses.replace(
-        g, cf=lambda t: np.exp(1j * mu * np.asarray(t, dtype=float)) * g.cf(t),
-        flags=dataclasses.replace(g.flags, symmetric_about_0=False),
-        label=f"gaussian-shift:mu={mu}")
-
-
-def _grid_phases(n):
-    w = np.linspace(-5.0, 5.0, 1001) * math.sqrt(n)
-    par = n % 2
-    return -math.pi * ((w - 2.0 * np.round((w + par) / 2.0)) + par)
-
-
-PHASE_SETS = {
-    "grid-n16": _grid_phases(16),
-    "grid-n16384": _grid_phases(16384),
-    "random57": np.random.default_rng(20261018).uniform(-math.pi, math.pi, 57),
-    "limits": -math.pi * np.array([0.0, 1.0]),
-}
-
-
-@pytest.mark.parametrize("phases", list(PHASE_SETS.values()), ids=list(PHASE_SETS))
-@pytest.mark.parametrize("dist", [UNIFORM, LAPLACE, GAUSSIAN, make_fejer(0.7),
-                                  _shifted_gaussian(0.3)], ids=lambda d: d.label)
-def test_phased_sum_matches_direct_loop(dist, phases):
-    tol = 1e-9 * math.sqrt(2.0 * math.pi) * 0.25   # the cell engine's A tolerance
-    vals, tail, info = phased_cf_lattice_sum(dist, math.pi, phases, tol)
-    ref, ref_tail, ref_info = _direct_phased_sum(dist, math.pi, phases, tol)
-    k = np.arange(1, info["K"] + 1)
-    mass = abs(dist.cf(0.0)) + float(np.sum(np.abs(dist.cf(math.pi * k))
-                                            + np.abs(dist.cf(-math.pi * k))))
-    assert np.max(np.abs(vals - ref)) <= 64.0 * np.finfo(float).eps * mass
-    assert info == ref_info
-    if info.get("extrapolated"):
-        # an extrapolated tail is formed from differences of partial sums;
-        # for uniform:h=1, whose f(pi k) are roundoff (~1e-17), the block
-        # totals' own roundoff moves it in the 12th digit
-        assert tail == pytest.approx(ref_tail, rel=1e-9, abs=0.0)
-    else:
-        assert tail == ref_tail
-
-
-def test_phased_sum_asymmetric_matches_theta_series():
-    # e^{i mu pi k - pi^2 k^2 / 2} is below 1e-300 beyond |k| = 12
-    mu, phases = 0.3, np.array([-2.0, 0.0, 0.7, 3.0])
-    k = np.arange(-12, 13)
-    direct = (np.exp(1j * np.outer(phases, k)) * np.exp(1j * mu * math.pi * k
-                                                        - 0.5 * (math.pi * k) ** 2)).sum(axis=1)
-    vals, tail, _ = phased_cf_lattice_sum(_shifted_gaussian(mu), math.pi, phases, 1e-12)
-    # read as real, the cf would lose its shift: 2 cos(phi k) cos(mu pi k)
-    # in place of 2 cos((phi + mu pi) k), off by about 0.02 at these phases
-    assert np.max(np.abs(vals - direct)) <= 1e-15
-    assert tail <= 1e-12
-
-
-# ---------------------------------------------------------------------------
 # the periodized cf on its short side
 # ---------------------------------------------------------------------------
-
-def _cf_shifted_by(dist, s):
-    # f(t + s): no longer even, so the phased sum takes its asymmetric route;
-    # a compact cf's support moves by s
-    T = dist.cf_support_radius
-    return dataclasses.replace(
-        dist, cf=lambda t: dist.cf(np.asarray(t, dtype=float) + s),
-        flags=dataclasses.replace(dist.flags, symmetric_about_0=False),
-        cf_support_radius=None if T is None else T + abs(s))
-
 
 @pytest.mark.parametrize("dist", [UNIFORM, make_uniform(0.25), make_uniform(2.3), LAPLACE,
                                   make_laplace(0.4), GAUSSIAN, make_gaussian(2.5),
                                   make_fejer(0.7), make_fejer(2.668)],
                          ids=lambda d: d.label)
 def test_periodized_cf_is_the_phased_cf_sum(dist):
-    # Poisson: sum_k e^{-i pi k a} f(pi k + s) = 2 sum_m p(a + 2m) e^{is(a + 2m)},
-    # summed here on the short side and there on the cf side, within both
-    # declared tails and 2 eps per cf term (the rounding of pi k + s moves
-    # sin(h t)/(h t) by up to eps)
-    rng = np.random.default_rng(20261018)
-    a = rng.uniform(-3.0, 3.0, 9)
-    for s in [0.0, *rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 4)]:
-        got, tail = periodized_cf(dist, [s], a)
-        ref, ref_tail, info = phased_cf_lattice_sum(_cf_shifted_by(dist, s), math.pi,
-                                                    -math.pi * a, 1e-12)
-        allow = tail + ref_tail + 2.0 * np.finfo(float).eps * info["terms"]
-        assert np.max(np.abs(got[:, 0] - ref)) <= allow, (s, tail, ref_tail)
+    # Poisson at s = 0: sum_k e^{-i pi k a} f(pi k) = 2 sum_m p(a + 2m), summed
+    # here on the short side and there on the cf side, within both declared
+    # tails and the density side's declared rounding (s != 0 is covered per
+    # point by the cell engine's hypothesis test against the exact mixture)
+    a = np.random.default_rng(20261018).uniform(-3.0, 3.0, 9)
+    got, tail = periodized_cf(dist, [0.0], a)
+    ref, ref_tail = lattice._cf_side(dist, math.pi, -0.5 * a)
+    _, dn_tail = lattice._density_sum(dist, 2.0, a)
+    assert np.max(np.abs(got[:, 0] - ref)) <= tail + ref_tail + 2.0 * dn_tail
+
+
+@pytest.mark.parametrize("b", [0.25, 0.4, 1.0, 4.0])
+@pytest.mark.parametrize("step", [math.pi, 2.0 * math.pi], ids=["pi", "2pi"])
+def test_cf_side_laplace_per_point(b, step):
+    # sum_k e^{-i step k a} f(step k) is (2 pi/step) sum_m p(a + 2 pi m/step),
+    # cosh in closed form; offsets within 1e-3 of even integers sit by the
+    # kink of that cosh, where the cf side converges slowest
+    a = np.concatenate([np.linspace(-3.0, 3.0, 61),
+                        [d + e for d in (-2.0, 0.0, 2.0) for e in (-1e-3, -1e-7, 0.0, 1e-7, 1e-3)]])
+    L = 2.0 * math.pi / step
+    exact = L * np.cosh((0.5 * L - np.mod(a, L)) / b) / (2.0 * b * math.sinh(0.5 * L / b))
+    for ai, e in zip(a, exact):
+        r = sum_cf_lattice(make_laplace(b), step, -step * ai)
+        assert abs(r.value - e) <= r.tail_estimate, (ai, r.value - e, r.tail_estimate)
+        assert r.tol_met
+
+
+@pytest.mark.parametrize("h", [0.25, 1.0, 1.79, 2.3, 2.63, 3.52])
+def test_cf_side_uniform_per_point(h):
+    # the cf route to A_n against the density side (1-4 lattice points of a
+    # box) on 41 points at four n, offsets on the jumps included
+    src = make_uniform(h)
+    x = np.linspace(-6.0, 1.0, 41)
+    for n in (3, 180, 13456, 14863):
+        a = x * math.sqrt(n) + n
+        cf, cf_tail = asymptotics._a_factor(src, a, 1e-9, "cf")
+        dn, dn_tail = asymptotics._a_factor(src, a, 1e-9, "density")
+        assert np.all(np.abs(cf - dn) <= cf_tail + dn_tail), n
+        assert cf_tail <= 1e-13
+
+
+def test_cf_side_needs_a_declared_side():
+    # a cf with neither a compact support nor declared terms at infinity
+    bare = dataclasses.replace(LAPLACE, cf_lattice_tail=None)
+    with pytest.raises(UnsupportedError, match="no cf side"):
+        sum_cf_lattice(bare, math.pi)
 
 
 def test_periodized_cf_takes_the_midpoint_at_jumps():
@@ -437,6 +351,44 @@ def test_distance_to_lattice():
     assert distance_to_lattice(math.pi / 2, math.pi) == pytest.approx(math.pi / 2)
     assert distance_to_lattice((math.pi / 2, math.pi / 2), math.pi) \
         == pytest.approx(math.pi / math.sqrt(2.0))
+
+
+# ---------------------------------------------------------------------------
+# hostile input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sum_density_lattice(LAPLACE, math.nan, 0.0), id="density-scale-nan"),
+    pytest.param(lambda: sum_density_lattice(LAPLACE, -2.0, 0.0), id="density-scale-negative"),
+    pytest.param(lambda: sum_density_lattice(LAPLACE, 2.0, math.inf), id="density-offset-inf"),
+    pytest.param(lambda: sum_cf_lattice(LAPLACE, math.inf), id="cf-step-inf"),
+    pytest.param(lambda: sum_cf_lattice(LAPLACE, 0.0), id="cf-step-zero"),
+    pytest.param(lambda: sum_cf_lattice(LAPLACE, math.pi, math.nan), id="cf-phase-nan"),
+    pytest.param(lambda: periodized_cf(LAPLACE, [0.0], [math.nan]), id="periodized-a-nan"),
+    pytest.param(lambda: periodized_cf(LAPLACE, [math.inf], [0.0]), id="periodized-s-inf"),
+    pytest.param(lambda: distance_to_lattice(1.0, math.nan), id="distance-step-nan"),
+    pytest.param(lambda: distance_to_lattice(math.inf, 1.0), id="distance-point-inf"),
+    pytest.param(lambda: sum_cf_lattice(LAPLACE, math.pi, [0.3, 1.0]), id="cf-two-phases"),
+    pytest.param(lambda: sum_density_lattice(product([LAPLACE, LAPLACE]), 1.0, [0.0]),
+                 id="density-2d-one-offset"),
+])
+def test_lattice_sums_refuse_non_finite_input(call):
+    # a non-finite or non-positive step or scale, a non-finite offset or
+    # phase, or one that does not give one entry per dimension, is refused
+    # instead of summed to NaN or to a wrong value
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_lattice_sums_and_limits_refuse_a_nonpositive_tol(tol):
+    model = SmoothedModel(LAPLACE, bernoulli_noise(1))
+    for call in (lambda: sum_density_lattice(LAPLACE, 2.0, 0.0, tol=tol),
+                 lambda: sum_cf_lattice(LAPLACE, math.pi, tol=tol),
+                 lambda: even_odd_limits(LAPLACE, tol=tol),
+                 lambda: oscillation_report(model, 16, tol=tol)):
+        with pytest.raises(InvalidParameterError, match="tol must be positive"):
+            call()
 
 
 # ---------------------------------------------------------------------------
