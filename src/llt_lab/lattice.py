@@ -356,15 +356,24 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
         K *= 2
     k = np.arange(1, K)
     t = step * k
-    fk = np.asarray(f(t), dtype=float)
+    # the terms are even in t; a cf that is not takes its remainder on
+    # each side of 0
     terms = [c * t ** -p * (np.sin(omega * t) if p % 2 else np.cos(omega * t))
              for c, p, omega in dist.cf_terms]
-    r = fk - sum(terms)
-    head = 2.0 * (np.cos(2.0 * math.pi * np.outer(x, k)) @ r)
-    # r is formed from f and the terms, and its phase 2 pi k x carries
-    # eps 2 pi k; the closed forms are two more terms each
-    mass = abs(f0) + np.abs(closed) + 2.0 * float(np.sum(
-        np.abs(fk) + sum(np.abs(v) for v in terms) + 2.0 * math.pi * k * np.abs(r)))
+    if dist.flags.symmetric_about_0:
+        fp = fm = np.asarray(f(t), dtype=float)
+        rp = rm = fp - sum(terms)
+        head = 2.0 * (np.cos(2.0 * math.pi * np.outer(x, k)) @ rp)
+    else:
+        fp, fm = np.asarray(f(t), dtype=complex), np.asarray(f(-t), dtype=complex)
+        rp, rm = fp - sum(terms), fm - sum(terms)
+        ph = np.exp(2j * math.pi * np.outer(x, k))
+        head = ph @ rp + np.conj(ph) @ rm
+    # each remainder is formed from f and the terms, and its phase
+    # 2 pi k x carries eps 2 pi k; the closed forms are two more terms each
+    mass = abs(f0) + np.abs(closed) + float(np.sum(
+        np.abs(fp) + np.abs(fm) + 2.0 * sum(np.abs(v) for v in terms)
+        + 2.0 * math.pi * k * (np.abs(rp) + np.abs(rm))))
     tail = (dist.cf_lattice_tail(K * step, step) + closed_rounding
             + _sum_rounding(mass, 2 * K - 1 + 2 * len(dist.cf_terms)))
     return f0 + head + closed, tail

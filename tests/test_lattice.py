@@ -153,6 +153,90 @@ def test_cf_sum_product_separable():
 
 
 # ---------------------------------------------------------------------------
+# phased cf sums against the direct-exponential loop
+# ---------------------------------------------------------------------------
+
+def _shifted_gaussian(mu):
+    # cf e^{i mu t - t^2/2}: not symmetric about 0, so the cf side sums its
+    # remainder on each side of 0
+    g = make_gaussian(1.0)
+    return dataclasses.replace(
+        g, cf=lambda t: np.exp(1j * mu * np.asarray(t, dtype=float)) * g.cf(t),
+        flags=dataclasses.replace(g.flags, symmetric_about_0=False),
+        label=f"gaussian-shift:mu={mu}")
+
+
+def _direct_phased_sum(dist, phases, N):
+    """sum_{|k| <= N} e^{i phi k} f(pi k), one exponential per term, in
+    blocks of 1024 k; returns the sums and sum_{|k| <= N} |f(pi k)|."""
+    phi = np.atleast_1d(np.asarray(phases, dtype=float))
+    f = dist.cf
+    vals = np.full(phi.shape, complex(f(0.0)))
+    mass = abs(f(0.0))
+    for k0 in range(1, N + 1, 1024):
+        k = np.arange(k0, min(k0 + 1024, N + 1))
+        fp = np.asarray(f(math.pi * k), dtype=complex)
+        fm = np.asarray(f(-math.pi * k), dtype=complex)
+        ang = np.outer(phi, k)
+        vals += (np.exp(1j * ang) * fp + np.exp(-1j * ang) * fm).sum(axis=1)
+        mass += float(np.abs(fp).sum() + np.abs(fm).sum())
+    return vals, mass
+
+
+def _grid_phases(n):
+    w = np.linspace(-5.0, 5.0, 1001) * math.sqrt(n)
+    par = n % 2
+    return -math.pi * ((w - 2.0 * np.round((w + par) / 2.0)) + par)
+
+
+PHASE_SETS = {
+    "grid-n16": _grid_phases(16),
+    "grid-n16384": _grid_phases(16384),
+    "random57": np.random.default_rng(20261018).uniform(-math.pi, math.pi, 57),
+    "limits": -math.pi * np.array([0.0, 1.0]),
+}
+
+# the direct loop's last k, and its truncation sum_{|k| > N} |f(pi k)|
+DIRECT_LOOP = {
+    "uniform:h=1": (2 ** 14, 0.0),                             # sin(pi k) = 0
+    "laplace:b=1": (2 ** 14, 2.0 / (math.pi ** 2 * 2 ** 14)),  # integral test on (pi k)^-2
+    "gaussian:sigma=1": (40, 0.0),                             # e^{-pi^2 k^2/2} underflows
+    "fejer:T=0.7": (0, 0.0),                                   # support |t| <= 0.7 < pi
+    "gaussian-shift:mu=0.3": (40, 0.0),
+}
+
+
+@pytest.mark.parametrize("phases", list(PHASE_SETS.values()), ids=list(PHASE_SETS))
+@pytest.mark.parametrize("dist", [UNIFORM, LAPLACE, GAUSSIAN, make_fejer(0.7),
+                                  _shifted_gaussian(0.3)], ids=lambda d: d.label)
+def test_phased_sum_matches_direct_loop(dist, phases):
+    # the phased cf sum sum_k e^{i phi k} f(pi k), on the cf side at x = phi/2 pi,
+    # within its declared tail of the direct loop, allowing that loop its
+    # truncation, 64 eps of its mass, and 2 eps per term for the rounding of
+    # pi k (|t f'(t)| <= 2 for these laws)
+    vals, tail = lattice._cf_side(dist, math.pi, phases / (2.0 * math.pi))
+    N, truncation = DIRECT_LOOP[dist.label]
+    ref, mass = _direct_phased_sum(dist, phases, N)
+    eps = np.finfo(float).eps
+    allow = tail + truncation + 64.0 * eps * mass + 2.0 * eps * (2 * N + 1)
+    assert np.max(np.abs(vals - ref)) <= allow
+    assert tail <= 1e-9 * math.sqrt(2.0 * math.pi) * 0.25   # the cell engine's A tolerance
+
+
+def test_phased_sum_asymmetric_matches_theta_series():
+    # e^{i mu pi k - pi^2 k^2 / 2} is below 1e-300 beyond |k| = 12
+    mu, phases = 0.3, np.array([-2.0, 0.0, 0.7, 3.0])
+    k = np.arange(-12, 13)
+    direct = (np.exp(1j * np.outer(phases, k)) * np.exp(1j * mu * math.pi * k
+                                                        - 0.5 * (math.pi * k) ** 2)).sum(axis=1)
+    vals, tail = lattice._cf_side(_shifted_gaussian(mu), math.pi, phases / (2.0 * math.pi))
+    # read as real, the cf would lose its shift: 2 cos(phi k) cos(mu pi k)
+    # in place of 2 cos((phi + mu pi) k), off by about 0.02 at these phases
+    assert np.max(np.abs(vals - direct)) <= 1e-15
+    assert tail <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # the periodized cf on its short side
 # ---------------------------------------------------------------------------
 
