@@ -289,7 +289,7 @@ _CSV_COLUMNS = ("x", "p_n", "phi", "A_n", "residual")
 
 
 def canonical_json_body(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=True)
+    return json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -310,16 +310,19 @@ def run(cfg: ExperimentConfig) -> int:
         "library_version": __version__,
         "results": results,
     }
-    doc = {"created_unix": time.time(), "body": body}
+    try:
+        text = canonical_json_body(body)
+    except ValueError:
+        # JSON has no inf or NaN: a result that overflowed is refused
+        raise UnsupportedError(f"{cfg.experiment}: the result is not finite") from None
     if cfg.out_json:
         with open(cfg.out_json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"created_unix": doc["created_unix"]},
-                                separators=(",", ":"))[:-1])
+            fh.write(json.dumps({"created_unix": time.time()}, separators=(",", ":"))[:-1])
             fh.write(',"body":')
-            fh.write(canonical_json_body(body))
+            fh.write(text)
             fh.write("}\n")
     else:
-        sys.stdout.write(canonical_json_body(body) + "\n")
+        sys.stdout.write(text + "\n")
     if rows is not None and cfg.out_csv:
         cols = [c for c in _CSV_COLUMNS if c in rows]
         with open(cfg.out_csv, "w", newline="", encoding="utf-8") as fh:

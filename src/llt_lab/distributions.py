@@ -46,7 +46,6 @@ _LAPLACE_CF_TERMS = 3      # terms of the laplace cf declared at infinity
 @dataclass(frozen=True)
 class DistFlags:
     symmetric_about_0: bool
-    bounded_variation_density: bool
     density_continuous: bool = True
     cf_integrable: bool = True
 
@@ -88,7 +87,6 @@ class SourceDistribution:
     density_lattice_tail: Optional[Callable] = None
     cf_terms: tuple = ()
     cf_lattice_tail: Optional[Callable] = None
-    self_convolution: Optional[Callable] = None
     sampler: Optional[Callable] = None
     components: Optional[tuple] = None
     label: str = ""
@@ -120,7 +118,8 @@ def _sinc(u):
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < _SMALL
     safe = np.where(small, 1.0, u)
-    u2 = u * u
+    us = np.where(small, u, 0.0)    # the series only where it is taken
+    u2 = us * us
     out = np.where(small, 1.0 - u2 / 6.0 + u2 * u2 / 120.0, np.sin(safe) / safe)
     return out
 
@@ -130,8 +129,9 @@ def _sinc_prime(u):
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < _SMALL
     safe = np.where(small, 1.0, u)
-    u2 = u * u
-    series = -u / 3.0 + u * u2 / 30.0
+    us = np.where(small, u, 0.0)
+    u2 = us * us
+    series = -us / 3.0 + us * u2 / 30.0
     direct = np.cos(safe) / safe - np.sin(safe) / (safe * safe)
     out = np.where(small, series, direct)
     return out
@@ -160,10 +160,24 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _refuses_overflow(make: Callable) -> Callable:
+    """A catalog maker refuses a parameter that overflows one of the law's
+    constants (a moment, a cf term) with InvalidParameterError."""
+    @functools.wraps(make)
+    def checked(param: float) -> SourceDistribution:
+        try:
+            return make(param)
+        except OverflowError:
+            raise InvalidParameterError(f"{make.__name__}({param!r}): the law's constants "
+                                        "overflow a float") from None
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # catalog constructors (dim = 1)
 # ---------------------------------------------------------------------------
 
+@_refuses_overflow
 def make_uniform(halfwidth: float) -> SourceDistribution:
     """Uniform distribution on [-h, h]; cf(t) = sin(ht)/(ht)."""
     h = _require_positive("halfwidth", halfwidth)
@@ -180,10 +194,6 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
     def cf_grad(t):
         return h * _sinc_prime(t * h)
 
-    @_pointwise
-    def self_convolution(y):
-        return np.maximum(2.0 * h - np.abs(y), 0.0) / (4.0 * h * h)
-
     def sampler(rng, size):
         return rng.uniform(-h, h, size)
 
@@ -195,21 +205,16 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
         abs_moment1=h / 2.0,
         second_moment=h * h / 3.0,
         abs_moment3=h ** 3 / 4.0,
-        flags=DistFlags(
-            symmetric_about_0=True,
-            bounded_variation_density=True,
-            density_continuous=False,
-            cf_integrable=False,
-        ),
+        flags=DistFlags(symmetric_about_0=True, density_continuous=False, cf_integrable=False),
         density_support_radius=h,
         cf_terms=((1.0 / h, 1, h),),            # sin(ht)/(ht) is its own term
         cf_lattice_tail=lambda R, L: 0.0,
-        self_convolution=self_convolution,
         sampler=sampler,
         label=f"uniform:h={h:g}",
     )
 
 
+@_refuses_overflow
 def make_laplace(scale: float) -> SourceDistribution:
     """Two-sided exponential with density exp(-|x|/b)/(2b); cf(t) = 1/(1+b^2 t^2)."""
     b = _require_positive("scale", scale)
@@ -225,11 +230,6 @@ def make_laplace(scale: float) -> SourceDistribution:
     @_pointwise
     def cf_grad(t):
         return -2.0 * b * b * t / (1.0 + (b * t) ** 2) ** 2
-
-    @_pointwise
-    def self_convolution(y):
-        a = np.abs(y) / b
-        return (1.0 + a) * np.exp(-a) / (4.0 * b)
 
     def lattice_tail(R, L):
         # two geometric series from |y| = R on, ratio e^{-L/b}
@@ -258,20 +258,22 @@ def make_laplace(scale: float) -> SourceDistribution:
         abs_moment1=b,
         second_moment=2.0 * b * b,
         abs_moment3=6.0 * b ** 3,
-        flags=DistFlags(symmetric_about_0=True, bounded_variation_density=True),
+        flags=DistFlags(symmetric_about_0=True),
         density_lattice_tail=lattice_tail,
         cf_terms=cf_terms,
         cf_lattice_tail=cf_lattice_tail,
-        self_convolution=self_convolution,
         sampler=sampler,
         label=f"laplace:b={b:g}",
     )
 
 
+@_refuses_overflow
 def make_gaussian(sigma: float) -> SourceDistribution:
     """Centered Gaussian with standard deviation sigma; cf(t) = exp(-sigma^2 t^2/2)."""
     s = _require_positive("sigma", sigma)
     s2 = s * s
+    if s2 < np.finfo(float).tiny:
+        raise InvalidParameterError(f"sigma = {s!r}: its variance underflows a float")
 
     @_pointwise
     def density(x):
@@ -284,11 +286,6 @@ def make_gaussian(sigma: float) -> SourceDistribution:
     @_pointwise
     def cf_grad(t):
         return -s2 * t * np.exp(-0.5 * s2 * t * t)
-
-    @_pointwise
-    def self_convolution(y):
-        v = 2.0 * s2
-        return np.exp(-y * y / (2.0 * v)) / math.sqrt(v) / _SQRT2PI
 
     def lattice_tail(R, L):
         # a decreasing density sums to at most its first value plus its
@@ -310,10 +307,9 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         abs_moment1=s * math.sqrt(2.0 / math.pi),
         second_moment=s2,
         abs_moment3=2.0 * math.sqrt(2.0) * s ** 3 / math.sqrt(math.pi),
-        flags=DistFlags(symmetric_about_0=True, bounded_variation_density=True),
+        flags=DistFlags(symmetric_about_0=True),
         density_lattice_tail=lattice_tail,
         cf_lattice_tail=cf_lattice_tail,
-        self_convolution=self_convolution,
         sampler=sampler,
         label=f"gaussian:sigma={s:g}",
     )
@@ -355,7 +351,7 @@ def make_fejer(support_radius: float) -> SourceDistribution:
         second_moment=None,
         abs_moment3=math.inf,
         cf_support_radius=T,
-        flags=DistFlags(symmetric_about_0=True, bounded_variation_density=True),
+        flags=DistFlags(symmetric_about_0=True),
         sampler=sampler,
         label=f"fejer:T={T:g}",
     )
@@ -513,12 +509,7 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
         abs_moment1=math.sqrt(d),
         second_moment=float(d),
         abs_moment3=1.0 if d == 1 else None,
-        flags=DistFlags(
-            symmetric_about_0=True,
-            bounded_variation_density=False,
-            density_continuous=False,
-            cf_integrable=False,
-        ),
+        flags=DistFlags(symmetric_about_0=True, density_continuous=False, cf_integrable=False),
         sampler=sampler,
         label="bernoulli" if d == 1 else f"bernoulli:d={d}",
         is_symmetric_bernoulli=True,

@@ -15,8 +15,9 @@ and each side has one declared mechanism:
 - the cf side (``_cf_side``): sum_k e^{2 pi i k x} f(step k) as a finite
   head plus the terms that the law declares for its cf at infinity,
   c t^-p cos(omega t) or c t^-p sin(omega t), whose Fourier series are
-  Bernoulli polynomials (DLMF 24.8.1-2).  It serves ``sum_cf_lattice`` and
-  the cf route to the oscillation factor.
+  Bernoulli polynomials (DLMF 24.8.1-2).  It serves ``sum_cf_lattice``,
+  the cf route to the oscillation factor and, on the law of |f|^2
+  (``_squared_modulus``), the wrapped autocorrelation.
 
 Also here: the pi-lattice vanishing check, the two-sided Poisson identity,
 the wrapped autocorrelation, distance to a scaled integer lattice, and the
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .distributions import SourceDistribution, _require_positive
+from .distributions import DistFlags, SourceDistribution, _pointwise, _require_positive
 from .errors import InvalidParameterError, UnsupportedError, require_tol
-from .seriesaccel import BlockSeries, sum_series_blocks
+from .seriesaccel import BlockSeries
 
 __all__ = [
     "LatticeSum",
@@ -101,9 +102,17 @@ def _separable(x: LatticeSum, y: LatticeSum, tol: float) -> LatticeSum:
 
 def _require_summable(tail: float, tol: float, what: str) -> None:
     """Refuse a lattice sum whose tail misses tol (and the 1e-7 floor)."""
-    if tail > max(tol, 1e-7):
+    if not tail <= max(tol, 1e-7):      # a NaN tail bounds nothing either
         raise UnsupportedError(f"{what} not summable to {tol:g} "
                                f"(certified only {tail:g})")
+
+
+def _require_terms(dist: SourceDistribution, side: str, terms: int) -> None:
+    """Refuse a side of a lattice sum that takes more than _SHORT_TERMS
+    terms, before any of them is formed."""
+    if terms > _SHORT_TERMS:
+        raise UnsupportedError(f"{dist.label}: the {side} side of the lattice sum "
+                               f"needs more than {_SHORT_TERMS} terms")
 
 
 def _require_finite(name: str, value) -> np.ndarray:
@@ -166,10 +175,8 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
                 R += L
             tail = L * dist.density_lattice_tail(R, L)
         reach = math.ceil((R + 0.5 * L) / L)
+        _require_terms(dist, "density", 2 * reach + 1)
         m = np.arange(-reach, reach + 1)
-        if m.size > _SHORT_TERMS:
-            raise UnsupportedError(f"{dist.label}: the density side of the lattice sum "
-                                   f"needs more than {_SHORT_TERMS} terms")
         y = a[:, None] + L * m
         p = np.asarray(dist.density(y), dtype=float)
         if h is not None and not dist.flags.density_continuous:
@@ -182,6 +189,7 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
     T = dist.cf_support_radius
     if T is not None:
         kmax = math.floor((T + s_max) * L / (2.0 * math.pi))
+        _require_terms(dist, "cf", 2 * kmax + 1)
         return _ShortSide(L, 0.0, k=np.arange(-kmax, kmax + 1))
     raise UnsupportedError(f"{dist.label}: no short side declared for the periodized cf "
                            "(a compact density or cf, or a density lattice tail)")
@@ -314,7 +322,9 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
     f0 = float(np.real(f(0.0)))
     T = dist.cf_support_radius
     if T is not None:
-        k = np.arange(1, math.floor(T / step + 1e-12) + 1)
+        kmax = math.floor(T / step + 1e-12)
+        _require_terms(dist, "cf", 2 * kmax + 1)
+        k = np.arange(1, kmax + 1)
         fp = np.asarray(f(step * k), dtype=complex)
         fm = np.asarray(f(-step * k), dtype=complex)
         ph = np.exp(2j * math.pi * np.outer(x, k))
@@ -326,6 +336,20 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
     if dist.cf_lattice_tail is None:
         raise UnsupportedError(f"{dist.label}: no cf side declared (a compact cf, or cf "
                                "terms at infinity with a lattice tail)")
+    try:
+        scaled = [c * step ** -p for c, p, _ in dist.cf_terms]
+    except OverflowError:
+        scaled = [math.inf]
+    if not all(map(math.isfinite, scaled)):
+        raise UnsupportedError(f"{dist.label}: its cf terms overflow at step {step:g}")
+
+    def lattice_tail(K):
+        # a declared tail too large for a float bounds nothing
+        try:
+            return dist.cf_lattice_tail(K * step, step)
+        except OverflowError:
+            return math.inf
+
     # over k != 0 the term c t^-p trig(omega t) at t = step k gives
     # c step^-p [F_p(u + x) + F_p(u - x)] with u = omega step/2 pi
     jump = _JUMP_TOL * step / (2.0 * math.pi)       # a density jump, in turns
@@ -339,9 +363,8 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
                 x = np.where(np.abs(d) <= jump, x - sign * d, x)
     closed = np.zeros(x.shape)
     closed_rounding = 0.0
-    for c, p, omega in dist.cf_terms:
+    for (c, p, omega), ck in zip(dist.cf_terms, scaled):
         u = omega * step / (2.0 * math.pi)
-        ck = c * step ** -p
         plus, horner = _bernoulli_series(p, u + x, jump)
         minus, _ = _bernoulli_series(p, u - x, jump)
         closed += ck * (plus + minus)
@@ -351,8 +374,7 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
         closed_rounding += 2.0 * _EPS * abs(ck) * (2 * p * horner + 4.0
                                                    + 4.0 * math.pi * (abs(u) + 2.0))
     K = 1
-    while dist.cf_lattice_tail(K * step, step) > max(_SHORT_TAIL, closed_rounding) \
-            and K < _SHORT_TERMS:
+    while lattice_tail(K) > max(_SHORT_TAIL, closed_rounding) and K < _SHORT_TERMS:
         K *= 2
     k = np.arange(1, K)
     t = step * k
@@ -374,7 +396,7 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
     mass = abs(f0) + np.abs(closed) + float(np.sum(
         np.abs(fp) + np.abs(fm) + 2.0 * sum(np.abs(v) for v in terms)
         + 2.0 * math.pi * k * (np.abs(rp) + np.abs(rm))))
-    tail = (dist.cf_lattice_tail(K * step, step) + closed_rounding
+    tail = (lattice_tail(K) + closed_rounding
             + _sum_rounding(mass, 2 * K - 1 + 2 * len(dist.cf_terms)))
     return f0 + head + closed, tail
 
@@ -485,9 +507,9 @@ def poisson_check(dist: SourceDistribution, tol: float = 1e-10) -> PoissonReport
 def wrapped_autocorrelation(dist: SourceDistribution, tol: float = 1e-9) -> LatticeSum:
     """sum over the lattice 2 Z^d of the density's self-correlation
     integral p*p~ evaluated at even integer points; equals 2^-d exactly when
-    the cf vanishes on the nonzero pi-lattice.  A one-dimensional cf of
-    compact support is summed on the cf side of the Poisson pair,
-    1/2 sum_m |f(pi m)|^2, a finite sum with tail 0."""
+    the cf vanishes on the nonzero pi-lattice.  In one dimension it is the
+    cf side of its Poisson pair, 1/2 sum_k |f(pi k)|^2 (``_cf_side`` of
+    ``_squared_modulus``)."""
     require_tol(tol)
     if dist.dim == 1:
         return _wrapped_autocorr_1d(dist, tol)
@@ -496,51 +518,56 @@ def wrapped_autocorrelation(dist: SourceDistribution, tol: float = 1e-9) -> Latt
     raise UnsupportedError("wrapped autocorrelation supports dim 1 and separable dim 2")
 
 
-def _selfconv_numeric(dist, y: float) -> float:
-    # overlap integral p(y + x) p(x) dx by adaptive quadrature
-    from scipy.integrate import quad
-    val, _ = quad(lambda x: dist.density(y + x) * dist.density(x),
-                  -np.inf, np.inf, limit=200)
-    return val
+def _squared_terms(terms) -> tuple:
+    """The pairwise products of cf terms (c, p, omega), as terms of the same
+    form: a product of two cosines or two sines (p_i + p_j even) is a sum
+    of two cosines, a sine times a cosine a sum of two sines.  Terms with
+    the same (p, omega) are merged; a sine of frequency 0 is dropped."""
+    out = {}
+    for c1, p1, w1 in terms:
+        for c2, p2, w2 in terms:
+            c, p = 0.5 * c1 * c2, p1 + p2
+            if p % 2 == 0:
+                # cos a cos b = (cos(a - b) + cos(a + b))/2, and
+                # sin a sin b = (cos(a - b) - cos(a + b))/2
+                pieces = ((c, abs(w1 - w2)), (-c if p1 % 2 else c, w1 + w2))
+            else:
+                # sin a cos b = (sin(a + b) + sin(a - b))/2, a the sine's
+                ws, wc = (w1, w2) if p1 % 2 else (w2, w1)
+                pieces = ((c, ws + wc), (c if ws >= wc else -c, abs(ws - wc)))
+            for cw, w in pieces:
+                if p % 2 == 0 or w != 0.0:
+                    out[(p, w)] = out.get((p, w), 0.0) + cw
+    return tuple((c, p, w) for (p, w), c in out.items())
+
+
+def _squared_modulus(dist: SourceDistribution) -> SourceDistribution:
+    """The law with cf |f|^2, declared from ``dist``'s own cf side: the
+    same compact support, the pairwise products of its cf terms, and,
+    with f = S + rho for S the terms and r(R, L) its lattice tail,
+    |f|^2 - S^2 = 2 S Re rho + |rho|^2, whose lattice sum beyond R is at
+    most (2 sum_j |c_j| R^-p_j + r) r."""
+    f, terms, r = dist.cf, dist.cf_terms, dist.cf_lattice_tail
+
+    def cf_lattice_tail(R, L):
+        rho = r(R, L)
+        return (2.0 * sum(abs(c) * R ** -p for c, p, _ in terms) + rho) * rho
+
+    return SourceDistribution(
+        dim=1, density=None, cf=_pointwise(lambda t: np.abs(f(t)) ** 2),
+        flags=DistFlags(symmetric_about_0=True),
+        cf_support_radius=dist.cf_support_radius,
+        cf_terms=_squared_terms(terms),
+        cf_lattice_tail=None if r is None else cf_lattice_tail,
+        label=dist.label)
 
 
 def _wrapped_autocorr_1d(dist, tol):
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density")
-    if dist.cf_support_radius is not None:
-        # |f(pi m)| is 0 beyond the cf support (and at its edge)
-        kmax = int(math.floor(dist.cf_support_radius / math.pi + 1e-12))
-        f = np.abs(np.asarray(dist.cf(math.pi * np.arange(-kmax, kmax + 1)), dtype=complex))
-        return LatticeSum(0.5 * float(np.sum(f * f)), 0.0, True)
-    q = dist.self_convolution
-    if q is None:
-        if not dist.flags.bounded_variation_density:
-            raise UnsupportedError(f"{dist.label}: self-convolution unavailable")
-        q = lambda y: np.vectorize(lambda yy: _selfconv_numeric(dist, yy))(y)  # noqa: E731
-    r = dist.density_support_radius
-    if r is not None:
-        # q vanishes beyond 2r: every even point within it, nothing truncated
-        m = np.arange(-math.floor(r + 1e-12), math.floor(r + 1e-12) + 1)[None, :]
-        t = np.asarray(q(2.0 * m), dtype=float)
-        tail = _sum_rounding(np.abs(t).sum(axis=1), t.shape[1])
-        return LatticeSum(float(t.sum(axis=1)[0]), tail, bool(tail <= tol))
-    # a catalog self-convolution decays exponentially: sum_series_blocks
-    # certifies its tail or refuses it
-    centre = np.asarray(q(np.zeros(1)), dtype=float)
-    mass = [np.abs(centre)]
-
-    def term_block(k0, k1):
-        m = np.arange(k0, k1)[None, :]
-        up = np.asarray(q(2.0 * m), dtype=float)
-        down = np.asarray(q(-2.0 * m), dtype=float)
-        mass.append((np.abs(up) + np.abs(down)).sum(axis=1))
-        return up + down
-
-    block = 128
-    res = sum_series_blocks(term_block, tol=tol, block=block, max_blocks=192)
-    tail = res.tail_estimate + _sum_rounding(np.sum(mass, axis=0),
-                                             1 + 2 * block * (len(mass) - 1))
-    return LatticeSum(float(centre[0] + np.real(res.value)[0]), tail, bool(tail <= tol))
+    vals, tail = _cf_side(_squared_modulus(dist), math.pi, np.zeros(1))
+    _require_summable(0.5 * tail, tol, f"{dist.label}: wrapped autocorrelation")
+    return LatticeSum(0.5 * float(vals[0]), 0.5 * tail, bool(0.5 * tail <= tol))
 
 
 def distance_to_lattice(t, lattice_step: float) -> float:

@@ -1,31 +1,21 @@
 """Block summation with certified tails.
 
-The two-dimensional shell sum of a cf lattice and the wrapped
-autocorrelation of a catalog self-convolution reduce to one-sided series
-over k = 1, 2, ... whose terms decay fast.  One accumulator,
-:class:`BlockSeries`, keeps the running total and the block magnitudes,
-and stops once an envelope fitted to those magnitudes
-(:func:`certified_tail`) bounds the omitted tail below ``tol``;
-:func:`sum_series_blocks` drives it for a series given by blocks of terms
-and refuses a series whose tail it cannot certify.
+The two-dimensional cf lattice sum of a source that is not a product is
+summed over sup-norm shells s = 1, 2, ..., a one-sided series whose terms
+decay fast.  One accumulator, :class:`BlockSeries`, keeps the running
+total and the block magnitudes, and stops once an envelope fitted to those
+magnitudes (:func:`certified_tail`) bounds the omitted tail below ``tol``;
+nothing is extrapolated, and its caller refuses a series whose tail is not
+certified within its term cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import UnsupportedError, require_tol
+from .errors import require_tol
 
-__all__ = ["SeriesResult", "BlockSeries", "sum_series_blocks"]
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    value: np.ndarray | complex
-    tail_estimate: float
+__all__ = ["BlockSeries", "certified_tail"]
 
 
 def certified_tail(mags, block_width: int):
@@ -98,26 +88,3 @@ class BlockSeries:
             return True
         return False
 
-
-def sum_series_blocks(
-    term_block: Callable[[int, int], np.ndarray],
-    tol: float,
-    block: int = 64,
-    max_blocks: int = 192,
-) -> SeriesResult:
-    """Sum a one-sided series sum_{k >= 1} t_k with a certified tail.
-
-    ``term_block(k0, k1)`` returns the terms for k in [k0, k1) as an array
-    whose last axis has length k1 - k0 (leading axes are a shared evaluation
-    batch).  Blocks are added until an envelope fitted to their magnitudes
-    certifies a tail below ``tol``; a series that no envelope certifies
-    within ``max_blocks`` blocks is refused with UnsupportedError.
-    """
-    acc = BlockSeries(0.0, block, tol)
-    for k0 in range(1, 1 + block * max_blocks, block):
-        T = np.asarray(term_block(k0, k0 + block))
-        if acc.add(np.arange(k0, k0 + block), T,
-                   float(np.max(np.abs(T).sum(axis=-1)))):
-            return SeriesResult(acc.total, acc.tail)
-    raise UnsupportedError(f"series tail not certified below {tol:g} "
-                           f"within {block * max_blocks} terms")

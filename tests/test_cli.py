@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from llt_lab import even_odd_limits, make_fejer, make_laplace, wrapped_autocorrelation
+from llt_lab import cli, even_odd_limits, make_fejer, make_laplace, wrapped_autocorrelation
 from llt_lab.cli import (ExperimentConfig, main, parse_noise_spec, parse_spec, run)
 from llt_lab.errors import UnknownDistributionError
 
@@ -124,6 +124,7 @@ def test_cli_exit_codes():
 
 
 _DENSITY = ["density", "--source", "laplace:b=1", "--n", "4"]
+_OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "uniform:h=1e300")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -145,19 +146,52 @@ _DENSITY = ["density", "--source", "laplace:b=1", "--n", "4"]
     (["limits", "--config", "norms.cfg"], 1),
     (["limits", "--config", "no-such-file.cfg"], 1),
     (["regularity", "--source", "laplace:b=1", "--k", "2"], 1),
+    # a parameter that overflows the law's constants, or a gaussian variance
+    # that underflows, is invalid
+    *[([e, "--source", spec], 1) for spec in _OVERFLOWING for e in ("limits", "autocorr", "poisson")],
+    (["limits", "--source", "gaussian:sigma=1e-200"], 1),
+    # a side of a lattice sum longer than its cap is refused before it is formed
+    (["limits", "--source", "fejer:T=1e300"], 2),
+    (["density", "--source", "uniform:h=1e100", "--n", "16", "--grid=-5,5,11"], 2),
+    # cf terms that overflow at the step, or a tail that does
+    (["autocorr", "--source", "uniform:h=1e-300"], 2),
+    (["autocorr", "--source", "laplace:b=1e-50"], 2),
+    (["poisson", "--source", "laplace:b=1e-50"], 2),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
         "spec-param-laplace", "spec-param-uniform", "spec-param-product",
-        "config-unknown-key", "config-missing", "regularity-k-below-4"])
+        "config-unknown-key", "config-missing", "regularity-k-below-4",
+        *[f"{e}-{spec}" for spec in _OVERFLOWING for e in ("limits", "autocorr", "poisson")],
+        "limits-gaussian-variance-underflows", "limits-fejer-wide", "density-uniform-wide",
+        "autocorr-uniform-narrow", "autocorr-laplace-narrow", "poisson-laplace-narrow"])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
     assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
     if code:
-        assert "error:" in err
+        assert out == ""
+        assert ("error:" if code == 1 else "hypotheses not satisfied:") in err
+
+
+def test_autocorr_of_a_wide_uniform_is_its_closed_form(capsys):
+    # the cf side of uniform:h=1e100 is two Bernoulli values, not 1e100
+    # lattice points
+    assert main(["autocorr", "--source", "uniform:h=1e100"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["value"] == 0.5 and res["error_estimates"]["tol_met"]
+
+
+def test_non_finite_result_is_refused(capsys, monkeypatch):
+    # JSON has no inf or NaN: such a result exits 2 and writes no body
+    monkeypatch.setitem(cli._RUNNERS, "autocorr",
+                        lambda cfg: ({"value": math.inf, "series_tail": math.nan}, None))
+    assert main(["autocorr", "--source", "laplace:b=1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "hypotheses not satisfied: autocorr: the result is not finite" in err
 
 
 def test_cli_missing_source():
@@ -308,7 +342,7 @@ def test_fixed_cli_bodies_unchanged(capsys):
     # tests/data/cli_bodies.json with tests/data/record_cli_bodies.py
     path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
-    assert len(runs) == 11
+    assert len(runs) == 13
     for run_ in runs:
         assert main(run_["argv"]) == 0
         assert capsys.readouterr().out == run_["body"] + "\n", run_["argv"]

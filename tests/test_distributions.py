@@ -55,6 +55,26 @@ def test_invalid_parameters():
             ctor(-1.5)
 
 
+@pytest.mark.parametrize("ctor, value", [(make_laplace, 1e300), (make_laplace, 1e-300),
+                                         (make_gaussian, 1e200), (make_gaussian, 1e-200),
+                                         (make_uniform, 1e300)])
+def test_parameters_whose_constants_overflow_are_refused(ctor, value):
+    # b^3, sigma^3, h^3 or the laplace cf terms b^-2j overflow a float, and
+    # sigma^2 = 1e-400 underflows to 0
+    with pytest.raises(InvalidParameterError):
+        ctor(value)
+
+
+def test_sinc_takes_its_series_only_near_0():
+    # the series at the removable singularity is not formed at u = 1e102,
+    # where its u^4 would overflow (warnings are errors here)
+    wide = make_uniform(1e100)
+    t = np.array([0.0, 1e-110, math.pi])
+    assert wide.cf(t)[:2].tolist() == [1.0, 1.0]
+    assert wide.cf_grad(t)[0] == 0.0
+    assert abs(wide.cf(t)[2]) <= 1e-100
+
+
 def test_product_examples():
     p2 = product([make_uniform(1.0), make_uniform(1.0)])
     assert abs(p2.cf(np.array([math.pi, math.pi]))) <= 1e-15
@@ -213,7 +233,7 @@ def test_as_noise_carries_every_source_field(dist):
 
 def _pointwise_callables():
     for d in CATALOG:
-        for name in ("density", "cf", "cf_grad", "self_convolution"):
+        for name in ("density", "cf", "cf_grad"):
             if getattr(d, name) is not None:
                 yield f"{d.label}.{name}", getattr(d, name), 1
     p2 = product([UNIFORM, LAPLACE])

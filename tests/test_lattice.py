@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -390,11 +391,76 @@ def test_autocorr_fejer_half():
     assert wrapped_autocorrelation(FEJER).value == pytest.approx(0.5, abs=1e-8)
 
 
-def test_autocorr_quadrature_fallback():
-    import dataclasses
-    stripped = dataclasses.replace(LAPLACE, self_convolution=None)
-    val = wrapped_autocorrelation(stripped, tol=1e-8).value
-    assert val == pytest.approx(0.509274, abs=1e-6)
+def test_autocorr_needs_a_declared_cf_side():
+    # the sum is taken on the cf side only: a law that declares neither a
+    # compact cf nor cf terms with a lattice tail is refused
+    stripped = dataclasses.replace(LAPLACE, cf_terms=(), cf_lattice_tail=None)
+    with pytest.raises(UnsupportedError, match="no cf side declared"):
+        wrapped_autocorrelation(stripped)
+
+
+def test_squared_terms_are_the_square_of_the_terms():
+    # every parity pair, with the sine's frequency above, below and equal to
+    # the cosine's (a sine of frequency 0 is dropped)
+    terms = ((0.7, 1, 2.0), (-0.3, 2, 0.5), (1.1, 3, 0.5), (0.2, 2, 3.0))
+
+    def value(ts, t):
+        return sum(c * t ** -p * (np.sin(w * t) if p % 2 else np.cos(w * t)) for c, p, w in ts)
+
+    t = np.linspace(0.3, 7.0, 41)
+    squared = lattice._squared_terms(terms)
+    assert all(p % 2 == 0 or w > 0.0 for _, p, w in squared)
+    np.testing.assert_allclose(value(squared, t), value(terms, t) ** 2, rtol=1e-12, atol=1e-14)
+
+
+def _autocorr_exact(name, v):
+    """sum_m (p*p~)(2m) to 90 digits, in closed form: gaussian:sigma=4 is
+    1e-69 above 1/2."""
+    with mpmath.workdps(90):
+        v = mpmath.mpf(v)
+        if name == "laplace":
+            # (p*p~)(y) = (1 + |y|/b) e^{-|y|/b}/(4b): two geometric series
+            r = mpmath.exp(-2 / v)
+            exact = (1 + 2 * (r / (1 - r) + (2 / v) * r / (1 - r) ** 2)) / (4 * v)
+        elif name == "gaussian":
+            # (p*p~)(y) = e^{-y^2/4 sigma^2}/(2 sigma sqrt(pi)): a theta value
+            exact = mpmath.jtheta(3, 0, mpmath.exp(-1 / v ** 2)) / (2 * v * mpmath.sqrt(mpmath.pi))
+        elif name == "uniform":
+            # the triangle (2h - |y|)+/(4h^2) at the even points inside it
+            M = int(mpmath.floor(v))
+            exact = mpmath.fsum(2 * v - 2 * abs(m) for m in range(-M, M + 1)
+                                if 2 * abs(m) < 2 * v) / (4 * v * v)
+        else:
+            # fejer, on the cf side: 1/2 sum_{|pi m| < T} (1 - |pi m|/T)^2
+            M = int(mpmath.floor(v / mpmath.pi))
+            exact = mpmath.fsum((1 - mpmath.pi * abs(m) / v) ** 2
+                                for m in range(-M, M + 1) if mpmath.pi * abs(m) < v) / 2
+        return exact
+
+
+_AUTOCORR_LAWS = ([("laplace", b) for b in (0.25, 0.4, 1.0, 4.0)]
+                  + [("gaussian", s) for s in (0.25, 1.0, 4.0)]
+                  + [("uniform", h) for h in (0.25, 0.7, 1.0, math.sqrt(3.0), 4.0)]
+                  + [("fejer", T) for T in (0.7, 3.5, 7.0)])
+_MAKERS = {"laplace": make_laplace, "gaussian": make_gaussian,
+           "uniform": make_uniform, "fejer": make_fejer}
+
+
+@pytest.mark.parametrize("name, v", _AUTOCORR_LAWS + [("product", None)],
+                         ids=[f"{n}-{v:g}" for n, v in _AUTOCORR_LAWS] + ["product"])
+def test_autocorr_per_parameter(name, v):
+    # each family on the one cf-side path, within its declared tail of the
+    # exact value; a product is the product of its components' sums
+    if name == "product":
+        dist = product([make_uniform(0.7), make_laplace(1.0)])
+        exact = _autocorr_exact("uniform", 0.7) * _autocorr_exact("laplace", 1.0)
+    else:
+        dist, exact = _MAKERS[name](v), _autocorr_exact(name, v)
+    ac = wrapped_autocorrelation(dist)
+    with mpmath.workdps(90):
+        err = float(abs(mpmath.mpf(ac.value) - exact))
+    assert err <= ac.tail_estimate <= 1e-11
+    assert ac.tol_met
 
 
 def test_equivalence_zeros_iff_autocorr_half():
@@ -464,6 +530,20 @@ def test_lattice_sums_refuse_non_finite_input(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sum_cf_lattice(make_fejer(1e300), math.pi), id="cf-side-compact"),
+    pytest.param(lambda: periodized_cf(make_fejer(1e300), [0.0], [0.0]), id="short-side-cf"),
+    pytest.param(lambda: periodized_cf(make_uniform(1e100), [0.0], [0.0]),
+                 id="short-side-density"),
+    pytest.param(lambda: wrapped_autocorrelation(make_fejer(1e300)), id="autocorr-compact"),
+])
+def test_lattice_sides_count_their_terms_first(call):
+    # 1e300 terms would not fit in memory: the count is refused before any
+    # term is formed
+    with pytest.raises(UnsupportedError, match="needs more than 2048 terms"):
+        call()
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
 def test_lattice_sums_and_limits_refuse_a_nonpositive_tol(tol):
     model = SmoothedModel(LAPLACE, bernoulli_noise(1))
@@ -523,7 +603,7 @@ def _correlated_gaussian_2d():
              + x[..., 1] ** 2 * Sinv[1, 1])
         return np.exp(-0.5 * q) / (2 * math.pi * math.sqrt(det))
 
-    flags = DistFlags(symmetric_about_0=True, bounded_variation_density=True)
+    flags = DistFlags(symmetric_about_0=True)
     return SourceDistribution(dim=2, density=density, cf=cf, flags=flags,
                               label="gauss2d-correlated"), S
 
@@ -551,7 +631,7 @@ def _radial_laplace_2d():
         x = np.asarray(x, dtype=float)
         return np.exp(-np.hypot(x[..., 0], x[..., 1])) / (2.0 * math.pi)
 
-    flags = DistFlags(symmetric_about_0=True, bounded_variation_density=True)
+    flags = DistFlags(symmetric_about_0=True)
     return SourceDistribution(dim=2, density=density, cf=cf, flags=flags,
                               label="laplace2d-radial")
 
