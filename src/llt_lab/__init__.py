@@ -18,7 +18,7 @@ from .distributions import (DistFlags, NoiseDistribution, SourceDistribution,
                             product, uniform_noise)
 from .errors import (InconsistentCfError, InvalidParameterError, LltLabError,
                      UnknownDistributionError, UnsupportedError)
-from .inversion import Axis, Grid, GridDensity, estimate_tail, grid_1d, grid_2d, invert
+from .inversion import Axis, Grid, GridDensity, grid_1d, grid_2d, invert
 from .lattice import (LatticeSum, LatticeZeroReport, PoissonReport,
                       RegularityReport, check_pi_lattice_zeros, distance_to_lattice,
                       periodized_cf, poisson_check, regularity_integral, sum_cf_lattice,

@@ -70,8 +70,11 @@ class SourceDistribution:
     terms (c, p, omega), c t^-p cos(omega t) for even p and
     c t^-p sin(omega t) for odd p, and ``cf_lattice_tail(R, L)`` bounds the
     sum of |f - terms| over the points t of L Z with |t| >= R; None where
-    no bound is declared.  Densities and cfs accept floats or numpy arrays;
-    for dim >= 2 the point arrays have the coordinate axis last.
+    no bound is declared.  ``cf_power_tail(r, p)`` bounds the integral of
+    |f(u)|^p over |u| > r (the sup norm for dim >= 2), inf where that
+    integral diverges; None where no bound is declared.  Densities and cfs
+    accept floats or numpy arrays; for dim >= 2 the point arrays have the
+    coordinate axis last.
     """
 
     dim: int
@@ -87,6 +90,7 @@ class SourceDistribution:
     density_lattice_tail: Optional[Callable] = None
     cf_terms: tuple = ()
     cf_lattice_tail: Optional[Callable] = None
+    cf_power_tail: Optional[Callable] = None
     sampler: Optional[Callable] = None
     components: Optional[tuple] = None
     label: str = ""
@@ -194,6 +198,16 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
     def cf_grad(t):
         return h * _sinc_prime(t * h)
 
+    def cf_power_tail(r, p):
+        # |sin(hu)/(hu)| <= e^{-(hu)^2/6} for |hu| <= pi (every term of the
+        # series of log(sin z/z) is negative), and <= 1/(h|u|) beyond
+        if p <= 1:
+            return math.inf
+        edge, k = math.pi / h, math.sqrt(p / 6.0)
+        near = (math.sqrt(6.0 * math.pi / p) / h
+                * (math.erfc(h * r * k) - math.erfc(math.pi * k)) if r < edge else 0.0)
+        return near + 2.0 / (h * (p - 1.0)) * (h * max(r, edge)) ** (1.0 - p)
+
     def sampler(rng, size):
         return rng.uniform(-h, h, size)
 
@@ -209,6 +223,7 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
         density_support_radius=h,
         cf_terms=((1.0 / h, 1, h),),            # sin(ht)/(ht) is its own term
         cf_lattice_tail=lambda R, L: 0.0,
+        cf_power_tail=cf_power_tail,
         sampler=sampler,
         label=f"uniform:h={h:g}",
     )
@@ -229,7 +244,8 @@ def make_laplace(scale: float) -> SourceDistribution:
 
     @_pointwise
     def cf_grad(t):
-        return -2.0 * b * b * t / (1.0 + (b * t) ** 2) ** 2
+        q = 1.0 + (b * t) ** 2      # q^2 would overflow for bt beyond 1e77
+        return -2.0 * b * b * t / q / q
 
     def lattice_tail(R, L):
         # two geometric series from |y| = R on, ratio e^{-L/b}
@@ -247,6 +263,20 @@ def make_laplace(scale: float) -> SourceDistribution:
         # integral over L, on each side
         return 2.0 * (b * R) ** -q * (1.0 + R / (L * (q - 1)))
 
+    def cf_power_tail(r, p):
+        # for |u| >= r, (1 + (bu)^2)^-p is at most (1 + (br)^2)^(1-p) times
+        # 1/(1 + (bu)^2), whose tail is closed, and at most (1 + (br)^2)^-p
+        # (1 + 2 b^2 r (|u| - r)/(1 + (br)^2))^-p, whose tail is the second
+        # bound
+        if p < 1:
+            return math.inf
+        x = b * r
+        side = 2.0 / b * math.atan2(1.0, x)
+        d = b * x * (p - 1.0)
+        if d > 0.0:
+            side = min(side, 1.0 / d)
+        return (1.0 + x * x) ** (1.0 - p) * side
+
     def sampler(rng, size):
         return rng.laplace(0.0, b, size)
 
@@ -262,6 +292,7 @@ def make_laplace(scale: float) -> SourceDistribution:
         density_lattice_tail=lattice_tail,
         cf_terms=cf_terms,
         cf_lattice_tail=cf_lattice_tail,
+        cf_power_tail=cf_power_tail,
         sampler=sampler,
         label=f"laplace:b={b:g}",
     )
@@ -296,6 +327,9 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         # the same bound for the cf, which has no terms at infinity
         return 2.0 * (cf(R) + math.sqrt(0.5 * math.pi) / s * math.erfc(s * R / math.sqrt(2.0)) / L)
 
+    def cf_power_tail(r, p):
+        return math.sqrt(2.0 * math.pi / p) / s * math.erfc(s * r * math.sqrt(0.5 * p))
+
     def sampler(rng, size):
         return rng.normal(0.0, s, size)
 
@@ -310,6 +344,7 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         flags=DistFlags(symmetric_about_0=True),
         density_lattice_tail=lattice_tail,
         cf_lattice_tail=cf_lattice_tail,
+        cf_power_tail=cf_power_tail,
         sampler=sampler,
         label=f"gaussian:sigma={s:g}",
     )
@@ -339,6 +374,9 @@ def make_fejer(support_radius: float) -> SourceDistribution:
         # only affects sets of measure zero in the integrals that use it
         return np.where(np.abs(t) < T, -np.sign(t) / T, 0.0)
 
+    def cf_power_tail(r, p):
+        return 2.0 * T / (p + 1.0) * max(0.0, 1.0 - r / T) ** (p + 1.0)
+
     def sampler(rng, size):
         return _fejer_rejection_sample(rng, T, size)
 
@@ -351,6 +389,7 @@ def make_fejer(support_radius: float) -> SourceDistribution:
         second_moment=None,
         abs_moment3=math.inf,
         cf_support_radius=T,
+        cf_power_tail=cf_power_tail,
         flags=DistFlags(symmetric_about_0=True),
         sampler=sampler,
         label=f"fejer:T={T:g}",
@@ -451,6 +490,18 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
     if all(c.second_moment is not None for c in comps):
         m2 = sum(c.second_moment for c in comps)
 
+    def cf_power_tail(r, p):
+        # |u| > r in the sup norm means |u_i| > r for some i: the union
+        # bound, each term a component's tail times the others' whole
+        # integrals
+        whole = [c.cf_power_tail(0.0, p) for c in comps]
+        out = 0.0
+        for i, c in enumerate(comps):
+            part = c.cf_power_tail(r, p)
+            if part > 0.0:
+                out += part * math.prod(whole[:i] + whole[i + 1:])
+        return out
+
     def sampler(rng, size):
         cols = [c.sampler(rng, size) for c in comps]
         return np.stack(cols, axis=-1)
@@ -466,6 +517,8 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
         second_moment=m2,
         abs_moment3=None,
         cf_support_radius=radius,
+        cf_power_tail=(cf_power_tail if all(c.cf_power_tail is not None for c in comps)
+                       else None),
         flags=DistFlags(**{f.name: all(getattr(c.flags, f.name) for c in comps)
                            for f in fields(DistFlags)}),
         sampler=sampler if have_samplers else None,
@@ -510,6 +563,7 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
         second_moment=float(d),
         abs_moment3=1.0 if d == 1 else None,
         flags=DistFlags(symmetric_about_0=True, density_continuous=False, cf_integrable=False),
+        cf_power_tail=lambda r, p: math.inf,        # |cos| is periodic
         sampler=sampler,
         label="bernoulli" if d == 1 else f"bernoulli:d={d}",
         is_symmetric_bernoulli=True,

@@ -21,14 +21,14 @@ With w = j + a, j an exact integer, the phase e^{-isw} F is e^{-isj} times
 e^{-isa} F, and on the density side e^{-isa} F is one product of the
 (points x terms) density table with the (terms x nodes) phases e^{2ism}: one
 weighted product per rule.  A check rule with 3/4 of the nodes bounds the
-quadrature error.  For general (non-Bernoulli) noise the plain trapezoid
-inversion applies, with the window taken from a compact cf support or from
-sampled decay.
+quadrature error.  For general (non-Bernoulli) noise, ``inversion.invert``
+integrates the smoothed cf on the same panel rule over |t| <= R, with R from
+the tails of |f|^p that the source and the noise declare (``cf_power_tail``)
+and panels ending at 0 and at a compact cf's edge T sqrt(n).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +40,8 @@ from scipy.special import erfc, ndtr
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
 from .errors import InvalidParameterError, UnsupportedError, require_tol
-from .inversion import Grid, GridDensity, estimate_tail, grid_1d, grid_2d, invert
+from .inversion import (Grid, GridDensity, _check_error, _panel_rules, grid_1d, grid_2d,
+                        invert)
 from .lattice import (_product_tail, _reduced_periodized_cf, _short_side,
                       check_pi_lattice_zeros)
 
@@ -121,56 +122,6 @@ def smoothed_cf(model: SmoothedModel, n: int, t):
 # Bernoulli-noise cell engine (d = 1)
 # ---------------------------------------------------------------------------
 
-# bounded: panel node counts vary with n, the grid and a compact cf's kinks
-@functools.lru_cache(maxsize=128)
-def _gl_reference(m: int):
-    """m-point Gauss-Legendre nodes x on [-1, 1] and the denominators
-    (1 - x^2) P_m'(x)^2 of their weights, read-only.
-
-    Newton on the three-term recurrence of P_m, which converges from the
-    asymptotic guess in four steps; numpy's leggauss weights are off by up
-    to 1e-11 relative, which moves a 128-node integral of cos^16 by 7e-15."""
-    x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
-    for _ in range(5):
-        p0, p1 = np.ones_like(x), x
-        for k in range(2, m + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = m * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    den = (1.0 - x * x) * dp * dp
-    x.flags.writeable = den.flags.writeable = False
-    return x, den
-
-
-def _gl_nodes(m: int, half_width: float):
-    """m-point Gauss-Legendre nodes and weights 2/((1-x^2) P_m'^2) on
-    [-half_width, half_width], scaled from the cached reference rule."""
-    x, den = _gl_reference(m)
-    return half_width * x, half_width * 2.0 / den
-
-
-def _cell_rules(n: int, reach: float, breaks=()):
-    """The main rule on the window |s| <= min(pi/2, U/sqrt n) and the check
-    rule with 3/4 of its nodes, as (nodes, weights) pairs.  The window is
-    split into Gauss-Legendre panels at the ``breaks`` inside it; each
-    panel's node count covers phases e^{isq} up to |q| = reach and the
-    cos^n bump, scaled by the panel's share of the window."""
-    rt = math.sqrt(n)
-    half = min(0.5 * math.pi, _WINDOW_U / rt)
-    edges = [-half, *sorted(b for b in set(breaks) if -half < b < half), half]
-    per = 0.8 * (reach + 6.0 * rt) + 64          # nodes per half-width pi/2
-    rules = ([], []), ([], [])
-    for lo, hi in zip(edges, edges[1:]):
-        hp, share = 0.5 * (hi - lo), (hi - lo) / (2.0 * half)
-        m = max(16, math.ceil(128 * share), int(hp / (0.5 * math.pi) * per))
-        m2 = max(12, math.ceil(96 * share), int(0.75 * m))
-        for (nodes, weights), k in zip(rules, (m, m2)):
-            s, ws = _gl_nodes(k, hp)
-            nodes.append(s + 0.5 * (hi + lo))
-            weights.append(ws)
-    return tuple((np.concatenate(s), np.concatenate(ws)) for s, ws in rules)
-
-
 def _cos_power(n: int, s: np.ndarray) -> np.ndarray:
     """cos^n(s) on the window, through cos s = 1 - 2 sin^2(s/2): log(cos s)
     would inherit the rounding of cos s near 1, a relative error of n eps."""
@@ -191,15 +142,18 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     side = _short_side(source, a, half)
     reach = float(np.max(np.abs(j))) + 1.0     # highest frequency of e^{-isw}
     if side.k is None:
-        # e^{isa} (e^{2is})^m: frequencies j - 2m, integers
-        reach += 2.0 * float(np.max(np.abs(side.m)))
-        rules, phase_max = _cell_rules(n, reach), half * reach
+        # e^{isa} (e^{2is})^m: frequencies j - 2m, integers; no m is left
+        # where the density is 0 at every point's lattice
+        reach += 2.0 * float(np.max(np.abs(side.m), initial=0.0))
+        breaks, phase_max = (), half * reach
     else:
         # the rule's panels end at the cf's kinks, s = 0 and |pi k + s| = T
         T = source.cf_support_radius
-        rules = _cell_rules(n, reach, [0.0] + [e * T - math.pi * k
-                                               for k in side.k for e in (-1, 1)])
+        breaks = [0.0] + [e * T - math.pi * k for k in side.k for e in (-1, 1)]
         phase_max = half * reach + T
+    # nodes per half-width pi/2 cover the phases e^{isq} up to |q| = reach
+    # and the cos^n bump
+    rules = _panel_rules(half, breaks, 0.8 * (reach + 6.0 * rt) + 64, 0.5 * math.pi)
 
     def window_sum(s, ws):
         # e^{-isw} F(s, a) = e^{-isj} e^{-isa} F(s, a): j exact, so no phase
@@ -214,9 +168,7 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     # integrand outside the window is below F(0, a) e^{-ns^2/2}
     a_max = float(np.max(np.abs(A))) + side.tail
     window_err = erfc(_WINDOW_U / math.sqrt(2.0)) / _SQRT2PI * a_max
-    # the check rule has 3/4 of the nodes; 9/7 is the order-2 Richardson
-    # factor 1/((4/3)^2 - 1), a floor for the panels' faster convergence
-    quad_err = 9.0 / 7.0 * float(np.max(np.abs(vals - check)))
+    quad_err = _check_error(vals, check)
     roundoff = (16.0 + phase_max) * np.finfo(float).eps * pref * c0 * a_max
     est = quad_err + pref * c0 * side.tail + window_err + roundoff
     return vals, est
@@ -240,8 +192,9 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
 
     Bernoulli noise runs the exact cell engine (any n, near-oracle accuracy);
     separable two-dimensional models tensorize it; general noise uses the
-    trapezoid inversion with a certified window.  ``meta["tol_met"]`` says
-    whether the declared ``est_tail_error`` is at most ``tol``.
+    panel inversion over a window bounded by the laws' declared cf tails.
+    ``meta["tol_met"]`` says whether the declared ``est_tail_error`` is at
+    most ``tol``.
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
@@ -269,41 +222,41 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
                 "est_tail_error": est, "engine": "cell-tensor"}
         gd = GridDensity(dim=2, axes=grid.axes, values=vals, meta=meta)
     else:
-        gd = _general_noise_density(model, n, grid, tol)
+        gd = _general_noise_density(model, n, grid)
     gd.meta["tol_met"] = gd.est_tail_error <= tol
     return gd
 
 
-def _general_noise_density(model: SmoothedModel, n: int, grid: Grid,
-                           tol: float) -> GridDensity:
-    if not model.source.flags.cf_integrable and model.source.cf_support_radius is None:
-        raise UnsupportedError(
-            f"{model.source.label}: smoothed cf not certifiably integrable")
-
-    def cf_eval(t):
-        return smoothed_cf(model, n, t)
-
+def _smoothed_cf_tail(model: SmoothedModel, n: int):
+    """R -> a bound on the integral of |f(t/sqrt n) v(t/sqrt n)^n| over
+    |t| > R, from the laws' declared tails: the least of the source's with
+    |v| <= 1, the noise's n-th power with |f| <= 1, and Cauchy-Schwarz on
+    both.  Raises UnsupportedError for a law that declares none."""
+    f, v = model.source.cf_power_tail, model.noise.cf_power_tail
+    for law, declared in ((model.source, f), (model.noise, v)):
+        if declared is None:
+            raise UnsupportedError(f"{law.label}: no tail of |cf|^p declared")
     rt = math.sqrt(n)
-    compact = model.source.cf_support_radius is not None
-    # grow the window until the sampled tail certifies; a compact cf starts
-    # at its support edge, where the sampled tail is already 0
-    R = model.source.cf_support_radius * rt if compact else max(10.6, 2.0 * rt)
-    tail = math.inf
-    for _ in range(9):
-        tail = estimate_tail(cf_eval, model.dim, R)
-        if tail <= tol:
-            break
-        R *= 1.7
-    if not math.isfinite(tail):
-        raise UnsupportedError(f"{model.source.label}: smoothed cf tail does not decay")
-    gd = invert(cf_eval, model.dim, grid, truncation_radius=R)
+
+    def tail(R):
+        r = R / rt
+        f2, v2 = f(r, 2), v(r, 2 * n)
+        both = math.sqrt(f2 * v2) if f2 and v2 else 0.0
+        return rt ** model.dim * min(f(r, 1), v(r, n), both)
+
+    return tail
+
+
+def _general_noise_density(model: SmoothedModel, n: int, grid: Grid) -> GridDensity:
+    edge = model.source.cf_support_radius
+    gd = invert(lambda t: smoothed_cf(model, n, t), model.dim, grid,
+                _smoothed_cf_tail(model, n), () if edge is None else (edge * math.sqrt(n),))
     # v(t/sqrt n)^n carries about n eps relative rounding in every cf value;
-    # both trapezoid rules read the same values, so only this allowance
+    # both rules read values with the same error, so only this allowance
     # covers it
-    gd.meta["est_tail_error"] = float(gd.meta["est_total_error"] + 2.0 * n
-                                      * np.finfo(float).eps * gd.meta["cf_mass"])
+    gd.meta["est_tail_error"] += 2.0 * n * np.finfo(float).eps * gd.meta["cf_mass"]
     gd.meta["n_used"] = n
-    gd.meta["engine"] = "invert-compact" if compact else "invert"
+    gd.meta["engine"] = "invert" if edge is None else "invert-compact"
     return gd
 
 

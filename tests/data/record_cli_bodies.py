@@ -1,4 +1,4 @@
-"""Re-record ``cli_bodies.json``, the JSON bodies of thirteen fixed CLI runs.
+"""Re-record ``cli_bodies.json``, the JSON bodies of fifteen fixed CLI runs.
 
     PYTHONPATH=src python tests/data/record_cli_bodies.py
 
@@ -23,8 +23,9 @@ ABOUT = ("canonical JSON bodies of fixed CLI runs, as written to standard output
 
 # cheap runs that reach the cell engine on both sides of its short side, both
 # sides of the oscillation factor's Poisson pair for a continuous and a box
-# density, the compact cf side, the lattice sums, and the wrapped
-# autocorrelation of every catalog family
+# density, the compact cf side, the lattice sums, the wrapped autocorrelation
+# of every catalog family, and the Fourier inverse of general noise for a
+# decaying and a compact cf
 RUNS = [
     ["density", "--source", "uniform:h=1", "--n", "16", "--grid=-5,5,201"],
     ["density", "--source", "laplace:b=1", "--n", "256", "--grid=-5,5,201"],
@@ -39,6 +40,8 @@ RUNS = [
     ["oscillate", "--source", "uniform:h=1", "--n", "17", "--grid=-5,5,201"],
     ["autocorr", "--source", "gaussian:sigma=1"],
     ["autocorr", "--source", "fejer:T=0.7"],
+    ["density", "--source", "laplace:b=1", "--noise", "uniform", "--n", "16", "--grid=-5,5,201"],
+    ["density", "--source", "fejer:T=0.7", "--noise", "gaussian", "--n", "64", "--grid=-5,5,201"],
 ]
 
 

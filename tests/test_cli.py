@@ -3,6 +3,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -269,6 +270,22 @@ def test_run_regularity(tmp_path):
     assert res["estimate"] == pytest.approx(2.0, abs=0.01)
 
 
+def test_regularity_of_a_wide_laplace_does_not_overflow(capsys):
+    # cf_grad once formed (1 + (bt)^2)^2, which overflows for bt beyond 1e77
+    b = 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["regularity", "--source", f"laplace:b={b:g}", "--kind", "condition_3_1"])
+    assert code == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    # the shell pi(j -+ 1/2) on both sides holds 2 (f(lo) - f(hi)) of |f'|
+    lo = [math.pi * (j - 0.5) for j in range(1, 21)]
+    exact = [2.0 * (1.0 / (1.0 + (b * a) ** 2) - 1.0 / (1.0 + (b * (a + math.pi)) ** 2))
+             for a in lo]
+    assert res["shell_contributions"] == pytest.approx(exact, rel=1e-9)
+    assert res["diverging"] is False
+
+
 def test_run_autocorr_value(tmp_path):
     out = tmp_path / "ac.json"
     cfg = ExperimentConfig(experiment="autocorr", source="laplace:b=1",
@@ -337,12 +354,12 @@ def test_converge_and_oscillate_say_whether_tol_was_met(tol, met, tmp_path):
 
 
 def test_fixed_cli_bodies_unchanged(capsys):
-    # cheap runs over the cell engine and the lattice sums; a change that
-    # moves a body tables the move in CHANGES.md and re-records
-    # tests/data/cli_bodies.json with tests/data/record_cli_bodies.py
+    # cheap runs over the cell engine, the lattice sums and the general-noise
+    # inverse; a change that moves a body tables the move in CHANGES.md and
+    # re-records tests/data/cli_bodies.json with tests/data/record_cli_bodies.py
     path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
-    assert len(runs) == 13
+    assert len(runs) == 15
     for run_ in runs:
         assert main(run_["argv"]) == 0
         assert capsys.readouterr().out == run_["body"] + "\n", run_["argv"]

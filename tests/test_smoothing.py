@@ -67,12 +67,15 @@ def test_model_refuses_mismatched_dimensions():
 def test_cos_power_window_matches_quadrature(n, w):
     # C_n(w) read off the cell engine's own window rule, against an mpmath
     # quadrature over the whole half period, split where cos^n has decayed
-    from llt_lab.smoothing import _cell_rules, _cos_power
+    from llt_lab.inversion import _panel_rules
+    from llt_lab.smoothing import _WINDOW_U, _cos_power
     with mpmath.workdps(30):
         cut = min(mpmath.pi / 2, 10 / mpmath.sqrt(n))
         ref = mpmath.quad(lambda s: mpmath.cos(s) ** n * mpmath.cos(s * w),
                           [-mpmath.pi / 2, -cut, 0, cut, mpmath.pi / 2])
-    (s, ws), _ = _cell_rules(n, abs(w))
+    rt = math.sqrt(n)
+    (s, ws), _ = _panel_rules(min(0.5 * math.pi, _WINDOW_U / rt), (),
+                              0.8 * (abs(w) + 6.0 * rt) + 64, 0.5 * math.pi)
     C = float(np.cos(w * s) @ (ws * _cos_power(n, s)))
     assert C == pytest.approx(float(ref), abs=1e-12)
 
@@ -124,6 +127,7 @@ def _chunked_reference(name, param, n, x, chunk=100):
 @example(name="gaussian", param=1.0, n=16, grid=default_grid(1))
 @example(name="uniform", param=0.25, n=180, grid=grid_1d(-6.0, 1.0, 41))
 @example(name="fejer", param=2.668, n=3, grid=grid_1d(-6.0, 6.0, 41))
+@example(name="uniform", param=0.25, n=438, grid=grid_1d(-2.25, 5.375, 41))
 def test_density_error_within_estimate(name, param, n, grid):
     # the declared est_tail_error bounds the error at every point
     gd = density(SmoothedModel(_CELL_SOURCES[name](param), BERN), n, grid)
@@ -248,8 +252,8 @@ def test_general_noise_density_compact_cf_regime():
 
 
 def test_general_noise_declares_quadrature_error():
-    # the declared error is the sampled tail plus the quadrature error, also
-    # where the sampled tail underflows to 0
+    # the declared error is the window's declared tail plus the quadrature
+    # error, also where the declared tail is far below it
     gd = density(SmoothedModel(LAPLACE, uniform_noise()), 256)
     assert gd.meta["engine"] == "invert"
     assert gd.est_tail_error >= gd.meta["est_quad_error"] > 0.0
@@ -258,7 +262,7 @@ def test_general_noise_declares_quadrature_error():
 @pytest.mark.parametrize("n", [4096, 16384])
 def test_general_noise_estimate_covers_cf_rounding(n):
     # v(t/sqrt n)^n carries about n eps relative error in every cf value,
-    # which the Richardson difference cannot see: the declared error must
+    # which the check rule cannot see: the declared error must
     # still bound the error against N(0, 1 + 1/n) at every point
     gd = density(SmoothedModel(GAUSSIAN, gaussian_noise()), n)
     x = gd.axes[0].points()
@@ -272,7 +276,7 @@ def test_general_noise_estimate_covers_cf_rounding(n):
 @pytest.mark.parametrize("half", [0.5 * math.pi, 9.0 / math.sqrt(16384)])
 def test_gauss_legendre_cache_matches_direct_rule(m, half):
     # the cached reference rule, scaled per call, is the rule built afresh
-    from llt_lab.smoothing import _gl_nodes
+    from llt_lab.inversion import _gl_nodes
     x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
     for _ in range(5):
         p0, p1 = np.ones_like(x), x
