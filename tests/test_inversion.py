@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -262,3 +263,15 @@ def test_general_noise_window_does_not_grow_with_n():
     assert small.meta["tol_met"] and not huge.meta["tol_met"]
     assert huge.est_tail_error >= 2e12 * EPS * huge.meta["cf_mass"]
     assert np.all(np.isfinite(huge.values))
+
+
+@pytest.mark.parametrize("bare", ["source", "noise"])
+def test_general_noise_refuses_an_undeclared_tail(bare):
+    # a law that declares no tail of |cf|^p gives no window bound
+    source, noise = make_laplace(1.0), uniform_noise()
+    if bare == "source":
+        source = dataclasses.replace(source, cf_power_tail=None)
+    else:
+        noise = dataclasses.replace(noise, cf_power_tail=None)
+    with pytest.raises(UnsupportedError, match="no tail"):
+        density(SmoothedModel(source, noise), 16)
