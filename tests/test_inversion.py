@@ -150,6 +150,36 @@ def test_invert_2d_correlated_gaussian():
     assert gd.values[i, j] == pytest.approx(ref, abs=1e-9)
 
 
+def _correlated_gaussian_cf(t):
+    t = np.asarray(t, dtype=float)
+    return np.exp(-0.5 * (t[..., 0] ** 2 + t[..., 0] * t[..., 1] + t[..., 1] ** 2))
+
+
+@pytest.mark.parametrize("cf, bound, R", [
+    # |cf| <= exp(-|t|^2/4): the quadratic form's least eigenvalue is 1/2
+    (_correlated_gaussian_cf, product([make_gaussian(math.sqrt(0.5))] * 2), 12.0),
+    (product([make_gaussian(1.0), make_gaussian(0.5)]).cf,
+     product([make_gaussian(1.0), make_gaussian(0.5)]), 30.0),
+], ids=["correlated-gaussian", "gaussian-product"])
+def test_trimmed_2d_inversion_matches_full_window(cf, bound, R):
+    # the full window: the trapezoid rule of step h on the whole square
+    # [-R, R]^2, whose error on these entire cfs is below roundoff; the
+    # tensor panel rule must match it within its own estimate, on fewer nodes
+    grid = grid_2d(-3, 3, 25)
+    gd = invert(cf, 2, grid, _tail(bound))
+    h = 0.05
+    t = np.linspace(-R, R, int(round(2.0 * R / h)) + 1)
+    T1, T2 = np.meshgrid(t, t, indexing="ij")
+    Fw = np.asarray(cf(np.stack([T1, T2], axis=-1)), dtype=complex) * h * h
+    E = np.exp(-1j * np.outer(grid.axes[0].points(), t))
+    scale = 1.0 / (2 * math.pi) ** 2
+    full = (E @ Fw @ E.T).real * scale
+    assert gd.meta["quad_nodes"] < t.size ** 2
+    roundoff = 64.0 * EPS * float(np.sum(np.abs(Fw))) * scale
+    assert float(np.max(np.abs(gd.values - full))) <= gd.est_tail_error + roundoff
+    assert gd.est_tail_error <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # declared tails of |cf|^p
 # ---------------------------------------------------------------------------
