@@ -8,7 +8,7 @@ pointwise; instead p_n(x) tracks A_n(x) phi(x) where the oscillation factor
 
 is computed here on both sides of that Poisson pair independently: the cf
 side in closed form (``lattice._cf_side``: a finite head plus Bernoulli
-polynomials) and the density side on its short side (``lattice._short_side``).
+polynomials) and the density side as ``lattice._density_sum`` sums it.
 The report gives their gap, the 2/sqrt(n) periodicity defect, and the sup
 residual against A_n * phi per n.
 """

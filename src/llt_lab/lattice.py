@@ -9,9 +9,11 @@ and each side has one declared mechanism:
 - the short side (``_short_side``): the lattice points of a compact density
   (the midpoint value at its jumps), the finitely many k of a compact cf,
   or the points |y| <= R of a density with a declared lattice tail.  It
-  serves ``sum_density_lattice``, the periodized cf F(s, a) that the
-  Bernoulli cell engine integrates (``periodized_cf``, L = 2) and the
-  density route to the oscillation factor.
+  serves the periodized cf F(s, a) that the Bernoulli cell engine
+  integrates (``periodized_cf``, L = 2).  sum_m p(a + Lm) (``_density_sum``,
+  for ``sum_density_lattice`` and the density route to the oscillation
+  factor) takes its density side where that has at most 2048 terms, the cf
+  side otherwise.
 - the cf side (``_cf_side``): sum_k e^{2 pi i k x} f(step k) as a finite
   head plus the terms that the law declares for its cf at infinity,
   c t^-p cos(omega t) or c t^-p sin(omega t), whose Fourier series are
@@ -28,13 +30,14 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
 from .distributions import DistFlags, SourceDistribution, _pointwise, _require_positive
 from .errors import InvalidParameterError, UnsupportedError, require_tol
-from .seriesaccel import BlockSeries
+from .seriesaccel import certified_tail
 
 __all__ = [
     "LatticeSum",
@@ -147,50 +150,73 @@ class _ShortSide:
     p(a_i + L m_j), with the midpoint value where a_i + L m_j sits on a
     density jump; on the cf side ``k`` are the indices with
     f(2 pi k/L + s) != 0 for some |s| <= s_max.  ``tail`` bounds the
-    truncation of the left-hand side times L at every (s, a)."""
+    truncation of the left-hand side times L at every (s, a).  For a rule
+    in s it declares ``freq``, the highest frequency L max|m| of the phases
+    e^{isLm}, ``kinks``, the s where the terms have kinks (0 and
+    +-T - 2 pi k/L on the cf side), and ``edge``, the cf support T that
+    bounds |t| in the phases e^{-iat}."""
 
     L: float
     tail: float
     m: np.ndarray | None = None
     p: np.ndarray | None = None
     k: np.ndarray | None = None
+    freq: float = 0.0
+    kinks: tuple = ()
+    edge: float = 0.0
+
+
+def _density_reach(dist: SourceDistribution, L: float):
+    """(reach, tail) of the density side that ``dist`` declares: the
+    indices |m| <= reach of a compact density (tail 0), or of |y| <= R for
+    the least R in L N whose declared lattice tail is at most 2^-64, and
+    the bound on the rest times L.  None where no density side is declared."""
+    h = dist.density_support_radius
+    if dist.density is None or (h is None and dist.density_lattice_tail is None):
+        return None
+    if h is not None:
+        R, tail = h + _JUMP_TOL, 0.0
+    else:
+        R = L
+        while dist.density_lattice_tail(R, L) > _SHORT_TAIL and R <= L * _SHORT_TERMS:
+            R += L
+        tail = L * dist.density_lattice_tail(R, L)
+    return math.ceil((R + 0.5 * L) / L), tail
 
 
 def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
                 L: float = 2.0) -> _ShortSide:
-    """The side of the Poisson pair that ``dist`` declares short: a compact
-    density (its lattice points per offset, tail 0), a compact cf (the k
-    with |2 pi k/L + s| <= T, tail 0), or a density with a declared lattice
-    tail, summed over |y| <= R for the least R in L N whose tail is at most
-    2^-64.  Raises UnsupportedError for any other source."""
+    """The side of the Poisson pair that ``dist`` declares short: its
+    density side (``_density_reach``) or a compact cf (the k with
+    |2 pi k/L + s| <= T, tail 0).  Raises UnsupportedError for any other
+    source."""
     if dist.dim != 1:
         raise InvalidParameterError("the periodized cf is one-dimensional")
-    h = dist.density_support_radius
-    if dist.density is not None and (h is not None or dist.density_lattice_tail is not None):
-        if h is not None:
-            R, tail = h + _JUMP_TOL, 0.0
-        else:
-            R = L
-            while dist.density_lattice_tail(R, L) > _SHORT_TAIL and R <= L * _SHORT_TERMS:
-                R += L
-            tail = L * dist.density_lattice_tail(R, L)
-        reach = math.ceil((R + 0.5 * L) / L)
+    declared = _density_reach(dist, L)
+    if declared is not None:
+        reach, tail = declared
         _require_terms(dist, "density", 2 * reach + 1)
         m = np.arange(-reach, reach + 1)
         y = a[:, None] + L * m
         p = np.asarray(dist.density(y), dtype=float)
+        h = dist.density_support_radius
         if h is not None and not dist.flags.density_continuous:
             # the Fourier inverse converges to the mean of the one-sided
             # limits; outside the closed support the density is 0
             edge = np.abs(np.abs(y) - h) <= _JUMP_TOL
             p[edge] = 0.5 * np.asarray(dist.density(np.clip(y[edge], -h, h)), dtype=float)
+        # no m is kept where the density is 0 at every offset's lattice
         keep = np.any(p != 0.0, axis=0)
-        return _ShortSide(L, tail, m=m[keep], p=p[:, keep])
+        m = m[keep]
+        return _ShortSide(L, tail, m=m, p=p[:, keep],
+                          freq=L * float(np.max(np.abs(m), initial=0.0)))
     T = dist.cf_support_radius
     if T is not None:
         kmax = math.floor((T + s_max) * L / (2.0 * math.pi))
         _require_terms(dist, "cf", 2 * kmax + 1)
-        return _ShortSide(L, 0.0, k=np.arange(-kmax, kmax + 1))
+        k = np.arange(-kmax, kmax + 1)
+        kinks = (0.0, *(e * T - (2.0 * math.pi / L) * j for j in k for e in (-1, 1)))
+        return _ShortSide(L, 0.0, k=k, kinks=kinks, edge=T)
     raise UnsupportedError(f"{dist.label}: no short side declared for the periodized cf "
                            "(a compact density or cf, or a density lattice tail)")
 
@@ -227,27 +253,21 @@ def periodized_cf(dist: SourceDistribution, s, a):
 
 
 def _density_sum(dist: SourceDistribution, L: float, a: np.ndarray):
-    """sum_m p(a + Lm) at the offsets a, on the short side of its Poisson
-    pair, or on its cf side (1/L) sum_k e^{-i (2 pi k/L) a} f(2 pi k/L)
-    where that is the one declared or the density side is too long;
+    """sum_m p(a + Lm) at the offsets a: on the density side where the law
+    declares one of at most _SHORT_TERMS terms, on the cf side
+    (1/L) sum_k e^{-i (2 pi k/L) a} f(2 pi k/L) (``_cf_side``) otherwise;
     returns (values, tail), the tail adding the sum's rounding to the
     side's truncation."""
     a = a - L * np.round(a / L)
-    try:
+    declared = _density_reach(dist, L)
+    if declared is not None and 2 * declared[0] + 1 <= _SHORT_TERMS:
         side = _short_side(dist, a, 0.0, L)
-    except UnsupportedError:
-        if dist.cf_lattice_tail is None:
-            raise
-        vals, tail = _cf_side(dist, 2.0 * math.pi / L, -a / L)
-        # dividing by L rounds once more
-        return np.real(vals) / L, (tail + _EPS * float(np.max(np.abs(vals)))) / L
-    if side.k is None:
-        terms = side.p
-    else:
-        t = (2.0 * math.pi / L) * side.k
-        terms = np.real(np.exp(-1j * np.outer(a, t)) * dist.cf(t)) / L
-    rounding = _sum_rounding(np.abs(terms).sum(axis=1), terms.shape[1])
-    return terms.sum(axis=1), side.tail / L + rounding
+        rounding = _sum_rounding(np.abs(side.p).sum(axis=1), side.p.shape[1])
+        return side.p.sum(axis=1), side.tail / L + rounding
+    vals, tail = _cf_side(dist, 2.0 * math.pi / L, -a / L)
+    # dividing by L rounds once more, unless L is a power of two
+    rounding = 0.0 if math.frexp(L)[0] == 0.5 else _EPS * float(np.max(np.abs(vals)))
+    return np.real(vals) / L, (tail + rounding) / L
 
 
 def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
@@ -430,7 +450,7 @@ def _cf_lattice_2d_generic(dist, step, phase, tol):
     # one block per sup-norm shell s, so the certified tail is the integral
     # test on the shell sums
     ph = np.zeros(2) if phase is None else np.asarray(phase, dtype=float)
-    acc = BlockSeries(complex(np.real(dist.cf(np.zeros(2)))), 1, tol)
+    total, mags = complex(np.real(dist.cf(np.zeros(2)))), []
     s = 1
     while s * 8 * (2 * s + 1) < K_CAP_2D:
         rng = np.arange(-s, s + 1)
@@ -443,9 +463,11 @@ def _cf_lattice_2d_generic(dist, step, phase, tol):
                 edge.append(np.stack([inner, np.full(inner.size, ky)], axis=-1))
         kpts = np.concatenate(edge, axis=0)
         fv = np.asarray(dist.cf(step * kpts), dtype=complex)
-        contrib = complex((np.exp(1j * (kpts @ ph)) * fv).sum())
-        if acc.add(np.array([s]), np.array([contrib]), float(np.abs(fv).sum())):
-            return LatticeSum(complex(acc.total), acc.tail, True)
+        total += complex((np.exp(1j * (kpts @ ph)) * fv).sum())
+        mags.append((s, float(np.abs(fv).sum())))
+        tail = certified_tail(mags, 1)
+        if tail is not None and tail <= tol:
+            return LatticeSum(total, tail, True)
         s += 1
     raise UnsupportedError(f"{dist.label}: 2-d cf lattice sum did not converge "
                            f"within the term cap")
@@ -456,9 +478,15 @@ def _cf_lattice_2d_generic(dist, step, phase, tol):
 # ---------------------------------------------------------------------------
 
 def check_pi_lattice_zeros(dist: SourceDistribution, k_max: int) -> LatticeZeroReport:
-    """max |f(pi k)| over nonzero integer vectors with sup-norm at most k_max."""
+    """max |f(pi k)| over nonzero integer vectors with sup-norm at most k_max;
+    refuses more than K_CAP_2D of them before any is formed."""
     if k_max < 1:
         raise InvalidParameterError("k_max must be >= 1")
+    if dist.dim not in (1, 2):
+        raise UnsupportedError("lattice zero check supports dim 1 and 2")
+    if (2 * k_max + 1) ** dist.dim - 1 > K_CAP_2D:
+        raise UnsupportedError(f"{dist.label}: the lattice zero check needs more than "
+                               f"{K_CAP_2D} points")
     if dist.dim == 1:
         k = np.arange(1, k_max + 1)
         vp = np.abs(np.asarray(dist.cf(math.pi * k), dtype=complex))
@@ -467,16 +495,14 @@ def check_pi_lattice_zeros(dist: SourceDistribution, k_max: int) -> LatticeZeroR
         idx = int(np.argmax(both))
         kbest = int(k[idx % k_max]) * (1 if idx < k_max else -1)
         return LatticeZeroReport(float(both[idx]), (kbest,))
-    if dist.dim == 2:
-        rng = np.arange(-k_max, k_max + 1)
-        KX, KY = np.meshgrid(rng, rng, indexing="ij")
-        pts = np.stack([KX, KY], axis=-1).reshape(-1, 2)
-        keep = ~np.all(pts == 0, axis=1)
-        pts = pts[keep]
-        vals = np.abs(np.asarray(dist.cf(math.pi * pts.astype(float)), dtype=complex))
-        i = int(np.argmax(vals))
-        return LatticeZeroReport(float(vals[i]), tuple(int(v) for v in pts[i]))
-    raise UnsupportedError("lattice zero check supports dim 1 and 2")
+    rng = np.arange(-k_max, k_max + 1)
+    KX, KY = np.meshgrid(rng, rng, indexing="ij")
+    pts = np.stack([KX, KY], axis=-1).reshape(-1, 2)
+    keep = ~np.all(pts == 0, axis=1)
+    pts = pts[keep]
+    vals = np.abs(np.asarray(dist.cf(math.pi * pts.astype(float)), dtype=complex))
+    i = int(np.argmax(vals))
+    return LatticeZeroReport(float(vals[i]), tuple(int(v) for v in pts[i]))
 
 
 def poisson_check(dist: SourceDistribution, tol: float = 1e-10) -> PoissonReport:
@@ -582,16 +608,19 @@ def distance_to_lattice(t, lattice_step: float) -> float:
 # regularity-integral diagnostics
 # ---------------------------------------------------------------------------
 
-def _shell_slope(contribs) -> float:
-    c = np.asarray(contribs, dtype=float)
-    c = np.maximum(c, 1e-300)
-    j = np.arange(1, c.size + 1, dtype=float)
-    half = c.size // 2
-    lj = np.log(j[half:])
-    lc = np.log(c[half:])
+def _shell_report(total: float, shells: list, window_K: int) -> RegularityReport:
+    """The report of a window's integral ``total`` and its per-shell parts:
+    a decay slope of the later shells of -1.05 or flatter reads as
+    diverging; otherwise the tail beyond the window is added from that
+    slope."""
+    c = np.maximum(np.asarray(shells, dtype=float), 1e-300)
+    lj = np.log(np.arange(1, c.size + 1, dtype=float)[c.size // 2:])
     A = np.vstack([np.ones_like(lj), lj]).T
-    coef, *_ = np.linalg.lstsq(A, lc, rcond=None)
-    return float(coef[1])
+    slope = float(np.linalg.lstsq(A, np.log(c[c.size // 2:]), rcond=None)[0][1])
+    diverging = slope >= -1.05
+    if not diverging and shells[-1] > 0:
+        total += shells[-1] * window_K / (-slope - 1.0)
+    return RegularityReport(float(total), bool(diverging), tuple(shells))
 
 
 def regularity_integral(dist: SourceDistribution, kind: str,
@@ -614,7 +643,7 @@ def regularity_integral(dist: SourceDistribution, kind: str,
 
 
 def _regularity_1d(dist, kind, window_K):
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
     def integrand(t):
         g = abs(dist.cf_grad(t))
@@ -622,19 +651,31 @@ def _regularity_1d(dist, kind, window_K):
             return abs(dist.cf(t)) * g
         return g
 
+    def integral(lo, hi, points=()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                return quad(integrand, lo, hi, points=points or None,
+                            limit=100 + len(points))[0]
+            except IntegrationWarning:
+                raise UnsupportedError(f"{dist.label}: the regularity integral over "
+                                       f"[{lo:g}, {hi:g}] does not converge") from None
+
+    # a wide law's |f'| is a spike at |t| ~ 1/sqrt(E X^2): the central
+    # integral breaks there and at 4^i times that below pi/2
+    ladder = []
+    r = 1.0 / math.sqrt(dist.second_moment) if dist.second_moment else math.inf
+    while 0.0 < r < math.pi / 2:
+        ladder += [-r, r]
+        r *= 4.0
     shells = []
-    total, _ = quad(integrand, -math.pi / 2, math.pi / 2, limit=100)
+    total = integral(-math.pi / 2, math.pi / 2, ladder)
     for j in range(1, window_K + 1):
         lo, hi = math.pi * (j - 0.5), math.pi * (j + 0.5)
-        cj, _ = quad(integrand, lo, hi, limit=100)
-        cj_m, _ = quad(integrand, -hi, -lo, limit=100)
-        shells.append(cj + cj_m)
-        total += cj + cj_m
-    slope = _shell_slope(shells)
-    diverging = slope >= -1.05
-    if not diverging and shells[-1] > 0:
-        total += shells[-1] * window_K / (-slope - 1.0)
-    return RegularityReport(float(total), bool(diverging), tuple(shells))
+        cj = integral(lo, hi) + integral(-hi, -lo)
+        shells.append(cj)
+        total += cj
+    return _shell_report(total, shells, window_K)
 
 
 def _regularity_2d(dist, kind, window_K):
@@ -667,8 +708,4 @@ def _regularity_2d(dist, kind, window_K):
                     cs += cell_integral(kx, ky)
         shells.append(cs)
         total += cs
-    slope = _shell_slope(shells)
-    diverging = slope >= -1.05
-    if not diverging and shells[-1] > 0:
-        total += shells[-1] * window_K / (-slope - 1.0)
-    return RegularityReport(float(total), bool(diverging), tuple(shells))
+    return _shell_report(total, shells, window_K)

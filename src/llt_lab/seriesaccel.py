@@ -1,21 +1,19 @@
-"""Block summation with certified tails.
+"""Certified tails of one-sided series.
 
 The two-dimensional cf lattice sum of a source that is not a product is
 summed over sup-norm shells s = 1, 2, ..., a one-sided series whose terms
-decay fast.  One accumulator, :class:`BlockSeries`, keeps the running
-total and the block magnitudes, and stops once an envelope fitted to those
-magnitudes (:func:`certified_tail`) bounds the omitted tail below ``tol``;
-nothing is extrapolated, and its caller refuses a series whose tail is not
-certified within its term cap.
+decay fast.  Its caller keeps the running total and the block magnitudes,
+and stops once an envelope fitted to those magnitudes
+(:func:`certified_tail`) bounds the omitted tail below ``tol``; nothing is
+extrapolated, and a series whose tail is not certified within the term cap
+is refused.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import require_tol
-
-__all__ = ["BlockSeries", "certified_tail"]
+__all__ = ["certified_tail"]
 
 
 def certified_tail(mags, block_width: int):
@@ -57,34 +55,3 @@ def certified_tail(mags, block_width: int):
     if resid > 0.15 or alpha < 1.15:
         return None
     return 1.5 * tail / (alpha - 1.0)
-
-
-class BlockSeries:
-    """Running sum of a one-sided series, fed one block of terms at a time.
-
-    ``start`` is the sum of whatever precedes the first block (a scalar or a
-    batch array).  :meth:`add` takes the block's indices k, its increments
-    with k along the last axis, and the block magnitude that
-    :func:`certified_tail` fits; it returns True once a certified tail
-    (``.tail``) is at most ``tol``, and ``.total`` then holds the sum.
-    """
-
-    def __init__(self, start, block: int, tol: float):
-        require_tol(tol)
-        self.total = start
-        self.block = block
-        self.tol = tol
-        self.tail = None
-        self.mags = []          # (k_last, block magnitude)
-
-    def add(self, k: np.ndarray, inc: np.ndarray, mag: float) -> bool:
-        # the block's increments are added in order of k
-        seq = np.moveaxis(np.asarray(inc), -1, 0)
-        self.total = np.asarray(self.total) + np.cumsum(seq, axis=0)[-1]
-        self.mags.append((int(k[-1]), mag))
-        tail = certified_tail(self.mags, self.block)
-        if tail is not None and tail <= self.tol:
-            self.tail = tail
-            return True
-        return False
-

@@ -140,20 +140,11 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     pref = rt / (2.0 * math.pi)
     half = min(0.5 * math.pi, _WINDOW_U / rt)
     side = _short_side(source, a, half)
-    reach = float(np.max(np.abs(j))) + 1.0     # highest frequency of e^{-isw}
-    if side.k is None:
-        # e^{isa} (e^{2is})^m: frequencies j - 2m, integers; no m is left
-        # where the density is 0 at every point's lattice
-        reach += 2.0 * float(np.max(np.abs(side.m), initial=0.0))
-        breaks, phase_max = (), half * reach
-    else:
-        # the rule's panels end at the cf's kinks, s = 0 and |pi k + s| = T
-        T = source.cf_support_radius
-        breaks = [0.0] + [e * T - math.pi * k for k in side.k for e in (-1, 1)]
-        phase_max = half * reach + T
-    # nodes per half-width pi/2 cover the phases e^{isq} up to |q| = reach
-    # and the cos^n bump
-    rules = _panel_rules(half, breaks, 0.8 * (reach + 6.0 * rt) + 64, 0.5 * math.pi)
+    # e^{-isw} has frequencies up to max|j| + 1 and the short side's phases
+    # up to side.freq; nodes per half-width pi/2 cover them and the cos^n
+    # bump, on panels that end at the side's kinks
+    reach = float(np.max(np.abs(j))) + 1.0 + side.freq
+    rules = _panel_rules(half, side.kinks, 0.8 * (reach + 6.0 * rt) + 64, 0.5 * math.pi)
 
     def window_sum(s, ws):
         # e^{-isw} F(s, a) = e^{-isj} e^{-isa} F(s, a): j exact, so no phase
@@ -169,7 +160,7 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     a_max = float(np.max(np.abs(A))) + side.tail
     window_err = erfc(_WINDOW_U / math.sqrt(2.0)) / _SQRT2PI * a_max
     quad_err = _check_error(vals, check)
-    roundoff = (16.0 + phase_max) * np.finfo(float).eps * pref * c0 * a_max
+    roundoff = (16.0 + (half * reach + side.edge)) * np.finfo(float).eps * pref * c0 * a_max
     est = quad_err + pref * c0 * side.tail + window_err + roundoff
     return vals, est
 

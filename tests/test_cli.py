@@ -158,6 +158,12 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     (["autocorr", "--source", "uniform:h=1e-300"], 2),
     (["autocorr", "--source", "laplace:b=1e-50"], 2),
     (["poisson", "--source", "laplace:b=1e-50"], 2),
+    # a lattice zero check of more points than the cap is refused before
+    # any point is formed
+    (["check-condition", "--source", "laplace:b=1", "--k", "1000000000000"], 2),
+    (["check-condition", "--source", "product:uniform:h=1,uniform:h=1", "--k", "10000000"], 2),
+    # a regularity integral that quad does not converge is refused
+    (["regularity", "--source", "uniform:h=1e100", "--kind", "condition_3_1"], 2),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
@@ -165,7 +171,9 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
         "config-unknown-key", "config-missing", "regularity-k-below-4",
         *[f"{e}-{spec}" for spec in _OVERFLOWING for e in ("limits", "autocorr", "poisson")],
         "limits-gaussian-variance-underflows", "limits-fejer-wide", "density-uniform-wide",
-        "autocorr-uniform-narrow", "autocorr-laplace-narrow", "poisson-laplace-narrow"])
+        "autocorr-uniform-narrow", "autocorr-laplace-narrow", "poisson-laplace-narrow",
+        "check-condition-huge-k", "check-condition-product-huge-k",
+        "regularity-uniform-wide"])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
@@ -284,6 +292,18 @@ def test_regularity_of_a_wide_laplace_does_not_overflow(capsys):
              for a in lo]
     assert res["shell_contributions"] == pytest.approx(exact, rel=1e-9)
     assert res["diverging"] is False
+
+
+@pytest.mark.parametrize("spec", ["laplace:b=1e50", "laplace:b=1e100", "gaussian:sigma=1e100"])
+def test_regularity_of_a_wide_law_finds_its_central_spike(spec, capsys):
+    # |f'| of a law this wide is a spike of width 1/sqrt(E X^2) at 0; f falls
+    # from 1 to 0 on each side, so the integral of |f'| is 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["regularity", "--source", spec, "--kind", "condition_3_1"])
+    assert code == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["estimate"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_run_autocorr_value(tmp_path):
