@@ -379,7 +379,7 @@ def test_fixed_cli_bodies_unchanged(capsys):
     # re-records tests/data/cli_bodies.json with tests/data/record_cli_bodies.py
     path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
-    assert len(runs) == 15
+    assert len(runs) == 17
     for run_ in runs:
         assert main(run_["argv"]) == 0
         assert capsys.readouterr().out == run_["body"] + "\n", run_["argv"]
