@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import SourceDistribution
 from .errors import UnsupportedError, require_tol
 from .inversion import Grid
-from .lattice import _JUMP_TOL, _cf_side, _density_sum, _require_summable
+from .lattice import _cf_side, _density_sum, _require_summable
 from .smoothing import SmoothedModel, default_grid, density
 
 __all__ = [
@@ -77,8 +77,9 @@ def _offsets(x, n: int) -> np.ndarray:
 
 def _route(source: SourceDistribution) -> str:
     """The canonical route to A_n: the density lattice sum for a continuous
-    density, the cf sum otherwise, where lattice-point density values would
-    be boundary-convention artifacts."""
+    density, the cf side otherwise.  At a density jump both routes give the
+    mean of the one-sided limits, so the choice is no jump convention: it
+    fixes which of the two values a report carries."""
     if source.flags.density_continuous and source.density is not None:
         return "density"
     return "cf"
@@ -121,30 +122,15 @@ def oscillation_factor_density(model: SmoothedModel, n: int, x: float,
 # full report
 # ---------------------------------------------------------------------------
 
-def _jump_lattice_mask(source: SourceDistribution, a: np.ndarray) -> np.ndarray:
-    """True where the density lattice sum at shift a is convention-free.
-
-    A compactly supported density with jumps at +-h makes 2 sum_m p(2m + a)
-    depend on the boundary convention exactly when a falls on +-h + 2Z; those
-    points are excluded from route comparisons."""
-    h = source.density_support_radius
-    if source.flags.density_continuous or h is None:
-        return np.ones(a.shape, dtype=bool)
-    d1 = np.abs(np.mod(a - h + 1.0, 2.0) - 1.0)
-    d2 = np.abs(np.mod(a + h + 1.0, 2.0) - 1.0)
-    return np.minimum(d1, d2) > _JUMP_TOL
-
-
 def oscillation_report(model: SmoothedModel, n: int,
                        grid: Optional[Grid] = None,
                        tol: float = 1e-9) -> OscillationReport:
     """A_n along both routes on a grid, the residual sup |p_n - A_n phi|,
     and the periodicity defect of A_n at period 2/sqrt(n).
 
-    The canonical a_values follow the density route for continuous densities
-    and the cf route otherwise (where lattice-point density values would be
-    boundary-convention artifacts); the route gap is taken over the
-    convention-free points.
+    The canonical a_values follow the route of ``_route``; the route gap is
+    the largest over the grid, jumps of the density included, where both
+    routes take the mean of the one-sided limits.
     """
     _require_1d(model)
     require_tol(tol)
@@ -156,8 +142,7 @@ def oscillation_report(model: SmoothedModel, n: int,
     a = _offsets(x, n)
     a_cf, cf_tail = _a_factor(src, a, tol, "cf")
     a_dn, dn_tail = _a_factor(src, a, tol, "density")
-    valid = _jump_lattice_mask(src, a)
-    method_gap = float(np.max(np.abs(a_cf - a_dn)[valid])) if valid.any() else 0.0
+    method_gap = float(np.max(np.abs(a_cf - a_dn)))
     canonical = a_dn if route == "density" else a_cf
 
     gd = density(model, n, grid, tol=tol)
@@ -187,9 +172,8 @@ def even_odd_limits(source: SourceDistribution, tol: float = 1e-10) -> EvenOddLi
     """Limits of p_n(0) along even and odd n: phi(0) times the oscillation
     factor at the origin for each parity.
 
-    Continuous densities use the lattice-density route; entries whose density
-    has lattice-point discontinuities (uniform) switch to the cf route, where
-    the answer is convention-free.
+    The route is that of ``_route``: the density lattice sum for a
+    continuous density, the cf side otherwise (uniform).
     """
     require_tol(tol)
     if source.dim != 1:

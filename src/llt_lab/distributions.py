@@ -47,7 +47,6 @@ _LAPLACE_CF_TERMS = 3      # terms of the laplace cf declared at infinity
 class DistFlags:
     symmetric_about_0: bool
     density_continuous: bool = True
-    cf_integrable: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
         abs_moment1=h / 2.0,
         second_moment=h * h / 3.0,
         abs_moment3=h ** 3 / 4.0,
-        flags=DistFlags(symmetric_about_0=True, density_continuous=False, cf_integrable=False),
+        flags=DistFlags(symmetric_about_0=True, density_continuous=False),
         density_support_radius=h,
         cf_terms=((1.0 / h, 1, h),),            # sin(ht)/(ht) is its own term
         cf_lattice_tail=lambda R, L: 0.0,
@@ -562,7 +561,7 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
         abs_moment1=math.sqrt(d),
         second_moment=float(d),
         abs_moment3=1.0 if d == 1 else None,
-        flags=DistFlags(symmetric_about_0=True, density_continuous=False, cf_integrable=False),
+        flags=DistFlags(symmetric_about_0=True, density_continuous=False),
         cf_power_tail=lambda r, p: math.inf,        # |cos| is periodic
         sampler=sampler,
         label="bernoulli" if d == 1 else f"bernoulli:d={d}",

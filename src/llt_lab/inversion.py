@@ -65,9 +65,6 @@ class Grid:
     def dim(self) -> int:
         return len(self.axes)
 
-    def shape(self) -> tuple:
-        return tuple(ax.count for ax in self.axes)
-
     def max_coordinate(self) -> float:
         return max(max(abs(ax.origin), abs(ax.upper)) for ax in self.axes)
 
@@ -97,12 +94,6 @@ class GridDensity:
     axes: tuple
     values: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def points(self) -> np.ndarray:
-        if self.dim == 1:
-            return self.axes[0].points()
-        grids = np.meshgrid(*[ax.points() for ax in self.axes], indexing="ij")
-        return np.stack(grids, axis=-1)
 
     def mass(self) -> float:
         """Trapezoid integral of the values over the grid window."""

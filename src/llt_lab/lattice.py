@@ -17,9 +17,9 @@ and each side has one declared mechanism:
 - the cf side (``_cf_side``): sum_k e^{2 pi i k x} f(step k) as a finite
   head plus the terms that the law declares for its cf at infinity,
   c t^-p cos(omega t) or c t^-p sin(omega t), whose Fourier series are
-  Bernoulli polynomials (DLMF 24.8.1-2).  It serves ``sum_cf_lattice``,
-  the cf route to the oscillation factor and, on the law of |f|^2
-  (``_squared_modulus``), the wrapped autocorrelation.
+  Bernoulli polynomials (DLMF 24.8.1-2); a compact cf is all head.  It
+  serves ``sum_cf_lattice``, the cf route to the oscillation factor and, on
+  the law of |f|^2 (``_squared_modulus``), the wrapped autocorrelation.
 
 Also here: the pi-lattice vanishing check, the two-sided Poisson identity,
 the wrapped autocorrelation, distance to a scaled integer lattice, and the
@@ -330,30 +330,24 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
     """sum_k e^{2 pi i k x} f(step k) at the phases x (in turns), as
     (values, tail).
 
-    A compact cf is summed over its support.  Otherwise the law declares
-    its cf at infinity (``cf_terms``, ``cf_lattice_tail``): over all k != 0
-    the terms sum to Bernoulli polynomials in x (``_bernoulli_series``), and
-    the head 0 < |k| < K sums the remainder f - terms, for the least
-    K = 2^j whose lattice tail is below the polynomials' rounding (2^-64
-    where there are no terms).  The tail adds both roundings to that
-    truncation.  Raises UnsupportedError for a law that declares neither."""
+    The law declares its cf at infinity (``cf_terms``, ``cf_lattice_tail``);
+    a compact cf has no terms and a lattice tail of 0 from its support
+    radius T on.  Over all k != 0 the terms sum to Bernoulli polynomials in x
+    (``_bernoulli_series``), and the head 0 < |k| < K sums the remainder
+    f - terms, for the least K = 2^j whose lattice tail is below the
+    polynomials' rounding (2^-64 where there are no terms).  The tail adds
+    both roundings to that truncation.  Raises UnsupportedError for a law
+    that declares neither."""
     x = np.mod(x, 1.0)
     f = dist.cf
     f0 = float(np.real(f(0.0)))
     T = dist.cf_support_radius
+    cf_lattice_tail = dist.cf_lattice_tail
     if T is not None:
-        kmax = math.floor(T / step + 1e-12)
-        _require_terms(dist, "cf", 2 * kmax + 1)
-        k = np.arange(1, kmax + 1)
-        fp = np.asarray(f(step * k), dtype=complex)
-        fm = np.asarray(f(-step * k), dtype=complex)
-        ph = np.exp(2j * math.pi * np.outer(x, k))
-        vals = f0 + ph @ fp + np.conj(ph) @ fm
-        mass = abs(f0) + float(np.abs(fp).sum() + np.abs(fm).sum())
-        if dist.flags.symmetric_about_0:
-            vals = vals.real
-        return vals, _sum_rounding(mass, 2 * k.size + 1)
-    if dist.cf_lattice_tail is None:
+        _require_terms(dist, "cf", 2 * math.floor(T / step + 1e-12) + 1)
+        # a cf is continuous, so it is 0 at +-T too
+        cf_lattice_tail = lambda R, L: 0.0 if R >= T else math.inf
+    elif cf_lattice_tail is None:
         raise UnsupportedError(f"{dist.label}: no cf side declared (a compact cf, or cf "
                                "terms at infinity with a lattice tail)")
     try:
@@ -366,7 +360,7 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
     def lattice_tail(K):
         # a declared tail too large for a float bounds nothing
         try:
-            return dist.cf_lattice_tail(K * step, step)
+            return cf_lattice_tail(K * step, step)
         except OverflowError:
             return math.inf
 
@@ -508,19 +502,19 @@ def check_pi_lattice_zeros(dist: SourceDistribution, k_max: int) -> LatticeZeroR
 def poisson_check(dist: SourceDistribution, tol: float = 1e-10) -> PoissonReport:
     """Compare sum_m p(m) with sum_k f(2 pi k); both tails held below tol.
 
-    The hypotheses (integrable cf, hence bounded continuous density, and a
-    finite first absolute moment) are enforced through the catalog flags;
-    violating entries are rejected with the failed hypothesis named.
+    The hypotheses, a finite first absolute moment and an integrable cf
+    (a finite ``cf_power_tail(0, 1)``, hence a bounded continuous density),
+    are read from the law, which is refused with the failed one named.
     """
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density")
     if dist.abs_moment1 is None:
         raise UnsupportedError(
             f"{dist.label}: first absolute moment unavailable (infinite)")
-    if not dist.flags.cf_integrable or not dist.flags.density_continuous:
+    if dist.cf_power_tail is None or not dist.cf_power_tail(0.0, 1.0) < math.inf:
         raise UnsupportedError(
-            f"{dist.label}: density discontinuous at lattice points "
-            "(cf not absolutely integrable)")
+            f"{dist.label}: cf not declared absolutely integrable (the density "
+            "may be discontinuous at lattice points)")
     lhs = sum_density_lattice(dist, 1.0, np.zeros(dist.dim) if dist.dim > 1 else 0.0,
                               tol=tol)
     rhs = sum_cf_lattice(dist, 2.0 * math.pi, None, tol=tol)
@@ -612,12 +606,13 @@ def _shell_report(total: float, shells: list, window_K: int) -> RegularityReport
     """The report of a window's integral ``total`` and its per-shell parts:
     a decay slope of the later shells of -1.05 or flatter reads as
     diverging; otherwise the tail beyond the window is added from that
-    slope."""
+    slope.  A last shell of 0, where the integrand vanished or underflowed,
+    is not diverging and adds no tail."""
     c = np.maximum(np.asarray(shells, dtype=float), 1e-300)
     lj = np.log(np.arange(1, c.size + 1, dtype=float)[c.size // 2:])
     A = np.vstack([np.ones_like(lj), lj]).T
     slope = float(np.linalg.lstsq(A, np.log(c[c.size // 2:]), rcond=None)[0][1])
-    diverging = slope >= -1.05
+    diverging = shells[-1] > 0 and slope >= -1.05
     if not diverging and shells[-1] > 0:
         total += shells[-1] * window_K / (-slope - 1.0)
     return RegularityReport(float(total), bool(diverging), tuple(shells))
@@ -645,13 +640,39 @@ def regularity_integral(dist: SourceDistribution, kind: str,
 def _regularity_1d(dist, kind, window_K):
     from scipy.integrate import IntegrationWarning, quad
 
-    def integrand(t):
-        g = abs(dist.cf_grad(t))
-        if kind == "condition_2_3":
-            return abs(dist.cf(t)) * g
-        return g
+    fns = (dist.cf_grad, dist.cf)[:1 + (kind == "condition_2_3")]
 
-    def integral(lo, hi, points=()):
+    def integrand(t):
+        return math.prod(abs(fn(t)) for fn in fns)
+
+    # quad's intervals end at the integrand's kinks: at +-T of a compact cf,
+    # and at the zeros of its factors for a compact density of radius h,
+    # the sign changes on a grid of step at most pi/(4h) refined by brentq.
+    # A wide law's |f'| is a spike at |t| ~ 1/sqrt(E X^2): the central
+    # interval also ends there and at 4^i times that below pi/2
+    W = math.pi * (window_K + 0.5)
+    breaks = []
+    r = 1.0 / math.sqrt(dist.second_moment) if dist.second_moment else math.inf
+    while 0.0 < r < math.pi / 2:
+        breaks += [-r, r]
+        r *= 4.0
+    if dist.cf_support_radius is not None:
+        breaks += [-dist.cf_support_radius, dist.cf_support_radius]
+    if dist.density_support_radius is not None:
+        from scipy.optimize import brentq
+        steps = 4.0 * dist.density_support_radius * W / math.pi
+        if not steps <= _SHORT_TERMS:
+            raise UnsupportedError(f"{dist.label}: the regularity integral needs a grid of "
+                                   f"more than {_SHORT_TERMS} steps to find the cf's zeros")
+        t = np.linspace(0.0, W, math.ceil(steps) + 1)
+        for fn in fns:
+            v = np.real(fn(t))
+            for i in np.nonzero(v[:-1] * v[1:] < 0.0)[0]:
+                z = brentq(lambda u: float(np.real(fn(u))), t[i], t[i + 1])
+                breaks += [-z, z]
+
+    def integral(lo, hi):
+        points = [b for b in breaks if lo < b < hi]
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             try:
@@ -661,15 +682,8 @@ def _regularity_1d(dist, kind, window_K):
                 raise UnsupportedError(f"{dist.label}: the regularity integral over "
                                        f"[{lo:g}, {hi:g}] does not converge") from None
 
-    # a wide law's |f'| is a spike at |t| ~ 1/sqrt(E X^2): the central
-    # integral breaks there and at 4^i times that below pi/2
-    ladder = []
-    r = 1.0 / math.sqrt(dist.second_moment) if dist.second_moment else math.inf
-    while 0.0 < r < math.pi / 2:
-        ladder += [-r, r]
-        r *= 4.0
     shells = []
-    total = integral(-math.pi / 2, math.pi / 2, ladder)
+    total = integral(-math.pi / 2, math.pi / 2)
     for j in range(1, window_K + 1):
         lo, hi = math.pi * (j - 0.5), math.pi * (j + 0.5)
         cj = integral(lo, hi) + integral(-hi, -lo)

@@ -162,7 +162,8 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     # any point is formed
     (["check-condition", "--source", "laplace:b=1", "--k", "1000000000000"], 2),
     (["check-condition", "--source", "product:uniform:h=1,uniform:h=1", "--k", "10000000"], 2),
-    # a regularity integral that quad does not converge is refused
+    # a regularity integral whose cf zeros need a grid longer than its cap
+    # is refused
     (["regularity", "--source", "uniform:h=1e100", "--kind", "condition_3_1"], 2),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
@@ -304,6 +305,53 @@ def test_regularity_of_a_wide_law_finds_its_central_spike(spec, capsys):
     assert code == 0
     res = json.loads(capsys.readouterr().out)["results"]
     assert res["estimate"] == pytest.approx(2.0, abs=1e-12)
+
+
+def _regularity(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["regularity", *argv])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+@pytest.mark.parametrize("argv, estimate", [
+    (["--source", "fejer:T=1"], 2.0),
+    (["--source", "gaussian:sigma=1", "--kind", "condition_2_3"], 1.0),
+    (["--source", "gaussian:sigma=1e100", "--kind", "condition_2_3"], 1.0),
+    (["--source", "laplace:b=1e100", "--kind", "condition_2_3"], 1.0),
+], ids=["fejer", "gaussian-2-3", "gaussian-wide-2-3", "laplace-wide-2-3"])
+def test_regularity_of_a_window_that_ends_in_zero_shells(argv, estimate, capsys):
+    # the integrand vanishes (beyond fejer's T = 1) or underflows in the last
+    # shells: that is no divergence, and no tail is added.  f falls from 1
+    # to 0 on each side, so the integral of |f'| is 2 and that of
+    # |f f'| = |(f^2/2)'| is 1
+    res = _regularity(argv, capsys)
+    assert res["shell_contributions"][-1] == 0.0
+    assert res["diverging"] is False
+    assert res["estimate"] == pytest.approx(estimate, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["condition_3_1", "condition_2_3"])
+def test_regularity_of_a_wide_uniform_splits_at_the_zeros(kind, capsys):
+    # on each shell the integral of |f'| is the total variation of f, and
+    # that of |f f'| the total variation of f^2/2; in u = h t, f = sin(u)/u,
+    # with zeros at u = k pi and zeros of f' where tan u = u
+    from scipy.optimize import brentq
+    h = 10.0
+    res = _regularity(["--source", f"uniform:h={h:g}", "--kind", kind], capsys)
+    g = ((lambda u: math.sin(u) / u) if kind == "condition_3_1"
+         else (lambda u: 0.5 * (math.sin(u) / u) ** 2))
+    k = range(1, 230)
+    zeros = [j * math.pi for j in k] + [brentq(lambda u: u * math.cos(u) - math.sin(u),
+                                               j * math.pi, (j + 0.5) * math.pi) for j in k]
+    for j, shell in enumerate(res["shell_contributions"], start=1):
+        lo, hi = h * math.pi * (j - 0.5), h * math.pi * (j + 0.5)
+        u = sorted([lo, hi] + [z for z in zeros if lo < z < hi])
+        variation = sum(abs(g(b) - g(a)) for a, b in zip(u, u[1:]))
+        assert abs(shell - 2.0 * variation) <= 1e-12, j
+    # |f'| falls like 1/t, so the integral of condition 3.1 diverges
+    assert res["diverging"] is (kind == "condition_3_1")
 
 
 def test_run_autocorr_value(tmp_path):

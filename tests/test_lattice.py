@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import theta_sum
-from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError, bernoulli_noise,
-                     check_pi_lattice_zeros, distance_to_lattice, even_odd_limits, make_fejer,
+from llt_lab import (DistFlags, InvalidParameterError, SmoothedModel, UnsupportedError,
+                     bernoulli_noise, check_pi_lattice_zeros, distance_to_lattice, even_odd_limits, make_fejer,
                      make_gaussian, make_laplace, make_uniform, oscillation_report,
                      poisson_check, product, regularity_integral, sum_cf_lattice,
                      sum_density_lattice, wrapped_autocorrelation)
@@ -287,6 +287,56 @@ def test_cf_side_uniform_per_point(h):
         assert cf_tail <= 1e-13
 
 
+@pytest.mark.parametrize("h", [0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 3.52, 10.0])
+def test_routes_agree_on_the_jumps_of_a_uniform_density(h):
+    # at offsets on +-h + 2Z both routes to A_n take the mean of the
+    # one-sided limits: the density side by its midpoint rule, the cf side
+    # by the sawtooth's midpoint 0
+    src = make_uniform(h)
+    for n in (1, 2, 3, 16, 17, 101, 256, 16384):
+        a = np.array([n + e * h + 2.0 * m for e in (-1.0, 1.0) for m in range(-3, 4)])
+        cf, cf_tail = asymptotics._a_factor(src, a, 1e-9, "cf")
+        dn, dn_tail = asymptotics._a_factor(src, a, 1e-9, "density")
+        assert np.max(np.abs(cf - dn)) <= cf_tail + dn_tail, n
+
+
+def test_report_gap_covers_the_jumps():
+    # x = (2j - 16 +- 1)/4 on the grid puts a = 4x + 16 on the jumps of
+    # uniform:h=1, where the route gap is now taken too
+    from llt_lab import grid_1d
+    rep = oscillation_report(SmoothedModel(UNIFORM, bernoulli_noise(1)), 16,
+                             grid_1d(-5.0, 5.0, 201))
+    assert rep.method_gap <= rep.meta["cf_tail"] + rep.meta["density_tail"]
+
+
+def _shifted_fejer(T, mu=0.37):
+    # the triangle cf times e^{i mu t}: compact and not even; built with
+    # numpy, as _pointwise would cast its 0-d complex value to float
+    def cf(t):
+        t = np.asarray(t, dtype=float)
+        return np.maximum(1.0 - np.abs(t) / T, 0.0) * np.exp(1j * mu * t)
+    return dataclasses.replace(make_fejer(T), cf=cf, flags=DistFlags(symmetric_about_0=False),
+                               label=f"fejer-shift:T={T:g}")
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.37])
+@pytest.mark.parametrize("T", [0.5, 0.7, 1.0, 4.0, 10.0, 50.0])
+def test_compact_cf_sum_is_the_direct_finite_sum(T, mu):
+    # a compact cf takes the cf side's head path with no terms and a tail
+    # of 0 from T on; against the finite sum over |step k| <= T in 40
+    # digits, at the same float points step k
+    dist = make_fejer(T) if mu == 0.0 else _shifted_fejer(T, mu)
+    for step in (math.pi, 2.0 * math.pi, 0.3):
+        kmax = math.ceil(T / step)
+        for phase in (0.0, 0.4, 1.7):
+            r = sum_cf_lattice(dist, step, phase, tol=1e-3)
+            with mpmath.workdps(40):
+                exact = complex(mpmath.fsum(
+                    mpmath.expj(phase * k) * max(1 - abs(mpmath.mpf(step * k)) / T, 0)
+                    * mpmath.expj(mu * mpmath.mpf(step * k)) for k in range(-kmax, kmax + 1)))
+            assert abs(r.value - exact) <= r.tail_estimate, (step, phase)
+
+
 def test_cf_side_needs_a_declared_side():
     # a cf with neither a compact support nor declared terms at infinity
     bare = dataclasses.replace(LAPLACE, cf_lattice_tail=None)
@@ -352,6 +402,13 @@ def test_poisson_laplace():
 def test_poisson_uniform_rejected():
     with pytest.raises(UnsupportedError, match="discontinuous"):
         poisson_check(UNIFORM)
+
+
+def test_poisson_refuses_an_undeclared_cf_tail():
+    # a continuous density is not enough: the cf must be declared integrable
+    bare = dataclasses.replace(LAPLACE, cf_power_tail=None)
+    with pytest.raises(UnsupportedError, match="integrable"):
+        poisson_check(bare)
 
 
 def test_poisson_fejer_rejected_infinite_moment():
