@@ -640,7 +640,7 @@ def regularity_integral(dist: SourceDistribution, kind: str,
 def _regularity_1d(dist, kind, window_K):
     from scipy.integrate import IntegrationWarning, quad
 
-    fns = (dist.cf_grad, dist.cf)[:1 + (kind == "condition_2_3")]
+    fns = (dist.cf_grad, dist.cf) if kind == "condition_2_3" else (dist.cf_grad,)
 
     def integrand(t):
         return math.prod(abs(fn(t)) for fn in fns)
