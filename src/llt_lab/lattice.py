@@ -647,10 +647,9 @@ def _regularity_1d(dist, kind, window_K):
 
     # quad's intervals end at the integrand's kinks: at +-T of a compact cf,
     # and at the zeros of its factors for a compact density of radius h,
-    # the sign changes on a grid of step at most pi/(4h) refined by brentq.
-    # A wide law's |f'| is a spike at |t| ~ 1/sqrt(E X^2): the central
-    # interval also ends there and at 4^i times that below pi/2
-    W = math.pi * (window_K + 0.5)
+    # the sign changes on a grid of step at most pi/(4h) over the interval
+    # refined by brentq.  A wide law's |f'| is a spike at |t| ~ 1/sqrt(E X^2):
+    # the central interval also ends there and at 4^i times that below pi/2
     breaks = []
     r = 1.0 / math.sqrt(dist.second_moment) if dist.second_moment else math.inf
     while 0.0 < r < math.pi / 2:
@@ -658,21 +657,21 @@ def _regularity_1d(dist, kind, window_K):
         r *= 4.0
     if dist.cf_support_radius is not None:
         breaks += [-dist.cf_support_radius, dist.cf_support_radius]
-    if dist.density_support_radius is not None:
-        from scipy.optimize import brentq
-        steps = 4.0 * dist.density_support_radius * W / math.pi
-        if not steps <= _SHORT_TERMS:
-            raise UnsupportedError(f"{dist.label}: the regularity integral needs a grid of "
-                                   f"more than {_SHORT_TERMS} steps to find the cf's zeros")
-        t = np.linspace(0.0, W, math.ceil(steps) + 1)
-        for fn in fns:
-            v = np.real(fn(t))
-            for i in np.nonzero(v[:-1] * v[1:] < 0.0)[0]:
-                z = brentq(lambda u: float(np.real(fn(u))), t[i], t[i + 1])
-                breaks += [-z, z]
+    h = dist.density_support_radius
 
     def integral(lo, hi):
         points = [b for b in breaks if lo < b < hi]
+        if h is not None:
+            from scipy.optimize import brentq
+            steps = 4.0 * h * (hi - lo) / math.pi
+            if not steps <= _SHORT_TERMS:
+                raise UnsupportedError(f"{dist.label}: the regularity integral needs a grid "
+                                       f"of more than {_SHORT_TERMS} steps to find the cf's zeros")
+            t = np.linspace(lo, hi, math.ceil(steps) + 1)
+            for fn in fns:
+                v = np.real(fn(t))
+                points += [brentq(lambda u: float(np.real(fn(u))), t[i], t[i + 1])
+                           for i in np.nonzero(v[:-1] * v[1:] < 0.0)[0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             try:

@@ -279,14 +279,18 @@ def test_run_regularity(tmp_path):
     assert res["estimate"] == pytest.approx(2.0, abs=0.01)
 
 
+def _regularity(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["regularity", *argv])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
 def test_regularity_of_a_wide_laplace_does_not_overflow(capsys):
     # cf_grad once formed (1 + (bt)^2)^2, which overflows for bt beyond 1e77
     b = 1e100
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["regularity", "--source", f"laplace:b={b:g}", "--kind", "condition_3_1"])
-    assert code == 0
-    res = json.loads(capsys.readouterr().out)["results"]
+    res = _regularity(["--source", f"laplace:b={b:g}", "--kind", "condition_3_1"], capsys)
     # the shell pi(j -+ 1/2) on both sides holds 2 (f(lo) - f(hi)) of |f'|
     lo = [math.pi * (j - 0.5) for j in range(1, 21)]
     exact = [2.0 * (1.0 / (1.0 + (b * a) ** 2) - 1.0 / (1.0 + (b * (a + math.pi)) ** 2))
@@ -299,20 +303,8 @@ def test_regularity_of_a_wide_laplace_does_not_overflow(capsys):
 def test_regularity_of_a_wide_law_finds_its_central_spike(spec, capsys):
     # |f'| of a law this wide is a spike of width 1/sqrt(E X^2) at 0; f falls
     # from 1 to 0 on each side, so the integral of |f'| is 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["regularity", "--source", spec, "--kind", "condition_3_1"])
-    assert code == 0
-    res = json.loads(capsys.readouterr().out)["results"]
+    res = _regularity(["--source", spec, "--kind", "condition_3_1"], capsys)
     assert res["estimate"] == pytest.approx(2.0, abs=1e-12)
-
-
-def _regularity(argv, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["regularity", *argv])
-    assert code == 0
-    return json.loads(capsys.readouterr().out)["results"]
 
 
 @pytest.mark.parametrize("argv, estimate", [
@@ -422,9 +414,10 @@ def test_converge_and_oscillate_say_whether_tol_was_met(tol, met, tmp_path):
 
 
 def test_fixed_cli_bodies_unchanged(capsys):
-    # cheap runs over the cell engine, the lattice sums and the general-noise
-    # inverse; a change that moves a body tables the move in CHANGES.md and
-    # re-records tests/data/cli_bodies.json with tests/data/record_cli_bodies.py
+    # cheap runs over the cell engine, the lattice sums, the general-noise
+    # inverse and the lattice conditions; a change that moves a body tables
+    # the move in CHANGES.md and re-records tests/data/cli_bodies.json with
+    # tests/data/record_cli_bodies.py
     path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
     assert len(runs) == 17

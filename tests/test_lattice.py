@@ -629,6 +629,14 @@ def test_regularity_laplace_3_1_value():
     assert rep.estimate == pytest.approx(2.0, abs=0.01)
 
 
+def test_regularity_searches_the_cf_zeros_interval_by_interval():
+    # one grid over the whole window would take 4 h (K + 1/2) = 2100 steps,
+    # more than the cap; each interval's takes 40
+    rep = regularity_integral(make_uniform(10.0), "condition_3_1", 52)
+    assert rep.diverging
+    assert len(rep.shell_contributions) == 52
+
+
 def test_regularity_product_uniform_3_1_diverges():
     p2 = product([make_uniform(1.0), make_uniform(1.0)])
     rep = regularity_integral(p2, "condition_3_1", 8)
