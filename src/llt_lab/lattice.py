@@ -643,7 +643,8 @@ def _regularity_1d(dist, kind, window_K):
     fns = (dist.cf_grad, dist.cf) if kind == "condition_2_3" else (dist.cf_grad,)
 
     def integrand(t):
-        return math.prod(abs(fn(t)) for fn in fns)
+        g = abs(dist.cf_grad(t))
+        return abs(dist.cf(t)) * g if kind == "condition_2_3" else g
 
     # quad's intervals end at the integrand's kinks: at +-T of a compact cf,
     # and at the zeros of its factors for a compact density of radius h,
