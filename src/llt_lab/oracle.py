@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .distributions import SourceDistribution
 from .errors import InvalidParameterError, UnsupportedError
@@ -61,6 +60,7 @@ class MixtureWeights:
         return self._weights
 
     def total(self) -> float:
+        from scipy.special import logsumexp
         return float(math.exp(logsumexp(self.log_weights)))
 
 
@@ -87,8 +87,11 @@ def _mixture_weights(n: int) -> MixtureWeights:
     under = r < np.finfo(float).tiny
     with np.errstate(divide="ignore"):
         lw = np.log(r) - math.log(math.fsum(r))
-    lw[under] = (gammaln(n + 1) - gammaln(j[under] + 1) - gammaln(n - j[under] + 1)
-                 - n * math.log(2.0))
+    if under.any():
+        # scipy.special is imported only where a weight underflows
+        from scipy.special import gammaln
+        lw[under] = (gammaln(n + 1) - gammaln(j[under] + 1) - gammaln(n - j[under] + 1)
+                     - n * math.log(2.0))
     lw.flags.writeable = False
     return MixtureWeights(n, lw)
 

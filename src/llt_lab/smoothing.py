@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfc, ndtr
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
 from .errors import InvalidParameterError, UnsupportedError, require_tol
@@ -59,6 +58,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
 _WINDOW_U = 9.0         # cell window |s| <= U/sqrt(n): erfc(U/sqrt 2) ~ 2e-19 left out
 
 
@@ -158,7 +158,7 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     # |F(s, a)| <= F(0, a) for a density p >= 0 (Poisson summation), so the
     # integrand outside the window is below F(0, a) e^{-ns^2/2}
     a_max = float(np.max(np.abs(A))) + side.tail
-    window_err = erfc(_WINDOW_U / math.sqrt(2.0)) / _SQRT2PI * a_max
+    window_err = math.erfc(_WINDOW_U / math.sqrt(2.0)) / _SQRT2PI * a_max
     quad_err = _check_error(vals, check)
     roundoff = (16.0 + (half * reach + side.edge)) * np.finfo(float).eps * pref * c0 * a_max
     est = quad_err + pref * c0 * side.tail + window_err + roundoff
@@ -265,12 +265,22 @@ def _phi_on_grid(gd: GridDensity) -> np.ndarray:
     return np.exp(-0.5 * R2) / (2.0 * math.pi)
 
 
+def _ndtr(x: float) -> float:
+    # the standard normal cdf on cephes' branches: erf where the cdf is near
+    # 1/2, and erfc of |x| in the tails, so no tail cancels
+    y = x * _SQRT1_2
+    if abs(y) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(y)
+    tail = 0.5 * math.erfc(abs(y))
+    return 1.0 - tail if y > 0 else tail
+
+
 def gaussian_window_deficit(grid: Grid) -> float:
     """Standard-normal mass outside the grid window (out-of-window bound
     for the grid distances)."""
     dims = []
     for ax in grid.axes:
-        dims.append(ndtr(ax.upper) - ndtr(ax.origin))
+        dims.append(_ndtr(ax.upper) - _ndtr(ax.origin))
     inside = float(np.prod(dims))
     return max(0.0, 1.0 - inside)
 

@@ -436,3 +436,45 @@ def test_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_DEFAULT_PATHS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import llt_lab, llt_lab.cli
+from llt_lab import (SmoothedModel, bernoulli_noise, convergence_study, density,
+                     even_odd_limits, exact_mixture_density, gaussian_noise, grid_1d,
+                     make_fejer, make_laplace, make_uniform, monte_carlo_density,
+                     oscillation_report, poisson_check, product, uniform_noise,
+                     wrapped_autocorrelation)
+lap, uni = make_laplace(1.0), make_uniform(1.0)
+g = grid_1d(-4.0, 4.0, 41)
+assert density(SmoothedModel(lap, bernoulli_noise(1)), 16, g).meta["engine"] == "cell"
+assert (density(SmoothedModel(product([uni, uni]), bernoulli_noise(2)), 4,
+                llt_lab.grid_2d(-3.0, 3.0, 11)).meta["engine"] == "cell-tensor")
+assert density(SmoothedModel(lap, uniform_noise()), 16, g).meta["engine"] == "invert"
+assert (density(SmoothedModel(make_fejer(0.7), gaussian_noise()), 16, g).meta["engine"]
+        == "invert-compact")
+convergence_study(SmoothedModel(uni, bernoulli_noise(1)), [4, 16], grid=g)
+assert oscillation_report(SmoothedModel(lap, bernoulli_noise(1)), 16, g).meta["route"] == "density"
+assert oscillation_report(SmoothedModel(uni, bernoulli_noise(1)), 17, g).meta["route"] == "cf"
+even_odd_limits(lap)
+wrapped_autocorrelation(uni)
+poisson_check(lap)
+monte_carlo_density(SmoothedModel(lap, uniform_noise()), 16, np.zeros(3), 4096, seed=1)
+exact_mixture_density(lap, 64, np.linspace(-2.0, 2.0, 5))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_default_paths_leave_scipy_unloaded():
+    # scipy is imported at the calls that need it (regularity, beta3's
+    # quadrature, underflowing oracle weights), so one call of each engine
+    # and study on its default path runs on numpy and math alone
+    import llt_lab
+    src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _DEFAULT_PATHS, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -10,10 +10,11 @@ from scipy.integrate import quad
 from conftest import offset_grid_1d, offset_points
 from llt_lab import (InvalidParameterError, SmoothedModel, admissible_T,
                      bernoulli_noise, convergence_study, default_grid, density, distance_to_gaussian, exact_mixture_density,
-                     gaussian_noise, gaussian_window_deficit, grid_1d, make_fejer, make_gaussian,
+                     gaussian_noise, gaussian_window_deficit, grid_1d, grid_2d, make_fejer, make_gaussian,
                      make_laplace, make_uniform, monte_carlo_density, product,
                      smoothed_cf, uniform_noise)
 from llt_lab.inversion import GridDensity
+from llt_lab.smoothing import _ndtr
 
 UNIFORM = make_uniform(1.0)
 LAPLACE = make_laplace(1.0)
@@ -357,6 +358,33 @@ def test_laplace_l1_floor():
 def test_window_deficit():
     assert gaussian_window_deficit(grid_1d(-5, 5, 101)) == pytest.approx(
         5.733e-7, rel=1e-3)
+
+
+def test_ndtr_follows_scipy():
+    # cephes' erfc forms e^{-y^2} from a rounded y^2, and both cdfs take the
+    # rounding of y = x/sqrt 2, so their tails agree to eps (1 + x^2)
+    # relative and not to a fixed count of ulps
+    from scipy.special import ndtr
+    x = np.linspace(-38.0, 38.0, 76001)
+    ours = np.array([_ndtr(float(v)) for v in x])
+    ref = ndtr(x)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    normal = ref >= tiny
+    assert np.all(np.abs(ours - ref)[normal] <= 4.0 * eps * (1.0 + x[normal] ** 2) * ref[normal])
+    assert np.all(np.abs(ours - ref)[~normal] <= tiny)
+    assert np.all(np.abs(ours - ref)[np.abs(x) < 1.0] <= 2.0 * eps * ref[np.abs(x) < 1.0])
+    for v in (3.0, 4.0, 5.0, 6.0):
+        assert _ndtr(v) == ndtr(v)
+
+
+@pytest.mark.parametrize("grid", [grid_1d(-h, h, 101) for h in (3, 4, 5, 6)]
+                         + [grid_2d(-h, h, 21) for h in (3, 4, 5, 6)]
+                         + [default_grid(1), default_grid(2)],
+                         ids=lambda g: f"{g.dim}d-{g.axes[0].upper:g}")
+def test_window_deficit_is_the_scipy_formula(grid):
+    from scipy.special import ndtr
+    inside = float(np.prod([ndtr(ax.upper) - ndtr(ax.origin) for ax in grid.axes]))
+    assert gaussian_window_deficit(grid) == max(0.0, 1.0 - inside)
 
 
 # ---------------------------------------------------------------------------
