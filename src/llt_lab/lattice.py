@@ -406,10 +406,12 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
         ph = np.exp(2j * math.pi * np.outer(x, k))
         head = ph @ rp + np.conj(ph) @ rm
     # each remainder is formed from f and the terms, and its phase
-    # 2 pi k x carries eps 2 pi k; the closed forms are two more terms each
+    # 2 pi k x carries eps 2 pi k |x|, exact at x = 0; the closed forms are
+    # two more terms each
+    turns = float(np.max(np.abs(x), initial=0.0))
     mass = abs(f0) + np.abs(closed) + float(np.sum(
         np.abs(fp) + np.abs(fm) + 2.0 * sum(np.abs(v) for v in terms)
-        + 2.0 * math.pi * k * (np.abs(rp) + np.abs(rm))))
+        + 2.0 * math.pi * turns * k * (np.abs(rp) + np.abs(rm))))
     tail = (lattice_tail(K) + closed_rounding
             + _sum_rounding(mass, 2 * K - 1 + 2 * len(dist.cf_terms)))
     return f0 + head + closed, tail

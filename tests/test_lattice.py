@@ -324,17 +324,20 @@ def _shifted_fejer(T, mu=0.37):
 def test_compact_cf_sum_is_the_direct_finite_sum(T, mu):
     # a compact cf takes the cf side's head path with no terms and a tail
     # of 0 from T on; against the finite sum over |step k| <= T in 40
-    # digits, at the same float points step k
+    # digits, at the same float points step k.  The head's phases are
+    # exact at phase 0 and charged eps 2 pi k |x| elsewhere, so even
+    # fejer:T=50 at step 0.3 (335 terms) meets the default tol
     dist = make_fejer(T) if mu == 0.0 else _shifted_fejer(T, mu)
     for step in (math.pi, 2.0 * math.pi, 0.3):
         kmax = math.ceil(T / step)
-        for phase in (0.0, 0.4, 1.7):
-            r = sum_cf_lattice(dist, step, phase, tol=1e-3)
+        for phase in (0.0, 0.4, 1.0, 1.7):
+            r = sum_cf_lattice(dist, step, phase)
             with mpmath.workdps(40):
                 exact = complex(mpmath.fsum(
                     mpmath.expj(phase * k) * max(1 - abs(mpmath.mpf(step * k)) / T, 0)
                     * mpmath.expj(mu * mpmath.mpf(step * k)) for k in range(-kmax, kmax + 1)))
             assert abs(r.value - exact) <= r.tail_estimate, (step, phase)
+            assert r.tol_met, (step, phase, r.tail_estimate)
 
 
 def test_cf_side_needs_a_declared_side():
