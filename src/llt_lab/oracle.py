@@ -88,7 +88,7 @@ def _mixture_weights(n: int) -> MixtureWeights:
     with np.errstate(divide="ignore"):
         lw = np.log(r) - math.log(math.fsum(r))
     if under.any():
-        # scipy.special is imported only where a weight underflows
+        # below n = 1028 no weight underflows, and no scipy is loaded
         from scipy.special import gammaln
         lw[under] = (gammaln(n + 1) - gammaln(j[under] + 1) - gammaln(n - j[under] + 1)
                      - n * math.log(2.0))

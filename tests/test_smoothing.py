@@ -380,7 +380,7 @@ def test_ndtr_follows_scipy():
 @pytest.mark.parametrize("grid", [grid_1d(-h, h, 101) for h in (3, 4, 5, 6)]
                          + [grid_2d(-h, h, 21) for h in (3, 4, 5, 6)]
                          + [default_grid(1), default_grid(2)],
-                         ids=lambda g: f"{g.dim}d-{g.axes[0].upper:g}")
+                         ids=lambda g: f"{g.dim}d-{g.axes[0].upper:g}-{g.axes[0].count}")
 def test_window_deficit_is_the_scipy_formula(grid):
     from scipy.special import ndtr
     inside = float(np.prod([ndtr(ax.upper) - ndtr(ax.origin) for ax in grid.axes]))
