@@ -600,12 +600,20 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
 # uniform on [0, 2^55): eleven independent base-32 digits.  The n steps'
 # K sum to sum_l 32^l D_l, where the digit sums D_l are i.i.d., each the sum
 # of n uniform digits on [0, 32).  Each D_l is drawn from a Walker alias table
-# of its exact law (Walker, ACM TOMS 1977), the steps in groups of at most
-# 256 so that a table has at most 256 * 31 + 1 = 7937 entries.
+# of its law (Walker, ACM TOMS 1977), the steps in groups of at most 256 so
+# that a table has at most 256 * 31 + 1 = 7937 entries, padded to k = 2^b
+# columns.  The table holds the law in units of 2^-64, summing to 2^64
+# exactly, so one raw 64-bit word draws a digit sum with exactly the table's
+# law: its top b bits pick the column, its low 64 - b bits are the coin.
+# That law is within 4 g eps + k 2^-64 in total variation (half the l1
+# distance) of the exact digit-sum law: the convolution is within 4 g eps
+# relative, the rounding to 2^-64 within 2^-65 per entry, and the mode takes
+# what the rounded entries miss of 1.
 
 _DIGIT_BITS = 5
 _DIGITS = 11
 _GROUP = 256
+_WORD_BITS = 64
 
 
 def _digit_sum_pmf(g: int) -> np.ndarray:
@@ -621,25 +629,33 @@ def _digit_sum_pmf(g: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _alias_table(g: int) -> tuple:
-    """Walker alias table (prob, alias) of ``_digit_sum_pmf(g)``, built by
-    Vose's pairing: column j keeps j with probability prob[j] and gives
-    alias[j] otherwise.  The arrays are read-only."""
+    """Walker alias table (thr, alias, b) of ``_digit_sum_pmf(g)`` in exact
+    integers: the pmf, padded with zeros to k = 2^b columns, is rounded to
+    multiples of 2^-64 with the remainder to 1 on the mode, and Vose's pairing
+    fills k columns of capacity 2^(64 - b).  Column j gives j to the coins
+    below thr[j] and alias[j] to the rest.  The arrays are read-only."""
     p = _digit_sum_pmf(g)
-    k = p.size
-    q = (p * k).tolist()
-    prob = np.ones(k)
-    alias = np.arange(k)
-    small = [j for j in range(k) if q[j] < 1.0]
-    large = [j for j in range(k) if q[j] >= 1.0]
+    b = (p.size - 1).bit_length()
+    k = 1 << b
+    cap = 1 << (_WORD_BITS - b)
+    q = [round(x * 2.0 ** _WORD_BITS) for x in p.tolist()] + [0] * (k - p.size)
+    q[int(np.argmax(p))] += (1 << _WORD_BITS) - sum(q)
+    thr = [cap] * k
+    alias = list(range(k))
+    small = [j for j in range(k) if q[j] < cap]
+    large = [j for j in range(k) if q[j] >= cap]
     while small and large:
         s, big = small.pop(), large[-1]
-        prob[s], alias[s] = q[s], big
-        q[big] = (q[big] + q[s]) - 1.0
-        if q[big] < 1.0:
+        thr[s], alias[s] = q[s], big
+        q[big] -= cap - q[s]
+        if q[big] < cap:
             small.append(large.pop())
-    # the columns left on either list are full to within rounding
-    prob.flags.writeable = alias.flags.writeable = False
-    return prob, alias
+    # the entries sum to k cap exactly, so the pairing ends with `small` empty
+    # and every column left on `large` holding exactly cap
+    thr = np.array(thr, dtype=np.uint64)
+    alias = np.array(alias, dtype=np.intp)
+    thr.flags.writeable = alias.flags.writeable = False
+    return thr, alias, b
 
 
 def _uniform_sum_sampler(h: float) -> Callable:
@@ -647,22 +663,25 @@ def _uniform_sum_sampler(h: float) -> Callable:
     radix = float(1 << _DIGIT_BITS)
 
     def sum_sampler(rng, size, n):
-        # per group and digit: one index draw, then one coin draw; rows of
-        # `size` values keep the temporaries small
-        d = np.zeros((_DIGITS, size), dtype=np.int64)
+        # one raw word per group and digit, the digits from the most
+        # significant down, so that each row of digit sums joins the Horner
+        # sum as soon as it is drawn
         full, rest = divmod(n, _GROUP)
-        for g in [_GROUP] * full + [rest] * (rest > 0):
-            prob, alias = _alias_table(g)
-            for row in d:
-                idx = rng.integers(0, prob.size, size)
-                coin = rng.random(size)
-                row += np.where(coin < prob[idx], idx, alias[idx])
-        # each centred digit sum is a half-integer, so the Horner sum of the
-        # centred digits rounds only once it passes 2^53
-        c = d - 0.5 * n * (radix - 1.0)
-        t = c[-1]
-        for row in c[-2::-1]:
-            t = t * radix + row
+        tables = [_alias_table(_GROUP)] * full + ([_alias_table(rest)] if rest else [])
+        raw = rng.bit_generator.random_raw
+        centre = 0.5 * n * (radix - 1.0)
+        t = np.zeros(size)
+        for _ in range(_DIGITS):
+            d = np.zeros(size, dtype=np.intp)
+            for thr, alias, b in tables:
+                u = raw(size)
+                col = (u >> (_WORD_BITS - b)).view(np.intp)
+                u &= (1 << (_WORD_BITS - b)) - 1
+                d += np.where(u < thr[col], col, alias[col])
+            # each centred digit sum is a half-integer, so the Horner sum of
+            # the centred digits rounds only once it passes 2^53
+            t *= radix
+            t += d - centre
         return scale * t
 
     return sum_sampler
@@ -670,8 +689,9 @@ def _uniform_sum_sampler(h: float) -> Callable:
 
 def uniform_noise() -> NoiseDistribution:
     """Isotropic uniform noise on [-sqrt(3), sqrt(3)] (unit variance).  Its
-    ``sum_sampler`` draws an n-step sum from eleven digit-sum alias tables
-    per group of 256 steps (see ``_uniform_sum_sampler``)."""
+    ``sum_sampler`` draws an n-step sum from eleven raw 64-bit words per
+    group of 256 steps, one per digit-sum alias table (see
+    ``_uniform_sum_sampler``)."""
     h = math.sqrt(3.0)
     return replace(as_noise(make_uniform(h)), sum_sampler=_uniform_sum_sampler(h))
 

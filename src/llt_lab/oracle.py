@@ -12,9 +12,10 @@ reproducible fallback: its samples come in fixed chunks, each drawn from its
 own PCG64 stream spawned from the seed by numpy's SeedSequence.  A noise
 with a ``sum_sampler`` draws each n-step sum at once: Bernoulli noise as
 2 Binomial(n, 1/2) - n, uniform noise from digit-sum alias tables (eleven
-draws per group of at most 256 steps, ``distributions.uniform_noise``);
-other noises draw the n steps in row blocks.  The alias tables are built by
-direct convolution, with nothing from the Fourier code this module checks.
+raw 64-bit words per group of at most 256 steps,
+``distributions.uniform_noise``); other noises draw the n steps in row
+blocks.  The alias tables are built by direct convolution and exact integer
+pairing, with nothing from the Fourier code this module checks.
 """
 
 from __future__ import annotations
@@ -154,6 +155,9 @@ _SUM_BLOCK = 1 << 18
 # kernels farther than this many bandwidths are left out of the estimate;
 # each is below norm * exp(-40.5) = 2.6e-18 * norm
 _KERNEL_REACH = 9.0
+# below this h^2 is subnormal, and the kernel exponent -(z - x)^2 / (2 h^2)
+# loses its digits
+_MIN_BANDWIDTH = math.sqrt(np.finfo(float).tiny)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -203,13 +207,17 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     Uniform-noise step sums come from ``uniform_noise().sum_sampler``: a
     step is the midpoint of one of 2^55 equal cells of [-h, h], within
     h 2^-55 of a continuous uniform step, and the sum of n such steps is
-    drawn from 11 ceil(n/256) alias-table draws (an index and a 53-bit coin
-    each).  Each draw's law is within 2e-12 in total variation of the exact
-    digit-sum law (the table within K eps, K <= 7937 entries; the
-    convolution within 4 g eps relative; the coin within 2^-53), so a sample
-    is within 2.2e-11 ceil(n/256) of the quantized sum.  This stream
-    replaced n uniform draws per sample, so seeded uniform-noise estimates
-    differ from those of earlier versions; their law does not.
+    drawn from 11 ceil(n/256) alias-table draws, each from one raw 64-bit
+    word: its top b bits pick one of the table's k = 2^b columns and its low
+    64 - b bits are the coin, against a table whose integer entries sum to
+    2^64 exactly.  For a group of g steps each draw's law is within
+    4 g eps + k 2^-64 in total variation of the exact digit-sum law (the
+    convolution within 4 g eps relative, the rounding to multiples of 2^-64
+    within k 2^-64; at most 2.3e-13 with g = 256, k = 8192), so a sample is
+    within 2.6e-12 ceil(n/256) of the quantized sum.  This stream replaced
+    an index draw and a 53-bit coin per table draw, which replaced n
+    uniform draws per sample, so seeded uniform-noise estimates differ from
+    those of earlier versions; their law does not.
 
     Each point sums the Gaussian kernels of the samples within 9 bandwidths
     of it, found in the sorted sample.  Every omitted kernel is at most
@@ -239,26 +247,35 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
         done += m
         chunk_index += 1
 
+    # the order statistics, and so the percentiles, are those of z; the
+    # standard deviation keeps z's summation order
+    zs = np.sort(z)
     if bandwidth is None:
         sd = float(np.std(z))
-        iqr = float(np.subtract(*np.percentile(z, [75, 25])))
+        iqr = float(np.subtract(*np.percentile(zs, [75, 25])))
         spread = min(sd, iqr / 1.34) if iqr > 0 else sd
         bandwidth = 0.9 * spread * samples ** (-0.2)
     h = float(bandwidth)
-    if not (h > 0 and math.isfinite(h)):
-        raise InvalidParameterError("bandwidth must be positive and finite")
+    if not _MIN_BANDWIDTH <= h < math.inf:
+        raise InvalidParameterError(
+            f"bandwidth must be finite and at least {_MIN_BANDWIDTH:.4g}")
 
-    zs = np.sort(z)
     lo = np.searchsorted(zs, xs - _KERNEL_REACH * h, side="left")
     hi = np.searchsorted(zs, xs + _KERNEL_REACH * h, side="right")
     vals = np.zeros(xs.size)
     sq = np.zeros(xs.size)
-    norm = 1.0 / (h * math.sqrt(2.0 * math.pi))
+    coef = -0.5 / (h * h)
     for i in range(xs.size):
-        kern = norm * np.exp(-0.5 * ((xs[i] - zs[lo[i]:hi[i]]) / h) ** 2)
-        vals[i] = kern.sum()
-        sq[i] = (kern * kern).sum()
-    vals /= samples
+        # exp(-(z - x)^2 / (2 h^2)) in one temporary; norm is applied below
+        e = zs[lo[i]:hi[i]] - xs[i]
+        e *= e
+        e *= coef
+        np.exp(e, out=e)
+        vals[i] = e.sum()
+        sq[i] = e @ e
+    norm = 1.0 / (h * math.sqrt(2.0 * math.pi))
+    vals *= norm / samples
+    sq *= norm * norm
     var = sq / samples - vals * vals
     stderr = np.sqrt(np.maximum(var, 0.0) / samples)
     return MonteCarloEstimate(values=vals, stderr=stderr, bandwidth=h,

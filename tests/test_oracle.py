@@ -1,5 +1,5 @@
+import itertools
 import math
-from math import comb
 
 import mpmath
 import numpy as np
@@ -185,6 +185,43 @@ def test_windowed_kde_matches_full_kernel_sum(model, bandwidth):
     assert np.all(est.values[:2] == 0.0) and np.all(est.stderr[:2] == 0.0)
 
 
+@pytest.mark.parametrize("bandwidth", [None, 0.05])
+def test_kernel_sums_match_the_per_point_formula(bandwidth):
+    model = SmoothedModel(LAPLACE, uniform_noise())
+    samples, n = _CHUNK + 999, 16
+    z = _seeded_sample(model, n, samples, seed=9)
+    xs = np.linspace(-4.0, 4.0, 33)
+    est = monte_carlo_density(model, n, xs, samples, bandwidth=bandwidth, seed=9)
+    h = est.bandwidth
+    if bandwidth is None:
+        # Silverman's rule on the sample in its drawn order, bit for bit
+        iqr = float(np.subtract(*np.percentile(z, [75, 25])))
+        assert h == 0.9 * min(float(np.std(z)), iqr / 1.34) * samples ** (-0.2)
+    # the per-point kernel sums as they were written before the in-place form
+    zs = np.sort(z)
+    lo = np.searchsorted(zs, xs - 9.0 * h, side="left")
+    hi = np.searchsorted(zs, xs + 9.0 * h, side="right")
+    norm = 1.0 / (h * math.sqrt(2.0 * math.pi))
+    vals, sq = np.zeros(xs.size), np.zeros(xs.size)
+    for i in range(xs.size):
+        kern = norm * np.exp(-0.5 * ((xs[i] - zs[lo[i]:hi[i]]) / h) ** 2)
+        vals[i] = kern.sum()
+        sq[i] = (kern * kern).sum()
+    vals /= samples
+    stderr = np.sqrt(np.maximum(sq / samples - vals * vals, 0.0) / samples)
+    assert np.all(vals > 0.0)
+    assert np.allclose(est.values, vals, rtol=1e-14, atol=0.0)
+    assert np.allclose(est.stderr, stderr, rtol=1e-14, atol=0.0)
+
+
+def test_monte_carlo_refuses_a_bandwidth_with_a_subnormal_square():
+    model = SmoothedModel(GAUSSIAN, bernoulli_noise(1))
+    with pytest.raises(InvalidParameterError):
+        monte_carlo_density(model, 4, [0.0], samples=100, bandwidth=1e-160)
+    est = monte_carlo_density(model, 4, [0.0], samples=100, bandwidth=1e-150)
+    assert math.isfinite(est.values[0])
+
+
 def test_monte_carlo_rejects_non_finite_input():
     model = SmoothedModel(GAUSSIAN, bernoulli_noise(1))
     with pytest.raises(InvalidParameterError):
@@ -216,12 +253,15 @@ EPS = float(np.finfo(float).eps)
 
 
 def _digit_sum_law(g):
-    # sum_i (-1)^i C(g,i) C(j - i r + g - 1, g - 1) / r^g with r = 2^b, as
-    # correctly rounded quotients of exact integers
+    # the number of ways g digits on [0, r), r = 2^b, sum to j, by g box sums
+    # of exact integers, over r^g as correctly rounded quotients
     r = 1 << _DIGIT_BITS
-    counts = [sum((-1) ** i * comb(g, i) * comb(j - i * r + g - 1, g - 1)
-                  for i in range(j // r + 1))
-              for j in range(g * (r - 1) + 1)]
+    counts = [1]
+    for _ in range(g):
+        prefix = [0, *itertools.accumulate(counts)]
+        top = len(counts)
+        counts = [prefix[min(j + 1, top)] - prefix[max(j + 1 - r, 0)]
+                  for j in range(top + r - 1)]
     return np.array([c / r ** g for c in counts])
 
 
@@ -234,16 +274,76 @@ def test_digit_sum_pmf_matches_exact_counts(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 17, 256])
 def test_alias_table_reproduces_the_pmf(g):
-    prob, alias = _alias_table(g)
-    k = prob.size
-    assert k == g * ((1 << _DIGIT_BITS) - 1) + 1
-    assert np.all((prob >= 0.0) & (prob <= 1.0))
-    assert not prob.flags.writeable and not alias.flags.writeable
-    # column j gives j with probability prob[j] and alias[j] otherwise
-    law = prob.copy()
-    np.add.at(law, alias, 1.0 - prob)
-    law /= k
-    assert float(np.abs(law - _digit_sum_pmf(g)).sum()) <= k * EPS
+    thr, alias, b = _alias_table(g)
+    k, cap = 1 << b, 1 << (64 - b)
+    r = 1 << _DIGIT_BITS
+    assert thr.shape == alias.shape == (k,)
+    assert k >= g * (r - 1) + 1 > k // 2
+    assert thr.dtype == np.uint64 and np.all(thr <= cap)
+    assert np.all((alias >= 0) & (alias < k))
+    assert not thr.flags.writeable and not alias.flags.writeable
+    # column j gives j to thr[j] of its cap coins and alias[j] to the rest;
+    # the law this implies, in exact integers, sums to 2^64 and is the pmf
+    # rounded to multiples of 2^-64 off the mode
+    law = [0] * k
+    for j, (t, a) in enumerate(zip(thr.tolist(), alias.tolist())):
+        law[j] += t
+        law[a] += cap - t
+    assert sum(law) == 1 << 64
+    p = _digit_sum_pmf(g)
+    rounded = [round(x * 2.0 ** 64) for x in p.tolist()] + [0] * (k - p.size)
+    mode = int(np.argmax(p))
+    assert law[:mode] == rounded[:mode] and law[mode + 1:] == rounded[mode + 1:]
+    ref = _digit_sum_law(g)
+    # the l1 distance, twice the total variation, is within the per-draw bound
+    l1 = math.fsum(abs(q / 2.0 ** 64 - p) for q, p in zip(law, ref.tolist()))
+    assert l1 <= 4.0 * g * EPS + k * 2.0 ** -64
+
+
+class _CraftedWords:
+    """Stands in for a generator: every raw draw returns the same words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = words
+
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words.copy()
+
+
+@pytest.mark.parametrize("n", [1, 256])
+def test_uniform_sum_sampler_splits_each_word_into_column_and_coin(n):
+    thr, alias, b = _alias_table(n)
+    cap = 1 << (64 - b)
+    # in each column, the largest coin that keeps the column and the
+    # smallest that takes its alias
+    words, digits = [], []
+    for j, (t, a) in enumerate(zip(thr.tolist(), alias.tolist())):
+        if t > 0:
+            words.append((j << (64 - b)) | (t - 1))
+            digits.append(j)
+        if t < cap:
+            words.append((j << (64 - b)) | t)
+            digits.append(a)
+    s = uniform_noise().sum_sampler(_CraftedWords(np.array(words, dtype=np.uint64)),
+                                    len(words), n)
+    # every digit sum of a sample is the same digit D, so the sample is
+    # 2 h 2^-55 (D - 15.5 n) (32^11 - 1) / 31
+    r = 1 << _DIGIT_BITS
+    scale = 2.0 * math.sqrt(3.0) * 2.0 ** -55
+    expected = scale * (np.array(digits) - 0.5 * (r - 1) * n) * float((r ** 11 - 1) // (r - 1))
+    assert np.allclose(s, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 256, 300])
+def test_uniform_sum_sampler_reads_one_word_per_digit_and_group(n):
+    size = 1000
+    rng = np.random.Generator(np.random.PCG64(17))
+    uniform_noise().sum_sampler(rng, size, n)
+    ref = np.random.PCG64(17)
+    ref.advance(11 * math.ceil(n / 256) * size)
+    assert rng.bit_generator.state == ref.state
 
 
 @pytest.mark.parametrize("n", [1, 16, 256, 4097])
