@@ -607,8 +607,8 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
 # law: its top b bits pick the column, its low 64 - b bits are the coin.
 # That law is within 4 g eps + k 2^-64 in total variation (half the l1
 # distance) of the exact digit-sum law: the convolution is within 4 g eps
-# relative, the rounding to 2^-64 within 2^-65 per entry, and the mode takes
-# what the rounded entries miss of 1.
+# relative, each entry rounds by at most 2^-65, and the mode absorbs the
+# difference of the rounded sum from 1.
 
 _DIGIT_BITS = 5
 _DIGITS = 11
