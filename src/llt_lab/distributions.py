@@ -140,12 +140,6 @@ def _sinc_prime(u):
     return out
 
 
-def _one_minus_cos_over_sq(u):
-    """(1 - cos u)/u**2 as (1/2) sinc(u/2)^2: 1 - cos u itself would lose
-    eps/u^2 of its relative accuracy to cancellation."""
-    return 0.5 * _sinc(0.5 * np.asarray(u, dtype=float)) ** 2
-
-
 def _pointwise(fn: Callable) -> Callable:
     """The catalog's float-or-array rule: ``fn`` receives the points as a
     float array, and a 0-d result is returned as a Python float."""
@@ -360,7 +354,8 @@ def make_fejer(support_radius: float) -> SourceDistribution:
 
     @_pointwise
     def density(x):
-        return (T / math.pi) * _one_minus_cos_over_sq(T * x)
+        # (1 - cos Tx)/(Tx)^2 as sinc(Tx/2)^2/2, free of 1 - cos cancellation
+        return (T / (2.0 * math.pi)) * _sinc(0.5 * T * x) ** 2
 
     @_pointwise
     def cf(t):
@@ -396,29 +391,26 @@ def make_fejer(support_radius: float) -> SourceDistribution:
 
 
 def _fejer_rejection_sample(rng, T: float, size) -> np.ndarray:
-    """Rejection sampler under the envelope min(T/(2 pi), 2/(pi T x^2)).
-
-    The envelope splits at |x| = 2/T into a flat cap and 1/x^2 tails with
-    equal mass 2/pi each; acceptance probability is pi/4.
+    """Rejection sampler for y = T x, of density sinc(y/2)^2/(2 pi), under
+    the envelope min(1/(2 pi), 2/(pi y^2)): a flat cap on |y| <= 2 and 1/y^2
+    tails, of mass 2/pi each, so acceptance is pi/4.  One raw 64-bit word
+    per candidate gives the tail bit (the top one), the sign bit and a
+    53-bit abscissa u = (k + 1) 2^-53: y = 2u on the cap, 2/u in a tail.
+    One uniform accepts against sinc(y/2)^2 on the cap and sin(y/2)^2 in
+    the tails, the density over the envelope, with no 1 - cos y formed.
     """
     n = int(np.prod(size)) if not np.isscalar(size) else int(size)
-    x0 = 2.0 / T
-    cap = T / (2.0 * math.pi)
     out = np.empty(n)
     filled = 0
     while filled < n:
-        m = max(1024, int(1.5 * (n - filled)))
-        pick_tail = rng.random(m) < 0.5
-        u = rng.random(m)
-        x = np.where(pick_tail,
-                     x0 / np.maximum(u, 1e-300),
-                     (2.0 * u - 1.0) * x0)
-        sign = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-        x = np.where(pick_tail, sign * x, x)
-        env = np.where(np.abs(x) <= x0, cap, 2.0 / (math.pi * T * x * x))
-        p = (T / math.pi) * _one_minus_cos_over_sq(T * x)
-        accept = rng.random(m) * env <= p
-        got = x[accept]
+        m = int(1.3 * (n - filled)) + 1024    # accepts about 1.02 times, + 800
+        w = rng.bit_generator.random_raw(m)
+        tail = (w >> 63) == 1
+        u = ((w & ((1 << 53) - 1)) + 1).astype(float) * 2.0 ** -53
+        h = np.where(tail, 1.0 / u, u)                  # |y|/2
+        s = np.sin(h)
+        accept = rng.random(m) < np.where(tail, s, s / h) ** 2
+        got = (np.where(((w >> 62) & 1) == 1, -2.0 / T, 2.0 / T) * h)[accept]
         take = min(n - filled, got.size)
         out[filled:filled + take] = got[:take]
         filled += take

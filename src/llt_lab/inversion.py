@@ -13,6 +13,10 @@ The caller declares tail(r), a bound on the integral of |cf| over
 2^-64, the truncation floor of the lattice sums, whatever the requested
 tol; it stops where the rule would pass _MAX_NODES nodes per axis, and the
 tail left there is declared as it stands.
+
+The phases of a grid axis come from the index split i = B p + q,
+B = ceil(sqrt(count)): e^{-ix_i t} = e^{-ix_{Bp} t} e^{-i(q step) t}, so a
+1001-point axis evaluates 64 rows of cos and sin per node, not 1001.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ _IM_REJECT = 1e-6    # beyond this the cf evaluation is not Hermitian
 _CF_REACH = 8.0
 _MAX_NODES = (2 ** 14, 2 ** 9)     # main-rule nodes per axis, in 1-D and 2-D
 _PANEL_NODES = 128                 # most nodes of a panel within the window
-_PHASE_BLOCK = 1 << 20             # phase-matrix entries formed at once
 _EPS = float(np.finfo(float).eps)
 
 
@@ -168,6 +171,39 @@ def _check_error(main: np.ndarray, check: np.ndarray) -> float:
 # the inverse
 # ---------------------------------------------------------------------------
 
+def _phase_factors(ax: Axis, t: np.ndarray):
+    """e^{-iat} at the ceil(count/B) block points a = x_{Bp} and e^{-ibt} at
+    the B offsets b = q step, B = ceil(sqrt(count)), as (rows x nodes)
+    tables whose product at (p, q) is the phase of x_{Bp+q}."""
+    B = math.isqrt(ax.count - 1) + 1
+    a = np.outer(ax.origin + ax.step * (B * np.arange(-(-ax.count // B))), t)
+    b = np.outer(ax.step * np.arange(B), t)
+    return np.cos(a) - 1j * np.sin(a), np.cos(b) - 1j * np.sin(b)
+
+
+def _phase_sums(ax: Axis, t: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum over t of e^{-ixt} f(t) + e^{ixt} g(t) at the axis's points, as
+    (ceil(count/B) x nodes) by (nodes x B) products, rows past count dropped."""
+    ea, eb = _phase_factors(ax, t)
+    return ((ea * f) @ eb.T + (ea.conj() * g) @ eb.conj().T).ravel()[:ax.count]
+
+
+def _phase_table(ax: Axis, t: np.ndarray) -> np.ndarray:
+    """e^{-ixt} at the axis's points (rows) and the nodes t (columns)."""
+    ea, eb = _phase_factors(ax, t)
+    return (ea[:, None, :] * eb).reshape(-1, t.size)[:ax.count]
+
+
+def _phase_rounding(dim: int, R: float, xmax: float) -> float:
+    """Bound on a phase sum's rounding per unit of sum |cf w|, for |t| <= R
+    and |x| <= xmax.  Per axis, with u = eps/2, the angle is off by at most
+    u R xmax (block angle) + 2u R xmax (offset angle, q step <= 2 xmax) +
+    R u (2 step i + |x_i| + |x_{Bp}|) <= 6u R xmax (the split of the grid
+    point x_i from x_{Bp} + fl(q step)); the factors and their product add
+    8 eps per axis, and the sums 16 eps."""
+    return (16.0 + dim * (8.0 + 5.0 * R * xmax)) * _EPS
+
+
 def _window(tail: Callable, scale: float, r_cap: float, kinks) -> float:
     """The least R <= r_cap whose declared tail scale * tail(R) is at most
     2^-64 (a kink where that one is), or r_cap."""
@@ -194,10 +230,10 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, tail: Callable,
     of the result must be roundoff (<= 1e-9 by contract) and is discarded
     after checking; values above 1e-6 signal a non-Hermitian cf.
     ``meta["est_tail_error"]`` is the declared tail beyond R, the check
-    rule's bound and the phases' rounding.  ``meta["cf_mass"]`` is
-    (2 pi)^-d sum |cf w| over the main rule: a relative error delta in every
-    cf value moves each result by at most delta times it, which the
-    estimates here cannot see.
+    rule's bound and the factored phases' rounding (``_phase_rounding``).
+    ``meta["cf_mass"]`` is (2 pi)^-d sum |cf w| over the main rule: a
+    relative error delta in every cf value moves each result by at most
+    delta times it, which the estimates here cannot see.
     """
     if dim not in (1, 2):
         raise InvalidParameterError("invert supports dim 1 and 2")
@@ -220,23 +256,16 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, tail: Callable,
     def rule_sum(t, w):
         if dim == 1:
             # the rule is even and ends a panel at 0, so its nodes t > 0
-            # carry cf(t) e^{-itx} + cf(-t) e^{itx}: a cosine and a sine
-            # transform, in column blocks to bound memory
+            # carry cf(t) e^{-itx} + cf(-t) e^{itx}
             t, w = t[t > 0.0], w[t > 0.0]
-            x = grid.axes[0].points()
-            fp, fm = np.split(np.asarray(cf_eval(np.concatenate([t, -t])), dtype=complex), 2)
-            even, odd = w * (fp + fm), w * (fp - fm)
-            step = max(1, _PHASE_BLOCK // x.size)
-            vals = 0.0
-            for i in range(0, t.size, step):
-                phase, cols = np.outer(x, t[i:i + step]), slice(i, i + step)
-                vals = vals + np.cos(phase) @ even[cols] - 1j * (np.sin(phase) @ odd[cols])
-            f = w * (np.abs(fp) + np.abs(fm))
+            fp, fm = w * np.asarray(cf_eval(np.concatenate([t, -t])), dtype=complex).reshape(2, -1)
+            vals = _phase_sums(grid.axes[0], t, fp, fm)
+            f = np.abs(fp) + np.abs(fm)
         else:
             T1, T2 = np.meshgrid(t, t, indexing="ij")
             f = (np.asarray(cf_eval(np.stack([T1, T2], axis=-1)), dtype=complex)
                  * np.outer(w, w))
-            E1, E2 = (np.exp(-1j * np.outer(ax.points(), t)) for ax in grid.axes)
+            E1, E2 = (_phase_table(ax, t) for ax in grid.axes)
             vals = E1 @ f @ E2.T
         return scale * vals, scale * float(np.sum(np.abs(f)))
 
@@ -247,7 +276,7 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, tail: Callable,
             f"imaginary residue {im_max:.3g} exceeds {_IM_REJECT}; cf is not Hermitian")
     out = vals.real.copy()      # owns its buffer; the complex one goes
     quad_err = _check_error(out, check.real)
-    roundoff = (16.0 + dim * R * xmax) * _EPS * cf_mass
+    roundoff = _phase_rounding(dim, R, xmax) * cf_mass
     meta = {
         "truncation_radius": R,
         "est_window_tail": window_tail,

@@ -464,14 +464,16 @@ wrapped_autocorrelation(uni)
 poisson_check(lap)
 monte_carlo_density(SmoothedModel(lap, uniform_noise()), 16, np.zeros(3), 4096, seed=1)
 exact_mixture_density(lap, 64, np.linspace(-2.0, 2.0, 5))
+exact_mixture_density(lap, 2048, np.linspace(-2.0, 2.0, 5))    # underflowing weights
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_default_paths_leave_scipy_unloaded():
     # scipy is imported at the calls that need it (regularity, beta3's
-    # quadrature, underflowing oracle weights), so one call of each engine
-    # and study on its default path runs on numpy and math alone
+    # quadrature, MixtureWeights.total), so one call of each engine and
+    # study on its default path, and the oracle at an n whose binomial
+    # weights underflow, run on numpy and math alone
     import llt_lab
     src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _DEFAULT_PATHS, src],

@@ -9,6 +9,7 @@ from scipy.special import sici
 from llt_lab import (InvalidParameterError, SourceDistribution, UnsupportedError,
                      as_noise, bernoulli_noise, beta3, make_fejer, make_gaussian,
                      make_laplace, make_uniform, product, uniform_noise)
+from llt_lab.oracle import _CHUNK, _chunk_rng
 
 UNIFORM = make_uniform(1.0)
 LAPLACE = make_laplace(1.0)
@@ -259,11 +260,38 @@ def test_callables_return_float_or_array_of_the_points(name, fn, d):
     assert np.array_equal(out.ravel()[5], fn(pts.reshape(12, *pts.shape[2:])[5]))
 
 
+class _TailMass45:
+    """A generator whose raw words carry the tail bit with probability 0.45
+    in place of 1/2: the Fejer sampler's envelope with a mutated tail mass."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator = rng, self
+
+    def random_raw(self, m):
+        w = self.rng.bit_generator.random_raw(m)
+        return np.where(self.rng.random(m) < 0.1, w & ((1 << 63) - 1), w)
+
+    def random(self, m):
+        return self.rng.random(m)
+
+
+def _fejer_cdf_misfit(T, chunk_rng, chunks=4):
+    """Largest |empirical - exact CDF| of the fejer:T sampler, drawn in
+    ``chunks`` oracle chunks, in binomial standard deviations, at 12 points
+    y = Tx of which 7 lie beyond |y| = 2; the exact CDF is
+    1/2 + (Si(y) - (1 - cos y)/y)/pi."""
+    draws = np.concatenate([make_fejer(T).sampler(chunk_rng(c), _CHUNK)
+                            for c in range(chunks)])
+    y = np.array([-40.0, -8.0, -3.0, -2.5, -1.0, -0.3, 0.2, 0.5, 1.5, 2.5, 5.0, 30.0])
+    exact = 0.5 + (sici(y)[0] - (1.0 - np.cos(y)) / y) / math.pi
+    emp = np.mean(draws[:, None] <= y / T, axis=0)
+    return float(np.max(np.abs(emp - exact) / np.sqrt(exact * (1.0 - exact) / draws.size)))
+
+
 def test_fejer_sampler_matches_density():
-    rng = np.random.default_rng(7)
-    draws = FEJER.sampler(rng, 200_000)
-    # compare empirical CDF against quadrature CDF at a few points
-    for x0 in (-2.0, -0.5, 0.5, 3.0):
-        emp = float(np.mean(draws <= x0))
-        ref, _ = quad(FEJER.density, -800.0, x0, limit=2000)
-        assert emp == pytest.approx(ref, abs=0.006)
+    # 2^16 draws through the Monte Carlo oracle's chunk streams, within 5
+    # binomial standard deviations at every point; an envelope whose tail
+    # mass is 0.45 is refused
+    for seed, T in enumerate((0.7, 1.0, 4.0)):
+        assert _fejer_cdf_misfit(T, lambda c: _chunk_rng(seed, c)) <= 5.0
+        assert _fejer_cdf_misfit(T, lambda c: _TailMass45(_chunk_rng(seed, c))) > 5.0

@@ -10,7 +10,8 @@ from conftest import offset_points
 from llt_lab import (InconsistentCfError, SmoothedModel, UnsupportedError, density,
                      gaussian_noise, grid_1d, grid_2d, invert, make_fejer, make_gaussian,
                      make_laplace, make_uniform, product, uniform_noise)
-from llt_lab.inversion import Axis, Grid
+from llt_lab.inversion import (_CF_REACH, _MAX_NODES, Axis, Grid, _phase_rounding, _phase_sums,
+                              _phase_table)
 
 EPS = float(np.finfo(float).eps)
 
@@ -305,3 +306,30 @@ def test_general_noise_refuses_an_undeclared_tail(bare):
         noise = dataclasses.replace(noise, cf_power_tail=None)
     with pytest.raises(UnsupportedError, match="no tail"):
         density(SmoothedModel(source, noise), 16)
+
+
+# ---------------------------------------------------------------------------
+# the factored phases against a direct evaluation in extended precision
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [2, 3, 31, 32, 33, 101, 1001, 1025])
+def test_factored_phases_within_their_rounding(count):
+    # the cos and sin of x t at the axis's own points, in long double, on a
+    # symmetric and an asymmetric grid and on node sets from a small window
+    # up to the one at _MAX_NODES; every phase-table entry, and the 1-D sums
+    # of random complex weights, are within the declared phase rounding
+    rng = np.random.default_rng(count)
+    for ax in (grid_1d(-5.0, 5.0, count).axes[0], Axis(-3.3, 0.017, count)):
+        xmax = Grid((ax,)).max_coordinate()
+        per = 0.8 * (xmax + _CF_REACH)
+        for R in (0.7, 12.0, _MAX_NODES[0] / per):
+            t = np.linspace(0.0, R, min(int(0.5 * R * per), 1024) + 1)[1:]
+            theta = np.outer(ax.points().astype(np.longdouble), t.astype(np.longdouble))
+            direct = np.cos(theta) - 1j * np.sin(theta)
+            bound = _phase_rounding(1, R, xmax)
+            assert np.max(np.abs(_phase_table(ax, t) - direct)) <= bound
+            f, g = (rng.uniform(size=t.size) * np.exp(2j * math.pi * rng.uniform(size=t.size))
+                    for _ in range(2))
+            exact = direct @ f.astype(np.clongdouble) + direct.conj() @ g.astype(np.clongdouble)
+            mass = float(np.sum(np.abs(f) + np.abs(g)))
+            assert np.max(np.abs(_phase_sums(ax, t, f, g) - exact)) <= bound * mass
