@@ -403,7 +403,8 @@ def _fejer_rejection_sample(rng, T: float, size) -> np.ndarray:
     out = np.empty(n)
     filled = 0
     while filled < n:
-        m = int(1.3 * (n - filled)) + 1024    # accepts about 1.02 times, + 800
+        # about 1.02 (n - filled) + 800 candidates are accepted
+        m = int(1.3 * (n - filled)) + 1024
         w = rng.bit_generator.random_raw(m)
         tail = (w >> 63) == 1
         u = ((w & ((1 << 53) - 1)) + 1).astype(float) * 2.0 ** -53
