@@ -68,32 +68,33 @@ class MixtureWeights:
 def mixture_weights(n: int) -> MixtureWeights:
     """Binomial(n, 1/2) weights as the products of the ratios
     C(n,j+1)/C(n,j) = (n-j)/(j+1) out from the mode, normalised by an exact
-    sum.  lgamma differences would lose |lgamma(n+1)| eps, 1.3e-11
-    relative at n = 16384; they remain only where the product underflows.
-    The last few n are cached; their ``log_weights`` and ``weights()`` are
-    read-only."""
+    sum (lgamma differences would lose |lgamma(n+1)| eps, 1.3e-11 relative
+    at n = 16384); where the product underflows, the log-weights are
+    running sums of the ratios' logs.  The last few n are cached; their
+    ``log_weights`` and ``weights()`` are read-only."""
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
     return _mixture_weights(n)
 
 
-# at n = 10^6 one entry holds 16 MB and takes about 0.45 s to build
+# at n = 10^6 one entry holds 16 MB and takes about 0.2 s to build
 @functools.lru_cache(maxsize=8)
 def _mixture_weights(n: int) -> MixtureWeights:
     j = np.arange(n + 1, dtype=float)
     mode = n // 2
-    up = np.cumprod((n - j[mode:-1]) / (j[mode:-1] + 1.0))
-    down = np.cumprod(j[mode:0:-1] / (n - j[mode:0:-1] + 1.0))
-    r = np.concatenate([down[::-1], [1.0], up])
+    up_ratio = (n - j[mode:-1]) / (j[mode:-1] + 1.0)
+    down_ratio = j[mode:0:-1] / (n - j[mode:0:-1] + 1.0)
+    r = np.concatenate([np.cumprod(down_ratio)[::-1], [1.0], np.cumprod(up_ratio)])
     under = r < np.finfo(float).tiny
     with np.errstate(divide="ignore"):
         lw = np.log(r) - math.log(math.fsum(r))
     if under.any():
-        # from n = 1028 on; these weights are below 2.3e-308 and add nothing
-        # to a density, so lgamma's |lgamma(n+1)| eps loses nothing that counts
-        k = j[under]
-        lg = [np.fromiter(map(math.lgamma, v), float, v.size) for v in (k + 1.0, n - k + 1.0)]
-        lw[under] = math.lgamma(n + 1) - lg[0] - lg[1] - n * math.log(2.0)
+        # from n = 1028 on: sum the ratios' logs outward from the last normal
+        # entry on each side; these weights are below 2.3e-308 and add nothing
+        # to a density, so the sums' rounding loses nothing that counts
+        lo, hi = int(np.argmin(under)), n - int(np.argmin(under[::-1]))
+        lw[:lo] = (lw[lo] + np.cumsum(np.log(down_ratio[mode - lo:])))[::-1]
+        lw[hi + 1:] = lw[hi] + np.cumsum(np.log(up_ratio[hi - mode:]))
     lw.flags.writeable = False
     return MixtureWeights(n, lw)
 

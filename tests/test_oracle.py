@@ -30,6 +30,19 @@ def test_mixture_weights_normalized():
         assert not w.weights().flags.writeable and w.weights() is w.weights()
 
 
+def test_underflowing_log_weights_match_lgamma():
+    # where the ratio product underflows (n >= 1028) the log-weights are
+    # running sums of log((n-j)/(j+1)) from the last normal entry; both sides
+    # of an even and an odd n against lgamma differences, which lose
+    # |lgamma(n+1)| eps, about 3e-12 here
+    for n in (1028, 1029, 4097):
+        lw = mixture_weights(n).log_weights
+        ref = np.array([math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                        for j in range(n + 1)]) - n * math.log(2.0)
+        assert np.exp(ref[0]) < np.finfo(float).tiny
+        assert np.max(np.abs(lw - ref)) <= 1e-10
+
+
 def test_mixture_matches_mpmath_at_large_n():
     # gammaln differences lose |gammaln(n+1)| eps: 5.2e-12 here
     n, x = 16384, 0.15
