@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
@@ -622,10 +621,11 @@ def _shell_report(total: float, shells: list, window_K: int) -> RegularityReport
 
 def regularity_integral(dist: SourceDistribution, kind: str,
                         window_K: int = 8) -> RegularityReport:
-    """Quadrature estimate of the integral of |f||f'| / dist(t, pi Z^d)^(d-1)
-    (kind 'condition_2_3') or |f'| / dist(t, pi Z^d)^(d-1) ('condition_3_1')
-    over the window of sup-norm radius pi*window_K, with a divergence
-    diagnostic from the per-shell decay."""
+    """The integral of |f||f'| / dist(t, pi Z^d)^(d-1) (kind
+    'condition_2_3') or |f'| / dist(t, pi Z^d)^(d-1) ('condition_3_1') over
+    the window of sup-norm radius pi*window_K, with a divergence diagnostic
+    from the per-shell decay: exact differences of f or f^2/2 for an even
+    law in one dimension, a polar Gauss-Legendre rule per cell in two."""
     if kind not in ("condition_2_3", "condition_3_1"):
         raise InvalidParameterError("kind must be condition_2_3 or condition_3_1")
     if dist.cf_grad is None:
@@ -640,70 +640,66 @@ def regularity_integral(dist: SourceDistribution, kind: str,
 
 
 def _regularity_1d(dist, kind, window_K):
-    from scipy.integrate import IntegrationWarning, quad
-
-    fns = (dist.cf_grad, dist.cf) if kind == "condition_2_3" else (dist.cf_grad,)
-
-    def integrand(t):
-        g = abs(dist.cf_grad(t))
-        return abs(dist.cf(t)) * g if kind == "condition_2_3" else g
-
-    # quad's intervals end at the integrand's kinks: at +-T of a compact cf,
-    # and at the zeros of its factors for a compact density of radius h,
-    # the sign changes on a grid of step at most pi/(4h) over the interval
-    # refined by brentq.  A wide law's |f'| is a spike at |t| ~ 1/sqrt(E X^2):
-    # the central interval also ends there and at 4^i times that below pi/2
-    breaks = []
-    r = 1.0 / math.sqrt(dist.second_moment) if dist.second_moment else math.inf
-    while 0.0 < r < math.pi / 2:
-        breaks += [-r, r]
-        r *= 4.0
-    if dist.cf_support_radius is not None:
-        breaks += [-dist.cf_support_radius, dist.cf_support_radius]
-    h = dist.density_support_radius
-
-    def integral(lo, hi):
-        points = [b for b in breaks if lo < b < hi]
-        if h is not None:
-            from scipy.optimize import brentq
-            steps = 4.0 * h * (hi - lo) / math.pi
-            if not steps <= _SHORT_TERMS:
-                raise UnsupportedError(f"{dist.label}: the regularity integral needs a grid "
-                                       f"of more than {_SHORT_TERMS} steps to find the cf's zeros")
-            t = np.linspace(lo, hi, math.ceil(steps) + 1)
-            for fn in fns:
-                v = np.real(fn(t))
-                points += [brentq(lambda u: float(np.real(fn(u))), t[i], t[i + 1])
-                           for i in np.nonzero(v[:-1] * v[1:] < 0.0)[0]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            try:
-                return quad(integrand, lo, hi, points=points or None,
-                            limit=100 + len(points))[0]
-            except IntegrationWarning:
-                raise UnsupportedError(f"{dist.label}: the regularity integral over "
-                                       f"[{lo:g}, {hi:g}] does not converge") from None
-
-    shells = []
-    total = integral(-math.pi / 2, math.pi / 2)
-    for j in range(1, window_K + 1):
-        lo, hi = math.pi * (j - 0.5), math.pi * (j + 0.5)
-        cj = integral(lo, hi) + integral(-hi, -lo)
-        shells.append(cj)
-        total += cj
+    """An even law's f is real and even, so on t >= 0 the integral of |f'|
+    is the total variation of F = f, and that of |f f'| the total
+    variation of F = f^2/2.  Between consecutive sign changes of F' F is
+    monotone, and each piece holds exactly |F(b) - F(a)|, twice for t < 0."""
+    if not dist.flags.symmetric_about_0:
+        raise UnsupportedError(f"{dist.label}: the regularity integral needs an even law")
+    # the pieces end at 0, the cell edges pi(j + 1/2), a compact cf's edge
+    # T, the points of one search grid of max(8, 4h) steps per cell (h the
+    # radius of a compact density, 0 for none), and on each side of every
+    # sign change of F' on it, bisected to adjacent doubles
+    steps = 4.0 * (dist.density_support_radius or 0.0)
+    if not steps <= _SHORT_TERMS:
+        raise UnsupportedError(f"{dist.label}: the regularity integral needs a grid of "
+                               f"more than {_SHORT_TERMS} steps per cell to find the cf's zeros")
+    per_cell = max(8, math.ceil(steps))
+    size = -(-per_cell * (2 * window_K + 1) // 2) + 1      # over K + 1/2 cells
+    if size > K_CAP_2D:
+        raise UnsupportedError(f"{dist.label}: the regularity integral needs a grid of "
+                               f"more than {K_CAP_2D} points")
+    edges = math.pi * (np.arange(window_K + 1) + 0.5)
+    grid = np.linspace(0.0, edges[-1], size)
+    ends = [grid, edges]
+    if dist.cf_support_radius is not None and dist.cf_support_radius < edges[-1]:
+        ends.append([dist.cf_support_radius])
+    for fn in (dist.cf_grad, dist.cf) if kind == "condition_2_3" else (dist.cf_grad,):
+        v = np.real(fn(grid))
+        i = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+        lo, hi, sign = grid[i], grid[i + 1], np.sign(v[i])
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            same = np.sign(np.real(fn(mid))) == sign
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        ends += [lo, hi]
+    t = np.unique(np.concatenate(ends))
+    F = np.real(dist.cf(t))
+    if kind == "condition_2_3":
+        F = 0.5 * F * F
+    cell = np.searchsorted(edges[:-1], t[:-1], side="right")
+    parts = np.bincount(cell, weights=2.0 * np.abs(np.diff(F)), minlength=window_K + 1)
+    shells = parts[1:].tolist()
+    total = float(parts[0])
+    for c in shells:
+        total += c
     return _shell_report(total, shells, window_K)
 
 
 def _regularity_2d(dist, kind, window_K):
-    ntheta, nr = 96, 48
-    theta = (np.arange(ntheta) + 0.5) * (2.0 * math.pi / ntheta)
+    from .inversion import _gl_nodes     # inversion imports this module
+    # four Gauss-Legendre panels in theta between the cell's corners, where
+    # the radius to the cell edge has kinks, and nr nodes in r out to it
+    npanel, nr = 24, 48
+    x, w = _gl_nodes(npanel, math.pi / 4.0)
+    theta = np.concatenate([x + c * (math.pi / 2.0) for c in range(4)])
     ct, st = np.cos(theta), np.sin(theta)
     rmax = (math.pi / 2.0) / np.maximum(np.abs(ct), np.abs(st))
-    # Gauss-Legendre nodes in r per direction; the 1/r singularity cancels
-    # against the polar Jacobian, leaving a bounded integrand in (r, theta)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nr)
-    rr = 0.5 * (gl_x[None, :] + 1.0) * rmax[:, None]
-    ww = 0.5 * gl_w[None, :] * rmax[:, None] * (2.0 * math.pi / ntheta)
+    # the 1/r singularity cancels against the polar Jacobian, leaving a
+    # bounded integrand in (r, theta)
+    xr, wr = _gl_nodes(nr, 0.5)
+    rr = (xr[None, :] + 0.5) * rmax[:, None]
+    ww = wr[None, :] * rmax[:, None] * np.tile(w, 4)[:, None]
     offs = np.stack([rr * ct[:, None], rr * st[:, None]], axis=-1)
 
     def cell_integral(kx, ky):

@@ -60,10 +60,6 @@ class MixtureWeights:
     def weights(self) -> np.ndarray:
         return self._weights
 
-    def total(self) -> float:
-        from scipy.special import logsumexp
-        return float(math.exp(logsumexp(self.log_weights)))
-
 
 def mixture_weights(n: int) -> MixtureWeights:
     """Binomial(n, 1/2) weights as the products of the ratios

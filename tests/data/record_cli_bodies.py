@@ -1,4 +1,4 @@
-"""Re-record ``cli_bodies.json``, the JSON bodies of seventeen fixed CLI runs.
+"""Re-record ``cli_bodies.json``, the JSON bodies of the fixed CLI runs in ``RUNS``.
 
     PYTHONPATH=src python tests/data/record_cli_bodies.py
 
@@ -25,8 +25,9 @@ ABOUT = ("canonical JSON bodies of fixed CLI runs, as written to standard output
 # sides of the oscillation factor's Poisson pair for a continuous and a box
 # density, the compact cf side, the lattice sums, the wrapped autocorrelation
 # of every catalog family, and the Fourier inverse of general noise for a
-# decaying and a compact cf, the regularity integral and the pi-lattice
-# zero check of a product
+# decaying and a compact cf, the regularity integral of a monotone cf, of a
+# cf whose zeros are searched for and of a product, and the pi-lattice zero
+# check of a product
 RUNS = [
     ["density", "--source", "uniform:h=1", "--n", "16", "--grid=-5,5,201"],
     ["density", "--source", "laplace:b=1", "--n", "256", "--grid=-5,5,201"],
@@ -44,6 +45,9 @@ RUNS = [
     ["density", "--source", "laplace:b=1", "--noise", "uniform", "--n", "16", "--grid=-5,5,201"],
     ["density", "--source", "fejer:T=0.7", "--noise", "gaussian", "--n", "64", "--grid=-5,5,201"],
     ["regularity", "--source", "laplace:b=1", "--kind", "condition_3_1"],
+    ["regularity", "--source", "uniform:h=1", "--kind", "condition_2_3"],
+    ["regularity", "--source", "product:laplace:b=1,laplace:b=1", "--kind", "condition_2_3",
+     "--k", "4"],
     ["check-condition", "--source", "product:uniform:h=1,uniform:h=1", "--k", "5"],
 ]
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import theta_sum
-from llt_lab import (DistFlags, InvalidParameterError, SmoothedModel, UnsupportedError,
+from llt_lab import (DistFlags, InvalidParameterError, SmoothedModel, SourceDistribution,
+                     UnsupportedError,
                      bernoulli_noise, check_pi_lattice_zeros, distance_to_lattice, even_odd_limits, make_fejer,
                      make_gaussian, make_laplace, make_uniform, oscillation_report,
                      poisson_check, product, regularity_integral, sum_cf_lattice,
@@ -633,8 +634,8 @@ def test_regularity_laplace_3_1_value():
 
 
 def test_regularity_searches_the_cf_zeros_interval_by_interval():
-    # one grid over the whole window would take 4 h (K + 1/2) = 2100 steps,
-    # more than the cap; each interval's takes 40
+    # the search grid takes 4 h = 40 steps per cell and 2100 over the
+    # window: the cap of 2048 steps is per cell, not per window
     rep = regularity_integral(make_uniform(10.0), "condition_3_1", 52)
     assert rep.diverging
     assert len(rep.shell_contributions) == 52
@@ -650,6 +651,131 @@ def test_regularity_product_uniform_2_3_converges():
     p2 = product([make_uniform(1.0), make_uniform(1.0)])
     rep = regularity_integral(p2, "condition_2_3", 8)
     assert not rep.diverging
+
+
+def _closed_variation(F, K):
+    """2 (F(lo) - F(hi)) on each shell pi(j -+ 1/2), j = 1..K, of a
+    decreasing F."""
+    return [2.0 * (F(math.pi * (j - 0.5)) - F(math.pi * (j + 0.5))) for j in range(1, K + 1)]
+
+
+@pytest.mark.parametrize("kind", ["condition_3_1", "condition_2_3"])
+@pytest.mark.parametrize("dist, f", [
+    (make_laplace(0.25), lambda t: 1.0 / (1.0 + (0.25 * t) ** 2)),
+    (LAPLACE, lambda t: 1.0 / (1.0 + t * t)),
+    (make_laplace(1e100), lambda t: 1.0 / (1.0 + (1e100 * t) ** 2)),
+    (GAUSSIAN, lambda t: math.exp(-0.5 * t * t)),
+    (FEJER, lambda t: max(1.0 - t, 0.0)),
+], ids=["laplace-0.25", "laplace-1", "laplace-1e100", "gaussian", "fejer"])
+def test_regularity_of_a_monotone_cf_is_its_difference(dist, f, kind):
+    # f falls on t > 0, so each shell of |f'| holds 2 (f(lo) - f(hi)) and
+    # each shell of |f f'| = |(f^2/2)'| holds f(lo)^2 - f(hi)^2
+    F = f if kind == "condition_3_1" else (lambda t: 0.5 * f(t) ** 2)
+    rep = regularity_integral(dist, kind, 20)
+    assert rep.shell_contributions == pytest.approx(_closed_variation(F, 20), rel=0, abs=1e-15)
+
+
+def _gaussian_pair(mu):
+    """The even law (N(-mu, 1) + N(mu, 1))/2: f = e^{-t^2/2} cos(mu t),
+    whose f' changes sign near every zero of sin(mu t)."""
+    def cf(t):
+        t = np.asarray(t, dtype=float)
+        return np.exp(-0.5 * t * t) * np.cos(mu * t)
+
+    def cf_grad(t):
+        t = np.asarray(t, dtype=float)
+        return -np.exp(-0.5 * t * t) * (t * np.cos(mu * t) + mu * np.sin(mu * t))
+
+    return SourceDistribution(dim=1, density=None, cf=cf, cf_grad=cf_grad,
+                              flags=DistFlags(symmetric_about_0=True),
+                              label=f"gaussian-pair:mu={mu:g}")
+
+
+@pytest.mark.parametrize("kind", ["condition_3_1", "condition_2_3"])
+def test_regularity_splits_an_oscillating_cf_of_no_compact_density(kind):
+    # the sign changes of F' are searched for every law: on each shell the
+    # integral is the total variation of F = f (or f^2/2) between them,
+    # here at 30 digits with the sign changes refined by mpmath.  The outer
+    # shells are tiny, and each is also held to 1e-12 relative
+    mu, K = 3.0, 6
+    rep = regularity_integral(_gaussian_pair(mu), kind, K)
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    f = lambda t: mp.exp(-t * t / 2) * mp.cos(mu * t)
+    fp = lambda t: -mp.exp(-t * t / 2) * (t * mp.cos(mu * t) + mu * mp.sin(mu * t))
+    F = f if kind == "condition_3_1" else (lambda t: f(t) ** 2 / 2)
+    law = _gaussian_pair(mu)
+    t = np.linspace(0.0, math.pi * (K + 0.5), 200_001)
+    ends = [mp.pi * (j + mp.mpf(0.5)) for j in range(K + 1)]
+    pairs = [(law.cf_grad, fp)] + ([(law.cf, f)] if kind == "condition_2_3" else [])
+    for fn, g in pairs:
+        v = fn(t)
+        ends += [mp.findroot(g, (t[i], t[i + 1]), solver="anderson")
+                 for i in np.nonzero(v[:-1] * v[1:] < 0.0)[0]]
+    ends = sorted(ends)
+    for j in range(1, K + 1):
+        lo, hi = mp.pi * (j - mp.mpf(0.5)), mp.pi * (j + mp.mpf(0.5))
+        u = [e for e in ends if lo <= e <= hi]
+        exact = 2 * sum(abs(F(b) - F(a)) for a, b in zip(u, u[1:]))
+        err = abs(rep.shell_contributions[j - 1] - float(exact))
+        assert err <= 1e-15 and err <= 1e-12 * exact, j
+
+
+def test_regularity_refuses_a_law_that_is_not_even():
+    # the laplace law shifted by 1: f = e^{it}/(1 + t^2) is complex, and
+    # |f'| is an arc length in C, not a difference of f
+    def cf(t):
+        t = np.asarray(t, dtype=float)
+        return np.exp(1j * t) / (1.0 + t * t)
+
+    def cf_grad(t):
+        t = np.asarray(t, dtype=float)
+        return np.exp(1j * t) * (1j / (1.0 + t * t) - 2.0 * t / (1.0 + t * t) ** 2)
+
+    shifted = SourceDistribution(dim=1, density=None, cf=cf, cf_grad=cf_grad,
+                                 flags=DistFlags(symmetric_about_0=False),
+                                 label="laplace-shifted")
+    with pytest.raises(UnsupportedError, match="even law"):
+        regularity_integral(shifted, "condition_3_1")
+
+
+def _finer_polar_window(dist, kind, K):
+    """central cell and shells of the 2-D regularity window on a polar rule
+    4x finer in each direction than the default: four 96-node theta panels
+    between each cell's corners, 192 nodes in r, numpy's Gauss-Legendre"""
+    x, w = np.polynomial.legendre.leggauss(96)
+    theta = np.concatenate([math.pi / 4.0 * x + c * math.pi / 2.0 for c in range(4)])
+    rmax = (math.pi / 2.0) / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
+    xr, wr = np.polynomial.legendre.leggauss(192)
+    r = 0.5 * (xr + 1.0) * rmax[:, None]
+    ww = 0.5 * wr * rmax[:, None] * np.tile(math.pi / 4.0 * w, 4)[:, None]
+    offs = np.stack([r * np.cos(theta)[:, None], r * np.sin(theta)[:, None]], axis=-1)
+    parts = []
+    for s in range(K + 1):
+        part = 0.0
+        for kx in range(-s, s + 1):
+            for ky in range(-s, s + 1):
+                if max(abs(kx), abs(ky)) == s:
+                    p = offs + math.pi * np.array([kx, ky])
+                    g = np.linalg.norm(dist.cf_grad(p), axis=-1)
+                    if kind == "condition_2_3":
+                        g = g * np.abs(dist.cf(p))
+                    part += float((g * ww).sum())
+        parts.append(part)
+    return parts
+
+
+@pytest.mark.parametrize("kind", ["condition_3_1", "condition_2_3"])
+@pytest.mark.parametrize("law", [LAPLACE, GAUSSIAN], ids=["laplace", "gaussian"])
+def test_regularity_2d_rule_matches_a_finer_rule(law, kind):
+    # Gauss-Legendre panels in theta that end at the cell's corners, where
+    # the radius to the cell edge has kinks; a midpoint rule in theta was
+    # 3e-4 off the finer rule
+    p2 = product([law, law])
+    rep = regularity_integral(p2, kind, 4)
+    parts = _finer_polar_window(p2, kind, 4)
+    ref = lattice._shell_report(sum(parts), parts[1:], 4)
+    assert rep.estimate == pytest.approx(ref.estimate, rel=1e-5, abs=0)
 
 
 def _correlated_gaussian_2d():
