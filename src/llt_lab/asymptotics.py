@@ -86,26 +86,28 @@ def _route(source: SourceDistribution) -> str:
 
 
 def _a_factor(source: SourceDistribution, a, tol: float, route: str):
-    """A_n at the lattice offsets a along one route; returns (values, tail)."""
+    """A_n at the lattice offsets a along one route; returns (values, tail,
+    side), side the one summed: the density route takes the cf side where
+    the law declares no density side of at most 2048 terms (``_density_sum``)."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     fr = a - 2.0 * np.round(a / 2.0)
     if route == "density":
-        vals, tail = _density_sum(source, 2.0, fr)
-        return 2.0 * vals, 2.0 * tail
+        vals, tail, side = _density_sum(source, 2.0, fr)
+        return 2.0 * vals, 2.0 * tail, side
     # e^{-i pi k a} is e^{2 pi i k x} at x = -a/2, formed from a mod 2
     vals, tail = _cf_side(source, math.pi, -0.5 * fr)
     _require_summable(tail, tol, f"{source.label}: cf lattice sum")
     im = float(np.max(np.abs(np.imag(vals))))
     if im > 1e-9 * max(1.0, float(np.max(np.abs(np.real(vals))))):
         raise UnsupportedError(f"oscillation sum has imaginary residue {im:.3g}")
-    return np.real(vals), tail
+    return np.real(vals), tail, "cf"
 
 
 def oscillation_factor_cf(model: SmoothedModel, n: int, x: float,
                           tol: float = 1e-10) -> float:
     """A_n(x) as the phase-twisted lattice sum of the source cf."""
     _require_1d(model)
-    vals, _ = _a_factor(model.source, _offsets(float(x), n), tol, "cf")
+    vals, _, _ = _a_factor(model.source, _offsets(float(x), n), tol, "cf")
     return float(vals[0])
 
 
@@ -114,7 +116,7 @@ def oscillation_factor_density(model: SmoothedModel, n: int, x: float,
     """A_n(x) as twice the density sum over the even lattice shifted by
     x sqrt(n) + n."""
     _require_1d(model)
-    vals, _ = _a_factor(model.source, _offsets(float(x), n), tol, "density")
+    vals, _, _ = _a_factor(model.source, _offsets(float(x), n), tol, "density")
     return float(vals[0])
 
 
@@ -140,8 +142,8 @@ def oscillation_report(model: SmoothedModel, n: int,
     src = model.source
     route = _route(src)
     a = _offsets(x, n)
-    a_cf, cf_tail = _a_factor(src, a, tol, "cf")
-    a_dn, dn_tail = _a_factor(src, a, tol, "density")
+    a_cf, cf_tail, _ = _a_factor(src, a, tol, "cf")
+    a_dn, dn_tail, dn_side = _a_factor(src, a, tol, "density")
     method_gap = float(np.max(np.abs(a_cf - a_dn)))
     canonical = a_dn if route == "density" else a_cf
 
@@ -150,8 +152,8 @@ def oscillation_report(model: SmoothedModel, n: int,
     residual_sup = float(np.max(np.abs(gd.values - canonical * phi)))
 
     probes = np.linspace(x[0], x[-1] - 2.0 / math.sqrt(n), 25)
-    ap, _ = _a_factor(src, _offsets(probes, n), tol, route)
-    aps, _ = _a_factor(src, _offsets(probes + 2.0 / math.sqrt(n), n), tol, route)
+    ap, _, _ = _a_factor(src, _offsets(probes, n), tol, route)
+    aps, _, _ = _a_factor(src, _offsets(probes + 2.0 / math.sqrt(n), n), tol, route)
     period_defect = float(np.max(np.abs(aps - ap)))
 
     return OscillationReport(
@@ -162,7 +164,8 @@ def oscillation_report(model: SmoothedModel, n: int,
         period_defect=period_defect,
         method_gap=method_gap,
         grid_meta={"lo": x[0], "hi": x[-1], "points": x.size},
-        meta={"cf_tail": cf_tail, "density_tail": dn_tail, "route": route,
+        meta={"cf_tail": cf_tail, "density_tail": dn_tail,
+              "route": dn_side if route == "density" else "cf",
               "density_est_error": gd.est_tail_error,
               "tol_met": bool(gd.meta["tol_met"] and max(cf_tail, dn_tail) <= tol)},
     )
@@ -173,12 +176,12 @@ def even_odd_limits(source: SourceDistribution, tol: float = 1e-10) -> EvenOddLi
     factor at the origin for each parity.
 
     The route is that of ``_route``: the density lattice sum for a
-    continuous density, the cf side otherwise (uniform).
+    continuous density, the cf side otherwise (uniform).  ``route`` names
+    the side that was summed (``_a_factor``).
     """
     require_tol(tol)
     if source.dim != 1:
         raise UnsupportedError("even/odd limits are one-dimensional")
-    route = _route(source)
-    vals, tail = _a_factor(source, np.array([0.0, 1.0]), tol, route)
-    return EvenOddLimits(_PHI0 * float(vals[0]), _PHI0 * float(vals[1]), route,
+    vals, tail, side = _a_factor(source, np.array([0.0, 1.0]), tol, _route(source))
+    return EvenOddLimits(_PHI0 * float(vals[0]), _PHI0 * float(vals[1]), side,
                          _PHI0 * tail, bool(_PHI0 * tail <= tol))

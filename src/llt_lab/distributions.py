@@ -59,7 +59,7 @@ class SourceDistribution:
 
     ``abs_moment1`` is None when the first absolute moment does not exist;
     ``abs_moment3`` uses math.inf for a moment known to be infinite and None
-    for "not stored" (the latter triggers quadrature in :func:`beta3`).
+    for "not stored" (which :func:`beta3` refuses).
     ``cf_support_radius`` and ``density_support_radius`` are the radii beyond
     which the cf or the density vanishes, None where it does not.
     ``density_lattice_tail(R, L)`` bounds the sum of the density over the
@@ -699,20 +699,14 @@ def gaussian_noise() -> NoiseDistribution:
 # ---------------------------------------------------------------------------
 
 def beta3(noise: SourceDistribution) -> float:
-    """E|X|^3 for a one-dimensional law: closed form for catalog entries,
-    adaptive quadrature otherwise.  Raises :class:`UnsupportedError` when the
-    moment is infinite or cannot be computed."""
+    """E|X|^3 of a one-dimensional law, as the law stores it in
+    ``abs_moment3``.  Raises :class:`UnsupportedError` when the moment is
+    infinite or not stored."""
     if noise.dim != 1:
         raise UnsupportedError("beta3 is implemented for dim-1 laws only")
     m3 = noise.abs_moment3
-    if m3 is not None:
-        if math.isinf(m3):
-            raise UnsupportedError(f"{noise.label}: third absolute moment is infinite")
-        return float(m3)
-    if noise.density is None:
-        raise UnsupportedError(f"{noise.label}: no density and no stored third moment")
-    from scipy.integrate import quad
-    val, err = quad(lambda x: abs(x) ** 3 * noise.density(x), -np.inf, np.inf, limit=400)
-    if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-        raise UnsupportedError(f"{noise.label}: third-moment quadrature did not converge")
-    return float(val)
+    if m3 is None:
+        raise UnsupportedError(f"{noise.label}: no third absolute moment stored")
+    if math.isinf(m3):
+        raise UnsupportedError(f"{noise.label}: third absolute moment is infinite")
+    return float(m3)

@@ -36,7 +36,6 @@ import numpy as np
 
 from .distributions import DistFlags, SourceDistribution, _pointwise, _require_positive
 from .errors import InvalidParameterError, UnsupportedError, require_tol
-from .seriesaccel import certified_tail
 
 __all__ = [
     "LatticeSum",
@@ -56,7 +55,9 @@ __all__ = [
 K_CAP_2D = 4_000_000
 _SHORT_TAIL = 2.0 ** -64  # truncation bound of a decaying side
 _SHORT_TERMS = 2048   # most lattice terms a side may take
+_MAX_TABLE = 2 ** 22  # most entries of a table over the points of a grid
 _JUMP_TOL = 1e-9      # a lattice point this close to a density jump sits on it
+_REGULARITY_CELLS = 81 ** 2   # most cells of a 2-d regularity window (K <= 40)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -106,15 +107,14 @@ def _require_summable(tail: float, tol: float, what: str) -> None:
     """Refuse a lattice sum whose tail misses tol (and the 1e-7 floor)."""
     if not tail <= max(tol, 1e-7):      # a NaN tail bounds nothing either
         raise UnsupportedError(f"{what} not summable to {tol:g} "
-                               f"(certified only {tail:g})")
+                               f"(declared tail {tail:g})")
 
 
-def _require_terms(dist: SourceDistribution, side: str, terms: int) -> None:
-    """Refuse a side of a lattice sum that takes more than _SHORT_TERMS
-    terms, before any of them is formed."""
-    if terms > _SHORT_TERMS:
-        raise UnsupportedError(f"{dist.label}: the {side} side of the lattice sum "
-                               f"needs more than {_SHORT_TERMS} terms")
+def _require_at_most(what: str, count, cap: int, unit: str) -> None:
+    """Refuse a job of more than ``cap`` ``unit`` (or of a NaN count),
+    before any of them is formed."""
+    if not count <= cap:
+        raise UnsupportedError(f"{what} needs more than {cap} {unit}")
 
 
 def _require_finite(name: str, value) -> np.ndarray:
@@ -194,7 +194,9 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
     declared = _density_reach(dist, L)
     if declared is not None:
         reach, tail = declared
-        _require_terms(dist, "density", 2 * reach + 1)
+        what = f"{dist.label}: the density side of the lattice sum"
+        _require_at_most(what, 2 * reach + 1, _SHORT_TERMS, "terms")
+        _require_at_most(what, a.size * (2 * reach + 1), _MAX_TABLE, "table entries")
         m = np.arange(-reach, reach + 1)
         y = a[:, None] + L * m
         p = np.asarray(dist.density(y), dtype=float)
@@ -212,7 +214,8 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
     T = dist.cf_support_radius
     if T is not None:
         kmax = math.floor((T + s_max) * L / (2.0 * math.pi))
-        _require_terms(dist, "cf", 2 * kmax + 1)
+        _require_at_most(f"{dist.label}: the cf side of the lattice sum", 2 * kmax + 1,
+                         _SHORT_TERMS, "terms")
         k = np.arange(-kmax, kmax + 1)
         kinks = (0.0, *(e * T - (2.0 * math.pi / L) * j for j in k for e in (-1, 1)))
         return _ShortSide(L, 0.0, k=k, kinks=kinks, edge=T)
@@ -255,18 +258,18 @@ def _density_sum(dist: SourceDistribution, L: float, a: np.ndarray):
     """sum_m p(a + Lm) at the offsets a: on the density side where the law
     declares one of at most _SHORT_TERMS terms, on the cf side
     (1/L) sum_k e^{-i (2 pi k/L) a} f(2 pi k/L) (``_cf_side``) otherwise;
-    returns (values, tail), the tail adding the sum's rounding to the
-    side's truncation."""
+    returns (values, tail, side), the tail adding the sum's rounding to the
+    side's truncation, and side "density" or "cf", the side it took."""
     a = a - L * np.round(a / L)
     declared = _density_reach(dist, L)
     if declared is not None and 2 * declared[0] + 1 <= _SHORT_TERMS:
         side = _short_side(dist, a, 0.0, L)
         rounding = _sum_rounding(np.abs(side.p).sum(axis=1), side.p.shape[1])
-        return side.p.sum(axis=1), side.tail / L + rounding
+        return side.p.sum(axis=1), side.tail / L + rounding, "density"
     vals, tail = _cf_side(dist, 2.0 * math.pi / L, -a / L)
     # dividing by L rounds once more, unless L is a power of two
     rounding = 0.0 if math.frexp(L)[0] == 0.5 else _EPS * float(np.max(np.abs(vals)))
-    return np.real(vals) / L, (tail + rounding) / L
+    return np.real(vals) / L, (tail + rounding) / L, "cf"
 
 
 def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
@@ -282,7 +285,7 @@ def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density available")
     if dist.dim == 1:
-        vals, tail = _density_sum(dist, L, a.ravel())
+        vals, tail, _ = _density_sum(dist, L, a.ravel())
         return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
     if dist.dim == 2 and dist.components is not None:
         return _separable(*(sum_density_lattice(c, L, ai, tol / 2.0)
@@ -343,7 +346,8 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
     T = dist.cf_support_radius
     cf_lattice_tail = dist.cf_lattice_tail
     if T is not None:
-        _require_terms(dist, "cf", 2 * math.floor(T / step + 1e-12) + 1)
+        _require_at_most(f"{dist.label}: the cf side of the lattice sum",
+                         2 * math.floor(T / step + 1e-12) + 1, _SHORT_TERMS, "terms")
         # a cf is continuous, so it is 0 at +-T too
         cf_lattice_tail = lambda R, L: 0.0 if R >= T else math.inf
     elif cf_lattice_tail is None:
@@ -419,8 +423,9 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
 def sum_cf_lattice(dist: SourceDistribution, step: float,
                    phase=None, tol: float = 1e-10) -> LatticeSum:
     """sum_{k in Z^d} e^{i <phase, k>} f(step k): in one dimension on the cf
-    side (``_cf_side``), in two on the components of a product or on
-    certified sup-norm shells."""
+    side (``_cf_side``), in two on the components of a product.  A
+    two-dimensional law without components declares no tail, so its sum is
+    refused."""
     require_tol(tol)
     step = _require_positive("step", step)
     if phase is not None and _require_finite("phase", phase).size != dist.dim:
@@ -438,34 +443,7 @@ def sum_cf_lattice(dist: SourceDistribution, step: float,
         ph = (0.0, 0.0) if phase is None else tuple(np.ravel(phase))
         return _separable(*(sum_cf_lattice(c, step, p, tol / 2.0)
                             for c, p in zip(dist.components, ph)), tol)
-    return _cf_lattice_2d_generic(dist, step, phase, tol)
-
-
-def _cf_lattice_2d_generic(dist, step, phase, tol):
-    # one block per sup-norm shell s, so the certified tail is the integral
-    # test on the shell sums
-    ph = np.zeros(2) if phase is None else np.asarray(phase, dtype=float)
-    total, mags = complex(np.real(dist.cf(np.zeros(2)))), []
-    s = 1
-    while s * 8 * (2 * s + 1) < K_CAP_2D:
-        rng = np.arange(-s, s + 1)
-        edge = []
-        for kx in (-s, s):
-            edge.append(np.stack([np.full(rng.size, kx), rng], axis=-1))
-        inner = np.arange(-s + 1, s)
-        if inner.size:
-            for ky in (-s, s):
-                edge.append(np.stack([inner, np.full(inner.size, ky)], axis=-1))
-        kpts = np.concatenate(edge, axis=0)
-        fv = np.asarray(dist.cf(step * kpts), dtype=complex)
-        total += complex((np.exp(1j * (kpts @ ph)) * fv).sum())
-        mags.append((s, float(np.abs(fv).sum())))
-        tail = certified_tail(mags, 1)
-        if tail is not None and tail <= tol:
-            return LatticeSum(total, tail, True)
-        s += 1
-    raise UnsupportedError(f"{dist.label}: 2-d cf lattice sum did not converge "
-                           f"within the term cap")
+    raise UnsupportedError("cf lattice sums support dim 1 and separable dim 2")
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +457,8 @@ def check_pi_lattice_zeros(dist: SourceDistribution, k_max: int) -> LatticeZeroR
         raise InvalidParameterError("k_max must be >= 1")
     if dist.dim not in (1, 2):
         raise UnsupportedError("lattice zero check supports dim 1 and 2")
-    if (2 * k_max + 1) ** dist.dim - 1 > K_CAP_2D:
-        raise UnsupportedError(f"{dist.label}: the lattice zero check needs more than "
-                               f"{K_CAP_2D} points")
+    _require_at_most(f"{dist.label}: the lattice zero check", (2 * k_max + 1) ** dist.dim - 1,
+                     K_CAP_2D, "points")
     if dist.dim == 1:
         k = np.arange(1, k_max + 1)
         vp = np.abs(np.asarray(dist.cf(math.pi * k), dtype=complex))
@@ -651,14 +628,11 @@ def _regularity_1d(dist, kind, window_K):
     # radius of a compact density, 0 for none), and on each side of every
     # sign change of F' on it, bisected to adjacent doubles
     steps = 4.0 * (dist.density_support_radius or 0.0)
-    if not steps <= _SHORT_TERMS:
-        raise UnsupportedError(f"{dist.label}: the regularity integral needs a grid of "
-                               f"more than {_SHORT_TERMS} steps per cell to find the cf's zeros")
+    what = f"{dist.label}: the regularity integral"
+    _require_at_most(what, steps, _SHORT_TERMS, "grid steps per cell to find the cf's zeros")
     per_cell = max(8, math.ceil(steps))
     size = -(-per_cell * (2 * window_K + 1) // 2) + 1      # over K + 1/2 cells
-    if size > K_CAP_2D:
-        raise UnsupportedError(f"{dist.label}: the regularity integral needs a grid of "
-                               f"more than {K_CAP_2D} points")
+    _require_at_most(what, size, K_CAP_2D, "grid points")
     edges = math.pi * (np.arange(window_K + 1) + 0.5)
     grid = np.linspace(0.0, edges[-1], size)
     ends = [grid, edges]
@@ -687,6 +661,8 @@ def _regularity_1d(dist, kind, window_K):
 
 
 def _regularity_2d(dist, kind, window_K):
+    _require_at_most(f"{dist.label}: the regularity integral", (2 * window_K + 1) ** 2,
+                     _REGULARITY_CELLS, "cells")
     from .inversion import _gl_nodes     # inversion imports this module
     # four Gauss-Legendre panels in theta between the cell's corners, where
     # the radius to the cell edge has kinks, and nr nodes in r out to it
@@ -699,25 +675,28 @@ def _regularity_2d(dist, kind, window_K):
     # bounded integrand in (r, theta)
     xr, wr = _gl_nodes(nr, 0.5)
     rr = (xr[None, :] + 0.5) * rmax[:, None]
-    ww = wr[None, :] * rmax[:, None] * np.tile(w, 4)[:, None]
-    offs = np.stack([rr * ct[:, None], rr * st[:, None]], axis=-1)
+    ww = (wr[None, :] * rmax[:, None] * np.tile(w, 4)[:, None]).ravel()
+    offs = np.stack([rr * ct[:, None], rr * st[:, None]], axis=-1).reshape(-1, 2)
 
-    def cell_integral(kx, ky):
-        pts = offs + np.array([math.pi * kx, math.pi * ky])
-        grad = np.asarray(dist.cf_grad(pts))
-        g = np.sqrt(np.sum(np.abs(grad) ** 2, axis=-1))
+    def cell_integrals(cells):
+        # one row of nodes per cell, each row summed on its own
+        pts = offs + math.pi * cells[:, None, :]
+        sq = np.abs(np.asarray(dist.cf_grad(pts))) ** 2
+        g = np.sqrt(sq[..., 0] + sq[..., 1])
         if kind == "condition_2_3":
             g = g * np.abs(np.asarray(dist.cf(pts), dtype=complex))
-        return float((g * ww).sum())
+        return (g * ww).sum(axis=1).tolist()
 
-    total = cell_integral(0, 0)
+    total = cell_integrals(np.zeros((1, 2)))[0]
     shells = []
     for s in range(1, window_K + 1):
+        # the cells of sup-norm s, kx then ky ascending
+        k = np.arange(-s, s + 1)
+        kx, ky = (v.ravel() for v in np.meshgrid(k, k, indexing="ij"))
+        ring = np.maximum(np.abs(kx), np.abs(ky)) == s
         cs = 0.0
-        for kx in range(-s, s + 1):
-            for ky in range(-s, s + 1):
-                if max(abs(kx), abs(ky)) == s:
-                    cs += cell_integral(kx, ky)
+        for c in cell_integrals(np.stack([kx[ring], ky[ring]], axis=-1).astype(float)):
+            cs += c
         shells.append(cs)
         total += cs
     return _shell_report(total, shells, window_K)

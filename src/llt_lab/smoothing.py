@@ -39,10 +39,10 @@ import numpy as np
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
 from .errors import InvalidParameterError, UnsupportedError, require_tol
-from .inversion import (Grid, GridDensity, _check_error, _panel_rules, grid_1d, grid_2d,
-                        invert)
-from .lattice import (_product_tail, _reduced_periodized_cf, _short_side,
-                      check_pi_lattice_zeros)
+from .inversion import (_MAX_NODES, Grid, GridDensity, _check_error, _panel_rules, grid_1d,
+                        grid_2d, invert)
+from .lattice import (_MAX_TABLE, _product_tail, _reduced_periodized_cf, _require_at_most,
+                      _short_side, check_pi_lattice_zeros)
 
 __all__ = [
     "SmoothedModel",
@@ -144,7 +144,11 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     # up to side.freq; nodes per half-width pi/2 cover them and the cos^n
     # bump, on panels that end at the side's kinks
     reach = float(np.max(np.abs(j))) + 1.0 + side.freq
-    rules = _panel_rules(half, side.kinks, 0.8 * (reach + 6.0 * rt) + 64, 0.5 * math.pi)
+    per = 0.8 * (reach + 6.0 * rt) + 64
+    nodes = half / (0.5 * math.pi) * per
+    _require_at_most(f"{source.label}: the cell rule", nodes, _MAX_NODES[0], "nodes")
+    _require_at_most("the cell rule", x.size * max(nodes, 128), _MAX_TABLE, "table entries")
+    rules = _panel_rules(half, side.kinks, per, 0.5 * math.pi)
 
     def window_sum(s, ws):
         # e^{-isw} F(s, a) = e^{-isj} e^{-isa} F(s, a): j exact, so no phase
@@ -194,6 +198,12 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
         grid = default_grid(model.dim)
     if grid.dim != model.dim:
         raise InvalidParameterError("grid dimension mismatch")
+    # every rule has at least 128 nodes, so a one-dimensional grid's
+    # (points x nodes) table has count x 128 entries or more; a
+    # two-dimensional one holds count^2 values
+    size = math.prod(ax.count for ax in grid.axes)
+    _require_at_most("the grid", 128 * size if grid.dim == 1 else size, _MAX_TABLE,
+                     "table entries")
 
     if model.dim == 1 and _is_bernoulli(model.noise):
         x = grid.axes[0].points()

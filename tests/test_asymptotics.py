@@ -74,12 +74,13 @@ def test_report_laplace_inner_consistency():
 @pytest.mark.parametrize("T", [0.7, 1.0])
 def test_report_fejer_factor_is_one(T):
     # the Fejer cf vanishes on the nonzero pi-lattice, so A_n = 1; its
-    # density route is the finite sum over its compact cf
+    # density route is the finite sum over its compact cf, so the report
+    # names the cf side
     from llt_lab import grid_1d
     rep = oscillation_report(SmoothedModel(make_fejer(T), BERN), 64,
                              grid_1d(-5.0, 5.0, 201))
     tail = rep.meta["density_tail"]
-    assert rep.meta["route"] == "density"
+    assert rep.meta["route"] == "cf"
     assert float(np.max(np.abs(rep.a_values - 1.0))) <= tail
     assert rep.method_gap <= tail
 
@@ -128,6 +129,24 @@ def test_limits_uniform_cf_route():
     assert lim.route == "cf"
     assert lim.even_limit == pytest.approx(phi(0.0), abs=1e-10)
     assert lim.odd_limit == pytest.approx(phi(0.0), abs=1e-10)
+
+
+def test_limits_name_the_side_they_summed():
+    # the density side of laplace:b=100 at step 2 needs more than 2048
+    # terms, so the density route sums the cf side, and says so;
+    # 2 sum_m p(2m + a) = cosh((1 - a)/b)/(b sinh(1/b)) for a in [0, 2]
+    from llt_lab import grid_1d
+    b = 100.0
+    lim = even_odd_limits(make_laplace(b))
+    assert lim.route == "cf"
+    for got, a in ((lim.even_limit, 0.0), (lim.odd_limit, 1.0)):
+        exact = phi(0.0) * math.cosh((1.0 - a) / b) / (b * math.sinh(1.0 / b))
+        assert abs(got - exact) <= lim.tail + 1e-15
+    # (the report's density route names its side the same way, which
+    # test_report_fejer_factor_is_one checks); laplace:b=1 sums its 49-term
+    # density side
+    assert even_odd_limits(LAPLACE).route == "density"
+    assert oscillation_report(M_LAPLACE, 16, grid_1d(-5.0, 5.0, 101)).meta["route"] == "density"
 
 
 def test_limits_gaussian_theta_oracle():

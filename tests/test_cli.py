@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import pathlib
+import resource
 import subprocess
 import sys
 import warnings
@@ -12,9 +14,16 @@ from llt_lab.cli import (ExperimentConfig, main, parse_noise_spec, parse_spec, r
 from llt_lab.errors import UnknownDistributionError
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 def _run_cli(args, tmp_path=None):
+    # in 2 GiB of address space and with a timeout, so that a run that
+    # would exhaust the memory or hang fails its test instead
     proc = subprocess.run([sys.executable, "-m", "llt_lab", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_cap_address_space)
     return proc
 
 
@@ -168,6 +177,8 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     # and so is a window whose search grid has more points than the cap,
     # before the grid is formed
     (["regularity", "--source", "laplace:b=1", "--k", "1000000000000"], 2),
+    # and a 2-d window of more cells than its cap, before any cell is formed
+    (["regularity", "--source", "product:laplace:b=1,laplace:b=1", "--k", "1000000000000"], 2),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
@@ -177,7 +188,7 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
         "limits-gaussian-variance-underflows", "limits-fejer-wide", "density-uniform-wide",
         "autocorr-uniform-narrow", "autocorr-laplace-narrow", "poisson-laplace-narrow",
         "check-condition-huge-k", "check-condition-product-huge-k",
-        "regularity-uniform-wide", "regularity-huge-k"])
+        "regularity-uniform-wide", "regularity-huge-k", "regularity-2d-huge-k"])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
@@ -187,6 +198,25 @@ def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     if code:
         assert out == ""
         assert ("error:" if code == 1 else "hypotheses not satisfied:") in err
+
+
+@pytest.mark.parametrize("argv", [
+    # a cell rule of more nodes than the inverse's cap, refused before the
+    # rule is formed
+    ["density", "--source", "laplace:b=1", "--n", "16", "--grid=-1000000,1000000,3"],
+    # tables over the grid larger than their cap, refused before any grid
+    # point is formed: (points x nodes) in 1-d, count^2 values in 2-d
+    ["density", "--source", "laplace:b=1", "--n", "4", "--grid=-5,5,100000000"],
+    ["density", "--source", "product:laplace:b=1,laplace:b=1", "--n", "16",
+     "--grid=-5,5,20001"],
+    # and before the rule is formed, or the density side's table
+    ["density", "--source", "laplace:b=1", "--n", "16", "--grid=-5000,5000,30000"],
+    ["density", "--source", "uniform:h=2000", "--n", "16", "--grid=-5,5,30000"],
+], ids=["wide", "dense-1d", "dense-2d", "wide-and-dense", "long-density-side"])
+def test_cli_refuses_a_grid_past_its_caps(argv):
+    r = _run_cli(argv)
+    assert (r.returncode, r.stdout) == (2, ""), r.stderr
+    assert "hypotheses not satisfied:" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_autocorr_of_a_wide_uniform_is_its_closed_form(capsys):
@@ -438,8 +468,8 @@ def test_fixed_cli_bodies_unchanged(capsys):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # quad is imported where it is called, so the package and its CLI load
-    # without scipy.integrate and the modules it pulls in
+    # the package and its CLI load without scipy.integrate and the modules
+    # it pulls in
     import llt_lab
     src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import llt_lab, llt_lab.cli; "
@@ -484,13 +514,34 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_default_paths_leave_scipy_unloaded():
-    # scipy is imported at the one call that needs it (beta3's quadrature),
-    # so one call of each engine and study on its default path, the oracle
+    # the runtime needs numpy alone: no module of the package names scipy,
+    # and one call of each engine and study on its default path, the oracle
     # at an n whose binomial weights underflow, and the regularity integral
     # in one and two dimensions run on numpy and math alone
     import llt_lab
-    src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _DEFAULT_PATHS, src],
+    pkg = pathlib.Path(llt_lab.__file__).resolve().parent
+    assert [f.name for f in sorted(pkg.glob("*.py")) if "scipy" in f.read_text()] == []
+    proc = subprocess.run([sys.executable, "-c", _DEFAULT_PATHS, str(pkg.parent)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_traced_layer_imports():
+    # the benchmark's tracer reads sys.modules["llt_lab.<layer>"] for every
+    # layer in its LAYERS, once llt_lab and llt_lab.cli are imported; a
+    # layer that is not loaded by then would break its --trace 1 runs
+    import llt_lab
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    layers = next(ast.literal_eval(node.value)
+                  for node in ast.parse(tracer.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    assert "seriesaccel" in layers
+    src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import llt_lab, llt_lab.cli; "
+            "print(' '.join(sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert [layer for layer in layers if f"llt_lab.{layer}" not in loaded] == []

@@ -6,9 +6,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import sici
 
-from llt_lab import (InvalidParameterError, SourceDistribution, UnsupportedError,
-                     as_noise, bernoulli_noise, beta3, make_fejer, make_gaussian,
-                     make_laplace, make_uniform, product, uniform_noise)
+from llt_lab import (AdmissibleT, InvalidParameterError, SourceDistribution,
+                     UnsupportedError, admissible_T, as_noise, bernoulli_noise, beta3,
+                     gaussian_noise, make_fejer, make_gaussian, make_laplace, make_uniform,
+                     product, uniform_noise)
 from llt_lab.oracle import _CHUNK, _chunk_rng
 
 UNIFORM = make_uniform(1.0)
@@ -199,10 +200,14 @@ def test_beta3_gaussian():
                                             rel=1e-12)
 
 
-def test_beta3_quadrature_path():
-    import dataclasses
-    stripped = dataclasses.replace(LAPLACE, abs_moment3=None)
-    assert beta3(stripped) == pytest.approx(6.0, rel=1e-7)
+def test_beta3_refuses_a_law_without_a_stored_moment():
+    # no moment is computed by quadrature: a law that stores none is refused,
+    # and admissible_T reads the refusal as no beta3 radius
+    with pytest.raises(UnsupportedError, match="no third absolute moment stored"):
+        beta3(dataclasses.replace(LAPLACE, abs_moment3=None))
+    noise = dataclasses.replace(gaussian_noise(), abs_moment3=None)
+    assert admissible_T(noise, prefer="beta3") == AdmissibleT(None, "unsupported")
+    assert admissible_T(noise) == AdmissibleT(math.pi, "remark41")
 
 
 def test_beta3_infinite_rejected():

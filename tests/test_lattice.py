@@ -147,6 +147,23 @@ def test_cf_sum_with_phase_matches_cosh_series():
     assert complex(r.value).real == pytest.approx(target, abs=1e-10)
 
 
+def cosh_series(t: float, c: float) -> float:
+    """Classical Fourier series: sum over all integers of e^{ikt}/(k^2+c^2)
+    equals (pi/c) cosh(c(pi-|t|))/sinh(pi c) on [-pi, pi]."""
+    return (math.pi / c) * math.cosh(c * (math.pi - abs(t))) / math.sinh(math.pi * c)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, math.pi - 1e-3, math.pi])
+def test_phased_inverse_square_series(t):
+    # sum_k e^{ikt}/(k^2 + c^2) with c = 1/pi is pi^-2 sum_k e^{ikt} f(pi k)
+    # for laplace:b=1: no series to accelerate, the cf side sums it in
+    # closed form
+    c = 1.0 / math.pi
+    r = sum_cf_lattice(make_laplace(1.0), math.pi, t)
+    value = r.value / (c * c)
+    assert abs(value - cosh_series(t, c)) <= r.tail_estimate / (c * c) + 1e-14
+
+
 def test_cf_sum_product_separable():
     p2 = product([make_gaussian(1.0), make_gaussian(1.0)])
     r = sum_cf_lattice(p2, 2.0 * math.pi, None, tol=1e-10)
@@ -254,7 +271,7 @@ def test_periodized_cf_is_the_phased_cf_sum(dist):
     a = np.random.default_rng(20261018).uniform(-3.0, 3.0, 9)
     got, tail = periodized_cf(dist, [0.0], a)
     ref, ref_tail = lattice._cf_side(dist, math.pi, -0.5 * a)
-    _, dn_tail = lattice._density_sum(dist, 2.0, a)
+    _, dn_tail, _ = lattice._density_sum(dist, 2.0, a)
     assert np.max(np.abs(got[:, 0] - ref)) <= tail + ref_tail + 2.0 * dn_tail
 
 
@@ -282,8 +299,8 @@ def test_cf_side_uniform_per_point(h):
     x = np.linspace(-6.0, 1.0, 41)
     for n in (3, 180, 13456, 14863):
         a = x * math.sqrt(n) + n
-        cf, cf_tail = asymptotics._a_factor(src, a, 1e-9, "cf")
-        dn, dn_tail = asymptotics._a_factor(src, a, 1e-9, "density")
+        cf, cf_tail, _ = asymptotics._a_factor(src, a, 1e-9, "cf")
+        dn, dn_tail, _ = asymptotics._a_factor(src, a, 1e-9, "density")
         assert np.all(np.abs(cf - dn) <= cf_tail + dn_tail), n
         assert cf_tail <= 1e-13
 
@@ -296,8 +313,8 @@ def test_routes_agree_on_the_jumps_of_a_uniform_density(h):
     src = make_uniform(h)
     for n in (1, 2, 3, 16, 17, 101, 256, 16384):
         a = np.array([n + e * h + 2.0 * m for e in (-1.0, 1.0) for m in range(-3, 4)])
-        cf, cf_tail = asymptotics._a_factor(src, a, 1e-9, "cf")
-        dn, dn_tail = asymptotics._a_factor(src, a, 1e-9, "density")
+        cf, cf_tail, _ = asymptotics._a_factor(src, a, 1e-9, "cf")
+        dn, dn_tail, _ = asymptotics._a_factor(src, a, 1e-9, "density")
         assert np.max(np.abs(cf - dn)) <= cf_tail + dn_tail, n
 
 
@@ -778,6 +795,13 @@ def test_regularity_2d_rule_matches_a_finer_rule(law, kind):
     assert rep.estimate == pytest.approx(ref.estimate, rel=1e-5, abs=0)
 
 
+def test_regularity_2d_window_is_capped_in_cells():
+    # the window holds (2K + 1)^2 cells: K = 40 is the widest, and K = 41 is
+    # refused before any cell is formed
+    with pytest.raises(UnsupportedError, match="more than 6561 cells"):
+        regularity_integral(product([LAPLACE, LAPLACE]), "condition_3_1", 41)
+
+
 def _correlated_gaussian_2d():
     import dataclasses
     from llt_lab import DistFlags, SourceDistribution
@@ -802,18 +826,6 @@ def _correlated_gaussian_2d():
                               label="gauss2d-correlated"), S
 
 
-def test_cf_sum_2d_generic_shells():
-    dist, S = _correlated_gaussian_2d()
-    r = sum_cf_lattice(dist, 2.0 * math.pi, None, tol=1e-12)
-    # independent direct double sum over a wide window
-    rng = np.arange(-6, 7)
-    KX, KY = np.meshgrid(rng, rng, indexing="ij")
-    pts = 2.0 * math.pi * np.stack([KX, KY], axis=-1).astype(float)
-    direct = float(np.sum(dist.cf(pts)))
-    assert complex(r.value).real == pytest.approx(direct, abs=1e-13)
-    assert not math.isinf(r.tail_estimate)
-
-
 def _radial_laplace_2d():
     from llt_lab import DistFlags, SourceDistribution
 
@@ -830,18 +842,12 @@ def _radial_laplace_2d():
                               label="laplace2d-radial")
 
 
-@pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-4])
-def test_cf_sum_2d_generic_tail_bounds_poisson(tol):
-    # shell sums of (1+|t|^2)^-3/2 decay like s^-2, so the tail is algebraic;
-    # by Poisson summation the full cf sum equals sum_m p(m), whose terms
-    # beyond sup-norm 60 are below e^-60
-    dist = _radial_laplace_2d()
-    rng = np.arange(-60, 61)
-    KX, KY = np.meshgrid(rng, rng, indexing="ij")
-    exact = float(np.sum(dist.density(np.stack([KX, KY], axis=-1).astype(float))))
-    r = sum_cf_lattice(dist, 2.0 * math.pi, None, tol=tol)
-    assert r.tail_estimate <= tol
-    assert abs(complex(r.value).real - exact) <= r.tail_estimate
+@pytest.mark.parametrize("make", [lambda: _correlated_gaussian_2d()[0], _radial_laplace_2d],
+                         ids=["gauss2d-correlated", "laplace2d-radial"])
+def test_cf_sum_2d_refuses_a_law_that_is_not_a_product(make):
+    # a 2-d law without components declares no tail for its cf sum
+    with pytest.raises(UnsupportedError, match="separable dim 2"):
+        sum_cf_lattice(make(), 2.0 * math.pi, None, tol=1e-2)
 
 
 def test_poisson_2d_product():
