@@ -675,28 +675,25 @@ def _regularity_2d(dist, kind, window_K):
     # bounded integrand in (r, theta)
     xr, wr = _gl_nodes(nr, 0.5)
     rr = (xr[None, :] + 0.5) * rmax[:, None]
-    ww = (wr[None, :] * rmax[:, None] * np.tile(w, 4)[:, None]).ravel()
-    offs = np.stack([rr * ct[:, None], rr * st[:, None]], axis=-1).reshape(-1, 2)
+    ww = wr[None, :] * rmax[:, None] * np.tile(w, 4)[:, None]
+    offs = np.stack([rr * ct[:, None], rr * st[:, None]], axis=-1)
 
-    def cell_integrals(cells):
-        # one row of nodes per cell, each row summed on its own
-        pts = offs + math.pi * cells[:, None, :]
-        sq = np.abs(np.asarray(dist.cf_grad(pts))) ** 2
-        g = np.sqrt(sq[..., 0] + sq[..., 1])
+    def cell_integral(kx, ky):
+        pts = offs + np.array([math.pi * kx, math.pi * ky])
+        grad = np.asarray(dist.cf_grad(pts))
+        g = np.sqrt(np.sum(np.abs(grad) ** 2, axis=-1))
         if kind == "condition_2_3":
             g = g * np.abs(np.asarray(dist.cf(pts), dtype=complex))
-        return (g * ww).sum(axis=1).tolist()
+        return float((g * ww).sum())
 
-    total = cell_integrals(np.zeros((1, 2)))[0]
+    total = cell_integral(0, 0)
     shells = []
     for s in range(1, window_K + 1):
-        # the cells of sup-norm s, kx then ky ascending
-        k = np.arange(-s, s + 1)
-        kx, ky = (v.ravel() for v in np.meshgrid(k, k, indexing="ij"))
-        ring = np.maximum(np.abs(kx), np.abs(ky)) == s
         cs = 0.0
-        for c in cell_integrals(np.stack([kx[ring], ky[ring]], axis=-1).astype(float)):
-            cs += c
+        for kx in range(-s, s + 1):
+            for ky in range(-s, s + 1):
+                if max(abs(kx), abs(ky)) == s:
+                    cs += cell_integral(kx, ky)
         shells.append(cs)
         total += cs
     return _shell_report(total, shells, window_K)
