@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedError
+from .errors import InvalidParameterError, UnsupportedError, require_at_most
 
 __all__ = [
     "DistFlags",
@@ -589,102 +589,136 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
 # uniform step sums from digit-sum alias tables
 # ---------------------------------------------------------------------------
 #
-# A step uniform on [-h, h] is drawn as h (2 (K + 1/2) 2^-55 - 1) with K
-# uniform on [0, 2^55): eleven independent base-32 digits.  The n steps'
-# K sum to sum_l 32^l D_l, where the digit sums D_l are i.i.d., each the sum
-# of n uniform digits on [0, 32).  Each D_l is drawn from a Walker alias table
-# of its law (Walker, ACM TOMS 1977), the steps in groups of at most 256 so
-# that a table has at most 256 * 31 + 1 = 7937 entries, padded to k = 2^b
-# columns.  The table holds the law in units of 2^-64, summing to 2^64
-# exactly, so one raw 64-bit word draws a digit sum with exactly the table's
-# law: its top b bits pick the column, its low 64 - b bits are the coin.
-# That law is within 4 g eps + k 2^-64 in total variation (half the l1
-# distance) of the exact digit-sum law: the convolution is within 4 g eps
+# A step uniform on [-h, h] is drawn as h (2 (K + 1/2) 2^-B - 1) with K
+# uniform on [0, 2^B), B >= 55: D independent digits of b bits, B = D b.
+# The n steps' K sum to sum_l 2^(b l) S_l, where the digit sums S_l are
+# i.i.d., each the sum of n uniform digits on [0, 2^b).  The steps go in
+# groups of at most 256, and each group's S_l is drawn from a Walker alias
+# table of its law (Walker, ACM TOMS 1977) over k = 2^c >= g (2^b - 1) + 1
+# columns.  b is the widest that keeps the table of a full group g =
+# min(n, 256) within 2^15 columns, then D = ceil(55/b) digits of
+# ceil(55/D) bits: 5 of 11 at n = 16, 8 of 7 from n = 256 on.  The table
+# holds the law in units of 2^-64, summing to 2^64 exactly, so one raw
+# 64-bit word draws a digit sum with exactly the table's law: its top c bits
+# pick the column, its low 64 - c bits are the coin.  That law is within
+# g b eps/2 + k 2^-64 in total variation (half the l1 distance) of the exact
+# digit-sum law: the g b halvings that build it are within g b eps/2
 # relative, each entry rounds by at most 2^-65, and the mode absorbs the
 # difference of the rounded sum from 1.
 
-_DIGIT_BITS = 5
-_DIGITS = 11
+_STEP_BITS = 55
 _GROUP = 256
+_TABLE_COLUMNS = 1 << 15
 _WORD_BITS = 64
+# the most raw words one call of the sampler reads: at about 10 ns a word
+# (2-core x86 host), some 45 s of draws
+_MAX_WORDS = 1 << 32
 
 
-def _digit_sum_pmf(g: int) -> np.ndarray:
+def _digit_widths(g: int) -> tuple:
+    """(D, b): a step's D digits of b bits for groups of g steps, from the
+    widest width whose g-digit sum takes at most 2^15 values."""
+    widest = ((_TABLE_COLUMNS - 1) // g + 1).bit_length() - 1
+    digits = -(-_STEP_BITS // widest)
+    return digits, -(-_STEP_BITS // digits)
+
+
+def _digit_sum_pmf(g: int, b: int) -> np.ndarray:
     """Law of the sum of g i.i.d. digits uniform on [0, 2^b), j = 0..g(2^b - 1),
-    by g direct convolutions of nonnegative terms (relative error a few g eps
-    where it does not underflow)."""
-    digit = np.full(1 << _DIGIT_BITS, 2.0 ** -_DIGIT_BITS)
-    p = np.ones(1)
+    by g b shifted halvings p(j) <- (p(j) + p(j - 2^i))/2: each adds two
+    nonnegative terms and rounds once, so an entry is within g b eps/2
+    relative where it does not underflow."""
+    p = np.zeros(g * ((1 << b) - 1) + 1)
+    p[0] = 1.0
+    top = 1
     for _ in range(g):
-        p = np.convolve(p, digit)
+        for i in range(b):
+            s = 1 << i
+            p[s:top + s] += p[:top]     # numpy buffers the overlapping operands
+            p[:top + s] *= 0.5
+            top += s
     return p
 
 
 @functools.lru_cache(maxsize=8)
-def _alias_table(g: int) -> tuple:
-    """Walker alias table (thr, alias, b) of ``_digit_sum_pmf(g)`` in exact
-    integers: the pmf, padded with zeros to k = 2^b columns, is rounded to
+def _alias_table(g: int, b: int) -> tuple:
+    """Walker alias table (thr, alias, c) of ``_digit_sum_pmf(g, b)`` in exact
+    integers: the pmf, padded with zeros to k = 2^c columns, is rounded to
     multiples of 2^-64 with the remainder to 1 on the mode, and Vose's pairing
-    fills k columns of capacity 2^(64 - b).  Column j gives j to the coins
+    fills k columns of capacity 2^(64 - c).  Column j gives j to the coins
     below thr[j] and alias[j] to the rest.  The arrays are read-only."""
-    p = _digit_sum_pmf(g)
-    b = (p.size - 1).bit_length()
-    k = 1 << b
-    cap = 1 << (_WORD_BITS - b)
-    q = [round(x * 2.0 ** _WORD_BITS) for x in p.tolist()] + [0] * (k - p.size)
-    q[int(np.argmax(p))] += (1 << _WORD_BITS) - sum(q)
-    thr = [cap] * k
-    alias = list(range(k))
-    small = [j for j in range(k) if q[j] < cap]
-    large = [j for j in range(k) if q[j] >= cap]
-    while small and large:
-        s, big = small.pop(), large[-1]
-        thr[s], alias[s] = q[s], big
-        q[big] -= cap - q[s]
-        if q[big] < cap:
-            small.append(large.pop())
-    # the entries sum to k cap exactly, so the pairing ends with `small` empty
-    # and every column left on `large` holding exactly cap
-    thr = np.array(thr, dtype=np.uint64)
-    alias = np.array(alias, dtype=np.intp)
+    p = _digit_sum_pmf(g, b)
+    c = (p.size - 1).bit_length()
+    k = 1 << c
+    cap = 1 << (_WORD_BITS - c)
+    q = np.zeros(k, dtype=np.uint64)
+    q[:p.size] = np.rint(p * 2.0 ** _WORD_BITS)     # from 2^53 on already integers
+    # the sum wraps modulo 2^64, so subtracting it puts 2^64 minus the sum
+    # on the mode
+    mode = int(np.argmax(p))
+    q[mode:mode + 1] -= q.sum(keepdims=True)
+    # Vose's pairing with both worklists walked in column order: donor i
+    # (the columns of at least cap, excess cumulated in x) fills the small
+    # columns whose cumulated deficit before them is in (x[i-1], x[i]), and
+    # once below cap is itself filled by donor i + 1
+    small = np.flatnonzero(q < cap)
+    large = np.flatnonzero(q >= cap)
+    deficit = np.zeros(small.size + 1, dtype=np.uint64)
+    np.cumsum(cap - q[small], out=deficit[1:])
+    x = np.cumsum(q[large] - cap)
+    thr = np.full(k, cap, dtype=np.uint64)
+    alias = np.arange(k, dtype=np.uint16)
+    thr[small] = q[small]
+    alias[small] = large[np.searchsorted(x, deficit[:-1], side="left")]
+    # the deficit through the last small column donor i fills; the last
+    # donor ends at x[-1] = deficit[-1], exactly full
+    reach = deficit[np.searchsorted(deficit[:-1], x, side="right")]
+    below = np.flatnonzero(reach > x)
+    thr[large[below]] = cap - (reach[below] - x[below])
+    alias[large[below]] = large[below + 1]
     thr.flags.writeable = alias.flags.writeable = False
-    return thr, alias, b
+    return thr, alias, c
 
 
 def _uniform_sum_sampler(h: float) -> Callable:
-    scale = 2.0 * h * 2.0 ** -(_DIGIT_BITS * _DIGITS)
-    radix = float(1 << _DIGIT_BITS)
-
     def sum_sampler(rng, size, n):
         # one raw word per group and digit, the digits from the most
         # significant down, so that each row of digit sums joins the Horner
-        # sum as soon as it is drawn
+        # sum as soon as it is drawn; every group takes the width of the
+        # first, and a last group of fewer steps its own smaller table
         full, rest = divmod(n, _GROUP)
-        tables = [_alias_table(_GROUP)] * full + ([_alias_table(rest)] if rest else [])
+        digits, b = _digit_widths(min(n, _GROUP))
+        require_at_most(f"uniform noise: a draw of {size} sums of {n} steps",
+                        digits * -(-n // _GROUP) * size, _MAX_WORDS, "raw words")
+        groups = [(full, _alias_table(_GROUP, b))] if full else []
+        if rest:
+            groups.append((1, _alias_table(rest, b)))
         raw = rng.bit_generator.random_raw
+        radix = float(1 << b)
         centre = 0.5 * n * (radix - 1.0)
         t = np.zeros(size)
-        for _ in range(_DIGITS):
+        for _ in range(digits):
             d = np.zeros(size, dtype=np.intp)
-            for thr, alias, b in tables:
-                u = raw(size)
-                col = (u >> (_WORD_BITS - b)).view(np.intp)
-                u &= (1 << (_WORD_BITS - b)) - 1
-                d += np.where(u < thr[col], col, alias[col])
+            for count, (thr, alias, c) in groups:
+                for _ in range(count):
+                    u = raw(size)
+                    col = (u >> (_WORD_BITS - c)).view(np.intp)
+                    u &= (1 << (_WORD_BITS - c)) - 1
+                    d += np.where(u < thr[col], col, alias[col])
             # each centred digit sum is a half-integer, so the Horner sum of
             # the centred digits rounds only once it passes 2^53
             t *= radix
             t += d - centre
-        return scale * t
+        return (2.0 * h * 2.0 ** -(b * digits)) * t
 
     return sum_sampler
 
 
 def uniform_noise() -> NoiseDistribution:
     """Isotropic uniform noise on [-sqrt(3), sqrt(3)] (unit variance).  Its
-    ``sum_sampler`` draws an n-step sum from eleven raw 64-bit words per
-    group of 256 steps, one per digit-sum alias table (see
-    ``_uniform_sum_sampler``)."""
+    ``sum_sampler`` draws an n-step sum from one raw 64-bit word per digit
+    and group of 256 steps, 5 digits at n = 16 and 8 from n = 256 on, each
+    from a digit-sum alias table (see ``_uniform_sum_sampler``)."""
     h = math.sqrt(3.0)
     return replace(as_noise(make_uniform(h)), sum_sampler=_uniform_sum_sampler(h))
 

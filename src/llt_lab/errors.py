@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of a
-requested tolerance."""
+"""Exception types shared across the package, the one check of a requested
+tolerance, and the one refusal of a job past its cap."""
 
 
 class LltLabError(Exception):
@@ -29,3 +29,10 @@ def require_tol(tol) -> None:
     """Refuse a requested tolerance that is not positive (NaN included)."""
     if not tol > 0:
         raise InvalidParameterError(f"tol must be positive, got {tol!r}")
+
+
+def require_at_most(what: str, count, cap: int, unit: str) -> None:
+    """Refuse a job of more than ``cap`` ``unit`` (or of a NaN count),
+    before any of them is formed."""
+    if not count <= cap:
+        raise UnsupportedError(f"{what} needs more than {cap} {unit}")

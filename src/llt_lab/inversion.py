@@ -77,6 +77,8 @@ def grid_1d(lo: float, hi: float, count: int) -> Grid:
     if not (math.isfinite(lo) and math.isfinite(hi)) or count < 2 or hi <= lo:
         raise InvalidParameterError("need finite hi > lo and count >= 2")
     step = (hi - lo) / (count - 1)
+    if not math.isfinite(step * (count - 1)):
+        raise InvalidParameterError("the grid's span hi - lo overflows")
     return Grid((Axis(lo, step, count),))
 
 

@@ -31,11 +31,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 import numpy as np
 
 from .distributions import DistFlags, SourceDistribution, _pointwise, _require_positive
-from .errors import InvalidParameterError, UnsupportedError, require_tol
+from .errors import InvalidParameterError, UnsupportedError, require_at_most, require_tol
 
 __all__ = [
     "LatticeSum",
@@ -108,13 +107,6 @@ def _require_summable(tail: float, tol: float, what: str) -> None:
     if not tail <= max(tol, 1e-7):      # a NaN tail bounds nothing either
         raise UnsupportedError(f"{what} not summable to {tol:g} "
                                f"(declared tail {tail:g})")
-
-
-def _require_at_most(what: str, count, cap: int, unit: str) -> None:
-    """Refuse a job of more than ``cap`` ``unit`` (or of a NaN count),
-    before any of them is formed."""
-    if not count <= cap:
-        raise UnsupportedError(f"{what} needs more than {cap} {unit}")
 
 
 def _require_finite(name: str, value) -> np.ndarray:
@@ -195,8 +187,8 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
     if declared is not None:
         reach, tail = declared
         what = f"{dist.label}: the density side of the lattice sum"
-        _require_at_most(what, 2 * reach + 1, _SHORT_TERMS, "terms")
-        _require_at_most(what, a.size * (2 * reach + 1), _MAX_TABLE, "table entries")
+        require_at_most(what, 2 * reach + 1, _SHORT_TERMS, "terms")
+        require_at_most(what, a.size * (2 * reach + 1), _MAX_TABLE, "table entries")
         m = np.arange(-reach, reach + 1)
         y = a[:, None] + L * m
         p = np.asarray(dist.density(y), dtype=float)
@@ -214,8 +206,8 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
     T = dist.cf_support_radius
     if T is not None:
         kmax = math.floor((T + s_max) * L / (2.0 * math.pi))
-        _require_at_most(f"{dist.label}: the cf side of the lattice sum", 2 * kmax + 1,
-                         _SHORT_TERMS, "terms")
+        require_at_most(f"{dist.label}: the cf side of the lattice sum", 2 * kmax + 1,
+                        _SHORT_TERMS, "terms")
         k = np.arange(-kmax, kmax + 1)
         kinks = (0.0, *(e * T - (2.0 * math.pi / L) * j for j in k for e in (-1, 1)))
         return _ShortSide(L, 0.0, k=k, kinks=kinks, edge=T)
@@ -302,6 +294,7 @@ def _bernoulli_coefficients(p: int) -> np.ndarray:
     """Coefficients of y^0 .. y^p in the Bernoulli polynomial B_p, rounded
     once from the exact Bernoulli numbers B_m = -sum_{j<m} C(m+1, j) B_j/(m+1);
     read-only, as every caller shares them."""
+    from fractions import Fraction      # loaded only when a tail needs B_p
     B = [Fraction(1)]
     for m in range(1, p + 1):
         B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
@@ -346,8 +339,8 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
     T = dist.cf_support_radius
     cf_lattice_tail = dist.cf_lattice_tail
     if T is not None:
-        _require_at_most(f"{dist.label}: the cf side of the lattice sum",
-                         2 * math.floor(T / step + 1e-12) + 1, _SHORT_TERMS, "terms")
+        require_at_most(f"{dist.label}: the cf side of the lattice sum",
+                        2 * math.floor(T / step + 1e-12) + 1, _SHORT_TERMS, "terms")
         # a cf is continuous, so it is 0 at +-T too
         cf_lattice_tail = lambda R, L: 0.0 if R >= T else math.inf
     elif cf_lattice_tail is None:
@@ -457,8 +450,8 @@ def check_pi_lattice_zeros(dist: SourceDistribution, k_max: int) -> LatticeZeroR
         raise InvalidParameterError("k_max must be >= 1")
     if dist.dim not in (1, 2):
         raise UnsupportedError("lattice zero check supports dim 1 and 2")
-    _require_at_most(f"{dist.label}: the lattice zero check", (2 * k_max + 1) ** dist.dim - 1,
-                     K_CAP_2D, "points")
+    require_at_most(f"{dist.label}: the lattice zero check", (2 * k_max + 1) ** dist.dim - 1,
+                    K_CAP_2D, "points")
     if dist.dim == 1:
         k = np.arange(1, k_max + 1)
         vp = np.abs(np.asarray(dist.cf(math.pi * k), dtype=complex))
@@ -629,10 +622,10 @@ def _regularity_1d(dist, kind, window_K):
     # sign change of F' on it, bisected to adjacent doubles
     steps = 4.0 * (dist.density_support_radius or 0.0)
     what = f"{dist.label}: the regularity integral"
-    _require_at_most(what, steps, _SHORT_TERMS, "grid steps per cell to find the cf's zeros")
+    require_at_most(what, steps, _SHORT_TERMS, "grid steps per cell to find the cf's zeros")
     per_cell = max(8, math.ceil(steps))
     size = -(-per_cell * (2 * window_K + 1) // 2) + 1      # over K + 1/2 cells
-    _require_at_most(what, size, K_CAP_2D, "grid points")
+    require_at_most(what, size, K_CAP_2D, "grid points")
     edges = math.pi * (np.arange(window_K + 1) + 0.5)
     grid = np.linspace(0.0, edges[-1], size)
     ends = [grid, edges]
@@ -661,8 +654,8 @@ def _regularity_1d(dist, kind, window_K):
 
 
 def _regularity_2d(dist, kind, window_K):
-    _require_at_most(f"{dist.label}: the regularity integral", (2 * window_K + 1) ** 2,
-                     _REGULARITY_CELLS, "cells")
+    require_at_most(f"{dist.label}: the regularity integral", (2 * window_K + 1) ** 2,
+                    _REGULARITY_CELLS, "cells")
     from .inversion import _gl_nodes     # inversion imports this module
     # four Gauss-Legendre panels in theta between the cell's corners, where
     # the radius to the cell edge has kinks, and nr nodes in r out to it

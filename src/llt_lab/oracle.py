@@ -11,11 +11,12 @@ For general noise a kernel-density Monte Carlo estimate provides a seeded,
 reproducible fallback: its samples come in fixed chunks, each drawn from its
 own PCG64 stream spawned from the seed by numpy's SeedSequence.  A noise
 with a ``sum_sampler`` draws each n-step sum at once: Bernoulli noise as
-2 Binomial(n, 1/2) - n, uniform noise from digit-sum alias tables (eleven
-raw 64-bit words per group of at most 256 steps,
-``distributions.uniform_noise``); other noises draw the n steps in row
-blocks.  The alias tables are built by direct convolution and exact integer
-pairing, with nothing from the Fourier code this module checks.
+2 Binomial(n, 1/2) - n, uniform noise from digit-sum alias tables (one raw
+64-bit word per digit and group of at most 256 steps, 5 digits at n = 16
+and 8 from n = 256 on, ``distributions.uniform_noise``); other noises draw
+the n steps in row blocks.  The alias tables are built by shifted halvings
+and exact integer pairing, with nothing from the Fourier code this module
+checks.
 """
 
 from __future__ import annotations
@@ -203,20 +204,25 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     reproducibility.
 
     Uniform-noise step sums come from ``uniform_noise().sum_sampler``: a
-    step is the midpoint of one of 2^55 equal cells of [-h, h], within
-    h 2^-55 of a continuous uniform step, and the sum of n such steps is
-    drawn from 11 ceil(n/256) alias-table draws, each from one raw 64-bit
-    word: its top b bits pick one of the table's k = 2^b columns and its low
-    64 - b bits are the coin, against a table whose integer entries sum to
-    2^64 exactly.  For a group of g steps each draw's law is within
-    4 g eps + k 2^-64 in total variation of the exact digit-sum law (the
-    convolution within 4 g eps relative, the rounding to multiples of 2^-64
-    within k 2^-64; at most 2.3e-13 with g = 256, k = 8192), so a sample is
-    within 2.6e-12 ceil(n/256) of the quantized sum.  This stream replaced
-    an index draw and a 53-bit coin per table draw, which replaced n
-    uniform draws per sample, so seeded uniform-noise estimates differ from
-    those of earlier versions; their law does not.  So do seeded fejer
-    estimates: each candidate now reads one raw word and one uniform, not four.
+    step is the midpoint of one of 2^B equal cells of [-h, h], B = D b >= 55,
+    within h 2^-55 of a continuous uniform step, and the sum of n such steps
+    is drawn from D ceil(n/256) alias-table draws, one per digit of b bits
+    and group of at most 256 steps.  b is the widest that keeps a full
+    group's digit-sum table within 2^15 columns, so D is 5 at n = 16 and 8
+    from n = 256 on (at most 8).  Each draw reads one raw 64-bit word: its
+    top c bits pick one of the table's k = 2^c columns and its low 64 - c
+    bits are the coin, against a table whose integer entries sum to 2^64
+    exactly.  For a group of g steps each draw's law is within
+    g b eps/2 + k 2^-64 in total variation of the exact digit-sum law (the
+    halvings within g b eps/2 relative, the rounding to multiples of 2^-64
+    within k 2^-64; at most 2.0e-13, at g = 256, b = 7, k = 2^15), so a
+    sample is within 1.6e-12 ceil(n/256) of the quantized sum.  The sampler
+    refuses a call of more than 2^32 raw words before it reads one.  This
+    stream replaced eleven 5-bit digits per group, an index draw and a
+    53-bit coin per table draw, and before those n uniform draws per
+    sample, so seeded uniform-noise estimates differ from those of earlier
+    versions; their law does not.  So do seeded fejer estimates: each
+    candidate now reads one raw word and one uniform, not four.
 
     Each point sums the Gaussian kernels of the samples within 9 bandwidths
     of it, found in the sorted sample.  Every omitted kernel is at most

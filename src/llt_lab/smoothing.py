@@ -31,18 +31,17 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
-from .errors import InvalidParameterError, UnsupportedError, require_tol
+from .errors import InvalidParameterError, UnsupportedError, require_at_most, require_tol
 from .inversion import (_MAX_NODES, Grid, GridDensity, _check_error, _panel_rules, grid_1d,
                         grid_2d, invert)
-from .lattice import (_MAX_TABLE, _product_tail, _reduced_periodized_cf, _require_at_most,
-                      _short_side, check_pi_lattice_zeros)
+from .lattice import (_MAX_TABLE, _product_tail, _reduced_periodized_cf, _short_side,
+                      check_pi_lattice_zeros)
 
 __all__ = [
     "SmoothedModel",
@@ -130,6 +129,20 @@ def _cos_power(n: int, s: np.ndarray) -> np.ndarray:
 
 def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     rt = math.sqrt(n)
+    half = min(0.5 * math.pi, _WINDOW_U / rt)
+
+    def rule_size(reach):
+        # nodes per half-width pi/2 that cover the frequencies up to reach
+        # and the cos^n bump, and the nodes of the window
+        per = 0.8 * (reach + 6.0 * rt) + 64
+        nodes = half / (0.5 * math.pi) * per
+        require_at_most(f"{source.label}: the cell rule", nodes, _MAX_NODES[0], "nodes")
+        return per, nodes
+
+    # |j| >= |w| - 1 below, so the rule needs at least the nodes of reach
+    # max|x| sqrt(n): a grid past the cap is refused before w = x sqrt(n),
+    # which may overflow, is formed
+    rule_size(float(np.max(np.abs(x))) * rt)
     w = np.asarray(x, dtype=float) * rt
     # w = j + a with j = n mod 2 an exact integer and a = w + n wrapped to
     # [-1, 1]; w - 2 round(.) is exact, where forming w + n would round
@@ -138,16 +151,12 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     j = 2.0 * r - par
     a = (w - 2.0 * r) + par
     pref = rt / (2.0 * math.pi)
-    half = min(0.5 * math.pi, _WINDOW_U / rt)
     side = _short_side(source, a, half)
     # e^{-isw} has frequencies up to max|j| + 1 and the short side's phases
-    # up to side.freq; nodes per half-width pi/2 cover them and the cos^n
-    # bump, on panels that end at the side's kinks
+    # up to side.freq, on panels that end at the side's kinks
     reach = float(np.max(np.abs(j))) + 1.0 + side.freq
-    per = 0.8 * (reach + 6.0 * rt) + 64
-    nodes = half / (0.5 * math.pi) * per
-    _require_at_most(f"{source.label}: the cell rule", nodes, _MAX_NODES[0], "nodes")
-    _require_at_most("the cell rule", x.size * max(nodes, 128), _MAX_TABLE, "table entries")
+    per, nodes = rule_size(reach)
+    require_at_most("the cell rule", x.size * max(nodes, 128), _MAX_TABLE, "table entries")
     rules = _panel_rules(half, side.kinks, per, 0.5 * math.pi)
 
     def window_sum(s, ws):
@@ -202,8 +211,8 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
     # (points x nodes) table has count x 128 entries or more; a
     # two-dimensional one holds count^2 values
     size = math.prod(ax.count for ax in grid.axes)
-    _require_at_most("the grid", 128 * size if grid.dim == 1 else size, _MAX_TABLE,
-                     "table entries")
+    require_at_most("the grid", 128 * size if grid.dim == 1 else size, _MAX_TABLE,
+                    "table entries")
 
     if model.dim == 1 and _is_bernoulli(model.noise):
         x = grid.axes[0].points()
@@ -363,6 +372,7 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
 
     workers = min(_max_threads(), len(ns))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor     # loaded only when used
         with ThreadPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(one, ns))
     else:

@@ -179,6 +179,10 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     (["regularity", "--source", "laplace:b=1", "--k", "1000000000000"], 2),
     # and a 2-d window of more cells than its cap, before any cell is formed
     (["regularity", "--source", "product:laplace:b=1,laplace:b=1", "--k", "1000000000000"], 2),
+    # a grid whose span overflows, and one whose points overflow x sqrt(n),
+    # refused before any value overflows (warnings are errors here)
+    (["density", "--source", "laplace:b=1", "--n", "16", "--grid=-1e308,1e308,3"], 1),
+    (["density", "--source", "laplace:b=1", "--n", "10000", "--grid=-1e307,1e307,3"], 2),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
@@ -188,7 +192,8 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
         "limits-gaussian-variance-underflows", "limits-fejer-wide", "density-uniform-wide",
         "autocorr-uniform-narrow", "autocorr-laplace-narrow", "poisson-laplace-narrow",
         "check-condition-huge-k", "check-condition-product-huge-k",
-        "regularity-uniform-wide", "regularity-huge-k", "regularity-2d-huge-k"])
+        "regularity-uniform-wide", "regularity-huge-k", "regularity-2d-huge-k",
+        "density-grid-span-overflows", "density-grid-w-overflows"])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
@@ -469,14 +474,17 @@ def test_fixed_cli_bodies_unchanged(capsys):
 
 def test_import_leaves_scipy_integrate_unloaded():
     # the package and its CLI load without scipy.integrate and the modules
-    # it pulls in
+    # it pulls in, without the modules only a thread pool or an exact
+    # Bernoulli number needs, and build no alias table
     import llt_lab
     src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import llt_lab, llt_lab.cli; "
-            "print('scipy.integrate' in sys.modules)")
+            "from llt_lab.distributions import _alias_table; "
+            "print([m for m in ('scipy.integrate', 'concurrent.futures', 'fractions') "
+            "if m in sys.modules], _alias_table.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[] 0"
 
 
 _DEFAULT_PATHS = """

@@ -1,4 +1,4 @@
-import itertools
+import functools
 import math
 
 import mpmath
@@ -10,7 +10,7 @@ from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError,
                      exact_mixture_density_2d, gaussian_noise, make_fejer,
                      make_gaussian, make_laplace, make_uniform, mixture_weights,
                      monte_carlo_density, product, uniform_noise)
-from llt_lab.distributions import _DIGIT_BITS, _alias_table, _digit_sum_pmf
+from llt_lab.distributions import _alias_table, _digit_sum_pmf, _digit_widths
 from llt_lab.oracle import _CHUNK, _chunk_rng, _draw_z
 
 UNIFORM = make_uniform(1.0)
@@ -255,37 +255,60 @@ def test_blocked_step_sum_matches_one_draw(n):
 # ---------------------------------------------------------------------------
 
 EPS = float(np.finfo(float).eps)
+# a sampler's n up to 256 reads one table, of g = n steps; n = 300 reads
+# one of 256 steps and one of the last 44 at the width of the full group
+_SAMPLER_N = [1, 2, 3, 16, 17, 44, 256, 300]
 
 
-def _digit_sum_law(g):
+def _last_table(n):
+    # (g, b) of the table of the sampler's last group of steps
+    return n - 256 * ((n - 1) // 256), _digit_widths(min(n, 256))[1]
+
+
+def test_digit_widths_are_the_widest_a_table_holds():
+    assert [_digit_widths(g) for g in (1, 16, 44, 256)] == [(4, 14), (5, 11), (7, 8), (8, 7)]
+    # at every group size g: ceil(55/w) digits of ceil(55/digits) bits, w the
+    # widest whose g-digit sum takes at most 2^15 values
+    for g in range(1, 257):
+        digits, b = _digit_widths(g)
+        widest = max(c for c in range(1, 16) if g * ((1 << c) - 1) + 1 <= 1 << 15)
+        assert digits == math.ceil(55 / widest) and b == math.ceil(55 / digits)
+        assert digits * b >= 55
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_sum_law(g, b):
     # the number of ways g digits on [0, r), r = 2^b, sum to j, by g box sums
     # of exact integers, over r^g as correctly rounded quotients
-    r = 1 << _DIGIT_BITS
-    counts = [1]
+    r = 1 << b
+    counts = np.array([1], dtype=object)
     for _ in range(g):
-        prefix = [0, *itertools.accumulate(counts)]
-        top = len(counts)
-        counts = [prefix[min(j + 1, top)] - prefix[max(j + 1 - r, 0)]
-                  for j in range(top + r - 1)]
-    return np.array([c / r ** g for c in counts])
+        prefix = np.concatenate([[0], np.cumsum(counts)])
+        j = np.arange(1, counts.size + r)
+        counts = prefix[np.minimum(j, counts.size)] - prefix[np.maximum(j - r, 0)]
+    whole = r ** g
+    return np.array([c / whole for c in counts.tolist()])
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 17])
-def test_digit_sum_pmf_matches_exact_counts(g):
-    p, ref = _digit_sum_pmf(g), _digit_sum_law(g)
+@pytest.mark.parametrize("n", _SAMPLER_N)
+def test_digit_sum_pmf_matches_exact_counts(n):
+    g, b = _last_table(n)
+    # within g b eps/2 relative, give or take half the least subnormal per
+    # halving and in the reference's own rounding where the law underflows
+    p, ref = _digit_sum_pmf(g, b), _digit_sum_law(g, b)
     assert p.shape == ref.shape
-    assert np.all(np.abs(p - ref) <= 4.0 * g * EPS * ref)
+    assert np.all(np.abs(p - ref) <= 0.5 * g * b * EPS * ref + g * b * 2.0 ** -1074)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 17, 256])
-def test_alias_table_reproduces_the_pmf(g):
-    thr, alias, b = _alias_table(g)
-    k, cap = 1 << b, 1 << (64 - b)
-    r = 1 << _DIGIT_BITS
-    assert thr.shape == alias.shape == (k,)
-    assert k >= g * (r - 1) + 1 > k // 2
+@pytest.mark.parametrize("n", _SAMPLER_N)
+def test_alias_table_reproduces_the_pmf(n):
+    g, b = _last_table(n)
+    thr, alias, c = _alias_table(g, b)
+    k, cap = 1 << c, 1 << (64 - c)
+    assert thr.shape == alias.shape == (k,) and k <= 1 << 15
+    assert k >= g * ((1 << b) - 1) + 1 > k // 2
     assert thr.dtype == np.uint64 and np.all(thr <= cap)
-    assert np.all((alias >= 0) & (alias < k))
+    assert alias.dtype == np.uint16 and np.all(alias < k)
     assert not thr.flags.writeable and not alias.flags.writeable
     # column j gives j to thr[j] of its cap coins and alias[j] to the rest;
     # the law this implies, in exact integers, sums to 2^64 and is the pmf
@@ -295,14 +318,14 @@ def test_alias_table_reproduces_the_pmf(g):
         law[j] += t
         law[a] += cap - t
     assert sum(law) == 1 << 64
-    p = _digit_sum_pmf(g)
+    p = _digit_sum_pmf(g, b)
     rounded = [round(x * 2.0 ** 64) for x in p.tolist()] + [0] * (k - p.size)
     mode = int(np.argmax(p))
     assert law[:mode] == rounded[:mode] and law[mode + 1:] == rounded[mode + 1:]
-    ref = _digit_sum_law(g)
+    ref = _digit_sum_law(g, b).tolist() + [0.0] * (k - p.size)
     # the l1 distance, twice the total variation, is within the per-draw bound
-    l1 = math.fsum(abs(q / 2.0 ** 64 - e) for q, e in zip(law, ref.tolist()))
-    assert l1 <= 4.0 * g * EPS + k * 2.0 ** -64
+    l1 = math.fsum(abs(q / 2.0 ** 64 - e) for q, e in zip(law, ref))
+    assert l1 <= 0.5 * g * b * EPS + k * 2.0 ** -64
 
 
 class _CraftedWords:
@@ -317,39 +340,54 @@ class _CraftedWords:
         return self.words.copy()
 
 
-@pytest.mark.parametrize("n", [1, 256])
+@pytest.mark.parametrize("n", [1, 16, 256])
 def test_uniform_sum_sampler_splits_each_word_into_column_and_coin(n):
     # n <= 256 steps make one group, drawn from the table of g = n
-    thr, alias, b = _alias_table(n)
-    cap = 1 << (64 - b)
+    digits, b = _digit_widths(n)
+    thr, alias, c = _alias_table(n, b)
+    cap = 1 << (64 - c)
     # in each column, the largest coin that keeps the column and the
     # smallest that takes its alias
-    words, digits = [], []
+    words, sums = [], []
     for j, (t, a) in enumerate(zip(thr.tolist(), alias.tolist())):
         if t > 0:
-            words.append((j << (64 - b)) | (t - 1))
-            digits.append(j)
+            words.append((j << (64 - c)) | (t - 1))
+            sums.append(j)
         if t < cap:
-            words.append((j << (64 - b)) | t)
-            digits.append(a)
+            words.append((j << (64 - c)) | t)
+            sums.append(a)
     s = uniform_noise().sum_sampler(_CraftedWords(np.array(words, dtype=np.uint64)),
                                     len(words), n)
-    # every digit sum of a sample is the same digit D, so the sample is
-    # 2 h 2^-55 (D - 15.5 n) (32^11 - 1) / 31
-    r = 1 << _DIGIT_BITS
-    scale = 2.0 * math.sqrt(3.0) * 2.0 ** -55
-    expected = scale * (np.array(digits) - 0.5 * (r - 1) * n) * float((r ** 11 - 1) // (r - 1))
+    # every digit sum of a sample is the same S, so in radix r = 2^b the
+    # sample is 2 h 2^-(digits b) (S - (r - 1) n/2) (r^digits - 1)/(r - 1)
+    r = 1 << b
+    scale = 2.0 * math.sqrt(3.0) * 2.0 ** -(digits * b)
+    expected = (scale * (np.array(sums) - 0.5 * (r - 1) * n)
+                * float((r ** digits - 1) // (r - 1)))
     assert np.allclose(s, expected, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [1, 256, 300])
+@pytest.mark.parametrize("n", [1, 16, 256, 300])
 def test_uniform_sum_sampler_reads_one_word_per_digit_and_group(n):
     size = 1000
     rng = np.random.Generator(np.random.PCG64(17))
     uniform_noise().sum_sampler(rng, size, n)
     ref = np.random.PCG64(17)
-    ref.advance(11 * math.ceil(n / 256) * size)
+    ref.advance(_digit_widths(min(n, 256))[0] * math.ceil(n / 256) * size)
     assert rng.bit_generator.state == ref.state
+
+
+def test_uniform_sum_sampler_refuses_a_draw_past_its_cap():
+    # at n = 10^12 a single sum would read 8 ceil(n/256), about 3.1e10, raw
+    # words: refused before a table is built or a word is read
+    _alias_table.cache_clear()
+    rng = np.random.Generator(np.random.PCG64(5))
+    state = rng.bit_generator.state
+    with pytest.raises(UnsupportedError, match="needs more than 4294967296 raw words"):
+        uniform_noise().sum_sampler(rng, 1, 10 ** 12)
+    assert rng.bit_generator.state == state and _alias_table.cache_info().currsize == 0
+    with pytest.raises(UnsupportedError, match="raw words"):
+        monte_carlo_density(SmoothedModel(LAPLACE, uniform_noise()), 10 ** 12, [0.0], 100)
 
 
 @pytest.mark.parametrize("n", [1, 16, 256, 4097])
@@ -367,7 +405,8 @@ def test_uniform_sum_sampler_moments(n):
 
 
 def test_uniform_sum_sampler_at_a_million_steps():
-    # 3906 groups of 256 steps and one of 64: two tables, within the cache bound
+    # 3906 groups of 256 steps and one of 64, both at the width of 256: two
+    # tables, within the cache bound
     _alias_table.cache_clear()
     n = 10 ** 6
     s = uniform_noise().sum_sampler(np.random.default_rng(3), 100, n)
