@@ -25,7 +25,7 @@ from .distributions import SourceDistribution
 from .errors import UnsupportedError, require_tol
 from .inversion import Grid
 from .lattice import _cf_side, _density_sum, _require_summable
-from .smoothing import SmoothedModel, default_grid, density
+from .smoothing import SmoothedModel, _phi, default_grid, density
 
 __all__ = [
     "OscillationReport",
@@ -36,8 +36,7 @@ __all__ = [
     "even_odd_limits",
 ]
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-_PHI0 = 1.0 / _SQRT2PI
+_PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def oscillation_report(model: SmoothedModel, n: int,
     canonical = a_dn if route == "density" else a_cf
 
     gd = density(model, n, grid, tol=tol)
-    phi = np.exp(-0.5 * x * x) / _SQRT2PI
+    phi = _phi(x)
     residual_sup = float(np.max(np.abs(gd.values - canonical * phi)))
 
     probes = np.linspace(x[0], x[-1] - 2.0 / math.sqrt(n), 25)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -30,7 +29,7 @@ from .errors import (InvalidParameterError, LltLabError, UnknownDistributionErro
 from .inversion import Grid, grid_1d, grid_2d
 from .lattice import (check_pi_lattice_zeros, poisson_check, regularity_integral,
                       wrapped_autocorrelation)
-from .smoothing import (SmoothedModel, convergence_study, density,
+from .smoothing import (SmoothedModel, _phi, convergence_study, density,
                         distance_to_gaussian)
 
 __all__ = ["ExperimentConfig", "parse_spec", "parse_noise_spec", "run", "main"]
@@ -217,7 +216,7 @@ def _run_density(cfg):
     rows = None
     if model.dim == 1:
         x = gd.axes[0].points()
-        phi = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+        phi = _phi(x)
         rows = {"x": x, "p_n": gd.values, "phi": phi}
     return res, rows
 
@@ -250,7 +249,7 @@ def _run_oscillate(cfg):
     grid = _grid_from_cfg(cfg, 1)
     rep = oscillation_report(model, n, grid, tol=cfg.tol)
     x = grid.axes[0].points()
-    phi = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+    phi = _phi(x)
     rows = {"x": x, "p_n": rep.p_values, "phi": phi, "A_n": rep.a_values,
             "residual": rep.p_values - rep.a_values * phi}
     return {"n": n, "residual_sup": rep.residual_sup,

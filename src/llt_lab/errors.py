@@ -31,6 +31,9 @@ def require_tol(tol) -> None:
         raise InvalidParameterError(f"tol must be positive, got {tol!r}")
 
 
+_MAX_TABLE = 2 ** 22  # most entries of a table over the points of a grid
+
+
 def require_at_most(what: str, count, cap: int, unit: str) -> None:
     """Refuse a job of more than ``cap`` ``unit`` (or of a NaN count),
     before any of them is formed."""

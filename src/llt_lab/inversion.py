@@ -87,6 +87,13 @@ def grid_2d(lo: float, hi: float, count: int) -> Grid:
     return Grid((ax, ax))
 
 
+def _grid_integral(values: np.ndarray, axes) -> float:
+    """Trapezoid integral of row-major grid values, last axis first."""
+    for ax in reversed(axes):
+        values = np.trapezoid(values, dx=ax.step, axis=-1)
+    return float(values)
+
+
 @dataclass
 class GridDensity:
     """Density values on a uniform grid, with truncation metadata.
@@ -102,10 +109,7 @@ class GridDensity:
 
     def mass(self) -> float:
         """Trapezoid integral of the values over the grid window."""
-        m = self.values
-        for ax in reversed(self.axes):
-            m = np.trapezoid(m, dx=ax.step, axis=-1)
-        return float(m)
+        return _grid_integral(self.values, self.axes)
 
     @property
     def est_tail_error(self) -> float:
@@ -285,7 +289,6 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, tail: Callable,
         "est_quad_error": quad_err,
         "est_tail_error": window_tail + quad_err + roundoff,
         "max_imag": im_max,
-        "n_used": None,
         "quad_nodes": rules[0][0].size ** dim,
         "cf_mass": cf_mass,
     }

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistFlags, SourceDistribution, _pointwise, _require_positive
-from .errors import InvalidParameterError, UnsupportedError, require_at_most, require_tol
+from .errors import (_MAX_TABLE, InvalidParameterError, UnsupportedError, require_at_most,
+                     require_tol)
 
 __all__ = [
     "LatticeSum",
@@ -54,7 +55,6 @@ __all__ = [
 K_CAP_2D = 4_000_000
 _SHORT_TAIL = 2.0 ** -64  # truncation bound of a decaying side
 _SHORT_TERMS = 2048   # most lattice terms a side may take
-_MAX_TABLE = 2 ** 22  # most entries of a table over the points of a grid
 _JUMP_TOL = 1e-9      # a lattice point this close to a density jump sits on it
 _REGULARITY_CELLS = 81 ** 2   # most cells of a 2-d regularity window (K <= 40)
 _EPS = float(np.finfo(float).eps)

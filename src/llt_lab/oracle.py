@@ -10,13 +10,9 @@ weight near the mode carries only a few roundings at any n.
 For general noise a kernel-density Monte Carlo estimate provides a seeded,
 reproducible fallback: its samples come in fixed chunks, each drawn from its
 own PCG64 stream spawned from the seed by numpy's SeedSequence.  A noise
-with a ``sum_sampler`` draws each n-step sum at once: Bernoulli noise as
-2 Binomial(n, 1/2) - n, uniform noise from digit-sum alias tables (one raw
-64-bit word per digit and group of at most 256 steps, 5 digits at n = 16
-and 8 from n = 256 on, ``distributions.uniform_noise``); other noises draw
-the n steps in row blocks.  The alias tables are built by shifted halvings
-and exact integer pairing, with nothing from the Fourier code this module
-checks.
+with a ``sum_sampler`` draws each n-step sum at once (Bernoulli noise as
+2 Binomial(n, 1/2) - n, uniform noise as ``distributions.uniform_noise``
+describes); other noises draw the n steps in row blocks.
 """
 
 from __future__ import annotations
@@ -29,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import SourceDistribution
-from .errors import InvalidParameterError, UnsupportedError
+from .distributions import _MAX_WORDS, SourceDistribution
+from .errors import _MAX_TABLE, InvalidParameterError, UnsupportedError, require_at_most
 
 __all__ = [
     "MixtureWeights",
@@ -40,9 +36,6 @@ __all__ = [
     "MonteCarloEstimate",
     "monte_carlo_density",
 ]
-
-_MAX_2D_N = 256
-
 
 @dataclass(frozen=True)
 class MixtureWeights:
@@ -114,24 +107,18 @@ def exact_mixture_density(source: SourceDistribution, n: int, x) -> np.ndarray |
 
 def exact_mixture_density_2d(source: SourceDistribution, n: int, x) -> float | np.ndarray:
     """Exact density of (X + S_n)/sqrt(n) in d = 2 for steps uniform on the
-    corners {-1, 1}^2, as the full (n+1)^2-term double mixture."""
+    corners {-1, 1}^2: the product source and the independent step
+    coordinates make it the product of the components' 1-D mixtures.
+    Refused when a component's (points x (n+1)) table passes the table cap."""
     if source.dim != 2 or source.components is None:
         raise InvalidParameterError("source must be a two-dimensional product")
-    if n < 1:
-        raise InvalidParameterError("n must be a positive integer")
-    if n > _MAX_2D_N:
-        raise UnsupportedError(f"n = {n} exceeds the 2-d mixture cap {_MAX_2D_N}")
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     if xs.shape[-1] != 2:
         raise InvalidParameterError("points must have two coordinates")
-    w = mixture_weights(n).weights()
-    offsets = 2.0 * np.arange(n + 1) - n
-    p1, p2 = (c.density for c in source.components)
-    a1 = xs[..., 0][..., None] * math.sqrt(n) - offsets
-    a2 = xs[..., 1][..., None] * math.sqrt(n) - offsets
-    m1 = np.asarray(p1(a1), dtype=float) * w      # (..., n+1)
-    m2 = np.asarray(p2(a2), dtype=float) * w
-    vals = n * np.einsum("...i,...j->...", m1, m2)
+    require_at_most("the 2-d mixture", xs.size // 2 * (n + 1), _MAX_TABLE, "table entries")
+    vals = np.ones(xs.shape[:-1])
+    for i, c in enumerate(source.components):
+        vals *= exact_mixture_density(c, n, xs[..., i].ravel()).reshape(vals.shape)
     return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
@@ -182,6 +169,7 @@ def _draw_z(model, n: int, m: int, rng) -> np.ndarray:
     if noise.sum_sampler is not None:
         s = noise.sum_sampler(rng, m, n)
     else:
+        require_at_most("the noise's step draw", m * n, _MAX_WORDS, "step values")
         # the row blocks consume the stream in the C order of one (m, n)
         # draw, so the sums are those of that draw
         rows = max(1, _SUM_BLOCK // n)
@@ -203,26 +191,8 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     bandwidth used (Silverman's rule when not supplied) is recorded for
     reproducibility.
 
-    Uniform-noise step sums come from ``uniform_noise().sum_sampler``: a
-    step is the midpoint of one of 2^B equal cells of [-h, h], B = D b >= 55,
-    within h 2^-55 of a continuous uniform step, and the sum of n such steps
-    is drawn from D ceil(n/256) alias-table draws, one per digit of b bits
-    and group of at most 256 steps.  b is the widest that keeps a full
-    group's digit-sum table within 2^15 columns, so D is 5 at n = 16 and 8
-    from n = 256 on (at most 8).  Each draw reads one raw 64-bit word: its
-    top c bits pick one of the table's k = 2^c columns and its low 64 - c
-    bits are the coin, against a table whose integer entries sum to 2^64
-    exactly.  For a group of g steps each draw's law is within
-    g b eps/2 + k 2^-64 in total variation of the exact digit-sum law (the
-    halvings within g b eps/2 relative, the rounding to multiples of 2^-64
-    within k 2^-64; at most 2.0e-13, at g = 256, b = 7, k = 2^15), so a
-    sample is within 1.6e-12 ceil(n/256) of the quantized sum.  The sampler
-    refuses a call of more than 2^32 raw words before it reads one.  This
-    stream replaced eleven 5-bit digits per group, an index draw and a
-    53-bit coin per table draw, and before those n uniform draws per
-    sample, so seeded uniform-noise estimates differ from those of earlier
-    versions; their law does not.  So do seeded fejer estimates: each
-    candidate now reads one raw word and one uniform, not four.
+    Step sums are drawn as the module docstring says; uniform noise's
+    sampler and its bounds are described at ``distributions.uniform_noise``.
 
     Each point sums the Gaussian kernels of the samples within 9 bandwidths
     of it, found in the sorted sample.  Every omitted kernel is at most

@@ -37,10 +37,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
-from .errors import InvalidParameterError, UnsupportedError, require_at_most, require_tol
-from .inversion import (_MAX_NODES, Grid, GridDensity, _check_error, _panel_rules, grid_1d,
-                        grid_2d, invert)
-from .lattice import (_MAX_TABLE, _product_tail, _reduced_periodized_cf, _short_side,
+from .errors import (_MAX_TABLE, InvalidParameterError, UnsupportedError, require_at_most,
+                     require_tol)
+from .inversion import (_MAX_NODES, Grid, GridDensity, _check_error, _grid_integral,
+                        _panel_rules, grid_1d, grid_2d, invert)
+from .lattice import (_product_tail, _reduced_periodized_cf, _short_side,
                       check_pi_lattice_zeros)
 
 __all__ = [
@@ -217,8 +218,7 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
     if model.dim == 1 and _is_bernoulli(model.noise):
         x = grid.axes[0].points()
         vals, est = _bernoulli_density_1d(model.source, n, x)
-        meta = {"n_used": n, "truncation_radius": math.inf,
-                "est_tail_error": est, "engine": "cell"}
+        meta = {"truncation_radius": math.inf, "est_tail_error": est, "engine": "cell"}
         gd = GridDensity(dim=1, axes=grid.axes, values=vals, meta=meta)
     elif (model.dim == 2 and _is_bernoulli(model.noise)
             and model.source.components is not None):
@@ -228,8 +228,7 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
                                        grid.axes[1].points())
         vals = np.outer(vx, vy)
         est = _product_tail(ex, float(np.max(np.abs(vx))), ey, float(np.max(np.abs(vy))))
-        meta = {"n_used": n, "truncation_radius": math.inf,
-                "est_tail_error": est, "engine": "cell-tensor"}
+        meta = {"truncation_radius": math.inf, "est_tail_error": est, "engine": "cell-tensor"}
         gd = GridDensity(dim=2, axes=grid.axes, values=vals, meta=meta)
     else:
         gd = _general_noise_density(model, n, grid)
@@ -265,7 +264,6 @@ def _general_noise_density(model: SmoothedModel, n: int, grid: Grid) -> GridDens
     # both rules read values with the same error, so only this allowance
     # covers it
     gd.meta["est_tail_error"] += 2.0 * n * np.finfo(float).eps * gd.meta["cf_mass"]
-    gd.meta["n_used"] = n
     gd.meta["engine"] = "invert" if edge is None else "invert-compact"
     return gd
 
@@ -274,10 +272,14 @@ def _general_noise_density(model: SmoothedModel, n: int, grid: Grid) -> GridDens
 # distances to the Gaussian and convergence studies
 # ---------------------------------------------------------------------------
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """The standard normal density exp(-x^2/2)/sqrt(2 pi) at each x."""
+    return np.exp(-0.5 * x * x) / _SQRT2PI
+
+
 def _phi_on_grid(gd: GridDensity) -> np.ndarray:
     if gd.dim == 1:
-        x = gd.axes[0].points()
-        return np.exp(-0.5 * x * x) / _SQRT2PI
+        return _phi(gd.axes[0].points())
     gx = gd.axes[0].points()
     gy = gd.axes[1].points()
     R2 = gx[:, None] ** 2 + gy[None, :] ** 2
@@ -327,11 +329,9 @@ def distance_to_gaussian(gd: GridDensity, norm: str) -> float:
         if gd.dim == 1:
             return _parabolic_peak(np.abs(diff), i)
         return float(flat[i])
-    integrand = np.abs(diff) if norm == "l1" else diff * diff
-    m = integrand
-    for ax in reversed(gd.axes):
-        m = np.trapezoid(m, dx=ax.step, axis=-1)
-    return float(m) if norm == "l1" else float(math.sqrt(m))
+    if norm == "l1":
+        return _grid_integral(np.abs(diff), gd.axes)
+    return math.sqrt(_grid_integral(diff * diff, gd.axes))
 
 
 def _fit_loglog(ns, ds) -> Optional[float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 
 from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError,
-                     bernoulli_noise, exact_mixture_density,
-                     exact_mixture_density_2d, gaussian_noise, make_fejer,
+                     bernoulli_noise, density, exact_mixture_density,
+                     exact_mixture_density_2d, gaussian_noise, grid_2d, make_fejer,
                      make_gaussian, make_laplace, make_uniform, mixture_weights,
                      monte_carlo_density, product, uniform_noise)
 from llt_lab.distributions import _alias_table, _digit_sum_pmf, _digit_widths
-from llt_lab.oracle import _CHUNK, _chunk_rng, _draw_z
+from llt_lab.oracle import _CHUNK, _chunk_rng, _draw_z, _mixture_weights
 
 UNIFORM = make_uniform(1.0)
 LAPLACE = make_laplace(1.0)
@@ -119,10 +120,32 @@ def test_mixture_2d_outside_support():
     assert exact_mixture_density_2d(p2, 1, np.array([30.0, 0.0])) == 0.0
 
 
-def test_mixture_2d_cap():
-    p2 = product([UNIFORM, UNIFORM])
-    with pytest.raises(UnsupportedError):
-        exact_mixture_density_2d(p2, 257, np.array([0.0, 0.0]))
+def test_mixture_2d_at_large_n_matches_the_cell_tensor_engine():
+    # n = 1025 is odd, so a uniform jump sits where x sqrt(n) is an even
+    # integer; x = -1.9 + 0.5 k never puts x sqrt(1025) on an integer
+    p2 = product([UNIFORM, LAPLACE])
+    grid = grid_2d(-1.9, 2.1, 9)
+    gd = density(SmoothedModel(p2, bernoulli_noise(2)), 1025, grid)
+    assert gd.meta["engine"] == "cell-tensor"
+    X, Y = np.meshgrid(*(ax.points() for ax in grid.axes), indexing="ij")
+    ref = exact_mixture_density_2d(p2, 1025, np.stack([X, Y], -1))
+    assert ref.shape == (9, 9) and float(ref.max()) > 0.01
+    assert np.all(np.abs(gd.values - ref) <= gd.est_tail_error)
+
+
+def test_mixture_2d_refuses_a_table_past_its_cap():
+    # points x (n + 1) > 2^22 is refused before a weight or density is
+    # formed; 4096 points fill the cap at n = 1023, so n = 1024 is one past
+    def never(y):
+        raise AssertionError("a table was formed")
+
+    p2 = product([dataclasses.replace(UNIFORM, density=never)] * 2)
+    built = _mixture_weights.cache_info().misses
+    for n, points in ((10 ** 12, 1), (1024, 4096)):
+        x = np.zeros((points, 2))
+        with pytest.raises(UnsupportedError, match="needs more than 4194304 table entries"):
+            exact_mixture_density_2d(p2, n, x)
+    assert _mixture_weights.cache_info().misses == built
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +257,14 @@ def test_monte_carlo_rejects_non_finite_input():
     for h in (math.nan, math.inf, 0.0, 1e-160):
         with pytest.raises(InvalidParameterError):
             monte_carlo_density(model, 4, [0.0], samples=100, bandwidth=h)
+
+
+def test_blocked_step_sum_refuses_a_chunk_past_its_cap():
+    # a chunk of ten 10^12-step sums is 10^13 step values, more than 2^32:
+    # refused before the first row block is drawn
+    model = SmoothedModel(LAPLACE, gaussian_noise())
+    with pytest.raises(UnsupportedError, match="needs more than 4294967296 step values"):
+        monte_carlo_density(model, 10 ** 12, [0.0], 10)
 
 
 @pytest.mark.parametrize("n", [1, 3, 16, 256, 4097])
