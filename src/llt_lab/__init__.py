@@ -23,8 +23,8 @@ from .lattice import (LatticeSum, LatticeZeroReport, PoissonReport,
                       RegularityReport, check_pi_lattice_zeros, distance_to_lattice,
                       periodized_cf, poisson_check, regularity_integral, sum_cf_lattice,
                       sum_density_lattice, wrapped_autocorrelation)
-from .oracle import (MixtureWeights, MonteCarloEstimate, exact_mixture_density,
-                     exact_mixture_density_2d, mixture_weights, monte_carlo_density)
+from .oracle import (MonteCarloEstimate, exact_mixture_density, exact_mixture_density_2d,
+                     mixture_weights, monte_carlo_density)
 from . import seriesaccel     # the benchmark's tracer wraps this empty layer
 from .smoothing import (AdmissibleT, ConvergenceReport, SmoothedModel, admissible_T,
                         convergence_study, default_grid, density, distance_to_gaussian,

@@ -134,12 +134,6 @@ class ExperimentConfig:
         d["n_schedule"] = list(self.n_schedule)
         return d
 
-    @classmethod
-    def from_mapping(cls, m: dict) -> "ExperimentConfig":
-        m = dict(m)
-        m["n_schedule"] = tuple(int(v) for v in m.get("n_schedule", ()))
-        return cls(**m)
-
 
 def _parse_schedule(text: str) -> tuple:
     try:

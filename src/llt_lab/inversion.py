@@ -1,10 +1,11 @@
 """Numerical Fourier inversion on Gauss-Legendre panels.
 
-One rule builder serves both engines: a window split into Gauss-Legendre
-panels at the integrand's kinks, with a main rule and a check rule of 3/4 of
-its nodes, whose difference times 9/7 bounds the main rule's quadrature
-error.  The Bernoulli cell engine in ``smoothing`` integrates on it, and so
-does :func:`invert`, the one- and tensor two-dimensional inverse
+One rule builder serves both engines: a window split at the integrand's
+kinks into Gauss-Legendre panels of at most 128 nodes, with a main rule
+and a check rule of 3/4 of its nodes, whose difference times 9/7 bounds the
+main rule's quadrature error.  The Bernoulli cell engine in ``smoothing``
+integrates on it, and so does :func:`invert`, the one- and tensor
+two-dimensional inverse
 
     p(x) = (2 pi)^-d integral of e^{-i<t,x>} cf(t) dt  over |t|_inf <= R.
 
@@ -38,7 +39,7 @@ _IM_REJECT = 1e-6    # beyond this the cf evaluation is not Hermitian
 # add to the phase frequencies |x| of e^{-itx}
 _CF_REACH = 8.0
 _MAX_NODES = (2 ** 14, 2 ** 9)     # main-rule nodes per axis, in 1-D and 2-D
-_PANEL_NODES = 128                 # most nodes of a panel within the window
+_PANEL_NODES = 128                 # most nodes of one Gauss-Legendre panel
 _EPS = float(np.finfo(float).eps)
 
 
@@ -150,19 +151,24 @@ def _gl_nodes(m: int, half_width: float):
 
 def _panel_rules(half: float, breaks, per: float, unit: float = 1.0):
     """The main rule on [-half, half] and the check rule with 3/4 of its
-    nodes, as (nodes, weights) pairs.  The window is split into
-    Gauss-Legendre panels at the ``breaks`` inside it; a panel of half-width
-    hp gets hp/unit * per nodes, and at least its share of 128."""
+    nodes, as (nodes, weights) pairs.  The window is split at the
+    ``breaks`` inside it; a piece of half-width hp gets hp/unit * per nodes,
+    and at least its share of 128, on ceil(nodes / _PANEL_NODES) equal
+    Gauss-Legendre panels, so every panel reads a small cached reference
+    rule."""
     edges = [-half, *sorted(b for b in set(breaks) if -half < b < half), half]
     rules = ([], []), ([], [])
     for lo, hi in zip(edges, edges[1:]):
         hp, share = 0.5 * (hi - lo), (hi - lo) / (2.0 * half)
         m = max(16, math.ceil(128 * share), int(hp / unit * per))
         m2 = max(12, math.ceil(96 * share), int(0.75 * m))
-        for (nodes, weights), k in zip(rules, (m, m2)):
-            s, ws = _gl_nodes(k, hp)
-            nodes.append(s + 0.5 * (hi + lo))
-            weights.append(ws)
+        k = -(-m // _PANEL_NODES)
+        hq = hp / k
+        for i in range(k):
+            for (nodes, weights), mk in zip(rules, (m, m2)):
+                s, ws = _gl_nodes(-(-mk // k), hq)
+                nodes.append(s + (lo + (2 * i + 1) * hq))
+                weights.append(ws)
     return tuple((np.concatenate(s), np.concatenate(ws)) for s, ws in rules)
 
 
@@ -253,11 +259,7 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, tail: Callable,
     if not math.isfinite(window_tail):
         raise UnsupportedError("the cf's declared tail diverges; "
                                "the truncated window cannot be bounded")
-    # panels end at the kinks, and at multiples of the width that holds
-    # _PANEL_NODES nodes, so every panel reads a small cached reference rule
-    width = 2.0 * _PANEL_NODES / per
-    breaks = [0.0, *kinks, *np.arange(width, R, width)]
-    rules = _panel_rules(R, [e * b for b in breaks for e in (-1.0, 1.0)], per)
+    rules = _panel_rules(R, [e * b for b in (0.0, *kinks) for e in (-1.0, 1.0)], per)
 
     def rule_sum(t, w):
         if dim == 1:

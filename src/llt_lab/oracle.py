@@ -5,8 +5,11 @@ mixture density
 
     p_n(x) = sqrt(n) * sum_j C(n,j) 2^-n  p(x sqrt(n) - (2j - n)),
 
-computed here with binomial weights multiplied out from the mode, so each
-weight near the mode carries only a few roundings at any n.
+computed here with binomial weights multiplied out from the mode and
+divided by their exact sum: every weight that is a normal double is within
+28 eps of C(n,j) 2^-n (measured against mpmath at n up to 10^6), and an n
+whose n + 1 weights pass the table cap, 2^22, is refused.  The points are
+evaluated in blocks whose (points x (n+1)) tables stay within that cap.
 For general noise a kernel-density Monte Carlo estimate provides a seeded,
 reproducible fallback: its samples come in fixed chunks, each drawn from its
 own PCG64 stream spawned from the seed by numpy's SeedSequence.  A noise
@@ -20,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,7 +32,6 @@ from .distributions import _MAX_WORDS, SourceDistribution
 from .errors import _MAX_TABLE, InvalidParameterError, UnsupportedError, require_at_most
 
 __all__ = [
-    "MixtureWeights",
     "mixture_weights",
     "exact_mixture_density",
     "exact_mixture_density_2d",
@@ -37,72 +39,56 @@ __all__ = [
     "monte_carlo_density",
 ]
 
-@dataclass(frozen=True)
-class MixtureWeights:
-    """log C(n,j) - n log 2 for j = 0..n; the weights, exponentiated once
-    into a read-only array, sum to 1."""
-
-    n: int
-    log_weights: np.ndarray
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        w = np.exp(self.log_weights)
-        w.flags.writeable = False
-        object.__setattr__(self, "_weights", w)
-
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-
-def mixture_weights(n: int) -> MixtureWeights:
-    """Binomial(n, 1/2) weights as the products of the ratios
-    C(n,j+1)/C(n,j) = (n-j)/(j+1) out from the mode, normalised by an exact
-    sum (lgamma differences would lose |lgamma(n+1)| eps, 1.3e-11 relative
-    at n = 16384); where the product underflows, the log-weights are
-    running sums of the ratios' logs.  The last few n are cached; their
-    ``log_weights`` and ``weights()`` are read-only."""
+def mixture_weights(n: int) -> np.ndarray:
+    """Binomial(n, 1/2) weights C(n,j) 2^-n for j = 0..n, as one cached,
+    read-only array: the products of the ratios C(n,j+1)/C(n,j) = (n-j)/(j+1)
+    out from the mode, divided by their exact sum (lgamma differences would
+    lose |lgamma(n+1)| eps, 1.3e-11 relative at n = 16384).  Every weight
+    that is a normal double is within 28 eps of C(n,j) 2^-n (measured
+    against mpmath at n up to 10^6); the ones that underflow add nothing
+    to a density.  An n + 1 past the table cap, 2^22 weights, is refused
+    before anything is formed."""
     if n < 0:
         raise InvalidParameterError("n must be nonnegative")
+    require_at_most("the binomial mixture", n + 1, _MAX_TABLE, "weights")
     return _mixture_weights(n)
 
 
-# at n = 10^6 one entry holds 16 MB and takes about 0.2 s to build
+# at n = 10^6 one entry holds 8 MB and takes about 0.2 s to build
 @functools.lru_cache(maxsize=8)
-def _mixture_weights(n: int) -> MixtureWeights:
+def _mixture_weights(n: int) -> np.ndarray:
     j = np.arange(n + 1, dtype=float)
     mode = n // 2
     up_ratio = (n - j[mode:-1]) / (j[mode:-1] + 1.0)
     down_ratio = j[mode:0:-1] / (n - j[mode:0:-1] + 1.0)
     r = np.concatenate([np.cumprod(down_ratio)[::-1], [1.0], np.cumprod(up_ratio)])
-    under = r < np.finfo(float).tiny
-    with np.errstate(divide="ignore"):
-        lw = np.log(r) - math.log(math.fsum(r))
-    if under.any():
-        # from n = 1028 on: sum the ratios' logs outward from the last normal
-        # entry on each side; these weights are below 2.3e-308 and add nothing
-        # to a density, so the sums' rounding loses nothing that counts
-        lo, hi = int(np.argmin(under)), n - int(np.argmin(under[::-1]))
-        lw[:lo] = (lw[lo] + np.cumsum(np.log(down_ratio[mode - lo:])))[::-1]
-        lw[hi + 1:] = lw[hi] + np.cumsum(np.log(up_ratio[hi - mode:]))
-    lw.flags.writeable = False
-    return MixtureWeights(n, lw)
+    r /= math.fsum(r)
+    r.flags.writeable = False
+    return r
 
 
 def exact_mixture_density(source: SourceDistribution, n: int, x) -> np.ndarray | float:
-    """Exact density of (X + S_n)/sqrt(n) for symmetric Bernoulli steps S_n."""
+    """Exact density of (X + S_n)/sqrt(n) for symmetric Bernoulli steps S_n,
+    at every entry of x (an array of any shape gives one of that shape),
+    evaluated in blocks of points whose (points x (n+1)) tables stay within
+    the table cap."""
     if source.dim != 1:
         raise InvalidParameterError("exact_mixture_density is one-dimensional")
     if source.density is None:
         raise UnsupportedError(f"{source.label}: no pointwise density")
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    w = mixture_weights(n).weights()
+    xs = np.asarray(x, dtype=float)
+    w = mixture_weights(n)
     offsets = 2.0 * np.arange(n + 1) - n
-    args = xs[:, None] * math.sqrt(n) - offsets[None, :]
-    vals = math.sqrt(n) * (np.asarray(source.density(args), dtype=float) @ w)
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    rt = math.sqrt(n)
+    rows = _MAX_TABLE // (n + 1)        # at least 1: n + 1 passed the cap
+    flat = xs.ravel()
+    vals = np.empty(flat.size)
+    for i in range(0, flat.size, rows):
+        args = flat[i:i + rows, None] * rt - offsets[None, :]
+        vals[i:i + rows] = rt * (np.asarray(source.density(args), dtype=float) @ w)
+    return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 
 def exact_mixture_density_2d(source: SourceDistribution, n: int, x) -> float | np.ndarray:
@@ -118,7 +104,7 @@ def exact_mixture_density_2d(source: SourceDistribution, n: int, x) -> float | n
     require_at_most("the 2-d mixture", xs.size // 2 * (n + 1), _MAX_TABLE, "table entries")
     vals = np.ones(xs.shape[:-1])
     for i, c in enumerate(source.components):
-        vals *= exact_mixture_density(c, n, xs[..., i].ravel()).reshape(vals.shape)
+        vals *= exact_mixture_density(c, n, xs[..., i])
     return float(vals[0]) if np.ndim(x) == 1 else vals
 
 

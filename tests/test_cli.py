@@ -62,13 +62,6 @@ def test_parse_noise_specs():
     assert n3.second_moment == pytest.approx(1.0)
 
 
-def test_config_round_trip():
-    cfg = ExperimentConfig(experiment="converge", source="uniform:h=1",
-                           n_schedule=(4, 16), norm="sup", tol=1e-8, seed=7)
-    again = ExperimentConfig.from_mapping(cfg.to_mapping())
-    assert again == cfg
-
-
 # ---------------------------------------------------------------------------
 # experiments through the programmatic entry
 # ---------------------------------------------------------------------------

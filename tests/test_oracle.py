@@ -12,6 +12,7 @@ from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError,
                      make_gaussian, make_laplace, make_uniform, mixture_weights,
                      monte_carlo_density, product, uniform_noise)
 from llt_lab.distributions import _alias_table, _digit_sum_pmf, _digit_widths
+from llt_lab import oracle
 from llt_lab.oracle import _CHUNK, _chunk_rng, _draw_z, _mixture_weights
 
 UNIFORM = make_uniform(1.0)
@@ -22,25 +23,60 @@ GAUSSIAN = make_gaussian(1.0)
 def test_mixture_weights_normalized():
     for n in (1, 7, 100, 10_000):
         w = mixture_weights(n)
-        assert np.all(np.isfinite(w.log_weights))
-        assert float(w.weights().sum()) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(w))
+        assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
         # cached, and read-only so that no caller can change the cached entry
         assert mixture_weights(n) is w
-        assert not w.log_weights.flags.writeable
-        assert not w.weights().flags.writeable and w.weights() is w.weights()
+        assert not w.flags.writeable
 
 
-def test_underflowing_log_weights_match_lgamma():
-    # where the ratio product underflows (n >= 1028) the log-weights are
-    # running sums of log((n-j)/(j+1)) from the last normal entry; both sides
-    # of an even and an odd n against lgamma differences, which lose
-    # |lgamma(n+1)| eps, about 3e-12 here
-    for n in (1028, 1029, 4097):
-        lw = mixture_weights(n).log_weights
-        ref = np.array([math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-                        for j in range(n + 1)]) - n * math.log(2.0)
-        assert np.exp(ref[0]) < np.finfo(float).tiny
-        assert np.max(np.abs(lw - ref)) <= 1e-10
+@pytest.mark.parametrize("n", [16, 1025, 16384, 10 ** 6])
+def test_mixture_weights_match_mpmath(n):
+    # about 200 j over the whole range, which reaches the smallest normal
+    # weights at n = 1025 and 16384, and the j near the mode; every weight
+    # that is a normal double is within 64 eps (28 eps measured at 10^6)
+    w = mixture_weights(n)
+    mode = n // 2
+    js = sorted({*np.linspace(0, n, 200).astype(int).tolist(),
+                 *range(max(0, mode - 10), min(n, mode + 10) + 1)})
+    worst = 0.0
+    with mpmath.workdps(30):
+        two_n, tiny = mpmath.mpf(2) ** n, mpmath.mpf(2) ** -1022
+        for j in js:
+            exact = mpmath.binomial(n, j) / two_n
+            if exact >= tiny:
+                worst = max(worst, abs(float(w[j] / exact - 1)))
+    assert worst <= 64 * np.finfo(float).eps
+
+
+def test_mixture_weights_refuse_n_past_the_table_cap():
+    # n + 1 weights past 2^22 are refused before any is formed
+    built = _mixture_weights.cache_info().misses
+    for call in (lambda: mixture_weights(2 ** 22),
+                 lambda: exact_mixture_density(LAPLACE, 10 ** 10, 0.0)):
+        with pytest.raises(UnsupportedError, match="needs more than 4194304 weights"):
+            call()
+    assert _mixture_weights.cache_info().misses == built
+
+
+def test_mixture_density_in_row_blocks(monkeypatch):
+    # with a 64-entry cap, n = 20 takes 3 points per block: every table
+    # stays within the cap, and the blocks give the one-table values, in
+    # the shape of x
+    x = np.linspace(-3.0, 3.0, 10).reshape(2, 5)
+    whole = exact_mixture_density(LAPLACE, 20, x)
+    assert np.array_equal(whole.ravel(), exact_mixture_density(LAPLACE, 20, x.ravel()))
+    sizes = []
+
+    def spy(y):
+        sizes.append(y.size)
+        return LAPLACE.density(y)
+
+    monkeypatch.setattr(oracle, "_MAX_TABLE", 64)
+    blocked = exact_mixture_density(dataclasses.replace(LAPLACE, density=spy), 20, x)
+    assert sizes == [63, 63, 63, 21]
+    assert np.allclose(blocked, whole, rtol=0.0, atol=1e-16)
+    assert exact_mixture_density(LAPLACE, 20, x[:, :0]).shape == (2, 0)
 
 
 def test_mixture_matches_mpmath_at_large_n():
@@ -54,10 +90,10 @@ def test_mixture_matches_mpmath_at_large_n():
             mpmath.binomial(n, j) / two_n * mpmath.npdf(w - (2 * j - n)) for j in js)
         mode = np.arange(n // 2 - 1000, n // 2 + 1001, 37)
         exact = [mpmath.binomial(n, int(j)) / two_n for j in mode]
-        weights = mixture_weights(n).weights()[mode]
+        weights = mixture_weights(n)[mode]
         rel = max(abs(float(v / e - 1)) for v, e in zip(weights, exact))
     assert abs(exact_mixture_density(GAUSSIAN, n, x) - float(ref)) <= 1e-14
-    assert rel <= 1.5e-14
+    assert rel <= 32 * np.finfo(float).eps
 
 
 def test_mixture_uniform_hand_values():

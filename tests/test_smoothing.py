@@ -115,11 +115,6 @@ def _mixture_reference(name, param, n, x):
     return ref
 
 
-def _chunked_reference(name, param, n, x, chunk=100):
-    return np.concatenate([_mixture_reference(name, param, n, x[i:i + chunk])
-                           for i in range(0, x.size, chunk)])
-
-
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(name=st.sampled_from(sorted(_CELL_SOURCES)), param=st.floats(0.25, 4.0),
        n=st.integers(1, 20000),
@@ -147,7 +142,7 @@ def test_density_mended_cases(name, param, n):
     # on the default grid; uniform:h=1 has 10 and 20 points on the jumps
     grid = default_grid(1)
     gd = density(SmoothedModel(_CELL_SOURCES[name](param), BERN), n, grid)
-    err = np.abs(gd.values - _chunked_reference(name, param, n, grid.axes[0].points()))
+    err = np.abs(gd.values - _mixture_reference(name, param, n, grid.axes[0].points()))
     assert np.all(err <= gd.est_tail_error), (float(err.max()), gd.est_tail_error)
     assert gd.est_tail_error <= 1e-12
 
@@ -160,8 +155,19 @@ def test_density_at_a_million_steps(spec, n):
     grid = grid_1d(-5.0, 5.0, 11)
     gd = density(SmoothedModel(_CELL_SOURCES[name](float(param)), BERN), n, grid)
     x = grid.axes[0].points()
-    ref = _chunked_reference(name, float(param), n, x, chunk=1)
+    ref = np.concatenate([_mixture_reference(name, float(param), n, x[i:i + 1])
+                          for i in range(x.size)])
     assert gd.est_tail_error <= 1e-12
+    assert np.all(np.abs(gd.values - ref) <= gd.est_tail_error)
+
+
+def test_wide_grid_meets_tol_on_small_panels():
+    # the window's 16k nodes come as 128-node panels, each a small cached
+    # reference rule
+    grid = grid_1d(-5000.0, 5000.0, 3)
+    gd = density(SmoothedModel(LAPLACE, BERN), 16, grid)
+    assert gd.meta["tol_met"]
+    ref = exact_mixture_density(LAPLACE, 16, grid.axes[0].points())
     assert np.all(np.abs(gd.values - ref) <= gd.est_tail_error)
 
 
@@ -217,7 +223,7 @@ def test_uniform_estimate_tight_at_large_n(n):
     grid = default_grid(1)
     gd = density(SmoothedModel(UNIFORM, BERN), n, grid)
     assert gd.est_tail_error <= 1e-10
-    ref = _chunked_reference("uniform", 1.0, n, grid.axes[0].points())
+    ref = _mixture_reference("uniform", 1.0, n, grid.axes[0].points())
     assert np.all(np.abs(gd.values - ref) <= gd.est_tail_error)
 
 
