@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import SourceDistribution
-from .errors import UnsupportedError, require_tol
+from .errors import UnsupportedError, require_integer, require_tol
 from .inversion import Grid
 from .lattice import _cf_side, _density_sum, _require_summable
 from .smoothing import SmoothedModel, _phi, default_grid, density
@@ -70,7 +70,8 @@ def _require_1d(model: SmoothedModel):
 # ---------------------------------------------------------------------------
 
 def _offsets(x, n: int) -> np.ndarray:
-    """Lattice offsets a = x sqrt(n) + n of the grid points x."""
+    """Lattice offsets a = x sqrt(n) + n of the grid points x, n an integer >= 1."""
+    n = require_integer(n, 1, "n")
     return np.asarray(x, dtype=float) * math.sqrt(n) + n
 
 

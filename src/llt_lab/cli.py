@@ -27,8 +27,8 @@ from .distributions import (NoiseDistribution, SourceDistribution, as_noise,
 from .errors import (InvalidParameterError, LltLabError, UnknownDistributionError,
                      UnsupportedError, require_tol)
 from .inversion import Grid, grid_1d, grid_2d
-from .lattice import (check_pi_lattice_zeros, poisson_check, regularity_integral,
-                      wrapped_autocorrelation)
+from .lattice import (_condition_holds, check_pi_lattice_zeros, poisson_check,
+                      regularity_integral, wrapped_autocorrelation)
 from .smoothing import (SmoothedModel, _phi, convergence_study, density,
                         distance_to_gaussian)
 
@@ -172,9 +172,8 @@ def _grid_from_cfg(cfg: ExperimentConfig, dim: int) -> Grid:
 def _run_check_condition(cfg):
     src = parse_spec(cfg.source)
     rep = check_pi_lattice_zeros(src, cfg.trunc_k)
-    cond = rep.max_abs <= max(cfg.tol, 1e-12)
     return {"max_abs": rep.max_abs, "argmax_k": list(rep.argmax_k),
-            "condition_holds": bool(cond)}, None
+            "condition_holds": _condition_holds(rep, cfg.tol)}, None
 
 
 def _run_poisson(cfg):

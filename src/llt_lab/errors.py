@@ -1,5 +1,7 @@
 """Exception types shared across the package, the one check of a requested
-tolerance, and the one refusal of a job past its cap."""
+tolerance and of an integer parameter, and the one refusal of a job past its cap."""
+
+import operator
 
 
 class LltLabError(Exception):
@@ -31,7 +33,20 @@ def require_tol(tol) -> None:
         raise InvalidParameterError(f"tol must be positive, got {tol!r}")
 
 
+def require_integer(value, low: int, name: str) -> int:
+    """``value`` as an int, refused unless it is an integer (not a float,
+    even a whole one) of at least ``low``."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if v < low:
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {v}")
+    return v
+
+
 _MAX_TABLE = 2 ** 22  # most entries of a table over the points of a grid
+_SHORT_TAIL = 2.0 ** -64  # truncation bound of a decaying side
 
 
 def require_at_most(what: str, count, cap: int, unit: str) -> None:

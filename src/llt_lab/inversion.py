@@ -29,8 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InconsistentCfError, InvalidParameterError, UnsupportedError
-from .lattice import _SHORT_TAIL
+from .errors import _SHORT_TAIL, InconsistentCfError, InvalidParameterError, UnsupportedError
 
 __all__ = ["Axis", "Grid", "GridDensity", "grid_1d", "grid_2d", "invert"]
 

@@ -21,9 +21,9 @@ and each side has one declared mechanism:
   serves ``sum_cf_lattice``, the cf route to the oscillation factor and, on
   the law of |f|^2 (``_squared_modulus``), the wrapped autocorrelation.
 
-Also here: the pi-lattice vanishing check, the two-sided Poisson identity,
-the wrapped autocorrelation, distance to a scaled integer lattice, and the
-regularity-integral diagnostics in one and two dimensions.
+Also here: the pi-lattice vanishing check and verdict, the two-sided Poisson
+identity, the wrapped autocorrelation, distance to a scaled integer lattice,
+and the regularity-integral diagnostics in one and two dimensions.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistFlags, SourceDistribution, _pointwise, _require_positive
-from .errors import (_MAX_TABLE, InvalidParameterError, UnsupportedError, require_at_most,
-                     require_tol)
+from .errors import (_MAX_TABLE, _SHORT_TAIL, InvalidParameterError, UnsupportedError,
+                     require_at_most, require_tol)
+from .inversion import _gl_nodes
 
 __all__ = [
     "LatticeSum",
@@ -52,8 +53,7 @@ __all__ = [
     "regularity_integral",
 ]
 
-K_CAP_2D = 4_000_000
-_SHORT_TAIL = 2.0 ** -64  # truncation bound of a decaying side
+_MAX_POINTS = 4_000_000   # most points of a lattice zero check per axis, or of a search grid
 _SHORT_TERMS = 2048   # most lattice terms a side may take
 _JUMP_TOL = 1e-9      # a lattice point this close to a density jump sits on it
 _REGULARITY_CELLS = 81 ** 2   # most cells of a 2-d regularity window (K <= 40)
@@ -444,30 +444,34 @@ def sum_cf_lattice(dist: SourceDistribution, step: float,
 # ---------------------------------------------------------------------------
 
 def check_pi_lattice_zeros(dist: SourceDistribution, k_max: int) -> LatticeZeroReport:
-    """max |f(pi k)| over nonzero integer vectors with sup-norm at most k_max;
-    refuses more than K_CAP_2D of them before any is formed."""
+    """max |f(pi k)| over nonzero integer vectors with sup-norm at most k_max,
+    refusing more than _MAX_POINTS points per axis before any is formed.
+
+    A product is judged on its components: every |f_i| is at most
+    f_i(0) = 1, so the largest |f_1(pi k_1) f_2(pi k_2)| lies on an axis,
+    where it is the larger of the components' one-dimensional maxima."""
     if k_max < 1:
         raise InvalidParameterError("k_max must be >= 1")
-    if dist.dim not in (1, 2):
-        raise UnsupportedError("lattice zero check supports dim 1 and 2")
-    require_at_most(f"{dist.label}: the lattice zero check", (2 * k_max + 1) ** dist.dim - 1,
-                    K_CAP_2D, "points")
     if dist.dim == 1:
+        require_at_most(f"{dist.label}: the lattice zero check", 2 * k_max, _MAX_POINTS,
+                        "points")
         k = np.arange(1, k_max + 1)
-        vp = np.abs(np.asarray(dist.cf(math.pi * k), dtype=complex))
-        vm = np.abs(np.asarray(dist.cf(-math.pi * k), dtype=complex))
-        both = np.concatenate([vp, vm])
-        idx = int(np.argmax(both))
-        kbest = int(k[idx % k_max]) * (1 if idx < k_max else -1)
-        return LatticeZeroReport(float(both[idx]), (kbest,))
-    rng = np.arange(-k_max, k_max + 1)
-    KX, KY = np.meshgrid(rng, rng, indexing="ij")
-    pts = np.stack([KX, KY], axis=-1).reshape(-1, 2)
-    keep = ~np.all(pts == 0, axis=1)
-    pts = pts[keep]
-    vals = np.abs(np.asarray(dist.cf(math.pi * pts.astype(float)), dtype=complex))
-    i = int(np.argmax(vals))
-    return LatticeZeroReport(float(vals[i]), tuple(int(v) for v in pts[i]))
+        k = np.concatenate([k, -k])
+        vals = np.abs(np.asarray(dist.cf(math.pi * k), dtype=complex))
+        i = int(np.argmax(vals))
+        return LatticeZeroReport(float(vals[i]), (int(k[i]),))
+    if dist.dim == 2 and dist.components is not None:
+        x, y = (check_pi_lattice_zeros(c, k_max) for c in dist.components)
+        if y.max_abs > x.max_abs:
+            return LatticeZeroReport(y.max_abs, (0, *y.argmax_k))
+        return LatticeZeroReport(x.max_abs, (*x.argmax_k, 0))
+    raise UnsupportedError("lattice zero check supports dim 1 and separable dim 2")
+
+
+def _condition_holds(report: LatticeZeroReport, tol: float) -> bool:
+    """The one verdict on the pi-lattice condition f(pi k) = 0, k != 0:
+    the checked maximum is at most tol (and never asked below 1e-12)."""
+    return bool(report.max_abs <= max(tol, 1e-12))
 
 
 def poisson_check(dist: SourceDistribution, tol: float = 1e-10) -> PoissonReport:
@@ -594,8 +598,9 @@ def regularity_integral(dist: SourceDistribution, kind: str,
     """The integral of |f||f'| / dist(t, pi Z^d)^(d-1) (kind
     'condition_2_3') or |f'| / dist(t, pi Z^d)^(d-1) ('condition_3_1') over
     the window of sup-norm radius pi*window_K, with a divergence diagnostic
-    from the per-shell decay: exact differences of f or f^2/2 for an even
-    law in one dimension, a polar Gauss-Legendre rule per cell in two."""
+    from a declared cf term (condition_3_1 in one dimension) or the
+    per-shell decay: exact differences of f or f^2/2 for an even law in one
+    dimension, a polar Gauss-Legendre rule per cell in two."""
     if kind not in ("condition_2_3", "condition_3_1"):
         raise InvalidParameterError("kind must be condition_2_3 or condition_3_1")
     if dist.cf_grad is None:
@@ -625,7 +630,7 @@ def _regularity_1d(dist, kind, window_K):
     require_at_most(what, steps, _SHORT_TERMS, "grid steps per cell to find the cf's zeros")
     per_cell = max(8, math.ceil(steps))
     size = -(-per_cell * (2 * window_K + 1) // 2) + 1      # over K + 1/2 cells
-    require_at_most(what, size, K_CAP_2D, "grid points")
+    require_at_most(what, size, _MAX_POINTS, "grid points")
     edges = math.pi * (np.arange(window_K + 1) + 0.5)
     grid = np.linspace(0.0, edges[-1], size)
     ends = [grid, edges]
@@ -650,13 +655,16 @@ def _regularity_1d(dist, kind, window_K):
     total = float(parts[0])
     for c in shells:
         total += c
+    if kind == "condition_3_1" and any(c != 0.0 and p <= 1 and omega != 0.0
+                                       for c, p, omega in dist.cf_terms):
+        # a term c t^-p trig(omega t) puts |c omega| t^-p |trig| in |f'|, not integrable for p <= 1
+        return RegularityReport(total, True, tuple(shells))
     return _shell_report(total, shells, window_K)
 
 
 def _regularity_2d(dist, kind, window_K):
     require_at_most(f"{dist.label}: the regularity integral", (2 * window_K + 1) ** 2,
                     _REGULARITY_CELLS, "cells")
-    from .inversion import _gl_nodes     # inversion imports this module
     # four Gauss-Legendre panels in theta between the cell's corners, where
     # the radius to the cell edge has kinks, and nr nodes in r out to it
     npanel, nr = 24, 48

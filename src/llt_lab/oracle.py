@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .distributions import _MAX_WORDS, SourceDistribution
-from .errors import _MAX_TABLE, InvalidParameterError, UnsupportedError, require_at_most
+from .errors import (_MAX_TABLE, InvalidParameterError, UnsupportedError, require_at_most,
+                     require_integer)
 
 __all__ = [
     "mixture_weights",
@@ -48,8 +48,7 @@ def mixture_weights(n: int) -> np.ndarray:
     against mpmath at n up to 10^6); the ones that underflow add nothing
     to a density.  An n + 1 past the table cap, 2^22 weights, is refused
     before anything is formed."""
-    if n < 0:
-        raise InvalidParameterError("n must be nonnegative")
+    n = require_integer(n, 0, "n")
     require_at_most("the binomial mixture", n + 1, _MAX_TABLE, "weights")
     return _mixture_weights(n)
 
@@ -76,8 +75,7 @@ def exact_mixture_density(source: SourceDistribution, n: int, x) -> np.ndarray |
         raise InvalidParameterError("exact_mixture_density is one-dimensional")
     if source.density is None:
         raise UnsupportedError(f"{source.label}: no pointwise density")
-    if n < 1:
-        raise InvalidParameterError("n must be a positive integer")
+    n = require_integer(n, 1, "n")
     xs = np.asarray(x, dtype=float)
     w = mixture_weights(n)
     offsets = 2.0 * np.arange(n + 1) - n
@@ -98,6 +96,7 @@ def exact_mixture_density_2d(source: SourceDistribution, n: int, x) -> float | n
     Refused when a component's (points x (n+1)) table passes the table cap."""
     if source.dim != 2 or source.components is None:
         raise InvalidParameterError("source must be a two-dimensional product")
+    n = require_integer(n, 1, "n")
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     if xs.shape[-1] != 2:
         raise InvalidParameterError("points must have two coordinates")
@@ -138,16 +137,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
 
 
-def _integer_at_least(value, low: int, name: str) -> int:
-    try:
-        v = operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
-    if v < low:
-        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {v}")
-    return v
-
-
 def _draw_z(model, n: int, m: int, rng) -> np.ndarray:
     source = model.source
     noise = model.noise
@@ -186,9 +175,9 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     the value moves by at most that much; a point with no sample in reach
     gets value 0 and standard error 0.
     """
-    samples = _integer_at_least(samples, 1, "samples")
-    n = _integer_at_least(n, 1, "n")
-    seed = _integer_at_least(seed, 0, "seed")
+    samples = require_integer(samples, 1, "samples")
+    n = require_integer(n, 1, "n")
+    seed = require_integer(seed, 0, "seed")
     if model.source.sampler is None or (model.noise.sampler is None
                                         and model.noise.sum_sampler is None):
         raise UnsupportedError("samplers unavailable for source or noise")

@@ -30,7 +30,6 @@ and panels ending at 0 and at a compact cf's edge T sqrt(n).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -38,10 +37,10 @@ import numpy as np
 
 from .distributions import NoiseDistribution, SourceDistribution, beta3 as _beta3
 from .errors import (_MAX_TABLE, InvalidParameterError, UnsupportedError, require_at_most,
-                     require_tol)
+                     require_integer, require_tol)
 from .inversion import (_MAX_NODES, Grid, GridDensity, _check_error, _grid_integral,
                         _panel_rules, grid_1d, grid_2d, invert)
-from .lattice import (_product_tail, _reduced_periodized_cf, _short_side,
+from .lattice import (_condition_holds, _product_tail, _reduced_periodized_cf, _short_side,
                       check_pi_lattice_zeros)
 
 __all__ = [
@@ -60,14 +59,6 @@ __all__ = [
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 _WINDOW_U = 9.0         # cell window |s| <= U/sqrt(n): erfc(U/sqrt 2) ~ 2e-19 left out
-
-
-def _max_threads() -> int:
-    raw = os.environ.get("LLT_LAB_THREADS", "1")
-    if not (raw.isdecimal() and int(raw) > 0):
-        raise InvalidParameterError(
-            f"LLT_LAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -110,8 +101,7 @@ class ConvergenceReport:
 
 def smoothed_cf(model: SmoothedModel, n: int, t):
     """f(t/sqrt n) * v(t/sqrt n)^n at points t (scalar, array, or (..., d))."""
-    if n < 1:
-        raise InvalidParameterError("n must be a positive integer")
+    n = require_integer(n, 1, "n")
     rt = math.sqrt(n)
     ts = np.asarray(t, dtype=float) / rt
     out = np.asarray(model.source.cf(ts) * np.power(model.noise.cf(ts), n))
@@ -201,8 +191,7 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
     ``meta["tol_met"]`` says whether the declared ``est_tail_error`` is at
     most ``tol``.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be a positive integer")
+    n = require_integer(n, 1, "n")
     require_tol(tol)
     if grid is None:
         grid = default_grid(model.dim)
@@ -331,7 +320,10 @@ def distance_to_gaussian(gd: GridDensity, norm: str) -> float:
         return float(flat[i])
     if norm == "l1":
         return _grid_integral(np.abs(diff), gd.axes)
-    return math.sqrt(_grid_integral(diff * diff, gd.axes))
+    # a square past the largest float reads inf, which no result may hold
+    with np.errstate(over="ignore"):
+        sq = diff * diff
+    return math.sqrt(_grid_integral(sq, gd.axes))
 
 
 def _fit_loglog(ns, ds) -> Optional[float]:
@@ -349,9 +341,11 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
                       norm: str = "l2", grid: Optional[Grid] = None,
                       tol: float = 1e-9) -> ConvergenceReport:
     """Distances to the Gaussian over a schedule of n with a fitted log-log
-    slope.  When the pi-lattice condition fails, even and odd n are never
-    mixed in one fit; the subsequences get separate slopes."""
-    ns = tuple(int(v) for v in n_schedule)
+    slope.  The pi-lattice condition is judged as ``check-condition`` judges
+    it (``lattice._condition_holds``, |k| <= 20, against ``tol``); when it
+    fails, even and odd n are never mixed in one fit; the subsequences get
+    separate slopes."""
+    ns = tuple(require_integer(v, 1, "n") for v in n_schedule)
     if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
         raise InvalidParameterError("n_schedule must be strictly increasing")
     if grid is None:
@@ -364,27 +358,19 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
                 f"sup-norm study needs grid step <= {limit:.4g} for n_max = {ns[-1]}"
                 f" (got {step:.4g}); oscillations have period 2/sqrt(n)")
 
-    def one(nv):
+    rows = []
+    for nv in ns:
         gd = density(model, nv, grid, tol=tol)
-        row = {nm: distance_to_gaussian(gd, nm) for nm in ("l1", "l2", "sup")}
-        row["est"], row["tol_met"] = gd.est_tail_error, gd.meta["tol_met"]
-        return row
-
-    workers = min(_max_threads(), len(ns))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor     # loaded only when used
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(one, ns))
-    else:
-        rows = [one(nv) for nv in ns]
+        rows.append({nm: distance_to_gaussian(gd, nm) for nm in ("l1", "l2", "sup")}
+                    | {"est": gd.est_tail_error, "tol_met": gd.meta["tol_met"]})
     distances = {nm: tuple(r[nm] for r in rows) for nm in ("l1", "l2", "sup")}
 
-    cond = check_pi_lattice_zeros(model.source, 20).max_abs
+    zeros = check_pi_lattice_zeros(model.source, 20)
     ds = distances[norm]
     even_idx = [i for i, nv in enumerate(ns) if nv % 2 == 0]
     odd_idx = [i for i, nv in enumerate(ns) if nv % 2 == 1]
     mixed = bool(even_idx and odd_idx)
-    condition_fails = cond > 1e-8
+    condition_fails = not _condition_holds(zeros, tol)
     slope = even_slope = odd_slope = None
     if condition_fails and mixed:
         even_slope = _fit_loglog([ns[i] for i in even_idx], [ds[i] for i in even_idx])
@@ -401,7 +387,7 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
         distances=distances,
         fitted_log_slope=slope,
         slope_norm=norm,
-        condition_max_abs=float(cond),
+        condition_max_abs=zeros.max_abs,
         even_slope=even_slope,
         odd_slope=odd_slope,
         est_errors=tuple(r["est"] for r in rows),

@@ -26,8 +26,9 @@ ABOUT = ("canonical JSON bodies of fixed CLI runs, as written to standard output
 # density, the compact cf side, the lattice sums, the wrapped autocorrelation
 # of every catalog family, and the Fourier inverse of general noise for a
 # decaying and a compact cf, the regularity integral of a monotone cf, of a
-# cf whose zeros are searched for and of a product, and the pi-lattice zero
-# check of a product
+# cf whose zeros are searched for and of a product, the pi-lattice zero
+# check of a product, and the one verdict on the condition for a source whose
+# max |f(pi k)| lies between the default tol and 1e-8
 RUNS = [
     ["density", "--source", "uniform:h=1", "--n", "16", "--grid=-5,5,201"],
     ["density", "--source", "laplace:b=1", "--n", "256", "--grid=-5,5,201"],
@@ -49,6 +50,8 @@ RUNS = [
     ["regularity", "--source", "product:laplace:b=1,laplace:b=1", "--kind", "condition_2_3",
      "--k", "4"],
     ["check-condition", "--source", "product:uniform:h=1,uniform:h=1", "--k", "5"],
+    ["check-condition", "--source", "gaussian:sigma=2"],
+    ["converge", "--source", "gaussian:sigma=2", "--n", "16,17,64,65", "--grid=-5,5,201"],
 ]
 
 

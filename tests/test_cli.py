@@ -176,6 +176,9 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     # refused before any value overflows (warnings are errors here)
     (["density", "--source", "laplace:b=1", "--n", "16", "--grid=-1e308,1e308,3"], 1),
     (["density", "--source", "laplace:b=1", "--n", "10000", "--grid=-1e307,1e307,3"], 2),
+    # a density so tall that its squared distance to the Gaussian overflows
+    # is refused as not finite, with no overflow warning on the way
+    (["converge", "--source", "uniform:h=1e-300", "--n", "4,16"], 2),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
@@ -186,7 +189,7 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
         "autocorr-uniform-narrow", "autocorr-laplace-narrow", "poisson-laplace-narrow",
         "check-condition-huge-k", "check-condition-product-huge-k",
         "regularity-uniform-wide", "regularity-huge-k", "regularity-2d-huge-k",
-        "density-grid-span-overflows", "density-grid-w-overflows"])
+        "density-grid-span-overflows", "density-grid-w-overflows", "converge-l2-overflows"])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
@@ -290,16 +293,6 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert ta == tb
 
 
-def test_cli_thread_env_smoke(tmp_path, monkeypatch):
-    monkeypatch.setenv("LLT_LAB_THREADS", "2")
-    out = tmp_path / "t.json"
-    cfg = ExperimentConfig(experiment="converge", source="uniform:h=1",
-                           norm="l2", n_schedule=(4, 16), out_json=str(out))
-    assert run(cfg) == 0
-    doc = json.loads(out.read_text())
-    assert len(doc["body"]["results"]["distances"]["l2"]) == 2
-
-
 def test_run_regularity(tmp_path):
     out = tmp_path / "reg.json"
     cfg = ExperimentConfig(experiment="regularity", source="laplace:b=1",
@@ -377,12 +370,10 @@ def test_regularity_of_a_wide_uniform_splits_at_the_zeros(kind, h, capsys):
         u = sorted([lo, hi] + [z for z in zeros if lo < z < hi])
         variation = sum(abs(g(b) - g(a)) for a, b in zip(u, u[1:]))
         assert abs(shell - 2.0 * variation) <= 1e-12, j
-    # |f'| falls like 1/t, so the integral of condition 3.1 diverges.  The
-    # slope fitted to the later shells sees that once the 20-cell window
-    # holds 20 or more humps of f (h >= 1); at h = 0.25 it holds 5, and the
-    # fit reads the integral as converging
-    if h >= 1.0:
-        assert res["diverging"] is (kind == "condition_3_1")
+    # |f'| falls like 1/t, so the integral of condition 3.1 diverges, which
+    # the declared term sin(ht)/(ht) says at every h; at h = 0.25 the 20-cell
+    # window holds only 5 humps of f, too few for a fitted slope to see it
+    assert res["diverging"] is (kind == "condition_3_1")
 
 
 def test_run_autocorr_value(tmp_path):
@@ -452,6 +443,29 @@ def test_converge_and_oscillate_say_whether_tol_was_met(tol, met, tmp_path):
             assert est["tol_met"] is met
 
 
+def test_check_condition_and_converge_give_one_verdict(capsys):
+    # gaussian:sigma=2 has max |f(pi k)| = exp(-2 pi^2) = 2.7e-9, above the
+    # default tol of 1e-9: both experiments read the condition as failing,
+    # so the study fits even and odd n apart
+    src = ["--source", "gaussian:sigma=2"]
+    assert main(["check-condition", *src]) == 0
+    cond = json.loads(capsys.readouterr().out)["results"]
+    assert cond["max_abs"] == pytest.approx(math.exp(-2.0 * math.pi ** 2), rel=1e-12)
+    assert cond["condition_holds"] is False
+    assert main(["converge", *src, "--n", "16,17,64,65"]) == 0
+    conv = json.loads(capsys.readouterr().out)["results"]
+    assert conv["condition_max_abs"] == cond["max_abs"]
+    assert conv["fitted_log_slope"] is None
+    assert conv["even_slope"] is not None and conv["odd_slope"] is not None
+    # at a tol above the maximum both read it as holding
+    assert main(["check-condition", *src, "--tol", "1e-8"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["condition_holds"] is True
+    assert main(["converge", *src, "--n", "16,17,64,65", "--tol", "1e-8"]) == 0
+    conv = json.loads(capsys.readouterr().out)["results"]
+    assert conv["fitted_log_slope"] is not None
+    assert conv["even_slope"] is None and conv["odd_slope"] is None
+
+
 def test_fixed_cli_bodies_unchanged(capsys):
     # cheap runs over the cell engine, the lattice sums, the general-noise
     # inverse and the lattice conditions; a change that moves a body tables
@@ -459,7 +473,7 @@ def test_fixed_cli_bodies_unchanged(capsys):
     # tests/data/record_cli_bodies.py
     path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
     runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
-    assert len(runs) == 19
+    assert len(runs) == 21
     for run_ in runs:
         assert main(run_["argv"]) == 0
         assert capsys.readouterr().out == run_["body"] + "\n", run_["argv"]
@@ -467,7 +481,7 @@ def test_fixed_cli_bodies_unchanged(capsys):
 
 def test_import_leaves_scipy_integrate_unloaded():
     # the package and its CLI load without scipy.integrate and the modules
-    # it pulls in, without the modules only a thread pool or an exact
+    # it pulls in, without concurrent.futures or the module only an exact
     # Bernoulli number needs, and build no alias table
     import llt_lab
     src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])

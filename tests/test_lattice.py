@@ -403,6 +403,38 @@ def test_zeros_product():
     assert rep.max_abs <= 1e-15
 
 
+_ZERO_LAWS = [make_uniform(1.0), make_uniform(1.5), make_laplace(1.0), make_laplace(0.3),
+              make_gaussian(1.0), make_fejer(0.7), make_fejer(5.0)]
+
+
+@pytest.mark.parametrize("k_max", [1, 5, 20])
+@pytest.mark.parametrize("first", range(len(_ZERO_LAWS)), ids=lambda i: _ZERO_LAWS[i].label)
+def test_zeros_of_a_product_are_judged_on_its_components(first, k_max):
+    # the maximum of |f(pi k)| over every nonzero k of the square, formed
+    # directly, is the larger of the components' one-dimensional maxima
+    rng = np.arange(-k_max, k_max + 1)
+    KX, KY = np.meshgrid(rng, rng, indexing="ij")
+    pts = np.stack([KX, KY], axis=-1).reshape(-1, 2)
+    pts = pts[np.any(pts != 0, axis=1)]
+    for second in _ZERO_LAWS:
+        dist = product([_ZERO_LAWS[first], second])
+        rep = check_pi_lattice_zeros(dist, k_max)
+        vals = np.abs(np.asarray(dist.cf(math.pi * pts.astype(float)), dtype=complex))
+        assert rep.max_abs == float(np.max(vals)), second.label
+        k = np.array(rep.argmax_k)
+        assert 0 in rep.argmax_k and 1 <= np.max(np.abs(k)) <= k_max
+        assert abs(complex(dist.cf(math.pi * k.astype(float)))) == rep.max_abs
+
+
+def test_zeros_of_a_non_product_are_refused():
+    # a two-dimensional law without components declares no bound for its
+    # off-axis points
+    flat = dataclasses.replace(product([make_laplace(1.0), make_laplace(1.0)]),
+                               components=None)
+    with pytest.raises(UnsupportedError, match="separable"):
+        check_pi_lattice_zeros(flat, 5)
+
+
 # ---------------------------------------------------------------------------
 # Poisson identity
 # ---------------------------------------------------------------------------

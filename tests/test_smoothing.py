@@ -9,10 +9,12 @@ from scipy.integrate import quad
 
 from conftest import offset_grid_1d, offset_points
 from llt_lab import (InvalidParameterError, SmoothedModel, admissible_T,
-                     bernoulli_noise, convergence_study, default_grid, density, distance_to_gaussian, exact_mixture_density,
+                     bernoulli_noise, convergence_study, default_grid, density, distance_to_gaussian,
+                     exact_mixture_density, exact_mixture_density_2d,
                      gaussian_noise, gaussian_window_deficit, grid_1d, grid_2d, make_fejer, make_gaussian,
-                     make_laplace, make_uniform, monte_carlo_density, product,
-                     smoothed_cf, uniform_noise)
+                     make_laplace, make_uniform, mixture_weights, monte_carlo_density,
+                     oscillation_factor_cf, oscillation_factor_density, oscillation_report,
+                     product, smoothed_cf, uniform_noise)
 from llt_lab.inversion import GridDensity
 from llt_lab.smoothing import _ndtr
 
@@ -297,14 +299,6 @@ def test_gauss_legendre_cache_matches_direct_rule(m, half):
         assert np.array_equal(w, half * 2.0 / ((1.0 - x * x) * dp * dp))
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-def test_bad_thread_env_is_invalid(raw, monkeypatch):
-    # only invalid values: the check runs before any thread starts
-    monkeypatch.setenv("LLT_LAB_THREADS", raw)
-    with pytest.raises(InvalidParameterError, match="LLT_LAB_THREADS"):
-        convergence_study(SmoothedModel(GAUSSIAN, BERN), (4, 16))
-
-
 @pytest.mark.parametrize("engine, model", [
     pytest.param(engine, model, id=engine) for engine, model in [
         ("cell", SmoothedModel(UNIFORM, BERN)),
@@ -430,6 +424,33 @@ def test_study_grid_step_precondition_for_sup():
     model = SmoothedModel(UNIFORM, BERN)
     with pytest.raises(InvalidParameterError):
         convergence_study(model, (4, 4096), "sup", grid_1d(-5, 5, 101))
+
+
+_INTEGER_ENTRIES = {
+    "smoothed_cf": lambda n: smoothed_cf(SmoothedModel(LAPLACE, BERN), n, 0.3),
+    "density": lambda n: density(SmoothedModel(LAPLACE, BERN), n),
+    "density-uniform-noise": lambda n: density(SmoothedModel(LAPLACE, uniform_noise()), n),
+    "oscillation_report": lambda n: oscillation_report(SmoothedModel(LAPLACE, BERN), n),
+    "oscillation_factor_cf": lambda n: oscillation_factor_cf(SmoothedModel(LAPLACE, BERN), n, 0.3),
+    "oscillation_factor_density": lambda n: oscillation_factor_density(
+        SmoothedModel(LAPLACE, BERN), n, 0.3),
+    "convergence_study": lambda n: convergence_study(SmoothedModel(LAPLACE, BERN), (4, n)),
+    "mixture_weights": lambda n: mixture_weights(n),
+    "exact_mixture_density": lambda n: exact_mixture_density(LAPLACE, n, 0.0),
+    "exact_mixture_density_2d": lambda n: exact_mixture_density_2d(
+        product([LAPLACE, LAPLACE]), n, [0.0, 0.0]),
+    "monte_carlo_density": lambda n: monte_carlo_density(
+        SmoothedModel(LAPLACE, BERN), n, [0.0], samples=100),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 16.0])
+@pytest.mark.parametrize("entry", list(_INTEGER_ENTRIES))
+def test_every_entry_refuses_a_non_integer_n(entry, n):
+    # one check of n for every engine and oracle: a float is refused, even a
+    # whole one, before anything is computed or truncated
+    with pytest.raises(InvalidParameterError, match="n must be an integer"):
+        _INTEGER_ENTRIES[entry](n)
 
 
 def test_study_schedule_must_increase():
