@@ -8,7 +8,8 @@ pointwise; instead p_n(x) tracks A_n(x) phi(x) where the oscillation factor
 
 is computed here on both sides of that Poisson pair independently: the cf
 side in closed form (``lattice._cf_side``: a finite head plus Bernoulli
-polynomials) and the density side as ``lattice._density_sum`` sums it.
+polynomials) and the density side as ``lattice._density_sum`` sums it,
+at the offsets of ``smoothing._lattice_split``, under Bernoulli noise alone.
 The report gives their gap, the 2/sqrt(n) periodicity defect, and the sup
 residual against A_n * phi per n.
 """
@@ -22,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .distributions import SourceDistribution
-from .errors import UnsupportedError, require_integer, require_tol
+from .errors import UnsupportedError, require_tol
 from .inversion import Grid
 from .lattice import _cf_side, _density_sum, _require_summable
-from .smoothing import SmoothedModel, _phi, default_grid, density
+from .smoothing import SmoothedModel, _is_bernoulli, _lattice_split, _phi, default_grid, density
 
 __all__ = [
     "OscillationReport",
@@ -55,25 +56,21 @@ class OscillationReport:
     p_values: np.ndarray            # the density p_n on the same grid
     residual_sup: float
     period_defect: float
-    method_gap: float
+    method_gap: Optional[float]     # None where both routes summed the cf side
     grid_meta: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
 
-def _require_1d(model: SmoothedModel):
+def _require_bernoulli_1d(model: SmoothedModel):
     if model.dim != 1:
         raise UnsupportedError("oscillation analysis is one-dimensional")
+    if not _is_bernoulli(model.noise):
+        raise UnsupportedError("A_n needs symmetric Bernoulli noise, the lattice of p_n")
 
 
 # ---------------------------------------------------------------------------
 # the two routes to A_n
 # ---------------------------------------------------------------------------
-
-def _offsets(x, n: int) -> np.ndarray:
-    """Lattice offsets a = x sqrt(n) + n of the grid points x, n an integer >= 1."""
-    n = require_integer(n, 1, "n")
-    return np.asarray(x, dtype=float) * math.sqrt(n) + n
-
 
 def _route(source: SourceDistribution) -> str:
     """The canonical route to A_n: the density lattice sum for a continuous
@@ -86,16 +83,16 @@ def _route(source: SourceDistribution) -> str:
 
 
 def _a_factor(source: SourceDistribution, a, tol: float, route: str):
-    """A_n at the lattice offsets a along one route; returns (values, tail,
-    side), side the one summed: the density route takes the cf side where
-    the law declares no density side of at most 2048 terms (``_density_sum``)."""
+    """A_n at the lattice offsets a (``_lattice_split``) along one route;
+    returns (values, tail, side), side the one summed: the density route
+    takes the cf side where the law declares no density side of at most
+    2048 terms (``_density_sum``)."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    fr = a - 2.0 * np.round(a / 2.0)
     if route == "density":
-        vals, tail, side = _density_sum(source, 2.0, fr)
+        vals, tail, side = _density_sum(source, 2.0, a)
         return 2.0 * vals, 2.0 * tail, side
-    # e^{-i pi k a} is e^{2 pi i k x} at x = -a/2, formed from a mod 2
-    vals, tail = _cf_side(source, math.pi, -0.5 * fr)
+    # e^{-i pi k a} is e^{2 pi i k x} at x = -a/2
+    vals, tail = _cf_side(source, math.pi, -0.5 * a)
     _require_summable(tail, tol, f"{source.label}: cf lattice sum")
     im = float(np.max(np.abs(np.imag(vals))))
     if im > 1e-9 * max(1.0, float(np.max(np.abs(np.real(vals))))):
@@ -103,21 +100,23 @@ def _a_factor(source: SourceDistribution, a, tol: float, route: str):
     return np.real(vals), tail, "cf"
 
 
+def _factor_at(model: SmoothedModel, n: int, x: float, tol: float, route: str) -> float:
+    _require_bernoulli_1d(model)
+    vals, _, _ = _a_factor(model.source, _lattice_split(float(x), n)[1], tol, route)
+    return float(vals[0])
+
+
 def oscillation_factor_cf(model: SmoothedModel, n: int, x: float,
                           tol: float = 1e-10) -> float:
     """A_n(x) as the phase-twisted lattice sum of the source cf."""
-    _require_1d(model)
-    vals, _, _ = _a_factor(model.source, _offsets(float(x), n), tol, "cf")
-    return float(vals[0])
+    return _factor_at(model, n, x, tol, "cf")
 
 
 def oscillation_factor_density(model: SmoothedModel, n: int, x: float,
                                tol: float = 1e-10) -> float:
     """A_n(x) as twice the density sum over the even lattice shifted by
     x sqrt(n) + n."""
-    _require_1d(model)
-    vals, _, _ = _a_factor(model.source, _offsets(float(x), n), tol, "density")
-    return float(vals[0])
+    return _factor_at(model, n, x, tol, "density")
 
 
 # ---------------------------------------------------------------------------
@@ -132,28 +131,28 @@ def oscillation_report(model: SmoothedModel, n: int,
 
     The canonical a_values follow the route of ``_route``; the route gap is
     the largest over the grid, jumps of the density included, where both
-    routes take the mean of the one-sided limits.
+    routes take the mean of the one-sided limits, and None where the density
+    route summed the cf side too, which leaves nothing to compare.
     """
-    _require_1d(model)
-    require_tol(tol)
+    _require_bernoulli_1d(model)
     if grid is None:
         grid = default_grid(1)
+    gd = density(model, n, grid, tol=tol)      # refuses a bad tol, n or grid first
     x = grid.axes[0].points()
     src = model.source
     route = _route(src)
-    a = _offsets(x, n)
+    _, a = _lattice_split(x, n)
     a_cf, cf_tail, _ = _a_factor(src, a, tol, "cf")
     a_dn, dn_tail, dn_side = _a_factor(src, a, tol, "density")
-    method_gap = float(np.max(np.abs(a_cf - a_dn)))
+    method_gap = float(np.max(np.abs(a_cf - a_dn))) if dn_side == "density" else None
     canonical = a_dn if route == "density" else a_cf
 
-    gd = density(model, n, grid, tol=tol)
     phi = _phi(x)
     residual_sup = float(np.max(np.abs(gd.values - canonical * phi)))
 
     probes = np.linspace(x[0], x[-1] - 2.0 / math.sqrt(n), 25)
-    ap, _, _ = _a_factor(src, _offsets(probes, n), tol, route)
-    aps, _, _ = _a_factor(src, _offsets(probes + 2.0 / math.sqrt(n), n), tol, route)
+    ap, _, _ = _a_factor(src, _lattice_split(probes, n)[1], tol, route)
+    aps, _, _ = _a_factor(src, _lattice_split(probes + 2.0 / math.sqrt(n), n)[1], tol, route)
     period_defect = float(np.max(np.abs(aps - ap)))
 
     return OscillationReport(
@@ -172,8 +171,8 @@ def oscillation_report(model: SmoothedModel, n: int,
 
 
 def even_odd_limits(source: SourceDistribution, tol: float = 1e-10) -> EvenOddLimits:
-    """Limits of p_n(0) along even and odd n: phi(0) times the oscillation
-    factor at the origin for each parity.
+    """Limits of p_n(0) under Bernoulli noise along even and odd n: phi(0)
+    times the oscillation factor at the origin for each parity.
 
     The route is that of ``_route``: the density lattice sum for a
     continuous density, the cf side otherwise (uniform).  ``route`` names

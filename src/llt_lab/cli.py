@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .asymptotics import even_odd_limits, oscillation_report
+from .asymptotics import _require_bernoulli_1d, even_odd_limits, oscillation_report
 from .distributions import (NoiseDistribution, SourceDistribution, as_noise,
                             bernoulli_noise, gaussian_noise, make_fejer,
                             make_gaussian, make_laplace, make_uniform, product,
@@ -209,8 +209,7 @@ def _run_density(cfg):
     rows = None
     if model.dim == 1:
         x = gd.axes[0].points()
-        phi = _phi(x)
-        rows = {"x": x, "p_n": gd.values, "phi": phi}
+        rows = {"x": x, "p_n": gd.values, "phi": _phi(x)}
     return res, rows
 
 
@@ -252,8 +251,9 @@ def _run_oscillate(cfg):
 
 
 def _run_limits(cfg):
-    src = parse_spec(cfg.source)
-    lim = even_odd_limits(src, tol=cfg.tol)
+    model = _build_model(cfg)
+    _require_bernoulli_1d(model)
+    lim = even_odd_limits(model.source, tol=cfg.tol)
     return {"even": lim.even_limit, "odd": lim.odd_limit, "route": lim.route,
             "error_estimates": {"series_tail": lim.tail,
                                 "tol_met": lim.tol_met}}, None

@@ -118,6 +118,16 @@ def _cos_power(n: int, s: np.ndarray) -> np.ndarray:
     return np.exp(n * np.log1p(-2.0 * np.sin(0.5 * s) ** 2))
 
 
+def _lattice_split(x, n: int):
+    """x sqrt(n) = j + a, j an exact integer of n's parity and a = x sqrt(n) + n
+    wrapped to [-1, 1] within a few eps, where adding n would round by n eps."""
+    n = require_integer(n, 1, "n")
+    w = np.asarray(x, dtype=float) * math.sqrt(n)
+    par = n % 2
+    r = np.round((w + par) / 2.0)
+    return 2.0 * r - par, (w - 2.0 * r) + par
+
+
 def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     rt = math.sqrt(n)
     half = min(0.5 * math.pi, _WINDOW_U / rt)
@@ -134,13 +144,7 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     # max|x| sqrt(n): a grid past the cap is refused before w = x sqrt(n),
     # which may overflow, is formed
     rule_size(float(np.max(np.abs(x))) * rt)
-    w = np.asarray(x, dtype=float) * rt
-    # w = j + a with j = n mod 2 an exact integer and a = w + n wrapped to
-    # [-1, 1]; w - 2 round(.) is exact, where forming w + n would round
-    par = n % 2
-    r = np.round((w + par) / 2.0)
-    j = 2.0 * r - par
-    a = (w - 2.0 * r) + par
+    j, a = _lattice_split(x, n)
     pref = rt / (2.0 * math.pi)
     side = _short_side(source, a, half)
     # e^{-isw} has frequencies up to max|j| + 1 and the short side's phases
@@ -205,24 +209,24 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
                     "table entries")
 
     if model.dim == 1 and _is_bernoulli(model.noise):
-        x = grid.axes[0].points()
-        vals, est = _bernoulli_density_1d(model.source, n, x)
-        meta = {"truncation_radius": math.inf, "est_tail_error": est, "engine": "cell"}
-        gd = GridDensity(dim=1, axes=grid.axes, values=vals, meta=meta)
+        vals, est = _bernoulli_density_1d(model.source, n, grid.axes[0].points())
+        engine = "cell"
     elif (model.dim == 2 and _is_bernoulli(model.noise)
             and model.source.components is not None):
-        vx, ex = _bernoulli_density_1d(model.source.components[0], n,
-                                       grid.axes[0].points())
-        vy, ey = _bernoulli_density_1d(model.source.components[1], n,
-                                       grid.axes[1].points())
+        (vx, ex), (vy, ey) = (_bernoulli_density_1d(c, n, ax.points())
+                              for c, ax in zip(model.source.components, grid.axes))
+        mx, my = float(np.max(np.abs(vx))), float(np.max(np.abs(vy)))
+        if not math.isfinite(mx * my):
+            raise UnsupportedError("the product density overflows")
         vals = np.outer(vx, vy)
-        est = _product_tail(ex, float(np.max(np.abs(vx))), ey, float(np.max(np.abs(vy))))
-        meta = {"truncation_radius": math.inf, "est_tail_error": est, "engine": "cell-tensor"}
-        gd = GridDensity(dim=2, axes=grid.axes, values=vals, meta=meta)
+        est, engine = _product_tail(float(ex), mx, float(ey), my), "cell-tensor"
     else:
         gd = _general_noise_density(model, n, grid)
-    gd.meta["tol_met"] = gd.est_tail_error <= tol
-    return gd
+        gd.meta["tol_met"] = gd.est_tail_error <= tol
+        return gd
+    meta = {"truncation_radius": math.inf, "est_tail_error": est, "engine": engine,
+            "tol_met": bool(est <= tol)}
+    return GridDensity(dim=model.dim, axes=grid.axes, values=vals, meta=meta)
 
 
 def _smoothed_cf_tail(model: SmoothedModel, n: int):
@@ -288,10 +292,7 @@ def _ndtr(x: float) -> float:
 def gaussian_window_deficit(grid: Grid) -> float:
     """Standard-normal mass outside the grid window (out-of-window bound
     for the grid distances)."""
-    dims = []
-    for ax in grid.axes:
-        dims.append(_ndtr(ax.upper) - _ndtr(ax.origin))
-    inside = float(np.prod(dims))
+    inside = math.prod(_ndtr(ax.upper) - _ndtr(ax.origin) for ax in grid.axes)
     return max(0.0, 1.0 - inside)
 
 
@@ -343,8 +344,8 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
     """Distances to the Gaussian over a schedule of n with a fitted log-log
     slope.  The pi-lattice condition is judged as ``check-condition`` judges
     it (``lattice._condition_holds``, |k| <= 20, against ``tol``); when it
-    fails, even and odd n are never mixed in one fit; the subsequences get
-    separate slopes."""
+    fails under Bernoulli noise, even and odd n are never mixed in one fit;
+    the subsequences get separate slopes."""
     ns = tuple(require_integer(v, 1, "n") for v in n_schedule)
     if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
         raise InvalidParameterError("n_schedule must be strictly increasing")
@@ -370,7 +371,8 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
     even_idx = [i for i, nv in enumerate(ns) if nv % 2 == 0]
     odd_idx = [i for i, nv in enumerate(ns) if nv % 2 == 1]
     mixed = bool(even_idx and odd_idx)
-    condition_fails = not _condition_holds(zeros, tol)
+    # p_n oscillates with the parity of n only on the Bernoulli lattice
+    condition_fails = _is_bernoulli(model.noise) and not _condition_holds(zeros, tol)
     slope = even_slope = odd_slope = None
     if condition_fails and mixed:
         even_slope = _fit_loglog([ns[i] for i in even_idx], [ds[i] for i in even_idx])
@@ -411,7 +413,6 @@ def admissible_T(noise: NoiseDistribution, prefer: str = "auto") -> AdmissibleT:
     for symmetric atom-free unit-variance laws other than Bernoulli +-1."""
     if prefer not in ("auto", "beta3", "remark41"):
         raise InvalidParameterError("prefer must be auto, beta3 or remark41")
-    t_b3 = None
     try:
         t_b3 = 1.0 / _beta3(noise)
     except UnsupportedError:
@@ -420,7 +421,7 @@ def admissible_T(noise: NoiseDistribution, prefer: str = "auto") -> AdmissibleT:
         noise.dim == 1
         and noise.flags.symmetric_about_0
         and getattr(noise, "zero_atom_free", False)
-        and not getattr(noise, "is_symmetric_bernoulli", False)
+        and not _is_bernoulli(noise)
         and noise.second_moment is not None
         and abs(noise.second_moment - 1.0) <= 1e-9
     )

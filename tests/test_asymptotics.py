@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import phi, theta_sum
-from llt_lab import (SmoothedModel, bernoulli_noise, even_odd_limits,
-                     exact_mixture_density, make_fejer, make_gaussian,
-                     make_laplace, make_uniform, oscillation_factor_cf,
-                     oscillation_factor_density, oscillation_report)
+from llt_lab import (SmoothedModel, UnsupportedError, bernoulli_noise, even_odd_limits,
+                     exact_mixture_density, gaussian_noise, grid_1d, make_fejer,
+                     make_gaussian, make_laplace, make_uniform, oscillation_factor_cf,
+                     oscillation_factor_density, oscillation_report, uniform_noise)
 
 UNIFORM = make_uniform(1.0)
 LAPLACE = make_laplace(1.0)
@@ -76,13 +77,49 @@ def test_report_fejer_factor_is_one(T):
     # the Fejer cf vanishes on the nonzero pi-lattice, so A_n = 1; its
     # density route is the finite sum over its compact cf, so the report
     # names the cf side
-    from llt_lab import grid_1d
     rep = oscillation_report(SmoothedModel(make_fejer(T), BERN), 64,
                              grid_1d(-5.0, 5.0, 201))
     tail = rep.meta["density_tail"]
     assert rep.meta["route"] == "cf"
     assert float(np.max(np.abs(rep.a_values - 1.0))) <= tail
-    assert rep.method_gap <= tail
+    assert rep.method_gap is None
+
+
+@pytest.mark.parametrize("n", [100, 10 ** 6, 10 ** 8])
+def test_factor_at_the_exact_lattice_offset(n):
+    # A_n of laplace:b=1 is cosh(1 - a)/sinh(1) at a = x sqrt(n) + n mod 2 in
+    # [0, 2]: the reference forms a in mpmath from the rounded x sqrt(n) that
+    # the cell engine splits, on a grid off the density's lattice points.  A
+    # sum x sqrt(n) + n formed in floating point is off by up to n eps
+    d = 1e-7 * math.pi
+    grid = grid_1d(-5.0 + d, 5.0 + d, 1001)
+    rep = oscillation_report(M_LAPLACE, n, grid)
+    x = grid.axes[0].points()
+    with mpmath.workdps(40):
+        w = [mpmath.mpf(float(v)) + n for v in x * math.sqrt(n)]
+        ref = [mpmath.cosh(1 - (v - 2 * mpmath.floor(v / 2))) / mpmath.sinh(1) for v in w]
+        gap = [abs(float(mpmath.mpf(float(a)) - r)) for a, r in zip(rep.a_values, ref)]
+        resid = max(abs(mpmath.mpf(float(p)) - r * mpmath.npdf(float(v)))
+                    for p, r, v in zip(rep.p_values, ref, x))
+    assert max(gap) <= rep.meta["density_tail"], (n, max(gap))
+    assert (abs(rep.residual_sup - float(resid))
+            <= rep.meta["density_est_error"] + rep.meta["density_tail"])
+    # the scalar routes read the same offset
+    for i in (0, 137, 500, 861, 1000):
+        for route, tail in ((oscillation_factor_cf, rep.meta["cf_tail"]),
+                            (oscillation_factor_density, rep.meta["density_tail"])):
+            assert abs(float(route(M_LAPLACE, n, float(x[i])) - ref[i])) <= tail, (route, i)
+
+
+@pytest.mark.parametrize("noise", [uniform_noise(), gaussian_noise()], ids=["uniform", "gaussian"])
+def test_factor_needs_bernoulli_noise(noise):
+    # p_n has the lattice factor A_n under symmetric Bernoulli noise alone
+    model = SmoothedModel(LAPLACE, noise)
+    for call in (lambda: oscillation_report(model, 16),
+                 lambda: oscillation_factor_cf(model, 16, 0.3),
+                 lambda: oscillation_factor_density(model, 16, 0.3)):
+        with pytest.raises(UnsupportedError, match="Bernoulli"):
+            call()
 
 
 def test_report_uniform_equals_plain_gaussian_residual():

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import math
 import pathlib
@@ -179,6 +180,13 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     # a density so tall that its squared distance to the Gaussian overflows
     # is refused as not finite, with no overflow warning on the way
     (["converge", "--source", "uniform:h=1e-300", "--n", "4,16"], 2),
+    # A_n is the factor of the Bernoulli lattice: under other noise p_n has
+    # none, and oscillate and limits are refused
+    (["oscillate", "--source", "laplace:b=1", "--noise", "uniform", "--n", "16"], 2),
+    (["limits", "--source", "laplace:b=1", "--noise", "uniform"], 2),
+    # a product density past the largest float, refused before the product
+    # or its declared error overflows (found by the property test below)
+    (["density", "--source", "product:uniform:h=1e-300,uniform:h=1e-300", "--n", "16"], 2),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
@@ -189,7 +197,8 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
         "autocorr-uniform-narrow", "autocorr-laplace-narrow", "poisson-laplace-narrow",
         "check-condition-huge-k", "check-condition-product-huge-k",
         "regularity-uniform-wide", "regularity-huge-k", "regularity-2d-huge-k",
-        "density-grid-span-overflows", "density-grid-w-overflows", "converge-l2-overflows"])
+        "density-grid-span-overflows", "density-grid-w-overflows", "converge-l2-overflows",
+        "oscillate-uniform-noise", "limits-uniform-noise", "density-2d-overflows"])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
@@ -199,6 +208,79 @@ def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     if code:
         assert out == ""
         assert ("error:" if code == 1 else "hypotheses not satisfied:") in err
+
+
+_HOSTILE = """
+import collections, contextlib, datetime, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from hypothesis import HealthCheck, given, settings, strategies as st
+from llt_lab.cli import EXPERIMENTS, main
+
+FAMILIES = {"uniform": "h", "laplace": "b", "gaussian": "sigma", "fejer": "T"}
+BENIGN = {"--grid": ("-5,5,201", "-4,4,41"), "--noise": ("bernoulli", "uniform", "gaussian"),
+          "--tol": ("1e-9", "1e-6"), "--k": ("5", "20"), "--norm": ("l1", "sup"),
+          "--kind": ("condition_2_3",)}
+HOSTILE = {"--n": ("0", "1", "1000000000000", "16,4", "-3"),
+           "--grid": ("5,-5,11", "-1e308,1e308,3", "nan,5,11", "-5,inf,11", "-5,5,100000000",
+                      "-5,5,1", "-5,5,0", "-1e6,1e6,3", "0,0,5", "-1e-300,1e-300,3"),
+           "--noise": ("laplace:b=nan", "uniform:h=1e300", "fejer:T=1"),
+           "--tol": ("nan", "0", "-1", "1e-300", "1e300", "inf"),
+           "--k": ("-3", "0", "1", "1000000000000")}
+benign = st.sampled_from(("1", "0.25", "3"))
+param = st.one_of(benign, benign, benign,
+                  st.sampled_from(("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")))
+law = st.builds(lambda f, v: f"{f}:{FAMILIES[f]}={v}", st.sampled_from(sorted(FAMILIES)), param)
+spec = st.one_of(law, st.builds("product:{},{}".format, law, law),
+                 st.sampled_from(("cauchy", "", "laplace:b", "product:", "laplace:b=1,h=2")))
+flags = st.tuples(
+    st.sampled_from(("16", "17", "4,16", "16,17,64,65")).map(lambda v: [f"--n={v}"]),
+    *(st.one_of(st.just([]), st.sampled_from(v).map(lambda x, k=k: [f"{k}={x}"]))
+      for k, v in BENIGN.items())).map(lambda t: sum(t, []))
+# argparse keeps a flag's last value, so a hostile flag overrides a benign one
+hostile = st.lists(st.sampled_from([f"{k}={v}" for k, vs in HOSTILE.items() for v in vs]),
+                   max_size=2)
+codes = collections.Counter()
+
+
+def finite(constant):
+    raise ValueError(constant)
+
+
+@settings(max_examples=int(sys.argv[2]), derandomize=True, database=None,
+          deadline=datetime.timedelta(seconds=20), suppress_health_check=[HealthCheck.too_slow])
+@given(st.builds(lambda e, s, f, h: [e, "--source", s, *f, *h],
+                 st.sampled_from(EXPERIMENTS), spec, flags, hostile))
+def check(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (code, argv)
+    if code:
+        assert out.getvalue() == "", argv
+    else:
+        json.loads(out.getvalue(), parse_constant=finite)
+    codes[code] += 1
+
+
+check()
+print(json.dumps(sorted(codes)))
+"""
+
+
+def test_hostile_cli_input_exits_cleanly():
+    # catalog specs, flags and up to two hostile overrides (NaN, inf and
+    # 1e+-300 parameters, n in {0, 1, 10^12}, reversed and huge grids, a
+    # negative --k, noise other than Bernoulli) drawn by Hypothesis, all run
+    # in one child under -W error, 2 GiB of address space and a deadline:
+    # each exits 0, 1 or 2 with no traceback or warning, writes nothing to
+    # stdout when it fails and finite JSON when it succeeds
+    import llt_lab
+    src = str(pathlib.Path(llt_lab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _HOSTILE, src, "150"],
+                          capture_output=True, text=True, timeout=300,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert proc.stdout.strip() == "[0, 1, 2]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -213,7 +295,9 @@ def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     # and before the rule is formed, or the density side's table
     ["density", "--source", "laplace:b=1", "--n", "16", "--grid=-5000,5000,30000"],
     ["density", "--source", "uniform:h=2000", "--n", "16", "--grid=-5,5,30000"],
-], ids=["wide", "dense-1d", "dense-2d", "wide-and-dense", "long-density-side"])
+    # the oscillation report refuses through density before it forms a point
+    ["oscillate", "--source", "laplace:b=1", "--n", "16", "--grid=-5,5,1000000000"],
+], ids=["wide", "dense-1d", "dense-2d", "wide-and-dense", "long-density-side", "oscillate-dense"])
 def test_cli_refuses_a_grid_past_its_caps(argv):
     r = _run_cli(argv)
     assert (r.returncode, r.stdout) == (2, ""), r.stderr
@@ -466,17 +550,30 @@ def test_check_condition_and_converge_give_one_verdict(capsys):
     assert conv["even_slope"] is None and conv["odd_slope"] is None
 
 
-def test_fixed_cli_bodies_unchanged(capsys):
+def test_converge_splits_by_parity_only_on_the_bernoulli_lattice(capsys):
+    # laplace:b=1 fails the pi-lattice condition, but under uniform noise p_n
+    # has no lattice factor, so even and odd n share one fit
+    assert main(["converge", "--source", "laplace:b=1", "--noise", "uniform",
+                 "--n", "16,17,64,65", "--grid=-5,5,201"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["condition_max_abs"] > 1e-9
+    assert res["fitted_log_slope"] == pytest.approx(-0.926, abs=5e-3)
+    assert res["even_slope"] is None and res["odd_slope"] is None
+
+
+def test_fixed_cli_bodies_unchanged():
     # cheap runs over the cell engine, the lattice sums, the general-noise
     # inverse and the lattice conditions; a change that moves a body tables
     # the move in CHANGES.md and re-records tests/data/cli_bodies.json with
-    # tests/data/record_cli_bodies.py
-    path = pathlib.Path(__file__).parent / "data" / "cli_bodies.json"
-    runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
-    assert len(runs) == 21
-    for run_ in runs:
-        assert main(run_["argv"]) == 0
-        assert capsys.readouterr().out == run_["body"] + "\n", run_["argv"]
+    # tests/data/record_cli_bodies.py, whose --diff prints the rows below
+    path = pathlib.Path(__file__).parent / "data" / "record_cli_bodies.py"
+    spec = importlib.util.spec_from_file_location("record_cli_bodies", path)
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    runs = json.loads(record.PATH.read_text(encoding="utf-8"))["runs"]
+    rows = record.moved_rows(runs)
+    assert rows == [], "moved:\n" + "\n".join(rows)
+    assert len(runs) == 22
 
 
 def test_import_leaves_scipy_integrate_unloaded():
