@@ -216,19 +216,24 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
 
 
 def _reduced_periodized_cf(dist: SourceDistribution, side: _ShortSide,
-                           s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """e^{-isa} L sum_m p(a + Lm) e^{is(a + Lm)} from its short side,
-    (offsets a) x (points s): on the density side L sum_m p(a + Lm) e^{isLm},
-    one product of the (a x m) density table with the (m x s) phases; on the
-    cf side sum_k e^{-ia t} f(t) with t = 2 pi k/L + s."""
+                           s: np.ndarray, a: np.ndarray):
+    """e^{-isa} L sum_m p(a + Lm) e^{is(a + Lm)} from its short side, as
+    rows -> (offsets a[rows]) x (points s), with what depends on s alone
+    formed once: on the density side L sum_m p(a + Lm) e^{isLm}, the rows'
+    product of the (a x m) density table with the (m x s) phases L e^{isLm};
+    on the cf side sum_k e^{-ia t} f(t) with t = 2 pi k/L + s."""
     L = side.L
     if side.k is None:
-        return L * (side.p @ np.exp(1j * L * np.outer(side.m, s)))
-    out = np.zeros((a.size, s.size), dtype=complex)
-    for k in side.k:
-        t = (2.0 * math.pi / L) * k + s
-        out += np.exp(-1j * np.outer(a, t)) * dist.cf(t)
-    return out
+        E = L * np.exp(1j * L * np.outer(side.m, s))
+        return lambda rows: side.p[rows] @ E
+    terms = [(t, dist.cf(t)) for t in ((2.0 * math.pi / L) * k + s for k in side.k)]
+
+    def table(rows):
+        out = np.zeros((a[rows].size, s.size), dtype=complex)
+        for t, f in terms:
+            out += np.exp(-1j * np.outer(a[rows], t)) * f
+        return out
+    return table
 
 
 def periodized_cf(dist: SourceDistribution, s, a):
@@ -242,7 +247,7 @@ def periodized_cf(dist: SourceDistribution, s, a):
     a = _require_finite("a", np.atleast_1d(a))
     a = a - 2.0 * np.round(a / 2.0)
     side = _short_side(dist, a, float(np.max(np.abs(s))))
-    G = _reduced_periodized_cf(dist, side, s, a)
+    G = _reduced_periodized_cf(dist, side, s, a)(slice(None))
     return np.exp(1j * np.outer(a, s)) * G, side.tail
 
 

@@ -18,13 +18,16 @@ lattice tail.  The integral runs on one Gauss-Legendre rule over the window
 |s| <= min(pi/2, U/sqrt n), where cos^n(s) <= e^{-ns^2/2} keeps all but
 erfc(U/sqrt 2) of the mass, split into panels at the kinks of a compact cf.
 With w = j + a, j an exact integer, the phase e^{-isw} F is e^{-isj} times
-e^{-isa} F, and on the density side e^{-isa} F is one product of the
-(points x terms) density table with the (terms x nodes) phases e^{2ism}: one
-weighted product per rule.  A check rule with 3/4 of the nodes bounds the
-quadrature error.  For general (non-Bernoulli) noise, ``inversion.invert``
-integrates the smoothed cf on the same panel rule over |t| <= R, with R from
-the tails of |f|^p that the source and the noise declare (``cf_power_tail``)
-and panels ending at 0 and at a compact cf's edge T sqrt(n).
+e^{-isa} F, and on the density side e^{-isa} F is the (points x terms)
+density table times the (terms x nodes) phases 2 e^{2ism}, formed once per
+rule with the weights cos^n(s).  Rows go in blocks of about 4096 complex
+table entries, 64 KiB arrays whose pages the heap reuses from call to call
+(a whole-grid table goes back to the system and is faulted in again).  A
+check rule with 3/4 of the nodes bounds the quadrature error.  For general
+(non-Bernoulli) noise, ``inversion.invert`` integrates the smoothed cf on
+the same panel rule over |t| <= R, with R from the tails of |f|^p that the
+source and the noise declare (``cf_power_tail``) and panels ending at 0 and
+at a compact cf's edge T sqrt(n).
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 _WINDOW_U = 9.0         # cell window |s| <= U/sqrt(n): erfc(U/sqrt 2) ~ 2e-19 left out
+_ROW_BLOCK = 4096       # a row block's complex entries: 64 KiB, under glibc's mmap threshold
 
 
 @dataclass(frozen=True)
@@ -151,18 +155,23 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
     # up to side.freq, on panels that end at the side's kinks
     reach = float(np.max(np.abs(j))) + 1.0 + side.freq
     per, nodes = rule_size(reach)
+    # the (points x nodes) table is walked in row blocks: the cap bounds the work
     require_at_most("the cell rule", x.size * max(nodes, 128), _MAX_TABLE, "table entries")
     rules = _panel_rules(half, side.kinks, per, 0.5 * math.pi)
 
     def window_sum(s, ws):
         # e^{-isw} F(s, a) = e^{-isj} e^{-isa} F(s, a): j exact, so no phase
-        # carries the rounding of w
-        G = _reduced_periodized_cf(source, side, s, a)
-        return pref * ((np.exp(-1j * np.outer(j, s)) * G).real @ (ws * _cos_power(n, s)))
+        # carries the rounding of w.  No block has one row but a one-point
+        # grid's: BLAS's vector kernels round otherwise than its matrix kernels
+        G, c, out = _reduced_periodized_cf(source, side, s, a), _cos_power(n, s), np.empty(x.size)
+        w, rows = ws * c, max(2, _ROW_BLOCK // s.size)
+        edges = [*range(0, max(x.size - 1, 1), rows), x.size]
+        for r in map(slice, edges, edges[1:]):
+            out[r] = (np.exp(-1j * np.outer(j[r], s)) * G(r)).real @ w
+        return pref * out, float(ws @ c)
 
-    vals, check = (window_sum(s, ws) for s, ws in rules)
-    A = _reduced_periodized_cf(source, side, np.zeros(1), a)[:, 0].real      # F(0, a)
-    c0 = float(rules[0][1] @ _cos_power(n, rules[0][0]))
+    (vals, c0), (check, _) = (window_sum(s, ws) for s, ws in rules)
+    A = _reduced_periodized_cf(source, side, np.zeros(1), a)(slice(None))[:, 0].real  # F(0, a)
     # |F(s, a)| <= F(0, a) for a density p >= 0 (Poisson summation), so the
     # integrand outside the window is below F(0, a) e^{-ns^2/2}
     a_max = float(np.max(np.abs(A))) + side.tail

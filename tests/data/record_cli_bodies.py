@@ -36,7 +36,9 @@ ABOUT = ("canonical JSON bodies of fixed CLI runs, as written to standard output
 # cf whose zeros are searched for and of a product, the pi-lattice zero
 # check of a product, the one verdict on the condition for a source whose
 # max |f(pi k)| lies between the default tol and 1e-8, and A_n at an n where
-# forming x sqrt(n) + n in floating point would move it
+# forming x sqrt(n) + n in floating point would move it; the cell engine's
+# row blocks on the compact cf side, on the default grid with a partial last
+# block, and under the tensor product
 RUNS = [
     ["density", "--source", "uniform:h=1", "--n", "16", "--grid=-5,5,201"],
     ["density", "--source", "laplace:b=1", "--n", "256", "--grid=-5,5,201"],
@@ -61,6 +63,9 @@ RUNS = [
     ["check-condition", "--source", "gaussian:sigma=2"],
     ["converge", "--source", "gaussian:sigma=2", "--n", "16,17,64,65", "--grid=-5,5,201"],
     ["oscillate", "--source", "laplace:b=1", "--n", "123456789", "--grid=-5,5,201"],
+    ["density", "--source", "fejer:T=0.7", "--n", "64", "--grid=-5,5,201"],
+    ["density", "--source", "gaussian:sigma=1", "--n", "4096"],
+    ["density", "--source", "product:uniform:h=1,uniform:h=1", "--n", "64", "--grid=-5,5,101"],
 ]
 
 

@@ -573,7 +573,7 @@ def test_fixed_cli_bodies_unchanged():
     runs = json.loads(record.PATH.read_text(encoding="utf-8"))["runs"]
     rows = record.moved_rows(runs)
     assert rows == [], "moved:\n" + "\n".join(rows)
-    assert len(runs) == 22
+    assert len(runs) == 25
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -314,6 +314,45 @@ def test_density_values_own_their_buffer(engine, model):
     assert gd.values.dtype == np.float64 and gd.values.base is None
 
 
+@pytest.mark.parametrize("name, param", [("uniform", 1.0), ("laplace", 1.0),
+                                         ("gaussian", 1.0), ("fejer", 0.7)])
+@pytest.mark.parametrize("n", [16, 16384])
+def test_cell_engine_temporaries_stay_small(name, param, n):
+    # the engine walks the grid in row blocks, so one default-grid call
+    # never holds a whole (points x nodes) complex table (about 6 MB)
+    import tracemalloc
+    model = SmoothedModel(_CELL_SOURCES[name](param), BERN)
+    tracemalloc.start()
+    try:
+        density(model, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 64, 65, 1001])
+@pytest.mark.parametrize("name, param", [("uniform", 1.0), ("laplace", 1.0),
+                                         ("gaussian", 1.0), ("fejer", 0.7)])
+@pytest.mark.parametrize("n", [3, 256])
+def test_cell_engine_row_blocks(count, name, param, n, monkeypatch):
+    # grids that fall short of, fill and overrun a block of rows (32 rows of
+    # a 128-node rule) give every point its declared error, in a result
+    # that owns its buffer, and the very values of one whole-grid block
+    from llt_lab import smoothing
+    from llt_lab.inversion import Axis, Grid
+    grid = Grid((Axis(-3.3, 6.6 / count, count),))
+    model = SmoothedModel(_CELL_SOURCES[name](param), BERN)
+    gd = density(model, n, grid)
+    err = np.abs(gd.values - _mixture_reference(name, param, n, grid.axes[0].points()))
+    assert gd.meta["engine"] == "cell" and gd.values.shape == (count,)
+    assert np.all(err <= gd.est_tail_error), (float(err.max()), gd.est_tail_error)
+    assert gd.values.base is None
+    monkeypatch.setattr(smoothing, "_ROW_BLOCK", 2 ** 40)
+    whole = density(model, n, grid)
+    assert np.array_equal(gd.values, whole.values) and gd.est_tail_error == whole.est_tail_error
+
+
 def test_density_2d_product_matches_mixture():
     from llt_lab import exact_mixture_density_2d
     from llt_lab.inversion import Axis, Grid
