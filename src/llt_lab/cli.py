@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -339,6 +340,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidParameterError(message)
 
 
+@functools.cache      # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     # flags left out stay out of the namespace, so ExperimentConfig alone
     # holds the defaults

@@ -70,10 +70,9 @@ class SourceDistribution:
     c t^-p sin(omega t) for odd p, and ``cf_lattice_tail(R, L)`` bounds the
     sum of |f - terms| over the points t of L Z with |t| >= R; None where
     no bound is declared.  ``cf_power_tail(r, p)`` bounds the integral of
-    |f(u)|^p over |u| > r (the sup norm for dim >= 2), inf where that
-    integral diverges; None where no bound is declared.  Densities and cfs
-    accept floats or numpy arrays; for dim >= 2 the point arrays have the
-    coordinate axis last.
+    |f(u)|^p over |u| > r, inf where that integral diverges; None where no
+    bound is declared.  Densities and cfs accept floats or numpy arrays; for
+    dim >= 2 the point arrays have the coordinate axis last.
     """
 
     dim: int
@@ -426,12 +425,14 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
     """Coordinate-wise product of one-dimensional catalog entries.
 
     Points are arrays with the coordinate axis last: shape (..., d) in,
-    shape (...) out.  The component list is retained so lattice sums and the
-    smoothing engine can exploit separability.
+    shape (...) out.  The component list is retained so lattice sums, the
+    smoothing engine and the oracle can exploit separability; the cf's
+    support and tails are the components' declarations, so the product
+    declares none of its own.
     """
     comps = tuple(components)
-    if not comps:
-        raise InvalidParameterError("product requires at least one component")
+    if len(comps) < 2:
+        raise InvalidParameterError("product requires at least two components")
     for c in comps:
         if c.dim != 1:
             raise InvalidParameterError("product components must be one-dimensional")
@@ -469,11 +470,6 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
             grads.append(g)
         return np.stack(grads, axis=-1)
 
-    all_compact = all(c.cf_support_radius is not None for c in comps)
-    # smallest Euclidean ball containing the support box
-    radius = (math.sqrt(sum(c.cf_support_radius * c.cf_support_radius for c in comps))
-              if all_compact else None)
-
     abs1 = None
     if all(c.abs_moment1 is not None for c in comps):
         # finite upper bound sum E|X_i| >= E|X|; exact value is not closed-form
@@ -481,18 +477,6 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
     m2 = None
     if all(c.second_moment is not None for c in comps):
         m2 = sum(c.second_moment for c in comps)
-
-    def cf_power_tail(r, p):
-        # |u| > r in the sup norm means |u_i| > r for some i: the union
-        # bound, each term a component's tail times the others' whole
-        # integrals
-        whole = [c.cf_power_tail(0.0, p) for c in comps]
-        out = 0.0
-        for i, c in enumerate(comps):
-            part = c.cf_power_tail(r, p)
-            if part > 0.0:
-                out += part * math.prod(whole[:i] + whole[i + 1:])
-        return out
 
     def sampler(rng, size):
         cols = [c.sampler(rng, size) for c in comps]
@@ -508,9 +492,6 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
         abs_moment1=abs1,
         second_moment=m2,
         abs_moment3=None,
-        cf_support_radius=radius,
-        cf_power_tail=(cf_power_tail if all(c.cf_power_tail is not None for c in comps)
-                       else None),
         flags=DistFlags(**{f.name: all(getattr(c.flags, f.name) for c in comps)
                            for f in fields(DistFlags)}),
         sampler=sampler if have_samplers else None,

@@ -4,20 +4,19 @@ One rule builder serves both engines: a window split at the integrand's
 kinks into Gauss-Legendre panels of at most 128 nodes, with a main rule
 and a check rule of 3/4 of its nodes, whose difference times 9/7 bounds the
 main rule's quadrature error.  The Bernoulli cell engine in ``smoothing``
-integrates on it, and so does :func:`invert`, the one- and tensor
-two-dimensional inverse
+integrates on it, and so does :func:`invert`, the inverse
 
-    p(x) = (2 pi)^-d integral of e^{-i<t,x>} cf(t) dt  over |t|_inf <= R.
+    p(x) = (1 / 2 pi) integral of e^{-itx} cf(t) dt  over |t| <= R.
 
-The caller declares tail(r), a bound on the integral of |cf| over
-|t|_inf > r.  The window R is the least one whose declared tail is at most
-2^-64, the truncation floor of the lattice sums, whatever the requested
-tol; it stops where the rule would pass _MAX_NODES nodes per axis, and the
-tail left there is declared as it stands.
+The caller declares tail(r), a bound on the integral of |cf| over |t| > r.
+The window R is the least one whose declared tail is at most 2^-64, the
+truncation floor of the lattice sums, whatever the requested tol; it stops
+where the rule would pass _MAX_NODES nodes, and the tail left there is
+declared as it stands.
 
-The phases of a grid axis come from the index split i = B p + q,
+The phases of the grid come from the index split i = B p + q,
 B = ceil(sqrt(count)): e^{-ix_i t} = e^{-ix_{Bp} t} e^{-i(q step) t}, so a
-1001-point axis evaluates 64 rows of cos and sin per node, not 1001.
+1001-point grid evaluates 64 rows of cos and sin per node, not 1001.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ _IM_REJECT = 1e-6    # beyond this the cf evaluation is not Hermitian
 # the density of Z_n spreads its cf's frequencies over |y| <= 8 or so, which
 # add to the phase frequencies |x| of e^{-itx}
 _CF_REACH = 8.0
-_MAX_NODES = (2 ** 14, 2 ** 9)     # main-rule nodes per axis, in 1-D and 2-D
+_MAX_NODES = 2 ** 14               # most main-rule nodes (invert, cell engine)
 _PANEL_NODES = 128                 # most nodes of one Gauss-Legendre panel
 _EPS = float(np.finfo(float).eps)
 
@@ -199,20 +198,14 @@ def _phase_sums(ax: Axis, t: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.nda
     return ((ea * f) @ eb.T + (ea.conj() * g) @ eb.conj().T).ravel()[:ax.count]
 
 
-def _phase_table(ax: Axis, t: np.ndarray) -> np.ndarray:
-    """e^{-ixt} at the axis's points (rows) and the nodes t (columns)."""
-    ea, eb = _phase_factors(ax, t)
-    return (ea[:, None, :] * eb).reshape(-1, t.size)[:ax.count]
-
-
-def _phase_rounding(dim: int, R: float, xmax: float) -> float:
+def _phase_rounding(R: float, xmax: float) -> float:
     """Bound on a phase sum's rounding per unit of sum |cf w|, for |t| <= R
-    and |x| <= xmax.  Per axis, with u = eps/2, the angle is off by at most
+    and |x| <= xmax.  With u = eps/2, the angle is off by at most
     u R xmax (block angle) + 2u R xmax (offset angle, q step <= 2 xmax) +
     R u (2 step i + |x_i| + |x_{Bp}|) <= 6u R xmax (the split of the grid
     point x_i from x_{Bp} + fl(q step)); the factors and their product add
-    8 eps per axis, and the sums 16 eps."""
-    return (16.0 + dim * (8.0 + 5.0 * R * xmax)) * _EPS
+    8 eps, and the sums 16 eps."""
+    return (16.0 + (8.0 + 5.0 * R * xmax)) * _EPS
 
 
 def _window(tail: Callable, scale: float, r_cap: float, kinks) -> float:
@@ -230,30 +223,28 @@ def _window(tail: Callable, scale: float, r_cap: float, kinks) -> float:
     return min([hi] + [k for k in kinks if 0.0 < k < hi and small(k)])
 
 
-def invert(cf_eval: Callable, dim: int, grid: Grid, tail: Callable,
-           kinks=()) -> GridDensity:
-    """Evaluate (2 pi)^-d integral of exp(-i<t,x>) cf(t) over |t|_inf <= R on
-    a grid, on the panel rule (a tensor of it in two dimensions).
+def invert(cf_eval: Callable, grid: Grid, tail: Callable, kinks=()) -> GridDensity:
+    """Evaluate (1 / 2 pi) integral of exp(-itx) cf(t) over |t| <= R on a
+    one-dimensional grid, on the panel rule.
 
-    ``tail(r)`` bounds the integral of |cf| over |t|_inf > r (inf where it
-    diverges, which is refused); ``kinks`` are the t > 0 where cf has a kink
-    along an axis, besides 0, which always ends a panel.  The imaginary part
-    of the result must be roundoff (<= 1e-9 by contract) and is discarded
-    after checking; values above 1e-6 signal a non-Hermitian cf.
+    ``tail(r)`` bounds the integral of |cf| over |t| > r (inf where it
+    diverges, which is refused); ``kinks`` are the t > 0 where cf has a
+    kink, besides 0, which always ends a panel.  The imaginary part of the
+    result must be roundoff (<= 1e-9 by contract) and is discarded after
+    checking; values above 1e-6 signal a non-Hermitian cf.
     ``meta["est_tail_error"]`` is the declared tail beyond R, the check
     rule's bound and the factored phases' rounding (``_phase_rounding``).
-    ``meta["cf_mass"]`` is (2 pi)^-d sum |cf w| over the main rule: a
+    ``meta["cf_mass"]`` is (1 / 2 pi) sum |cf w| over the main rule: a
     relative error delta in every cf value moves each result by at most
     delta times it, which the estimates here cannot see.
     """
-    if dim not in (1, 2):
-        raise InvalidParameterError("invert supports dim 1 and 2")
-    if grid.dim != dim:
-        raise InvalidParameterError("grid dimension mismatch")
-    scale = (2.0 * math.pi) ** -dim
+    if grid.dim != 1:
+        raise InvalidParameterError("invert takes a one-dimensional grid")
+    ax = grid.axes[0]
+    scale = 1.0 / (2.0 * math.pi)
     xmax = grid.max_coordinate()
     per = 0.8 * (xmax + _CF_REACH)              # nodes per unit half-width
-    R = _window(tail, scale, _MAX_NODES[dim - 1] / per, kinks)
+    R = _window(tail, scale, _MAX_NODES / per, kinks)
     window_tail = scale * tail(R)
     if not math.isfinite(window_tail):
         raise UnsupportedError("the cf's declared tail diverges; "
@@ -261,20 +252,12 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, tail: Callable,
     rules = _panel_rules(R, [e * b for b in (0.0, *kinks) for e in (-1.0, 1.0)], per)
 
     def rule_sum(t, w):
-        if dim == 1:
-            # the rule is even and ends a panel at 0, so its nodes t > 0
-            # carry cf(t) e^{-itx} + cf(-t) e^{itx}
-            t, w = t[t > 0.0], w[t > 0.0]
-            fp, fm = w * np.asarray(cf_eval(np.concatenate([t, -t])), dtype=complex).reshape(2, -1)
-            vals = _phase_sums(grid.axes[0], t, fp, fm)
-            f = np.abs(fp) + np.abs(fm)
-        else:
-            T1, T2 = np.meshgrid(t, t, indexing="ij")
-            f = (np.asarray(cf_eval(np.stack([T1, T2], axis=-1)), dtype=complex)
-                 * np.outer(w, w))
-            E1, E2 = (_phase_table(ax, t) for ax in grid.axes)
-            vals = E1 @ f @ E2.T
-        return scale * vals, scale * float(np.sum(np.abs(f)))
+        # the rule is even and ends a panel at 0, so its nodes t > 0
+        # carry cf(t) e^{-itx} + cf(-t) e^{itx}
+        t, w = t[t > 0.0], w[t > 0.0]
+        fp, fm = w * np.asarray(cf_eval(np.concatenate([t, -t])), dtype=complex).reshape(2, -1)
+        vals = _phase_sums(ax, t, fp, fm)
+        return scale * vals, scale * float(np.sum(np.abs(fp) + np.abs(fm)))
 
     (vals, cf_mass), (check, _) = (rule_sum(t, w) for t, w in rules)
     im_max = float(np.max(np.abs(vals.imag)))
@@ -283,14 +266,14 @@ def invert(cf_eval: Callable, dim: int, grid: Grid, tail: Callable,
             f"imaginary residue {im_max:.3g} exceeds {_IM_REJECT}; cf is not Hermitian")
     out = vals.real.copy()      # owns its buffer; the complex one goes
     quad_err = _check_error(out, check.real)
-    roundoff = _phase_rounding(dim, R, xmax) * cf_mass
+    roundoff = _phase_rounding(R, xmax) * cf_mass
     meta = {
         "truncation_radius": R,
         "est_window_tail": window_tail,
         "est_quad_error": quad_err,
         "est_tail_error": window_tail + quad_err + roundoff,
         "max_imag": im_max,
-        "quad_nodes": rules[0][0].size ** dim,
+        "quad_nodes": rules[0][0].size,
         "cf_mass": cf_mass,
     }
-    return GridDensity(dim=dim, axes=grid.axes, values=out, meta=meta)
+    return GridDensity(dim=1, axes=grid.axes, values=out, meta=meta)

@@ -484,17 +484,20 @@ def poisson_check(dist: SourceDistribution, tol: float = 1e-10) -> PoissonReport
 
     The hypotheses, a finite first absolute moment and an integrable cf
     (a finite ``cf_power_tail(0, 1)``, hence a bounded continuous density),
-    are read from the law, which is refused with the failed one named.
+    are read from the law, which is refused with the failed one named.  A
+    product's cf is integrable where every component's is, and is judged
+    on its components.
     """
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density")
     if dist.abs_moment1 is None:
         raise UnsupportedError(
             f"{dist.label}: first absolute moment unavailable (infinite)")
-    if dist.cf_power_tail is None or not dist.cf_power_tail(0.0, 1.0) < math.inf:
-        raise UnsupportedError(
-            f"{dist.label}: cf not declared absolutely integrable (the density "
-            "may be discontinuous at lattice points)")
+    for law in dist.components or (dist,):
+        if law.cf_power_tail is None or not law.cf_power_tail(0.0, 1.0) < math.inf:
+            raise UnsupportedError(
+                f"{law.label}: cf not declared absolutely integrable (the density "
+                "may be discontinuous at lattice points)")
     lhs = sum_density_lattice(dist, 1.0, np.zeros(dist.dim) if dist.dim > 1 else 0.0,
                               tol=tol)
     rhs = sum_cf_lattice(dist, 2.0 * math.pi, None, tol=tol)

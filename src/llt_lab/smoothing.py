@@ -27,7 +27,9 @@ check rule with 3/4 of the nodes bounds the quadrature error.  For general
 (non-Bernoulli) noise, ``inversion.invert`` integrates the smoothed cf on
 the same panel rule over |t| <= R, with R from the tails of |f|^p that the
 source and the noise declare (``cf_power_tail``) and panels ending at 0 and
-at a compact cf's edge T sqrt(n).
+at a compact cf's edge T sqrt(n).  In two dimensions a product source under
+independent +-1 corner steps has the tensor product of its components'
+one-dimensional densities; every other two-dimensional model is refused.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _bernoulli_density_1d(source: SourceDistribution, n: int, x: np.ndarray):
         # and the cos^n bump, and the nodes of the window
         per = 0.8 * (reach + 6.0 * rt) + 64
         nodes = half / (0.5 * math.pi) * per
-        require_at_most(f"{source.label}: the cell rule", nodes, _MAX_NODES[0], "nodes")
+        require_at_most(f"{source.label}: the cell rule", nodes, _MAX_NODES, "nodes")
         return per, nodes
 
     # |j| >= |w| - 1 below, so the rule needs at least the nodes of reach
@@ -199,8 +201,10 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
     """Density of Z_n on a grid, through the characteristic function.
 
     Bernoulli noise runs the exact cell engine (any n, near-oracle accuracy);
-    separable two-dimensional models tensorize it; general noise uses the
-    panel inversion over a window bounded by the laws' declared cf tails.
+    general one-dimensional noise uses the panel inversion over a window
+    bounded by the laws' declared cf tails.  In two dimensions a product
+    source under symmetric Bernoulli noise tensorizes the cell engine; any
+    other two-dimensional model is refused.
     ``meta["tol_met"]`` says whether the declared ``est_tail_error`` is at
     most ``tol``.
     """
@@ -220,6 +224,10 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
     if model.dim == 1 and _is_bernoulli(model.noise):
         vals, est = _bernoulli_density_1d(model.source, n, grid.axes[0].points())
         engine = "cell"
+    elif model.dim == 1:
+        gd = _general_noise_density(model, n, grid)
+        gd.meta["tol_met"] = gd.est_tail_error <= tol
+        return gd
     elif (model.dim == 2 and _is_bernoulli(model.noise)
             and model.source.components is not None):
         (vx, ex), (vy, ey) = (_bernoulli_density_1d(c, n, ax.points())
@@ -230,9 +238,8 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
         vals = np.outer(vx, vy)
         est, engine = _product_tail(float(ex), mx, float(ey), my), "cell-tensor"
     else:
-        gd = _general_noise_density(model, n, grid)
-        gd.meta["tol_met"] = gd.est_tail_error <= tol
-        return gd
+        raise UnsupportedError("a two-dimensional density needs a product source "
+                               "under symmetric Bernoulli noise")
     meta = {"truncation_radius": math.inf, "est_tail_error": est, "engine": engine,
             "tol_met": bool(est <= tol)}
     return GridDensity(dim=model.dim, axes=grid.axes, values=vals, meta=meta)
@@ -253,15 +260,15 @@ def _smoothed_cf_tail(model: SmoothedModel, n: int):
         r = R / rt
         f2, v2 = f(r, 2), v(r, 2 * n)
         both = math.sqrt(f2 * v2) if f2 and v2 else 0.0
-        return rt ** model.dim * min(f(r, 1), v(r, n), both)
+        return rt * min(f(r, 1), v(r, n), both)
 
     return tail
 
 
 def _general_noise_density(model: SmoothedModel, n: int, grid: Grid) -> GridDensity:
     edge = model.source.cf_support_radius
-    gd = invert(lambda t: smoothed_cf(model, n, t), model.dim, grid,
-                _smoothed_cf_tail(model, n), () if edge is None else (edge * math.sqrt(n),))
+    gd = invert(lambda t: smoothed_cf(model, n, t), grid, _smoothed_cf_tail(model, n),
+                () if edge is None else (edge * math.sqrt(n),))
     # v(t/sqrt n)^n carries about n eps relative rounding in every cf value;
     # both rules read values with the same error, so only this allowance
     # covers it
@@ -330,10 +337,12 @@ def distance_to_gaussian(gd: GridDensity, norm: str) -> float:
         return float(flat[i])
     if norm == "l1":
         return _grid_integral(np.abs(diff), gd.axes)
-    # a square past the largest float reads inf, which no result may hold
+    # diff^2 may pass the largest float where the norm does not: square diff
+    # scaled exactly by the power of two of max|diff|, and scale the root back
+    e = math.frexp(float(np.max(np.abs(diff))))[1]
     with np.errstate(over="ignore"):
-        sq = diff * diff
-    return math.sqrt(_grid_integral(sq, gd.axes))
+        scaled = np.ldexp(diff, -e)
+        return float(np.ldexp(math.sqrt(_grid_integral(scaled * scaled, gd.axes)), e))
 
 
 def _fit_loglog(ns, ds) -> Optional[float]:

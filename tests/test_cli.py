@@ -177,9 +177,10 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     # refused before any value overflows (warnings are errors here)
     (["density", "--source", "laplace:b=1", "--n", "16", "--grid=-1e308,1e308,3"], 1),
     (["density", "--source", "laplace:b=1", "--n", "10000", "--grid=-1e307,1e307,3"], 2),
-    # a density so tall that its squared distance to the Gaussian overflows
-    # is refused as not finite, with no overflow warning on the way
-    (["converge", "--source", "uniform:h=1e-300", "--n", "4,16"], 2),
+    # a density so tall that its squared distance to the Gaussian would
+    # overflow still has an L2 distance a float holds, with no overflow
+    # warning on the way
+    (["converge", "--source", "uniform:h=1e-300", "--n", "4,16"], 0),
     # A_n is the factor of the Bernoulli lattice: under other noise p_n has
     # none, and oscillate and limits are refused
     (["oscillate", "--source", "laplace:b=1", "--noise", "uniform", "--n", "16"], 2),
@@ -187,6 +188,8 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     # a product density past the largest float, refused before the product
     # or its declared error overflows (found by the property test below)
     (["density", "--source", "product:uniform:h=1e-300,uniform:h=1e-300", "--n", "16"], 2),
+    # a product has two or more components: one component gave tracebacks
+    *[([e, "--source", "product:laplace:b=1"], 1) for e in ("poisson", "autocorr", "limits")],
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
@@ -198,7 +201,8 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
         "check-condition-huge-k", "check-condition-product-huge-k",
         "regularity-uniform-wide", "regularity-huge-k", "regularity-2d-huge-k",
         "density-grid-span-overflows", "density-grid-w-overflows", "converge-l2-overflows",
-        "oscillate-uniform-noise", "limits-uniform-noise", "density-2d-overflows"])
+        "oscillate-uniform-noise", "limits-uniform-noise", "density-2d-overflows",
+        *[f"{e}-one-component-product" for e in ("poisson", "autocorr", "limits")]])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")

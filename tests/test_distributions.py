@@ -84,18 +84,9 @@ def test_product_examples():
     assert g2.density(np.zeros(2)) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
     l2 = product([make_laplace(1.0), make_laplace(1.0)])
     assert l2.cf(np.zeros(2)) == 1.0
-    with pytest.raises(InvalidParameterError):
-        product([])
-
-
-def test_product_support_radius_covers_box():
-    # the stored Euclidean radius must contain the full support box of the
-    # component cfs, otherwise inversion windows would clip real mass
-    p2 = product([make_fejer(0.7), make_fejer(1.2)])
-    assert p2.cf_support_radius == pytest.approx(math.hypot(0.7, 1.2))
-    t_edge = np.array([0.69, 1.19])
-    assert p2.cf(t_edge) > 0.0
-    assert np.linalg.norm(t_edge) <= p2.cf_support_radius
+    for comps in ([], [make_laplace(1.0)]):
+        with pytest.raises(InvalidParameterError, match="two components"):
+            product(comps)
 
 
 def test_bernoulli_noise_examples():

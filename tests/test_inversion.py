@@ -7,11 +7,11 @@ import pytest
 from scipy.special import dawsn, erfcx, wofz
 
 from conftest import offset_points
-from llt_lab import (InconsistentCfError, SmoothedModel, UnsupportedError, density,
-                     gaussian_noise, grid_1d, grid_2d, invert, make_fejer, make_gaussian,
-                     make_laplace, make_uniform, product, uniform_noise)
-from llt_lab.inversion import (_CF_REACH, _MAX_NODES, Axis, Grid, _phase_rounding, _phase_sums,
-                              _phase_table)
+from llt_lab import (InconsistentCfError, InvalidParameterError, SmoothedModel,
+                     UnsupportedError, density, gaussian_noise, grid_1d, grid_2d, invert,
+                     make_fejer, make_gaussian, make_laplace, make_uniform, uniform_noise)
+from llt_lab.inversion import (_CF_REACH, _MAX_NODES, Axis, Grid, _phase_factors,
+                              _phase_rounding, _phase_sums)
 
 EPS = float(np.finfo(float).eps)
 
@@ -23,7 +23,7 @@ def _tail(dist, p=1):
 
 def test_gaussian_self_pair():
     g = make_gaussian(1.0)
-    gd = invert(g.cf, 1, grid_1d(-5, 5, 101), _tail(g))
+    gd = invert(g.cf, grid_1d(-5, 5, 101), _tail(g))
     assert gd.values[50] == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
     assert gd.meta["max_imag"] <= 1e-9
 
@@ -36,14 +36,14 @@ def _sinc2(t):
 
 def test_uniform_slow_tail():
     # the window stops at the node cap and declares the 1/R tail it leaves
-    gd = invert(_sinc2, 1, grid_1d(-5, 5, 101), _tail(make_uniform(1.0), 2))
+    gd = invert(_sinc2, grid_1d(-5, 5, 101), _tail(make_uniform(1.0), 2))
     assert gd.values[50] == pytest.approx(0.5, abs=gd.est_tail_error)
     assert 0.0 < gd.meta["est_window_tail"] < gd.est_tail_error < 1e-3
 
 
 def test_fejer_compact_no_tail():
     f = make_fejer(1.0)
-    gd = invert(f.cf, 1, grid_1d(-5, 5, 101), _tail(f), kinks=(1.0,))
+    gd = invert(f.cf, grid_1d(-5, 5, 101), _tail(f), kinks=(1.0,))
     assert gd.values[50] == pytest.approx(1.0 / (2 * math.pi), abs=1e-15)
     assert gd.meta["truncation_radius"] == 1.0
     assert gd.meta["est_window_tail"] == 0.0
@@ -55,32 +55,25 @@ def test_non_hermitian_cf_rejected():
         return np.exp(-0.5 * t * t) * (1.0 + 0.3j)
 
     with pytest.raises(InconsistentCfError):
-        invert(bad, 1, grid_1d(-3, 3, 21), _tail(make_gaussian(1.0)))
+        invert(bad, grid_1d(-3, 3, 21), _tail(make_gaussian(1.0)))
 
 
 def test_symmetric_output():
     l = make_laplace(1.0)
-    gd = invert(l.cf, 1, grid_1d(-5, 5, 101), _tail(l))
+    gd = invert(l.cf, grid_1d(-5, 5, 101), _tail(l))
     assert float(np.max(np.abs(gd.values - gd.values[::-1]))) <= 1e-10
 
 
 def test_mass_conservation():
     g = make_gaussian(1.0)
-    gd = invert(g.cf, 1, grid_1d(-6, 6, 241), _tail(g))
+    gd = invert(g.cf, grid_1d(-6, 6, 241), _tail(g))
     assert gd.mass() == pytest.approx(1.0, abs=1e-4)
 
 
 def test_negative_excursions_within_tail_budget():
-    gd = invert(_sinc2, 1, grid_1d(-5, 5, 201), _tail(make_uniform(1.0), 2))
+    gd = invert(_sinc2, grid_1d(-5, 5, 201), _tail(make_uniform(1.0), 2))
     worst = float(np.min(gd.values))
     assert worst >= -gd.est_tail_error
-
-
-def test_invert_2d_product_gaussian():
-    p2 = product([make_gaussian(1.0), make_gaussian(1.0)])
-    gd = invert(p2.cf, 2, grid_2d(-5, 5, 51), _tail(p2))
-    assert gd.values[25, 25] == pytest.approx(1.0 / (2 * math.pi), abs=1e-9)
-    assert gd.mass() == pytest.approx(1.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +85,7 @@ def test_pair_consistency_fast_decay():
     grid = Grid((Axis(pts[0], 0.35, 21),))
     # the triangular cf's kinks at 0 and T end panels
     for dist, kinks in ((make_gaussian(1.0), ()), (make_fejer(0.7), (0.7,))):
-        gd = invert(dist.cf, 1, grid, _tail(dist), kinks)
+        gd = invert(dist.cf, grid, _tail(dist), kinks)
         err = np.abs(gd.values - np.asarray(dist.density(pts)))
         assert np.all(err <= gd.est_tail_error)
         assert gd.est_tail_error <= 1e-13
@@ -105,7 +98,7 @@ def test_pair_consistency_laplace_tight():
     pts = offset_points(21, 0.35)
     grid = Grid((Axis(pts[0], 0.35, 21),))
     dist = make_laplace(1.0)
-    gd = invert(dist.cf, 1, grid, _tail(dist))
+    gd = invert(dist.cf, grid, _tail(dist))
     err = np.abs(gd.values - np.asarray(dist.density(pts)))
     assert np.all(err <= gd.est_tail_error)
     assert float(err.max()) <= 1e-6
@@ -118,67 +111,21 @@ def test_pair_consistency_uniform_honest_budget():
     u = make_uniform(1.0)
     assert math.isinf(u.cf_power_tail(1e3, 1))
     with pytest.raises(UnsupportedError):
-        invert(u.cf, 1, grid_1d(-3, 3, 21), _tail(u))
+        invert(u.cf, grid_1d(-3, 3, 21), _tail(u))
 
 
 def test_invert_refuses_non_decaying_cf():
     const = lambda t: np.ones_like(np.asarray(t, dtype=float))  # noqa: E731
     with pytest.raises(UnsupportedError):
-        invert(const, 1, grid_1d(-3, 3, 21), lambda r: math.inf)
+        invert(const, grid_1d(-3, 3, 21), lambda r: math.inf)
 
 
-def test_invert_2d_correlated_gaussian():
-    # non-product Hermitian cf: exp(-t' S t / 2) with S = [[1, .5], [.5, 1]]
-    S = np.array([[1.0, 0.5], [0.5, 1.0]])
-
-    def cf(t):
-        t = np.asarray(t, dtype=float)
-        quad_form = (t[..., 0] ** 2 * S[0, 0] + 2 * t[..., 0] * t[..., 1] * S[0, 1]
-                     + t[..., 1] ** 2 * S[1, 1])
-        return np.exp(-0.5 * quad_form)
-
-    # |cf| <= exp(-|t|^2/4): S's least eigenvalue is 1/2
-    bound = product([make_gaussian(math.sqrt(0.5))] * 2)
-    gd = invert(cf, 2, grid_2d(-3, 3, 25), _tail(bound))
-    det = float(np.linalg.det(S))
-    assert gd.values[12, 12] == pytest.approx(1.0 / (2 * math.pi * math.sqrt(det)),
-                                              abs=1e-9)
-    Sinv = np.linalg.inv(S)
-    x = np.array([1.0, -0.5])
-    i = int(round((x[0] + 3) / 0.25))
-    j = int(round((x[1] + 3) / 0.25))
-    ref = math.exp(-0.5 * float(x @ Sinv @ x)) / (2 * math.pi * math.sqrt(det))
-    assert gd.values[i, j] == pytest.approx(ref, abs=1e-9)
-
-
-def _correlated_gaussian_cf(t):
-    t = np.asarray(t, dtype=float)
-    return np.exp(-0.5 * (t[..., 0] ** 2 + t[..., 0] * t[..., 1] + t[..., 1] ** 2))
-
-
-@pytest.mark.parametrize("cf, bound, R", [
-    # |cf| <= exp(-|t|^2/4): the quadratic form's least eigenvalue is 1/2
-    (_correlated_gaussian_cf, product([make_gaussian(math.sqrt(0.5))] * 2), 12.0),
-    (product([make_gaussian(1.0), make_gaussian(0.5)]).cf,
-     product([make_gaussian(1.0), make_gaussian(0.5)]), 30.0),
-], ids=["correlated-gaussian", "gaussian-product"])
-def test_trimmed_2d_inversion_matches_full_window(cf, bound, R):
-    # the full window: the trapezoid rule of step h on the whole square
-    # [-R, R]^2, whose error on these entire cfs is below roundoff; the
-    # tensor panel rule must match it within its own estimate, on fewer nodes
-    grid = grid_2d(-3, 3, 25)
-    gd = invert(cf, 2, grid, _tail(bound))
-    h = 0.05
-    t = np.linspace(-R, R, int(round(2.0 * R / h)) + 1)
-    T1, T2 = np.meshgrid(t, t, indexing="ij")
-    Fw = np.asarray(cf(np.stack([T1, T2], axis=-1)), dtype=complex) * h * h
-    E = np.exp(-1j * np.outer(grid.axes[0].points(), t))
-    scale = 1.0 / (2 * math.pi) ** 2
-    full = (E @ Fw @ E.T).real * scale
-    assert gd.meta["quad_nodes"] < t.size ** 2
-    roundoff = 64.0 * EPS * float(np.sum(np.abs(Fw))) * scale
-    assert float(np.max(np.abs(gd.values - full))) <= gd.est_tail_error + roundoff
-    assert gd.est_tail_error <= 1e-12
+def test_invert_refuses_a_two_dimensional_grid():
+    # the inverse is one-dimensional; density() forms a two-dimensional
+    # density as the product of its components' one-dimensional ones
+    g = make_gaussian(1.0)
+    with pytest.raises(InvalidParameterError, match="one-dimensional"):
+        invert(g.cf, grid_2d(-3, 3, 5), _tail(g))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +134,11 @@ def test_trimmed_2d_inversion_matches_full_window(cf, bound, R):
 
 @pytest.mark.parametrize("dist", [make_uniform(1.0), make_uniform(math.sqrt(3.0)),
                                   make_laplace(1.0), make_laplace(0.25),
-                                  make_gaussian(1.0), make_fejer(0.7),
-                                  product([make_laplace(1.0), make_gaussian(1.0)])],
+                                  make_gaussian(1.0), make_fejer(0.7)],
                          ids=lambda d: d.label)
 def test_declared_tail_bounds_the_integral(dist):
     # against mpmath quadrature of |f|^p over |u| > r, in panels that end at
-    # the fejer kink and at the first zeros of sinc; a 2-D product's tail is
-    # over the complement of the square |u|_inf <= r
+    # the fejer kink and at the first zeros of sinc
     def side(c, r, p):
         cuts = sorted({r, 0.7, *(k * math.pi / math.sqrt(3.0) for k in range(1, 12)),
                        *(k * math.pi for k in range(1, 12))})
@@ -208,13 +153,7 @@ def test_declared_tail_bounds_the_integral(dist):
                 if p == 1 and dist.label.startswith("uniform"):
                     assert math.isinf(bound)        # |sin u/u| is not integrable
                     continue
-                if dist.dim == 2:
-                    a, b = dist.components
-                    whole = side(a, 0.0, p) * side(b, 0.0, p)
-                    inner = (side(a, 0.0, p) - side(a, r, p)) * (side(b, 0.0, p) - side(b, r, p))
-                    exact = whole - inner
-                else:
-                    exact = side(dist, r, p)
+                exact = side(dist, r, p)
                 assert bound >= exact * (1 - 1e-6), (p, r, bound, exact)
 
 
@@ -316,18 +255,21 @@ def test_general_noise_refuses_an_undeclared_tail(bare):
 def test_factored_phases_within_their_rounding(count):
     # the cos and sin of x t at the axis's own points, in long double, on a
     # symmetric and an asymmetric grid and on node sets from a small window
-    # up to the one at _MAX_NODES; every phase-table entry, and the 1-D sums
-    # of random complex weights, are within the declared phase rounding
+    # up to the one at _MAX_NODES; every product of a block and an offset
+    # factor, and the sums of random complex weights, are within the
+    # declared phase rounding
     rng = np.random.default_rng(count)
     for ax in (grid_1d(-5.0, 5.0, count).axes[0], Axis(-3.3, 0.017, count)):
         xmax = Grid((ax,)).max_coordinate()
         per = 0.8 * (xmax + _CF_REACH)
-        for R in (0.7, 12.0, _MAX_NODES[0] / per):
+        for R in (0.7, 12.0, _MAX_NODES / per):
             t = np.linspace(0.0, R, min(int(0.5 * R * per), 1024) + 1)[1:]
             theta = np.outer(ax.points().astype(np.longdouble), t.astype(np.longdouble))
             direct = np.cos(theta) - 1j * np.sin(theta)
-            bound = _phase_rounding(1, R, xmax)
-            assert np.max(np.abs(_phase_table(ax, t) - direct)) <= bound
+            bound = _phase_rounding(R, xmax)
+            ea, eb = _phase_factors(ax, t)
+            table = (ea[:, None, :] * eb).reshape(-1, t.size)[:count]
+            assert np.max(np.abs(table - direct)) <= bound
             f, g = (rng.uniform(size=t.size) * np.exp(2j * math.pi * rng.uniform(size=t.size))
                     for _ in range(2))
             exact = direct @ f.astype(np.clongdouble) + direct.conj() @ g.astype(np.clongdouble)

@@ -890,6 +890,17 @@ def test_poisson_2d_product():
     assert rep.rhs == pytest.approx(one * one, rel=1e-11)
 
 
+def test_poisson_judges_a_product_on_its_components():
+    # a product declares no cf tail of its own: its cf is integrable where
+    # every component's is, and the refusal names the component that is not
+    for comps in ([UNIFORM, make_gaussian(1.0)], [make_gaussian(1.0), UNIFORM]):
+        with pytest.raises(UnsupportedError, match=f"^{UNIFORM.label}: cf not declared"):
+            poisson_check(product(comps))
+    bare = dataclasses.replace(LAPLACE, cf_power_tail=None, label="bare")
+    with pytest.raises(UnsupportedError, match="^bare: cf not declared"):
+        poisson_check(product([LAPLACE, bare]))
+
+
 def test_density_sum_2d_generic_unsupported():
     dist, _ = _correlated_gaussian_2d()
     with pytest.raises(UnsupportedError):

@@ -531,18 +531,30 @@ def test_admissible_bernoulli_remark_refused():
     assert rep.t_value is None
 
 
+def _never(t):
+    raise AssertionError("nothing may be formed for a refused model")
+
+
 def test_density_2d_generic_path_matches_mixture():
-    # hide the product structure so the generic two-dimensional inversion
-    # runs, and check it against the exact mixture
+    # two dimensions are a product source under symmetric Bernoulli noise,
+    # which tensorizes the cell engine; any other two-dimensional model (the
+    # product with its components hidden, or a product under a hand-built
+    # 2-d Gaussian noise) is refused after the n, tol and grid checks and
+    # before anything is formed
     import dataclasses
-    from llt_lab import exact_mixture_density_2d
-    from llt_lab.inversion import Axis, Grid
-    p2 = product([GAUSSIAN, GAUSSIAN])
-    hidden = dataclasses.replace(p2, components=None)
-    model = SmoothedModel(hidden, bernoulli_noise(2))
-    g = Grid((Axis(-2.1, 0.42, 11), Axis(-2.1, 0.42, 11)))
-    gd = density(model, 6, g, tol=1e-8)
-    assert gd.meta["engine"] == "invert"
-    X, Y = np.meshgrid(g.axes[0].points(), g.axes[1].points(), indexing="ij")
-    ref = exact_mixture_density_2d(p2, 6, np.stack([X, Y], axis=-1))
-    assert float(np.max(np.abs(gd.values - ref))) <= 1e-6
+    from llt_lab import NoiseDistribution, SourceDistribution, UnsupportedError
+    p2 = dataclasses.replace(product([GAUSSIAN, GAUSSIAN]), cf=_never, density=_never)
+    g2 = product([GAUSSIAN, GAUSSIAN])
+    noise = NoiseDistribution(**{f.name: getattr(g2, f.name)
+                                 for f in dataclasses.fields(SourceDistribution)})
+    g = grid_2d(-2.1, 2.1, 11)
+    for model in (SmoothedModel(dataclasses.replace(p2, components=None), bernoulli_noise(2)),
+                  SmoothedModel(p2, noise)):
+        with pytest.raises(InvalidParameterError):
+            density(model, 0, g)
+        with pytest.raises(InvalidParameterError):
+            density(model, 6, g, tol=0.0)
+        with pytest.raises(InvalidParameterError):
+            density(model, 6, grid_1d(-2.1, 2.1, 11))
+        with pytest.raises(UnsupportedError, match="product source under symmetric Bernoulli"):
+            density(model, 6, g, tol=1e-8)
