@@ -20,8 +20,8 @@ from .errors import (InconsistentCfError, InvalidParameterError, LltLabError,
                      UnknownDistributionError, UnsupportedError)
 from .inversion import Axis, Grid, GridDensity, grid_1d, grid_2d, invert
 from .lattice import (LatticeSum, LatticeZeroReport, PoissonReport,
-                      RegularityReport, check_pi_lattice_zeros, distance_to_lattice,
-                      periodized_cf, poisson_check, regularity_integral, sum_cf_lattice,
+                      RegularityReport, check_pi_lattice_zeros, periodized_cf,
+                      poisson_check, regularity_integral, sum_cf_lattice,
                       sum_density_lattice, wrapped_autocorrelation)
 from .oracle import (MonteCarloEstimate, exact_mixture_density, exact_mixture_density_2d,
                      mixture_weights, monte_carlo_density)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import SourceDistribution
-from .errors import UnsupportedError, require_tol
+from .errors import InvalidParameterError, UnsupportedError, require_tol
 from .inversion import Grid
 from .lattice import _cf_side, _density_sum, _require_summable
 from .smoothing import SmoothedModel, _is_bernoulli, _lattice_split, _phi, default_grid, density
@@ -102,7 +102,11 @@ def _a_factor(source: SourceDistribution, a, tol: float, route: str):
 
 def _factor_at(model: SmoothedModel, n: int, x: float, tol: float, route: str) -> float:
     _require_bernoulli_1d(model)
-    vals, _, _ = _a_factor(model.source, _lattice_split(float(x), n)[1], tol, route)
+    require_tol(tol)
+    x = float(x)
+    if not math.isfinite(x):
+        raise InvalidParameterError(f"x must be finite, got {x!r}")
+    vals, _, _ = _a_factor(model.source, _lattice_split(x, n)[1], tol, route)
     return float(vals[0])
 
 

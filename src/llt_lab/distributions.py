@@ -72,7 +72,9 @@ class SourceDistribution:
     no bound is declared.  ``cf_power_tail(r, p)`` bounds the integral of
     |f(u)|^p over |u| > r, inf where that integral diverges; None where no
     bound is declared.  Densities and cfs accept floats or numpy arrays; for
-    dim >= 2 the point arrays have the coordinate axis last.
+    dim >= 2 the point arrays have the coordinate axis last.  A product
+    declares no gradient, moments, tails or sampler of its own: its
+    ``components`` carry them.
     """
 
     dim: int
@@ -425,10 +427,11 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
     """Coordinate-wise product of one-dimensional catalog entries.
 
     Points are arrays with the coordinate axis last: shape (..., d) in,
-    shape (...) out.  The component list is retained so lattice sums, the
-    smoothing engine and the oracle can exploit separability; the cf's
-    support and tails are the components' declarations, so the product
-    declares none of its own.
+    shape (...) out, for the density and the cf alone.  Every other
+    declaration (the cf's gradient, support and tails, the moments, the
+    sampler) is the components': lattice sums, the regularity integral,
+    the Poisson check, the smoothing engine and the oracle read the product
+    on its ``components``, so it declares none of its own.
     """
     comps = tuple(components)
     if len(comps) < 2:
@@ -456,45 +459,12 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
             out = out * c.cf(t[..., i])
         return out
 
-    have_grads = all(c.cf_grad is not None for c in comps)
-
-    @_pointwise
-    def cf_grad(t):
-        vals = [c.cf(t[..., i]) for i, c in enumerate(comps)]
-        grads = []
-        for i, c in enumerate(comps):
-            g = c.cf_grad(t[..., i])
-            for j in range(d):
-                if j != i:
-                    g = g * vals[j]
-            grads.append(g)
-        return np.stack(grads, axis=-1)
-
-    abs1 = None
-    if all(c.abs_moment1 is not None for c in comps):
-        # finite upper bound sum E|X_i| >= E|X|; exact value is not closed-form
-        abs1 = sum(c.abs_moment1 for c in comps)
-    m2 = None
-    if all(c.second_moment is not None for c in comps):
-        m2 = sum(c.second_moment for c in comps)
-
-    def sampler(rng, size):
-        cols = [c.sampler(rng, size) for c in comps]
-        return np.stack(cols, axis=-1)
-
-    have_samplers = all(c.sampler is not None for c in comps)
-
     return SourceDistribution(
         dim=d,
         density=density if all(c.density is not None for c in comps) else None,
         cf=cf,
-        cf_grad=cf_grad if have_grads else None,
-        abs_moment1=abs1,
-        second_moment=m2,
-        abs_moment3=None,
         flags=DistFlags(**{f.name: all(getattr(c.flags, f.name) for c in comps)
                            for f in fields(DistFlags)}),
-        sampler=sampler if have_samplers else None,
         components=comps,
         label="product:" + ",".join(c.label for c in comps),
     )
@@ -505,7 +475,8 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
 # ---------------------------------------------------------------------------
 
 def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
-    """Coordinates i.i.d. +-1 with probability 1/2; cf v(t) = cos(t_1)...cos(t_d)."""
+    """Coordinates i.i.d. +-1 with probability 1/2; cf v(t) = cos(t_1)...cos(t_d).
+    ``sum_sampler`` draws an n-step sum, in one dimension only."""
     d = int(dim)
     if d < 1:
         raise InvalidParameterError("dim must be a positive integer")
@@ -518,30 +489,23 @@ def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
             raise InvalidParameterError(f"expected points with last axis {d}")
         return np.prod(np.cos(t), axis=-1)
 
-    def sampler(rng, size):
-        shape = (size, d) if d > 1 else size
-        return rng.integers(0, 2, shape) * 2.0 - 1.0
-
     def sum_sampler(rng, size, n):
-        # sum of n i.i.d. +-1 equals 2*Binomial(n, 1/2) - n, per coordinate
-        shape = (size, d) if d > 1 else size
-        return 2.0 * rng.binomial(n, 0.5, shape) - float(n)
+        # the sum of n i.i.d. +-1 is 2 Binomial(n, 1/2) - n
+        return 2.0 * rng.binomial(n, 0.5, size) - float(n)
 
     return NoiseDistribution(
         dim=d,
         density=None,
         cf=cf,
-        cf_grad=None,
         abs_moment1=math.sqrt(d),
         second_moment=float(d),
         abs_moment3=1.0 if d == 1 else None,
         flags=DistFlags(symmetric_about_0=True, density_continuous=False),
         cf_power_tail=lambda r, p: math.inf,        # |cos| is periodic
-        sampler=sampler,
         label="bernoulli" if d == 1 else f"bernoulli:d={d}",
         is_symmetric_bernoulli=True,
         zero_atom_free=True,
-        sum_sampler=sum_sampler,
+        sum_sampler=sum_sampler if d == 1 else None,
     )
 
 

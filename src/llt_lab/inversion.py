@@ -159,11 +159,11 @@ def _panel_rules(half: float, breaks, per: float, unit: float = 1.0):
     for lo, hi in zip(edges, edges[1:]):
         hp, share = 0.5 * (hi - lo), (hi - lo) / (2.0 * half)
         m = max(16, math.ceil(128 * share), int(hp / unit * per))
-        m2 = max(12, math.ceil(96 * share), int(0.75 * m))
+        m_check = max(12, math.ceil(96 * share), int(0.75 * m))
         k = -(-m // _PANEL_NODES)
         hq = hp / k
         for i in range(k):
-            for (nodes, weights), mk in zip(rules, (m, m2)):
+            for (nodes, weights), mk in zip(rules, (m, m_check)):
                 s, ws = _gl_nodes(-(-mk // k), hq)
                 nodes.append(s + (lo + (2 * i + 1) * hq))
                 weights.append(ws)

@@ -22,8 +22,8 @@ and each side has one declared mechanism:
   the law of |f|^2 (``_squared_modulus``), the wrapped autocorrelation.
 
 Also here: the pi-lattice vanishing check and verdict, the two-sided Poisson
-identity, the wrapped autocorrelation, distance to a scaled integer lattice,
-and the regularity-integral diagnostics in one and two dimensions.
+identity, the wrapped autocorrelation, and the regularity-integral
+diagnostics in one dimension and on a product's components in two.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "check_pi_lattice_zeros",
     "poisson_check",
     "wrapped_autocorrelation",
-    "distance_to_lattice",
     "regularity_integral",
 ]
 
@@ -485,15 +484,18 @@ def poisson_check(dist: SourceDistribution, tol: float = 1e-10) -> PoissonReport
     The hypotheses, a finite first absolute moment and an integrable cf
     (a finite ``cf_power_tail(0, 1)``, hence a bounded continuous density),
     are read from the law, which is refused with the failed one named.  A
-    product's cf is integrable where every component's is, and is judged
-    on its components.
+    product has a finite first absolute moment and an integrable cf where
+    every component has, and is judged on its components: all moments
+    first, then all cfs.
     """
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density")
-    if dist.abs_moment1 is None:
-        raise UnsupportedError(
-            f"{dist.label}: first absolute moment unavailable (infinite)")
-    for law in dist.components or (dist,):
+    laws = dist.components or (dist,)
+    for law in laws:
+        if law.abs_moment1 is None:
+            raise UnsupportedError(
+                f"{law.label}: first absolute moment unavailable (infinite)")
+    for law in laws:
         if law.cf_power_tail is None or not law.cf_power_tail(0.0, 1.0) < math.inf:
             raise UnsupportedError(
                 f"{law.label}: cf not declared absolutely integrable (the density "
@@ -573,14 +575,6 @@ def _wrapped_autocorr_1d(dist, tol):
     return LatticeSum(0.5 * float(vals[0]), 0.5 * tail, bool(0.5 * tail <= tol))
 
 
-def distance_to_lattice(t, lattice_step: float) -> float:
-    """Euclidean distance from t to the scaled integer lattice (step s)Z^d."""
-    s = _require_positive("lattice_step", lattice_step)
-    tv = _require_finite("t", np.atleast_1d(t))
-    r = tv - s * np.round(tv / s)
-    return float(np.linalg.norm(r))
-
-
 # ---------------------------------------------------------------------------
 # regularity-integral diagnostics
 # ---------------------------------------------------------------------------
@@ -608,11 +602,16 @@ def regularity_integral(dist: SourceDistribution, kind: str,
     the window of sup-norm radius pi*window_K, with a divergence diagnostic
     from a declared cf term (condition_3_1 in one dimension) or the
     per-shell decay: exact differences of f or f^2/2 for an even law in one
-    dimension, a polar Gauss-Legendre rule per cell in two."""
+    dimension, a polar Gauss-Legendre rule per cell in two.  A
+    two-dimensional law is read on its components, f(x, y) = f1(x) f2(y),
+    and one that is not a product is refused."""
     if kind not in ("condition_2_3", "condition_3_1"):
         raise InvalidParameterError("kind must be condition_2_3 or condition_3_1")
-    if dist.cf_grad is None:
-        raise UnsupportedError(f"{dist.label}: cf gradient unavailable")
+    if dist.dim == 2 and dist.components is None:
+        raise UnsupportedError(f"{dist.label}: a 2-d regularity integral needs a product")
+    for law in dist.components or (dist,):
+        if law.cf_grad is None:
+            raise UnsupportedError(f"{law.label}: cf gradient unavailable")
     if window_K < 4:
         raise InvalidParameterError("window_K must be >= 4")
     if dist.dim == 1:
@@ -686,13 +685,16 @@ def _regularity_2d(dist, kind, window_K):
     rr = (xr[None, :] + 0.5) * rmax[:, None]
     ww = wr[None, :] * rmax[:, None] * np.tile(w, 4)[:, None]
     offs = np.stack([rr * ct[:, None], rr * st[:, None]], axis=-1)
+    c1, c2 = dist.components
 
     def cell_integral(kx, ky):
         pts = offs + np.array([math.pi * kx, math.pi * ky])
-        grad = np.asarray(dist.cf_grad(pts))
-        g = np.sqrt(np.sum(np.abs(grad) ** 2, axis=-1))
+        x, y = pts[..., 0], pts[..., 1]
+        f1, f2 = c1.cf(x), c2.cf(y)
+        # |grad f|^2 = |f1'(x) f2(y)|^2 + |f2'(y) f1(x)|^2
+        g = np.sqrt(np.abs(c1.cf_grad(x) * f2) ** 2 + np.abs(c2.cf_grad(y) * f1) ** 2)
         if kind == "condition_2_3":
-            g = g * np.abs(np.asarray(dist.cf(pts), dtype=complex))
+            g = g * np.abs(f1 * f2)
         return float((g * ww).sum())
 
     total = cell_integral(0, 0)

@@ -178,11 +178,11 @@ def monte_carlo_density(model, n: int, x_points, samples: int,
     samples = require_integer(samples, 1, "samples")
     n = require_integer(n, 1, "n")
     seed = require_integer(seed, 0, "seed")
+    if model.dim != 1:
+        raise UnsupportedError("monte_carlo_density is one-dimensional")
     if model.source.sampler is None or (model.noise.sampler is None
                                         and model.noise.sum_sampler is None):
         raise UnsupportedError("samplers unavailable for source or noise")
-    if model.dim != 1:
-        raise UnsupportedError("monte_carlo_density is one-dimensional")
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise InvalidParameterError("x_points must be finite")

@@ -38,7 +38,8 @@ ABOUT = ("canonical JSON bodies of fixed CLI runs, as written to standard output
 # max |f(pi k)| lies between the default tol and 1e-8, and A_n at an n where
 # forming x sqrt(n) + n in floating point would move it; the cell engine's
 # row blocks on the compact cf side, on the default grid with a partial last
-# block, and under the tensor product
+# block, and under the tensor product; the regularity integral and the Poisson
+# check of a product read on its components
 RUNS = [
     ["density", "--source", "uniform:h=1", "--n", "16", "--grid=-5,5,201"],
     ["density", "--source", "laplace:b=1", "--n", "256", "--grid=-5,5,201"],
@@ -66,6 +67,9 @@ RUNS = [
     ["density", "--source", "fejer:T=0.7", "--n", "64", "--grid=-5,5,201"],
     ["density", "--source", "gaussian:sigma=1", "--n", "4096"],
     ["density", "--source", "product:uniform:h=1,uniform:h=1", "--n", "64", "--grid=-5,5,101"],
+    ["regularity", "--source", "product:gaussian:sigma=1,gaussian:sigma=1", "--kind",
+     "condition_3_1", "--k", "4"],
+    ["poisson", "--source", "product:gaussian:sigma=1,gaussian:sigma=1"],
 ]
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import phi, theta_sum
-from llt_lab import (SmoothedModel, UnsupportedError, bernoulli_noise, even_odd_limits,
-                     exact_mixture_density, gaussian_noise, grid_1d, make_fejer,
+from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError, bernoulli_noise,
+                     even_odd_limits, exact_mixture_density, gaussian_noise, grid_1d, make_fejer,
                      make_gaussian, make_laplace, make_uniform, oscillation_factor_cf,
                      oscillation_factor_density, oscillation_report, uniform_noise)
 
@@ -120,6 +120,19 @@ def test_factor_needs_bernoulli_noise(noise):
                  lambda: oscillation_factor_density(model, 16, 0.3)):
         with pytest.raises(UnsupportedError, match="Bernoulli"):
             call()
+
+
+@pytest.mark.parametrize("route", [oscillation_factor_cf, oscillation_factor_density],
+                         ids=["cf", "density"])
+@pytest.mark.parametrize("x, tol", [(math.nan, 1e-10), (math.inf, 1e-10), (-math.inf, 1e-10),
+                                    (0.3, 0.0), (0.3, -1.0), (0.3, math.nan)],
+                         ids=["x-nan", "x-inf", "x-minus-inf", "tol-zero", "tol-negative",
+                              "tol-nan"])
+def test_factor_refuses_hostile_input(route, x, tol):
+    # a non-finite point or a tol that is not positive is invalid on both
+    # routes: no NaN returned, no overflow warning, no misleading tail
+    with pytest.raises(InvalidParameterError):
+        route(M_LAPLACE, 16, x, tol)
 
 
 def test_report_uniform_equals_plain_gaussian_residual():

@@ -316,6 +316,15 @@ def test_autocorr_of_a_wide_uniform_is_its_closed_form(capsys):
     assert res["value"] == 0.5 and res["error_estimates"]["tol_met"]
 
 
+def test_poisson_of_a_product_names_the_component_without_a_moment(capsys):
+    # a product's first absolute moment is judged on its components: the
+    # refusal exits 2 and names the component whose moment is infinite
+    assert main(["poisson", "--source", "product:fejer:T=0.7,gaussian:sigma=1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "hypotheses not satisfied: fejer:T=0.7: first absolute moment" in err
+
+
 def test_non_finite_result_is_refused(capsys, monkeypatch):
     # JSON has no inf or NaN: such a result exits 2 and writes no body
     monkeypatch.setitem(cli._RUNNERS, "autocorr",
@@ -577,7 +586,7 @@ def test_fixed_cli_bodies_unchanged():
     runs = json.loads(record.PATH.read_text(encoding="utf-8"))["runs"]
     rows = record.moved_rows(runs)
     assert rows == [], "moved:\n" + "\n".join(rows)
-    assert len(runs) == 25
+    assert len(runs) == 27
 
 
 def test_import_leaves_scipy_integrate_unloaded():

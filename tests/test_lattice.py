@@ -8,7 +8,7 @@ import pytest
 from conftest import theta_sum
 from llt_lab import (DistFlags, InvalidParameterError, SmoothedModel, SourceDistribution,
                      UnsupportedError,
-                     bernoulli_noise, check_pi_lattice_zeros, distance_to_lattice, even_odd_limits, make_fejer,
+                     bernoulli_noise, check_pi_lattice_zeros, even_odd_limits, make_fejer,
                      make_gaussian, make_laplace, make_uniform, oscillation_report,
                      poisson_check, product, regularity_integral, sum_cf_lattice,
                      sum_density_lattice, wrapped_autocorrelation)
@@ -603,17 +603,6 @@ def test_tail_estimate_bounds_refinement(dist):
 
 
 # ---------------------------------------------------------------------------
-# distance to lattice
-# ---------------------------------------------------------------------------
-
-def test_distance_to_lattice():
-    assert distance_to_lattice((math.pi, 0.0), math.pi) == 0.0
-    assert distance_to_lattice(math.pi / 2, math.pi) == pytest.approx(math.pi / 2)
-    assert distance_to_lattice((math.pi / 2, math.pi / 2), math.pi) \
-        == pytest.approx(math.pi / math.sqrt(2.0))
-
-
-# ---------------------------------------------------------------------------
 # hostile input
 # ---------------------------------------------------------------------------
 
@@ -626,8 +615,6 @@ def test_distance_to_lattice():
     pytest.param(lambda: sum_cf_lattice(LAPLACE, math.pi, math.nan), id="cf-phase-nan"),
     pytest.param(lambda: periodized_cf(LAPLACE, [0.0], [math.nan]), id="periodized-a-nan"),
     pytest.param(lambda: periodized_cf(LAPLACE, [math.inf], [0.0]), id="periodized-s-inf"),
-    pytest.param(lambda: distance_to_lattice(1.0, math.nan), id="distance-step-nan"),
-    pytest.param(lambda: distance_to_lattice(math.inf, 1.0), id="distance-point-inf"),
     pytest.param(lambda: sum_cf_lattice(LAPLACE, math.pi, [0.3, 1.0]), id="cf-two-phases"),
     pytest.param(lambda: sum_density_lattice(product([LAPLACE, LAPLACE]), 1.0, [0.0]),
                  id="density-2d-one-offset"),
@@ -791,7 +778,9 @@ def test_regularity_refuses_a_law_that_is_not_even():
 def _finer_polar_window(dist, kind, K):
     """central cell and shells of the 2-D regularity window on a polar rule
     4x finer in each direction than the default: four 96-node theta panels
-    between each cell's corners, 192 nodes in r, numpy's Gauss-Legendre"""
+    between each cell's corners, 192 nodes in r, numpy's Gauss-Legendre;
+    the product's gradient (f1'(x) f2(y), f1(x) f2'(y)) from its components"""
+    c1, c2 = dist.components
     x, w = np.polynomial.legendre.leggauss(96)
     theta = np.concatenate([math.pi / 4.0 * x + c * math.pi / 2.0 for c in range(4)])
     rmax = (math.pi / 2.0) / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
@@ -806,7 +795,8 @@ def _finer_polar_window(dist, kind, K):
             for ky in range(-s, s + 1):
                 if max(abs(kx), abs(ky)) == s:
                     p = offs + math.pi * np.array([kx, ky])
-                    g = np.linalg.norm(dist.cf_grad(p), axis=-1)
+                    px, py = p[..., 0], p[..., 1]
+                    g = np.hypot(c1.cf_grad(px) * c2.cf(py), c1.cf(px) * c2.cf_grad(py))
                     if kind == "condition_2_3":
                         g = g * np.abs(dist.cf(p))
                     part += float((g * ww).sum())
@@ -882,6 +872,22 @@ def test_cf_sum_2d_refuses_a_law_that_is_not_a_product(make):
         sum_cf_lattice(make(), 2.0 * math.pi, None, tol=1e-2)
 
 
+def test_regularity_2d_refuses_a_law_that_is_not_a_product():
+    # a 2-d law is read on its components: one without them is refused
+    # before anything is formed, even with a gradient of its own
+    dist, S = _correlated_gaussian_2d()
+
+    def cf_grad(t):
+        t = np.asarray(t, dtype=float)
+        return -(t @ S) * dist.cf(t)[..., None]
+
+    with_grad = dataclasses.replace(dist, cf_grad=cf_grad)
+    for kind in ("condition_3_1", "condition_2_3"):
+        with pytest.raises(UnsupportedError,
+                           match="^gauss2d-correlated: a 2-d regularity integral needs a product"):
+            regularity_integral(with_grad, kind)
+
+
 def test_poisson_2d_product():
     p2 = product([make_gaussian(1.0), make_gaussian(1.0)])
     rep = poisson_check(p2, tol=1e-11)
@@ -891,14 +897,21 @@ def test_poisson_2d_product():
 
 
 def test_poisson_judges_a_product_on_its_components():
-    # a product declares no cf tail of its own: its cf is integrable where
-    # every component's is, and the refusal names the component that is not
+    # a product declares no moment or cf tail of its own: it has a first
+    # absolute moment and an integrable cf where every component has, every
+    # moment is judged before any cf, and the refusal names the component
+    # that fails
     for comps in ([UNIFORM, make_gaussian(1.0)], [make_gaussian(1.0), UNIFORM]):
         with pytest.raises(UnsupportedError, match=f"^{UNIFORM.label}: cf not declared"):
             poisson_check(product(comps))
     bare = dataclasses.replace(LAPLACE, cf_power_tail=None, label="bare")
     with pytest.raises(UnsupportedError, match="^bare: cf not declared"):
         poisson_check(product([LAPLACE, bare]))
+    fejer = make_fejer(0.7)
+    for comps in ([fejer, GAUSSIAN], [GAUSSIAN, fejer], [UNIFORM, fejer]):
+        with pytest.raises(UnsupportedError,
+                           match="^fejer:T=0.7: first absolute moment unavailable"):
+            poisson_check(product(comps))
 
 
 def test_density_sum_2d_generic_unsupported():

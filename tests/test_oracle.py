@@ -203,6 +203,14 @@ def test_monte_carlo_zero_samples_rejected():
         monte_carlo_density(model, 4, [0.0], samples=0)
 
 
+def test_monte_carlo_refuses_two_dimensions():
+    # the estimate is one-dimensional: a 2-d product model is refused as
+    # such, and not for the samplers that neither law declares
+    model = SmoothedModel(product([GAUSSIAN, LAPLACE]), bernoulli_noise(2))
+    with pytest.raises(UnsupportedError, match="one-dimensional"):
+        monte_carlo_density(model, 4, [0.0], samples=16)
+
+
 def test_monte_carlo_deterministic():
     model = SmoothedModel(LAPLACE, bernoulli_noise(1))
     a = monte_carlo_density(model, 6, [0.0, 0.5], samples=40_000, seed=42)
