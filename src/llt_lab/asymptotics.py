@@ -103,7 +103,10 @@ def _a_factor(source: SourceDistribution, a, tol: float, route: str):
 def _factor_at(model: SmoothedModel, n: int, x: float, tol: float, route: str) -> float:
     _require_bernoulli_1d(model)
     require_tol(tol)
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:
+        raise InvalidParameterError("x must be within the largest float") from None
     if not math.isfinite(x):
         raise InvalidParameterError(f"x must be finite, got {x!r}")
     vals, _, _ = _a_factor(model.source, _lattice_split(x, n)[1], tol, route)

@@ -94,7 +94,7 @@ def parse_spec(text: str) -> SourceDistribution:
 
 
 def parse_noise_spec(text: str, dim: int) -> NoiseDistribution:
-    """Resolve a noise spec: 'bernoulli' (any dim), 'uniform' (the isotropic
+    """Resolve a noise spec: 'bernoulli' (one or two dims), 'uniform' (the isotropic
     law on [-sqrt 3, sqrt 3]), 'gaussian', or an explicit unit-variance
     catalog spec."""
     spec = text.strip()

@@ -71,13 +71,13 @@ class SourceDistribution:
     sum of |f - terms| over the points t of L Z with |t| >= R; None where
     no bound is declared.  ``cf_power_tail(r, p)`` bounds the integral of
     |f(u)|^p over |u| > r, inf where that integral diverges; None where no
-    bound is declared.  Densities and cfs accept floats or numpy arrays; for
-    dim >= 2 the point arrays have the coordinate axis last.  A product
-    declares no gradient, moments, tails or sampler of its own: its
-    ``components`` carry them.
+    bound is declared.  Densities and cfs accept floats or numpy arrays.
+    A law is one-dimensional, or the product of exactly two one-dimensional
+    ``components`` (``dim`` 2), whose points have the coordinate axis last;
+    a product declares no gradient, moments, tails or sampler of its own:
+    its components carry them.
     """
 
-    dim: int
     density: Optional[Callable]
     cf: Callable
     flags: DistFlags
@@ -95,6 +95,16 @@ class SourceDistribution:
     components: Optional[tuple] = None
     label: str = ""
 
+    def __post_init__(self):
+        comps = self.components
+        if comps is not None and (len(comps) != 2 or any(c.dim != 1 for c in comps)):
+            raise InvalidParameterError("a product takes exactly two components, each "
+                                        "one-dimensional")
+
+    @property
+    def dim(self) -> int:
+        return 1 if self.components is None else 2
+
     def __repr__(self) -> str:  # keeps pytest output readable
         return f"<{type(self).__name__} {self.label or 'anonymous'} dim={self.dim}>"
 
@@ -105,7 +115,6 @@ class NoiseDistribution(SourceDistribution):
     fields plus how its steps and their sums are drawn."""
 
     is_symmetric_bernoulli: bool = False
-    zero_atom_free: bool = True
     sum_sampler: Optional[Callable] = None
 
 
@@ -172,7 +181,7 @@ def _refuses_overflow(make: Callable) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# catalog constructors (dim = 1)
+# catalog constructors (one-dimensional)
 # ---------------------------------------------------------------------------
 
 @_refuses_overflow
@@ -206,7 +215,6 @@ def make_uniform(halfwidth: float) -> SourceDistribution:
         return rng.uniform(-h, h, size)
 
     return SourceDistribution(
-        dim=1,
         density=density,
         cf=cf,
         cf_grad=cf_grad,
@@ -275,7 +283,6 @@ def make_laplace(scale: float) -> SourceDistribution:
         return rng.laplace(0.0, b, size)
 
     return SourceDistribution(
-        dim=1,
         density=density,
         cf=cf,
         cf_grad=cf_grad,
@@ -328,7 +335,6 @@ def make_gaussian(sigma: float) -> SourceDistribution:
         return rng.normal(0.0, s, size)
 
     return SourceDistribution(
-        dim=1,
         density=density,
         cf=cf,
         cf_grad=cf_grad,
@@ -376,7 +382,6 @@ def make_fejer(support_radius: float) -> SourceDistribution:
         return _fejer_rejection_sample(rng, T, size)
 
     return SourceDistribution(
-        dim=1,
         density=density,
         cf=cf,
         cf_grad=cf_grad,
@@ -420,13 +425,25 @@ def _fejer_rejection_sample(rng, T: float, size) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# products (dim >= 2)
+# products (two dimensions)
 # ---------------------------------------------------------------------------
 
-def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
-    """Coordinate-wise product of one-dimensional catalog entries.
+def _coordinatewise(fns: list) -> Callable:
+    """x -> fns[0](x_1) fns[1](x_2) at points with the coordinate axis last."""
+    @_pointwise
+    def at(x):
+        if x.shape[-1] != 2:
+            raise InvalidParameterError("expected points with last axis 2")
+        return fns[0](x[..., 0]) * fns[1](x[..., 1])
+    return at
 
-    Points are arrays with the coordinate axis last: shape (..., d) in,
+
+def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
+    """Coordinate-wise product of two one-dimensional laws; any other
+    number of components, or a component that is itself a product, is
+    refused with InvalidParameterError.
+
+    Points are arrays with the coordinate axis last: shape (..., 2) in,
     shape (...) out, for the density and the cf alone.  Every other
     declaration (the cf's gradient, support and tails, the moments, the
     sampler) is the components': lattice sums, the regularity integral,
@@ -434,35 +451,10 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
     on its ``components``, so it declares none of its own.
     """
     comps = tuple(components)
-    if len(comps) < 2:
-        raise InvalidParameterError("product requires at least two components")
-    for c in comps:
-        if c.dim != 1:
-            raise InvalidParameterError("product components must be one-dimensional")
-    d = len(comps)
-
-    @_pointwise
-    def density(x):
-        if x.shape[-1] != d:
-            raise InvalidParameterError(f"expected points with last axis {d}")
-        out = np.ones(x.shape[:-1])
-        for i, c in enumerate(comps):
-            out = out * c.density(x[..., i])
-        return out
-
-    @_pointwise
-    def cf(t):
-        if t.shape[-1] != d:
-            raise InvalidParameterError(f"expected points with last axis {d}")
-        out = np.ones(t.shape[:-1])
-        for i, c in enumerate(comps):
-            out = out * c.cf(t[..., i])
-        return out
-
+    has_density = all(c.density is not None for c in comps)
     return SourceDistribution(
-        dim=d,
-        density=density if all(c.density is not None for c in comps) else None,
-        cf=cf,
+        density=_coordinatewise([c.density for c in comps]) if has_density else None,
+        cf=_coordinatewise([c.cf for c in comps]),
         flags=DistFlags(**{f.name: all(getattr(c.flags, f.name) for c in comps)
                            for f in fields(DistFlags)}),
         components=comps,
@@ -474,38 +466,43 @@ def product(components: Sequence[SourceDistribution]) -> SourceDistribution:
 # noises
 # ---------------------------------------------------------------------------
 
+def _noise_of(dist: SourceDistribution, **noise_fields) -> NoiseDistribution:
+    """The noise law with every field of ``dist`` and the given noise fields."""
+    return NoiseDistribution(**{f.name: getattr(dist, f.name) for f in fields(SourceDistribution)},
+                             **noise_fields)
+
+
 def bernoulli_noise(dim: int = 1) -> NoiseDistribution:
-    """Coordinates i.i.d. +-1 with probability 1/2; cf v(t) = cos(t_1)...cos(t_d).
-    ``sum_sampler`` draws an n-step sum, in one dimension only."""
-    d = int(dim)
-    if d < 1:
-        raise InvalidParameterError("dim must be a positive integer")
+    """Steps +-1 with probability 1/2, cf v(t) = cos(t); ``sum_sampler``
+    draws an n-step sum.  With ``dim`` 2, the corner steps of {-1, 1}^2:
+    the product of two one-dimensional Bernoulli noises, cf
+    cos(t_1) cos(t_2), read on its components like every product.  Any
+    other ``dim`` is refused."""
+    if dim == 2:
+        corners = replace(product([bernoulli_noise(1)] * 2), label="bernoulli:d=2")
+        return _noise_of(corners, is_symmetric_bernoulli=True)
+    if dim != 1:
+        raise InvalidParameterError(f"Bernoulli noise has dimension 1 or 2, got {dim!r}")
 
     @_pointwise
     def cf(t):
-        if d == 1:
-            return np.cos(t)
-        if t.shape[-1] != d:
-            raise InvalidParameterError(f"expected points with last axis {d}")
-        return np.prod(np.cos(t), axis=-1)
+        return np.cos(t)
 
     def sum_sampler(rng, size, n):
         # the sum of n i.i.d. +-1 is 2 Binomial(n, 1/2) - n
         return 2.0 * rng.binomial(n, 0.5, size) - float(n)
 
     return NoiseDistribution(
-        dim=d,
         density=None,
         cf=cf,
-        abs_moment1=math.sqrt(d),
-        second_moment=float(d),
-        abs_moment3=1.0 if d == 1 else None,
+        abs_moment1=1.0,
+        second_moment=1.0,
+        abs_moment3=1.0,
         flags=DistFlags(symmetric_about_0=True, density_continuous=False),
         cf_power_tail=lambda r, p: math.inf,        # |cos| is periodic
-        label="bernoulli" if d == 1 else f"bernoulli:d={d}",
+        label="bernoulli",
         is_symmetric_bernoulli=True,
-        zero_atom_free=True,
-        sum_sampler=sum_sampler if d == 1 else None,
+        sum_sampler=sum_sampler,
     )
 
 
@@ -525,9 +522,7 @@ def as_noise(dist: SourceDistribution, tol: float = 1e-10) -> NoiseDistribution:
             f"got E X^2 = {dist.second_moment!r}")
     if not dist.flags.symmetric_about_0:
         raise UnsupportedError(f"{dist.label}: noise catalog requires symmetry about 0")
-
-    return NoiseDistribution(**{f.name: getattr(dist, f.name) for f in fields(SourceDistribution)},
-                             zero_atom_free=dist.density is not None)
+    return _noise_of(dist)
 
 
 # ---------------------------------------------------------------------------

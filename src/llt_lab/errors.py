@@ -2,6 +2,7 @@
 tolerance and of an integer parameter, and the one refusal of a job past its cap."""
 
 import operator
+import sys
 
 
 class LltLabError(Exception):
@@ -35,11 +36,14 @@ def require_tol(tol) -> None:
 
 def require_integer(value, low: int, name: str) -> int:
     """``value`` as an int, refused unless it is an integer (not a float,
-    even a whole one) of at least ``low``."""
+    even a whole one) of at least ``low`` that a float can hold."""
     try:
         v = operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if abs(v) > sys.float_info.max:     # str(v) and f"{v:e}" may fail: count its bits
+        raise InvalidParameterError(f"{name} must be within the largest float, got an "
+                                    f"integer of {v.bit_length()} bits")
     if v < low:
         raise InvalidParameterError(f"{name} must be an integer >= {low}, got {v}")
     return v

@@ -28,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _SHORT_TAIL, InconsistentCfError, InvalidParameterError, UnsupportedError
+from .errors import (_SHORT_TAIL, InconsistentCfError, InvalidParameterError, UnsupportedError,
+                     require_integer)
 
 __all__ = ["Axis", "Grid", "GridDensity", "grid_1d", "grid_2d", "invert"]
 
@@ -73,8 +74,9 @@ class Grid:
 
 def grid_1d(lo: float, hi: float, count: int) -> Grid:
     """Uniform grid with count points covering [lo, hi] exactly."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or count < 2 or hi <= lo:
-        raise InvalidParameterError("need finite hi > lo and count >= 2")
+    count = require_integer(count, 2, "count")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        raise InvalidParameterError("need finite hi > lo")
     step = (hi - lo) / (count - 1)
     if not math.isfinite(step * (count - 1)):
         raise InvalidParameterError("the grid's span hi - lo overflows")

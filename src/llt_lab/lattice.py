@@ -280,13 +280,11 @@ def sum_density_lattice(dist: SourceDistribution, scale: float, offset,
                                     f"got {a.size}")
     if dist.density is None:
         raise UnsupportedError(f"{dist.label}: no density available")
-    if dist.dim == 1:
-        vals, tail, _ = _density_sum(dist, L, a.ravel())
-        return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
-    if dist.dim == 2 and dist.components is not None:
+    if dist.components is not None:
         return _separable(*(sum_density_lattice(c, L, ai, tol / 2.0)
                             for c, ai in zip(dist.components, a.ravel())), tol)
-    raise UnsupportedError("density lattice sums support dim 1 and separable dim 2")
+    vals, tail, _ = _density_sum(dist, L, a.ravel())
+    return LatticeSum(float(vals[0]), tail, bool(tail <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +418,23 @@ def _cf_side(dist: SourceDistribution, step: float, x: np.ndarray):
 def sum_cf_lattice(dist: SourceDistribution, step: float,
                    phase=None, tol: float = 1e-10) -> LatticeSum:
     """sum_{k in Z^d} e^{i <phase, k>} f(step k): in one dimension on the cf
-    side (``_cf_side``), in two on the components of a product.  A
-    two-dimensional law without components declares no tail, so its sum is
-    refused."""
+    side (``_cf_side``), in two on the components of a product."""
     require_tol(tol)
     step = _require_positive("step", step)
     if phase is not None and _require_finite("phase", phase).size != dist.dim:
         raise InvalidParameterError(f"the sum takes one phase per dimension ({dist.dim}), "
                                     f"got {np.size(phase)}")
-    if dist.dim == 1:
-        phi = 0.0 if phase is None else float(np.ravel(phase)[0])
-        vals, tail = _cf_side(dist, step, np.array([phi / (2.0 * math.pi)]))
-        _require_summable(tail, tol, f"{dist.label}: cf lattice tail")
-        value = complex(vals[0])
-        if abs(value.imag) < 1e-12 * max(1.0, abs(value.real)):
-            value = value.real
-        return LatticeSum(value, tail, bool(tail <= tol))
-    if dist.dim == 2 and dist.components is not None:
+    if dist.components is not None:
         ph = (0.0, 0.0) if phase is None else tuple(np.ravel(phase))
         return _separable(*(sum_cf_lattice(c, step, p, tol / 2.0)
                             for c, p in zip(dist.components, ph)), tol)
-    raise UnsupportedError("cf lattice sums support dim 1 and separable dim 2")
+    phi = 0.0 if phase is None else float(np.ravel(phase)[0])
+    vals, tail = _cf_side(dist, step, np.array([phi / (2.0 * math.pi)]))
+    _require_summable(tail, tol, f"{dist.label}: cf lattice tail")
+    value = complex(vals[0])
+    if abs(value.imag) < 1e-12 * max(1.0, abs(value.real)):
+        value = value.real
+    return LatticeSum(value, tail, bool(tail <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -456,20 +450,17 @@ def check_pi_lattice_zeros(dist: SourceDistribution, k_max: int) -> LatticeZeroR
     where it is the larger of the components' one-dimensional maxima."""
     if k_max < 1:
         raise InvalidParameterError("k_max must be >= 1")
-    if dist.dim == 1:
-        require_at_most(f"{dist.label}: the lattice zero check", 2 * k_max, _MAX_POINTS,
-                        "points")
-        k = np.arange(1, k_max + 1)
-        k = np.concatenate([k, -k])
-        vals = np.abs(np.asarray(dist.cf(math.pi * k), dtype=complex))
-        i = int(np.argmax(vals))
-        return LatticeZeroReport(float(vals[i]), (int(k[i]),))
-    if dist.dim == 2 and dist.components is not None:
+    if dist.components is not None:
         x, y = (check_pi_lattice_zeros(c, k_max) for c in dist.components)
         if y.max_abs > x.max_abs:
             return LatticeZeroReport(y.max_abs, (0, *y.argmax_k))
         return LatticeZeroReport(x.max_abs, (*x.argmax_k, 0))
-    raise UnsupportedError("lattice zero check supports dim 1 and separable dim 2")
+    require_at_most(f"{dist.label}: the lattice zero check", 2 * k_max, _MAX_POINTS, "points")
+    k = np.arange(1, k_max + 1)
+    k = np.concatenate([k, -k])
+    vals = np.abs(np.asarray(dist.cf(math.pi * k), dtype=complex))
+    i = int(np.argmax(vals))
+    return LatticeZeroReport(float(vals[i]), (int(k[i]),))
 
 
 def _condition_holds(report: LatticeZeroReport, tol: float) -> bool:
@@ -516,11 +507,9 @@ def wrapped_autocorrelation(dist: SourceDistribution, tol: float = 1e-9) -> Latt
     cf side of its Poisson pair, 1/2 sum_k |f(pi k)|^2 (``_cf_side`` of
     ``_squared_modulus``)."""
     require_tol(tol)
-    if dist.dim == 1:
-        return _wrapped_autocorr_1d(dist, tol)
-    if dist.dim == 2 and dist.components is not None:
+    if dist.components is not None:
         return _separable(*(_wrapped_autocorr_1d(c, tol / 2.0) for c in dist.components), tol)
-    raise UnsupportedError("wrapped autocorrelation supports dim 1 and separable dim 2")
+    return _wrapped_autocorr_1d(dist, tol)
 
 
 def _squared_terms(terms) -> tuple:
@@ -559,7 +548,7 @@ def _squared_modulus(dist: SourceDistribution) -> SourceDistribution:
         return (2.0 * sum(abs(c) * R ** -p for c, p, _ in terms) + rho) * rho
 
     return SourceDistribution(
-        dim=1, density=None, cf=_pointwise(lambda t: np.abs(f(t)) ** 2),
+        density=None, cf=_pointwise(lambda t: np.abs(f(t)) ** 2),
         flags=DistFlags(symmetric_about_0=True),
         cf_support_radius=dist.cf_support_radius,
         cf_terms=_squared_terms(terms),
@@ -579,6 +568,19 @@ def _wrapped_autocorr_1d(dist, tol):
 # regularity-integral diagnostics
 # ---------------------------------------------------------------------------
 
+def _fit_loglog(ns, ds) -> float | None:
+    """The least-squares slope of log ds against log ns over the positive
+    ds; None where fewer than two are positive."""
+    ns = np.asarray(ns, dtype=float)
+    ds = np.asarray(ds, dtype=float)
+    keep = ds > 0
+    if keep.sum() < 2:
+        return None
+    A = np.vstack([np.ones(keep.sum()), np.log(ns[keep])]).T
+    coef, *_ = np.linalg.lstsq(A, np.log(ds[keep]), rcond=None)
+    return float(coef[1])
+
+
 def _shell_report(total: float, shells: list, window_K: int) -> RegularityReport:
     """The report of a window's integral ``total`` and its per-shell parts:
     a decay slope of the later shells of -1.05 or flatter reads as
@@ -586,9 +588,7 @@ def _shell_report(total: float, shells: list, window_K: int) -> RegularityReport
     slope.  A last shell of 0, where the integrand vanished or underflowed,
     is not diverging and adds no tail."""
     c = np.maximum(np.asarray(shells, dtype=float), 1e-300)
-    lj = np.log(np.arange(1, c.size + 1, dtype=float)[c.size // 2:])
-    A = np.vstack([np.ones_like(lj), lj]).T
-    slope = float(np.linalg.lstsq(A, np.log(c[c.size // 2:]), rcond=None)[0][1])
+    slope = _fit_loglog(np.arange(1, c.size + 1)[c.size // 2:], c[c.size // 2:])
     diverging = shells[-1] > 0 and slope >= -1.05
     if not diverging and shells[-1] > 0:
         total += shells[-1] * window_K / (-slope - 1.0)
@@ -603,22 +603,17 @@ def regularity_integral(dist: SourceDistribution, kind: str,
     from a declared cf term (condition_3_1 in one dimension) or the
     per-shell decay: exact differences of f or f^2/2 for an even law in one
     dimension, a polar Gauss-Legendre rule per cell in two.  A
-    two-dimensional law is read on its components, f(x, y) = f1(x) f2(y),
-    and one that is not a product is refused."""
+    two-dimensional law is read on its components, f(x, y) = f1(x) f2(y)."""
     if kind not in ("condition_2_3", "condition_3_1"):
         raise InvalidParameterError("kind must be condition_2_3 or condition_3_1")
-    if dist.dim == 2 and dist.components is None:
-        raise UnsupportedError(f"{dist.label}: a 2-d regularity integral needs a product")
     for law in dist.components or (dist,):
         if law.cf_grad is None:
             raise UnsupportedError(f"{law.label}: cf gradient unavailable")
     if window_K < 4:
         raise InvalidParameterError("window_K must be >= 4")
-    if dist.dim == 1:
+    if dist.components is None:
         return _regularity_1d(dist, kind, window_K)
-    if dist.dim == 2:
-        return _regularity_2d(dist, kind, window_K)
-    raise UnsupportedError("regularity integral supports dim 1 and 2")
+    return _regularity_2d(dist, kind, window_K)
 
 
 def _regularity_1d(dist, kind, window_K):

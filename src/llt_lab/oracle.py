@@ -94,7 +94,7 @@ def exact_mixture_density_2d(source: SourceDistribution, n: int, x) -> float | n
     corners {-1, 1}^2: the product source and the independent step
     coordinates make it the product of the components' 1-D mixtures.
     Refused when a component's (points x (n+1)) table passes the table cap."""
-    if source.dim != 2 or source.components is None:
+    if source.components is None:
         raise InvalidParameterError("source must be a two-dimensional product")
     n = require_integer(n, 1, "n")
     xs = np.atleast_2d(np.asarray(x, dtype=float))

@@ -27,9 +27,10 @@ check rule with 3/4 of the nodes bounds the quadrature error.  For general
 (non-Bernoulli) noise, ``inversion.invert`` integrates the smoothed cf on
 the same panel rule over |t| <= R, with R from the tails of |f|^p that the
 source and the noise declare (``cf_power_tail``) and panels ending at 0 and
-at a compact cf's edge T sqrt(n).  In two dimensions a product source under
-independent +-1 corner steps has the tensor product of its components'
-one-dimensional densities; every other two-dimensional model is refused.
+at a compact cf's edge T sqrt(n).  In two dimensions, where every source is a
+product, independent +-1 corner steps give the tensor product of its
+components' one-dimensional densities; other two-dimensional noise is
+refused.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .errors import (_MAX_TABLE, InvalidParameterError, UnsupportedError, requir
                      require_integer, require_tol)
 from .inversion import (_MAX_NODES, Grid, GridDensity, _check_error, _grid_integral,
                         _panel_rules, grid_1d, grid_2d, invert)
-from .lattice import (_condition_holds, _product_tail, _reduced_periodized_cf, _short_side,
-                      check_pi_lattice_zeros)
+from .lattice import (_condition_holds, _fit_loglog, _product_tail, _reduced_periodized_cf,
+                      _short_side, check_pi_lattice_zeros)
 
 __all__ = [
     "SmoothedModel",
@@ -202,9 +203,9 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
 
     Bernoulli noise runs the exact cell engine (any n, near-oracle accuracy);
     general one-dimensional noise uses the panel inversion over a window
-    bounded by the laws' declared cf tails.  In two dimensions a product
-    source under symmetric Bernoulli noise tensorizes the cell engine; any
-    other two-dimensional model is refused.
+    bounded by the laws' declared cf tails.  In two dimensions, where the
+    source is a product, symmetric Bernoulli noise tensorizes the cell
+    engine; other two-dimensional noise is refused.
     ``meta["tol_met"]`` says whether the declared ``est_tail_error`` is at
     most ``tol``.
     """
@@ -228,8 +229,7 @@ def density(model: SmoothedModel, n: int, grid: Optional[Grid] = None,
         gd = _general_noise_density(model, n, grid)
         gd.meta["tol_met"] = gd.est_tail_error <= tol
         return gd
-    elif (model.dim == 2 and _is_bernoulli(model.noise)
-            and model.source.components is not None):
+    elif _is_bernoulli(model.noise):
         (vx, ex), (vy, ey) = (_bernoulli_density_1d(c, n, ax.points())
                               for c, ax in zip(model.source.components, grid.axes))
         mx, my = float(np.max(np.abs(vx))), float(np.max(np.abs(vy)))
@@ -345,17 +345,6 @@ def distance_to_gaussian(gd: GridDensity, norm: str) -> float:
         return float(np.ldexp(math.sqrt(_grid_integral(scaled * scaled, gd.axes)), e))
 
 
-def _fit_loglog(ns, ds) -> Optional[float]:
-    ns = np.asarray(ns, dtype=float)
-    ds = np.asarray(ds, dtype=float)
-    keep = ds > 0
-    if keep.sum() < 2:
-        return None
-    A = np.vstack([np.ones(keep.sum()), np.log(ns[keep])]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(ds[keep]), rcond=None)
-    return float(coef[1])
-
-
 def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
                       norm: str = "l2", grid: Optional[Grid] = None,
                       tol: float = 1e-9) -> ConvergenceReport:
@@ -386,22 +375,15 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
 
     zeros = check_pi_lattice_zeros(model.source, 20)
     ds = distances[norm]
-    even_idx = [i for i, nv in enumerate(ns) if nv % 2 == 0]
-    odd_idx = [i for i, nv in enumerate(ns) if nv % 2 == 1]
-    mixed = bool(even_idx and odd_idx)
-    # p_n oscillates with the parity of n only on the Bernoulli lattice
-    condition_fails = _is_bernoulli(model.noise) and not _condition_holds(zeros, tol)
-    slope = even_slope = odd_slope = None
-    if condition_fails and mixed:
-        even_slope = _fit_loglog([ns[i] for i in even_idx], [ds[i] for i in even_idx])
-        odd_slope = _fit_loglog([ns[i] for i in odd_idx], [ds[i] for i in odd_idx])
-    else:
-        slope = _fit_loglog(ns, ds)
-        if condition_fails:
-            if even_idx:
-                even_slope = slope
-            else:
-                odd_slope = slope
+    parities = [[i for i, nv in enumerate(ns) if nv % 2 == r] for r in (0, 1)]
+    # p_n oscillates with the parity of n only on the Bernoulli lattice; a
+    # parity absent from the schedule fits to None
+    split = _is_bernoulli(model.noise) and not _condition_holds(zeros, tol)
+    even_slope = odd_slope = None
+    if split:
+        even_slope, odd_slope = (_fit_loglog([ns[i] for i in p], [ds[i] for i in p])
+                                 for p in parities)
+    slope = None if split and all(parities) else _fit_loglog(ns, ds)
     return ConvergenceReport(
         n_schedule=ns,
         distances=distances,
@@ -425,32 +407,22 @@ def convergence_study(model: SmoothedModel, n_schedule: Sequence[int],
 # admissible support radius for the compact-cf theorem
 # ---------------------------------------------------------------------------
 
-def admissible_T(noise: NoiseDistribution, prefer: str = "auto") -> AdmissibleT:
+def admissible_T(noise: NoiseDistribution) -> AdmissibleT:
     """Support radius T for which compactly supported source cfs give uniform
-    convergence: 1/beta3 when the third directional moment is finite, or pi
-    for symmetric atom-free unit-variance laws other than Bernoulli +-1."""
-    if prefer not in ("auto", "beta3", "remark41"):
-        raise InvalidParameterError("prefer must be auto, beta3 or remark41")
-    try:
-        t_b3 = 1.0 / _beta3(noise)
-    except UnsupportedError:
-        t_b3 = None
+    convergence: pi for a symmetric unit-variance one-dimensional law with a
+    density (remark 4.1), else 1/beta3 where the law stores a finite third
+    absolute moment, else none ('unsupported')."""
     remark_ok = (
         noise.dim == 1
         and noise.flags.symmetric_about_0
-        and getattr(noise, "zero_atom_free", False)
+        and noise.density is not None
         and not _is_bernoulli(noise)
         and noise.second_moment is not None
         and abs(noise.second_moment - 1.0) <= 1e-9
     )
-    if prefer == "beta3":
-        return AdmissibleT(t_b3, "beta3") if t_b3 is not None \
-            else AdmissibleT(None, "unsupported")
-    if prefer == "remark41":
-        return AdmissibleT(math.pi, "remark41") if remark_ok \
-            else AdmissibleT(None, "unsupported")
     if remark_ok:
         return AdmissibleT(math.pi, "remark41")
-    if t_b3 is not None:
-        return AdmissibleT(t_b3, "beta3")
-    return AdmissibleT(None, "unsupported")
+    try:
+        return AdmissibleT(1.0 / _beta3(noise), "beta3")
+    except UnsupportedError:
+        return AdmissibleT(None, "unsupported")

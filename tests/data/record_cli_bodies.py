@@ -39,7 +39,8 @@ ABOUT = ("canonical JSON bodies of fixed CLI runs, as written to standard output
 # forming x sqrt(n) + n in floating point would move it; the cell engine's
 # row blocks on the compact cf side, on the default grid with a partial last
 # block, and under the tensor product; the regularity integral and the Poisson
-# check of a product read on its components
+# check of a product read on its components; the parity split of the 2-D
+# model under the corner steps
 RUNS = [
     ["density", "--source", "uniform:h=1", "--n", "16", "--grid=-5,5,201"],
     ["density", "--source", "laplace:b=1", "--n", "256", "--grid=-5,5,201"],
@@ -70,6 +71,8 @@ RUNS = [
     ["regularity", "--source", "product:gaussian:sigma=1,gaussian:sigma=1", "--kind",
      "condition_3_1", "--k", "4"],
     ["poisson", "--source", "product:gaussian:sigma=1,gaussian:sigma=1"],
+    ["converge", "--source", "product:laplace:b=1,laplace:b=1", "--n", "4,5,16,17",
+     "--grid=-3,3,41"],
 ]
 
 

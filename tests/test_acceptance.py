@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import offset_grid_1d, offset_points
-from llt_lab import (SmoothedModel, admissible_T,
+from llt_lab import (SmoothedModel, beta3,
                      bernoulli_noise, check_pi_lattice_zeros, convergence_study,
                      density, exact_mixture_density,
                      exact_mixture_density_2d, make_fejer, make_gaussian,
@@ -162,9 +162,9 @@ def test_criterion_7b_residual_rate_window():
 
 def test_criterion_8_compact_cf_source_with_general_noise():
     noise = uniform_noise()
-    t_adm = admissible_T(noise, prefer="beta3")
-    assert t_adm.t_value == pytest.approx(0.769800, abs=1e-6)
-    assert 0.7 < t_adm.t_value
+    t_beta3 = 1.0 / beta3(noise)
+    assert t_beta3 == pytest.approx(0.769800, abs=1e-6)
+    assert 0.7 < t_beta3
     model = SmoothedModel(make_fejer(0.7), noise)
     rep = convergence_study(model, (16, 64, 256), "sup")
     sups = rep.distances["sup"]

@@ -188,8 +188,13 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
     # a product density past the largest float, refused before the product
     # or its declared error overflows (found by the property test below)
     (["density", "--source", "product:uniform:h=1e-300,uniform:h=1e-300", "--n", "16"], 2),
-    # a product has two or more components: one component gave tracebacks
+    # a product has exactly two components: one component gave tracebacks,
+    # and three were refused by each engine in its own way
     *[([e, "--source", "product:laplace:b=1"], 1) for e in ("poisson", "autocorr", "limits")],
+    (["check-condition", "--source", "product:laplace:b=1,laplace:b=1,laplace:b=1"], 1),
+    # an n past the largest float is invalid, not an OverflowError
+    (["density", "--source", "laplace:b=1", "--n", "1" + "0" * 400, "--grid=-1,1,3"], 1),
+    (["density", "--source", "laplace:b=1", "--n", "16", "--grid=-1,1,1" + "0" * 400], 1),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "limits-tol-zero",
         "poisson-tol-negative", "autocorr-tol-nan", "grid-nan", "grid-inf",
         "grid-count", "unknown-flag", "unknown-experiment", "grid-after-space",
@@ -202,7 +207,9 @@ _OVERFLOWING = ("laplace:b=1e300", "laplace:b=1e-300", "gaussian:sigma=1e200", "
         "regularity-uniform-wide", "regularity-huge-k", "regularity-2d-huge-k",
         "density-grid-span-overflows", "density-grid-w-overflows", "converge-l2-overflows",
         "oscillate-uniform-noise", "limits-uniform-noise", "density-2d-overflows",
-        *[f"{e}-one-component-product" for e in ("poisson", "autocorr", "limits")]])
+        *[f"{e}-one-component-product" for e in ("poisson", "autocorr", "limits")],
+        "check-condition-three-component-product", "density-n-past-the-largest-float",
+        "density-grid-count-past-the-largest-float"])
 def test_cli_hostile_input_exit_code(argv, code, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "norms.cfg").write_text("source = laplace:b=1\nnorms = sup\n")
@@ -224,7 +231,7 @@ FAMILIES = {"uniform": "h", "laplace": "b", "gaussian": "sigma", "fejer": "T"}
 BENIGN = {"--grid": ("-5,5,201", "-4,4,41"), "--noise": ("bernoulli", "uniform", "gaussian"),
           "--tol": ("1e-9", "1e-6"), "--k": ("5", "20"), "--norm": ("l1", "sup"),
           "--kind": ("condition_2_3",)}
-HOSTILE = {"--n": ("0", "1", "1000000000000", "16,4", "-3"),
+HOSTILE = {"--n": ("0", "1", "1000000000000", "16,4", "-3", "1" + "0" * 400),
            "--grid": ("5,-5,11", "-1e308,1e308,3", "nan,5,11", "-5,inf,11", "-5,5,100000000",
                       "-5,5,1", "-5,5,0", "-1e6,1e6,3", "0,0,5", "-1e-300,1e-300,3"),
            "--noise": ("laplace:b=nan", "uniform:h=1e300", "fejer:T=1"),
@@ -235,6 +242,8 @@ param = st.one_of(benign, benign, benign,
                   st.sampled_from(("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")))
 law = st.builds(lambda f, v: f"{f}:{FAMILIES[f]}={v}", st.sampled_from(sorted(FAMILIES)), param)
 spec = st.one_of(law, st.builds("product:{},{}".format, law, law),
+                 st.builds("product:{}".format, law),
+                 st.builds("product:{},{},{}".format, law, law, law),
                  st.sampled_from(("cauchy", "", "laplace:b", "product:", "laplace:b=1,h=2")))
 flags = st.tuples(
     st.sampled_from(("16", "17", "4,16", "16,17,64,65")).map(lambda v: [f"--n={v}"]),
@@ -586,7 +595,7 @@ def test_fixed_cli_bodies_unchanged():
     runs = json.loads(record.PATH.read_text(encoding="utf-8"))["runs"]
     rows = record.moved_rows(runs)
     assert rows == [], "moved:\n" + "\n".join(rows)
-    assert len(runs) == 27
+    assert len(runs) == 28
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -98,6 +98,35 @@ def test_bernoulli_noise_examples():
     assert b1.is_symmetric_bernoulli
 
 
+def test_a_law_is_one_dimensional_or_a_product_of_two():
+    # the dimension is decided where a law is built: 1 without components,
+    # 2 with exactly two one-dimensional ones; no other law can be formed
+    assert [d.dim for d in CATALOG] == [1, 1, 1, 1]
+    p2 = product([UNIFORM, LAPLACE])
+    assert p2.dim == 2 and p2.components == (UNIFORM, LAPLACE)
+    for comps in ([UNIFORM], [UNIFORM, LAPLACE, GAUSSIAN], [p2, UNIFORM], [UNIFORM, p2]):
+        with pytest.raises(InvalidParameterError, match="exactly two components"):
+            product(comps)
+        with pytest.raises(InvalidParameterError, match="exactly two components"):
+            dataclasses.replace(p2, components=tuple(comps))
+    for dim in (0, 3):
+        with pytest.raises(InvalidParameterError, match="dimension 1 or 2"):
+            bernoulli_noise(dim)
+
+
+def test_two_dimensional_bernoulli_noise_is_the_corner_product():
+    # the corner steps of {-1, 1}^2 are the product of two one-dimensional
+    # Bernoulli noises, with the cf cos(t1) cos(t2) of the d-dimensional
+    # formula bit for bit
+    b2 = bernoulli_noise(2)
+    assert b2.dim == 2 and b2.label == "bernoulli:d=2" and b2.is_symmetric_bernoulli
+    assert b2.density is None and b2.sum_sampler is None
+    assert [(c.dim, c.label, c.is_symmetric_bernoulli) for c in b2.components] \
+        == [(1, "bernoulli", True)] * 2
+    t = np.random.default_rng(7).uniform(-40.0, 40.0, (257, 2))
+    assert np.array_equal(b2.cf(t), np.prod(np.cos(t), axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # shared invariants
 # ---------------------------------------------------------------------------
@@ -196,8 +225,9 @@ def test_beta3_refuses_a_law_without_a_stored_moment():
     # and admissible_T reads the refusal as no beta3 radius
     with pytest.raises(UnsupportedError, match="no third absolute moment stored"):
         beta3(dataclasses.replace(LAPLACE, abs_moment3=None))
+    bare = dataclasses.replace(bernoulli_noise(1), abs_moment3=None)
+    assert admissible_T(bare) == AdmissibleT(None, "unsupported")
     noise = dataclasses.replace(gaussian_noise(), abs_moment3=None)
-    assert admissible_T(noise, prefer="beta3") == AdmissibleT(None, "unsupported")
     assert admissible_T(noise) == AdmissibleT(math.pi, "remark41")
 
 
@@ -225,7 +255,7 @@ def test_as_noise_carries_every_source_field(dist):
     noise = as_noise(dist)
     for f in dataclasses.fields(SourceDistribution):
         assert getattr(noise, f.name) is getattr(dist, f.name), f.name
-    assert noise.zero_atom_free and not noise.is_symmetric_bernoulli
+    assert not noise.is_symmetric_bernoulli
 
 
 def _pointwise_callables():

@@ -426,15 +426,6 @@ def test_zeros_of_a_product_are_judged_on_its_components(first, k_max):
         assert abs(complex(dist.cf(math.pi * k.astype(float)))) == rep.max_abs
 
 
-def test_zeros_of_a_non_product_are_refused():
-    # a two-dimensional law without components declares no bound for its
-    # off-axis points
-    flat = dataclasses.replace(product([make_laplace(1.0), make_laplace(1.0)]),
-                               components=None)
-    with pytest.raises(UnsupportedError, match="separable"):
-        check_pi_lattice_zeros(flat, 5)
-
-
 # ---------------------------------------------------------------------------
 # Poisson identity
 # ---------------------------------------------------------------------------
@@ -722,7 +713,7 @@ def _gaussian_pair(mu):
         t = np.asarray(t, dtype=float)
         return -np.exp(-0.5 * t * t) * (t * np.cos(mu * t) + mu * np.sin(mu * t))
 
-    return SourceDistribution(dim=1, density=None, cf=cf, cf_grad=cf_grad,
+    return SourceDistribution(density=None, cf=cf, cf_grad=cf_grad,
                               flags=DistFlags(symmetric_about_0=True),
                               label=f"gaussian-pair:mu={mu:g}")
 
@@ -768,7 +759,7 @@ def test_regularity_refuses_a_law_that_is_not_even():
         t = np.asarray(t, dtype=float)
         return np.exp(1j * t) * (1j / (1.0 + t * t) - 2.0 * t / (1.0 + t * t) ** 2)
 
-    shifted = SourceDistribution(dim=1, density=None, cf=cf, cf_grad=cf_grad,
+    shifted = SourceDistribution(density=None, cf=cf, cf_grad=cf_grad,
                                  flags=DistFlags(symmetric_about_0=False),
                                  label="laplace-shifted")
     with pytest.raises(UnsupportedError, match="even law"):
@@ -824,70 +815,6 @@ def test_regularity_2d_window_is_capped_in_cells():
         regularity_integral(product([LAPLACE, LAPLACE]), "condition_3_1", 41)
 
 
-def _correlated_gaussian_2d():
-    import dataclasses
-    from llt_lab import DistFlags, SourceDistribution
-    S = np.array([[1.0, 0.4], [0.4, 1.0]])
-    Sinv = np.linalg.inv(S)
-    det = float(np.linalg.det(S))
-
-    def cf(t):
-        t = np.asarray(t, dtype=float)
-        q = (t[..., 0] ** 2 * S[0, 0] + 2 * t[..., 0] * t[..., 1] * S[0, 1]
-             + t[..., 1] ** 2 * S[1, 1])
-        return np.exp(-0.5 * q)
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        q = (x[..., 0] ** 2 * Sinv[0, 0] + 2 * x[..., 0] * x[..., 1] * Sinv[0, 1]
-             + x[..., 1] ** 2 * Sinv[1, 1])
-        return np.exp(-0.5 * q) / (2 * math.pi * math.sqrt(det))
-
-    flags = DistFlags(symmetric_about_0=True)
-    return SourceDistribution(dim=2, density=density, cf=cf, flags=flags,
-                              label="gauss2d-correlated"), S
-
-
-def _radial_laplace_2d():
-    from llt_lab import DistFlags, SourceDistribution
-
-    def cf(t):
-        t = np.asarray(t, dtype=float)
-        return (1.0 + t[..., 0] ** 2 + t[..., 1] ** 2) ** -1.5
-
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-np.hypot(x[..., 0], x[..., 1])) / (2.0 * math.pi)
-
-    flags = DistFlags(symmetric_about_0=True)
-    return SourceDistribution(dim=2, density=density, cf=cf, flags=flags,
-                              label="laplace2d-radial")
-
-
-@pytest.mark.parametrize("make", [lambda: _correlated_gaussian_2d()[0], _radial_laplace_2d],
-                         ids=["gauss2d-correlated", "laplace2d-radial"])
-def test_cf_sum_2d_refuses_a_law_that_is_not_a_product(make):
-    # a 2-d law without components declares no tail for its cf sum
-    with pytest.raises(UnsupportedError, match="separable dim 2"):
-        sum_cf_lattice(make(), 2.0 * math.pi, None, tol=1e-2)
-
-
-def test_regularity_2d_refuses_a_law_that_is_not_a_product():
-    # a 2-d law is read on its components: one without them is refused
-    # before anything is formed, even with a gradient of its own
-    dist, S = _correlated_gaussian_2d()
-
-    def cf_grad(t):
-        t = np.asarray(t, dtype=float)
-        return -(t @ S) * dist.cf(t)[..., None]
-
-    with_grad = dataclasses.replace(dist, cf_grad=cf_grad)
-    for kind in ("condition_3_1", "condition_2_3"):
-        with pytest.raises(UnsupportedError,
-                           match="^gauss2d-correlated: a 2-d regularity integral needs a product"):
-            regularity_integral(with_grad, kind)
-
-
 def test_poisson_2d_product():
     p2 = product([make_gaussian(1.0), make_gaussian(1.0)])
     rep = poisson_check(p2, tol=1e-11)
@@ -912,12 +839,6 @@ def test_poisson_judges_a_product_on_its_components():
         with pytest.raises(UnsupportedError,
                            match="^fejer:T=0.7: first absolute moment unavailable"):
             poisson_check(product(comps))
-
-
-def test_density_sum_2d_generic_unsupported():
-    dist, _ = _correlated_gaussian_2d()
-    with pytest.raises(UnsupportedError):
-        sum_density_lattice(dist, 1.0, np.zeros(2))
 
 
 @pytest.mark.parametrize("T", [0.5, 0.7, 1.0, 4.0])

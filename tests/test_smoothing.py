@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import offset_grid_1d, offset_points
-from llt_lab import (InvalidParameterError, SmoothedModel, admissible_T,
+from llt_lab import (InvalidParameterError, SmoothedModel, admissible_T, beta3,
                      bernoulli_noise, convergence_study, default_grid, density, distance_to_gaussian,
                      exact_mixture_density, exact_mixture_density_2d,
                      gaussian_noise, gaussian_window_deficit, grid_1d, grid_2d, make_fejer, make_gaussian,
@@ -521,14 +521,28 @@ def test_admissible_uniform_prefers_larger_window():
     auto = admissible_T(noise)
     assert auto.rationale == "remark41"
     assert auto.t_value == pytest.approx(math.pi)
-    b3 = admissible_T(noise, prefer="beta3")
-    assert b3.t_value == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)))
+    assert 1.0 / beta3(noise) == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)))
 
 
-def test_admissible_bernoulli_remark_refused():
-    rep = admissible_T(BERN, prefer="remark41")
-    assert rep.rationale == "unsupported"
-    assert rep.t_value is None
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m: density(m, 10 ** 400), id="density"),
+    pytest.param(lambda m: density(m, -10 ** 5000), id="density-negative"),
+    pytest.param(lambda m: density(m, 16, grid_1d(-1.0, 1.0, 10 ** 400)), id="grid-count"),
+    pytest.param(lambda m: smoothed_cf(m, 10 ** 400, 0.5), id="smoothed_cf"),
+    pytest.param(lambda m: oscillation_report(m, 10 ** 400), id="oscillation_report"),
+    pytest.param(lambda m: convergence_study(m, (16, 10 ** 400)), id="convergence_study"),
+    pytest.param(lambda m: oscillation_factor_cf(m, 10 ** 400, 0.5), id="factor-cf-n"),
+    pytest.param(lambda m: oscillation_factor_density(m, 10 ** 400, 0.5), id="factor-density-n"),
+    pytest.param(lambda m: oscillation_factor_cf(m, 16, 10 ** 400), id="factor-cf-x"),
+    pytest.param(lambda m: oscillation_factor_density(m, 16, 10 ** 400), id="factor-density-x"),
+    pytest.param(lambda m: oscillation_factor_density(m, 16, -10 ** 400),
+                 id="factor-density-negative-x"),
+])
+def test_an_integer_past_the_largest_float_is_refused(call):
+    # an n, grid count or x that float() cannot hold is invalid input, not an
+    # OverflowError
+    with pytest.raises(InvalidParameterError, match="largest float"):
+        call(SmoothedModel(LAPLACE, BERN))
 
 
 def _never(t):
@@ -536,11 +550,10 @@ def _never(t):
 
 
 def test_density_2d_generic_path_matches_mixture():
-    # two dimensions are a product source under symmetric Bernoulli noise,
-    # which tensorizes the cell engine; any other two-dimensional model (the
-    # product with its components hidden, or a product under a hand-built
-    # 2-d Gaussian noise) is refused after the n, tol and grid checks and
-    # before anything is formed
+    # a two-dimensional source is a product, and symmetric Bernoulli noise
+    # tensorizes the cell engine on it; a product under a hand-built 2-d
+    # Gaussian noise is refused after the n, tol and grid checks and before
+    # anything is formed
     import dataclasses
     from llt_lab import NoiseDistribution, SourceDistribution, UnsupportedError
     p2 = dataclasses.replace(product([GAUSSIAN, GAUSSIAN]), cf=_never, density=_never)
@@ -548,13 +561,12 @@ def test_density_2d_generic_path_matches_mixture():
     noise = NoiseDistribution(**{f.name: getattr(g2, f.name)
                                  for f in dataclasses.fields(SourceDistribution)})
     g = grid_2d(-2.1, 2.1, 11)
-    for model in (SmoothedModel(dataclasses.replace(p2, components=None), bernoulli_noise(2)),
-                  SmoothedModel(p2, noise)):
-        with pytest.raises(InvalidParameterError):
-            density(model, 0, g)
-        with pytest.raises(InvalidParameterError):
-            density(model, 6, g, tol=0.0)
-        with pytest.raises(InvalidParameterError):
-            density(model, 6, grid_1d(-2.1, 2.1, 11))
-        with pytest.raises(UnsupportedError, match="product source under symmetric Bernoulli"):
-            density(model, 6, g, tol=1e-8)
+    model = SmoothedModel(p2, noise)
+    with pytest.raises(InvalidParameterError):
+        density(model, 0, g)
+    with pytest.raises(InvalidParameterError):
+        density(model, 6, g, tol=0.0)
+    with pytest.raises(InvalidParameterError):
+        density(model, 6, grid_1d(-2.1, 2.1, 11))
+    with pytest.raises(UnsupportedError, match="product source under symmetric Bernoulli"):
+        density(model, 6, g, tol=1e-8)
