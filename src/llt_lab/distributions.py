@@ -109,10 +109,11 @@ class SourceDistribution:
         return f"<{type(self).__name__} {self.label or 'anonymous'} dim={self.dim}>"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class NoiseDistribution(SourceDistribution):
     """A mean-zero isotropic smoothing noise: a source distribution's
-    fields plus how its steps and their sums are drawn."""
+    fields plus how its steps and their sums are drawn; it prints as a
+    source does."""
 
     is_symmetric_bernoulli: bool = False
     sum_sampler: Optional[Callable] = None

@@ -217,21 +217,28 @@ def _short_side(dist: SourceDistribution, a: np.ndarray, s_max: float,
 def _reduced_periodized_cf(dist: SourceDistribution, side: _ShortSide,
                            s: np.ndarray, a: np.ndarray):
     """e^{-isa} L sum_m p(a + Lm) e^{is(a + Lm)} from its short side, as
-    rows -> (offsets a[rows]) x (points s), with what depends on s alone
-    formed once: on the density side L sum_m p(a + Lm) e^{isLm}, the rows'
-    product of the (a x m) density table with the (m x s) phases L e^{isLm};
-    on the cf side sum_k e^{-ia t} f(t) with t = 2 pi k/L + s."""
+    rows -> (real part, imaginary part), two real (offsets a[rows]) x
+    (points s) tables, with what depends on s alone formed once: on the
+    density side L sum_m p(a + Lm) e^{isLm}, the rows' density table times
+    the (m x s) tables L cos(sLm) and L sin(sLm), two real products; on the
+    cf side sum_k e^{-iat} f(t) with t = 2 pi k/L + s, from cos and sin of
+    the angles a t."""
     L = side.L
     if side.k is None:
-        E = L * np.exp(1j * L * np.outer(side.m, s))
-        return lambda rows: side.p[rows] @ E
-    terms = [(t, dist.cf(t)) for t in ((2.0 * math.pi / L) * k + s for k in side.k)]
+        ang = L * np.outer(side.m, s)
+        C, S = L * np.cos(ang), L * np.sin(ang)
+        return lambda rows: (side.p[rows] @ C, side.p[rows] @ S)
+    ts = [(2.0 * math.pi / L) * k + s for k in side.k]
+    terms = [(t, np.real(f), np.imag(f)) for t, f in zip(ts, map(dist.cf, ts))]
 
     def table(rows):
-        out = np.zeros((a[rows].size, s.size), dtype=complex)
-        for t, f in terms:
-            out += np.exp(-1j * np.outer(a[rows], t)) * f
-        return out
+        gr, gi = np.zeros((2, a[rows].size, s.size))
+        for t, fr, fi in terms:
+            ang = np.outer(a[rows], t)
+            c, sn = np.cos(ang), np.sin(ang)
+            gr += c * fr + sn * fi
+            gi += c * fi - sn * fr
+        return gr, gi
     return table
 
 
@@ -246,8 +253,8 @@ def periodized_cf(dist: SourceDistribution, s, a):
     a = _require_finite("a", np.atleast_1d(a))
     a = a - 2.0 * np.round(a / 2.0)
     side = _short_side(dist, a, float(np.max(np.abs(s))))
-    G = _reduced_periodized_cf(dist, side, s, a)(slice(None))
-    return np.exp(1j * np.outer(a, s)) * G, side.tail
+    gr, gi = _reduced_periodized_cf(dist, side, s, a)(slice(None))
+    return np.exp(1j * np.outer(a, s)) * (gr + 1j * gi), side.tail
 
 
 def _density_sum(dist: SourceDistribution, L: float, a: np.ndarray):

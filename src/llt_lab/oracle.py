@@ -70,7 +70,8 @@ def exact_mixture_density(source: SourceDistribution, n: int, x) -> np.ndarray |
     """Exact density of (X + S_n)/sqrt(n) for symmetric Bernoulli steps S_n,
     at every entry of x (an array of any shape gives one of that shape),
     evaluated in blocks of points whose (points x (n+1)) tables stay within
-    the table cap."""
+    the table cap.  Where x sqrt(n) - (2j - n) sits exactly on a jump of the
+    source's density, the mean of the one-sided limits."""
     if source.dim != 1:
         raise InvalidParameterError("exact_mixture_density is one-dimensional")
     if source.density is None:
@@ -81,11 +82,19 @@ def exact_mixture_density(source: SourceDistribution, n: int, x) -> np.ndarray |
     offsets = 2.0 * np.arange(n + 1) - n
     rt = math.sqrt(n)
     rows = _MAX_TABLE // (n + 1)        # at least 1: n + 1 passed the cap
+    h = source.density_support_radius
+    jumps = h is not None and not source.flags.density_continuous
     flat = xs.ravel()
     vals = np.empty(flat.size)
     for i in range(0, flat.size, rows):
         args = flat[i:i + rows, None] * rt - offsets[None, :]
-        vals[i:i + rows] = rt * (np.asarray(source.density(args), dtype=float) @ w)
+        p = np.asarray(source.density(args), dtype=float)
+        if jumps:
+            # on a jump the term counts half the closed box's value, so the
+            # mixture is the mean of its one-sided limits, as its Fourier
+            # inverse is
+            p[np.abs(args) == h] *= 0.5
+        vals[i:i + rows] = rt * (p @ w)
     return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
 

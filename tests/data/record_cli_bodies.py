@@ -8,8 +8,8 @@ requires each body byte for byte.  A change that moves a body tables every
 moved number in CHANGES.md, with the error the parent declared for it, and
 then re-records the file with this script.  ``--diff`` writes nothing: it
 prints one Markdown row per moved leaf of a body (argv, key path, recorded
-value, current value), a run of ``RUNS`` not yet recorded included, and
-exits 1 if anything moved.
+value, current value, relative move |current - recorded|/|recorded|), a run
+of ``RUNS`` not yet recorded included, and exits 1 if anything moved.
 """
 
 from __future__ import annotations
@@ -104,11 +104,21 @@ def _leaves(value, path=""):
         yield path, json.dumps(value)
 
 
+def _relative_move(before, after) -> str:
+    """|after - before|/|before| of two numeric leaves' JSON texts, or a
+    dash where either is not a number or before is 0."""
+    try:
+        old, new = float(before), float(after)
+    except (TypeError, ValueError):
+        return "—"
+    return f"{abs(new - old) / abs(old):.2g}" if old else "—"
+
+
 def moved_rows(recorded: list) -> list:
-    """Markdown rows | argv | key path | recorded | current | for every leaf
-    that moved, replaying the recorded runs and then the runs of ``RUNS``
-    that are not recorded; a run that fails, or a body that moved with no
-    leaf moving, is one row for the whole body."""
+    """Markdown rows | argv | key path | recorded | current | relative move |
+    for every leaf that moved, replaying the recorded runs and then the runs
+    of ``RUNS`` that are not recorded; a run that fails, or a body that moved
+    with no leaf moving, is one row for the whole body."""
     known = [r["argv"] for r in recorded]
     rows = []
     for argv, old in ([(r["argv"], r["body"]) for r in recorded]
@@ -118,14 +128,15 @@ def moved_rows(recorded: list) -> list:
             continue
         cmd = f"`{' '.join(argv)}`"
         if code != 0:
-            rows.append(f"| {cmd} | (exit code) | 0 | {code} |")
+            rows.append(f"| {cmd} | (exit code) | 0 | {code} | — |")
         elif old is None:
-            rows.append(f"| {cmd} | (body) | — | not recorded |")
+            rows.append(f"| {cmd} | (body) | — | not recorded | — |")
         else:
             before, after = (dict(_leaves(json.loads(b))) for b in (old, new))
             keys = [k for k in {**before, **after} if before.get(k) != after.get(k)]
-            rows += [f"| {cmd} | `{k}` | {before.get(k, '—')} | {after.get(k, '—')} |"
-                     for k in keys] or [f"| {cmd} | (body) | recorded | moved |"]
+            rows += [f"| {cmd} | `{k}` | {before.get(k, '—')} | {after.get(k, '—')} "
+                     f"| {_relative_move(before.get(k), after.get(k))} |"
+                     for k in keys] or [f"| {cmd} | (body) | recorded | moved | — |"]
     return rows
 
 
@@ -138,7 +149,7 @@ def main_record(path: pathlib.Path) -> None:
 def main_diff(path: pathlib.Path) -> int:
     rows = moved_rows(json.loads(path.read_text(encoding="utf-8"))["runs"])
     if rows:
-        print("| run | key | recorded | current |\n|---|---|---|---|")
+        print("| run | key | recorded | current | relative move |\n|---|---|---|---|---|")
         print("\n".join(rows))
     return 1 if rows else 0
 

@@ -598,6 +598,78 @@ def test_fixed_cli_bodies_unchanged():
     assert len(runs) == 28
 
 
+# the floats of the fixed bodies' results that declare no error; a change
+# that budgets one removes its entry, and adding an entry is a loosening
+UNBUDGETED = frozenset({
+    "density:mass", "density:sup_distance_to_gaussian",
+    "converge:distances.l1", "converge:distances.l2", "converge:distances.sup",
+    "converge:fitted_log_slope", "converge:even_slope", "converge:odd_slope",
+    "converge:condition_max_abs",
+    "regularity:estimate", "regularity:shell_contributions",
+    "check-condition:max_abs",
+    "oscillate:residual_sup",
+})
+
+# the error_estimates entries that bound each other float of a body's
+# results; none for a number that is itself a measured error or a bound
+# (the route gap, the period defect, the Gaussian mass off the grid), an
+# exact constant (the autocorrelation's 1/2) or the grid the run was given
+_BUDGETS = {
+    "limits:even": ("series_tail",), "limits:odd": ("series_tail",),
+    "autocorr:value": ("series_tail",), "autocorr:deviation": ("series_tail",),
+    "autocorr:target": (),
+    "poisson:lhs": ("lhs_tail",), "poisson:rhs": ("rhs_tail",),
+    "poisson:gap": ("lhs_tail", "rhs_tail"),
+    "oscillate:method_gap": (), "oscillate:period_defect": (),
+    "converge:grid_meta.gaussian_window_deficit": (),
+    "converge:grid_meta.lo": (), "converge:grid_meta.hi": (),
+}
+
+
+def _budget_audit(body: dict, seen: set) -> list:
+    """The float leaves of a body's results (list entries under their
+    list's key) that are neither an error estimate, a count, a number whose
+    declared error the body carries, nor in UNBUDGETED; ``seen`` gathers
+    every audited key.  ``config`` repeats the run's arguments."""
+    res, failures = body["results"], []
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                if path or k != "error_estimates":
+                    walk(v, f"{path}.{k}" if path else k)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v, path)
+        elif isinstance(value, float):
+            key = f"{body['experiment']}:{path}"
+            seen.add(key)
+            errors = res.get("error_estimates", {})
+            budgeted = key in _BUDGETS and all(isinstance(errors.get(e), float)
+                                               for e in _BUDGETS[key])
+            if not (budgeted or key in UNBUDGETED):
+                failures.append(key)
+
+    walk(res, "")
+    return failures
+
+
+def test_every_body_number_carries_a_budget():
+    # the fixed bodies' results hold error estimates, counts, numbers that
+    # an error estimate of their body bounds, and the UNBUDGETED list, each
+    # entry of which some body still holds
+    runs = json.loads((pathlib.Path(__file__).parent / "data" / "cli_bodies.json")
+                      .read_text(encoding="utf-8"))["runs"]
+    seen = set()
+    failures = {k for r in runs for k in _budget_audit(json.loads(r["body"]), seen)}
+    assert failures == set(), sorted(failures)
+    listed = UNBUDGETED | set(_BUDGETS)
+    assert listed <= seen, sorted(listed - seen)
+    made_up = {"experiment": "poisson", "results": {
+        "error_estimates": {"lhs_tail": 1e-15}, "lhs": 1.0, "gap": 0.0, "n": 3, "width": 0.5}}
+    assert _budget_audit(made_up, set()) == ["poisson:gap", "poisson:width"]
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # the package and its CLI load without scipy.integrate and the modules
     # it pulls in, without concurrent.futures or the module only an exact

@@ -127,6 +127,16 @@ def test_two_dimensional_bernoulli_noise_is_the_corner_product():
     assert np.array_equal(b2.cf(t), np.prod(np.cos(t), axis=-1))
 
 
+@pytest.mark.parametrize("noise, shown", [
+    (uniform_noise(), "<NoiseDistribution uniform:h=1.73205 dim=1>"),
+    (bernoulli_noise(1), "<NoiseDistribution bernoulli dim=1>"),
+    (bernoulli_noise(2), "<NoiseDistribution bernoulli:d=2 dim=2>")])
+def test_a_noise_prints_as_a_source_does(noise, shown):
+    # the subclass's dataclass generates no repr of its own, which would
+    # print every field, closures included
+    assert repr(noise) == shown
+
+
 # ---------------------------------------------------------------------------
 # shared invariants
 # ---------------------------------------------------------------------------

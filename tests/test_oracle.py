@@ -8,7 +8,7 @@ import pytest
 
 from llt_lab import (InvalidParameterError, SmoothedModel, UnsupportedError,
                      bernoulli_noise, density, exact_mixture_density,
-                     exact_mixture_density_2d, gaussian_noise, grid_2d, make_fejer,
+                     exact_mixture_density_2d, gaussian_noise, grid_1d, grid_2d, make_fejer,
                      make_gaussian, make_laplace, make_uniform, mixture_weights,
                      monte_carlo_density, product, uniform_noise)
 from llt_lab.distributions import _alias_table, _digit_sum_pmf, _digit_widths
@@ -101,6 +101,22 @@ def test_mixture_uniform_hand_values():
     assert exact_mixture_density(UNIFORM, 1, 1.0) == pytest.approx(0.25, abs=1e-15)
     assert exact_mixture_density(UNIFORM, 2, 0.0) == pytest.approx(
         math.sqrt(2.0) / 4.0, abs=1e-15)
+
+
+def test_mixture_takes_the_mean_on_a_jump():
+    # x sqrt(n) = -3 puts the lattice points -1 and 1 on the edges of
+    # uniform:h=1: the closed box would count both, the sum of the one-sided
+    # limits; the mixture takes their mean, as the cell engine does
+    n, x = 16, -0.75
+    left, right = exact_mixture_density(UNIFORM, n, np.array([x - 1e-12, x + 1e-12]))
+    got = exact_mixture_density(UNIFORM, n, x)
+    assert got == pytest.approx(0.5 * (left + right), rel=0.0, abs=1e-15)
+    assert got == pytest.approx(0.296753, abs=1e-6)
+    # -0.75 and 0.75 sit on jumps, 0 does not
+    grid = grid_1d(x, -x, 3)
+    gd = density(SmoothedModel(UNIFORM, bernoulli_noise(1)), n, grid)
+    ref = exact_mixture_density(UNIFORM, n, grid.axes[0].points())
+    assert ref[0] == got and np.all(np.abs(gd.values - ref) <= gd.est_tail_error)
 
 
 def test_mixture_laplace_hand_value():

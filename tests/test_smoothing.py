@@ -319,7 +319,7 @@ def test_density_values_own_their_buffer(engine, model):
 @pytest.mark.parametrize("n", [16, 16384])
 def test_cell_engine_temporaries_stay_small(name, param, n):
     # the engine walks the grid in row blocks, so one default-grid call
-    # never holds a whole (points x nodes) complex table (about 6 MB)
+    # never holds whole (points x nodes) tables (about 4 MB)
     import tracemalloc
     model = SmoothedModel(_CELL_SOURCES[name](param), BERN)
     tracemalloc.start()
@@ -329,6 +329,46 @@ def test_cell_engine_temporaries_stay_small(name, param, n):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20, peak
+
+
+def _complex_cell_sum(source, n, x):
+    """The cell engine's main-rule sum at the points x in complex phases:
+    the density table times L e^{isLm}, or the cf side's sum of
+    e^{-iat} f(t), times e^{-isj}, of which the real part is kept; with
+    F(0, a) from the same complex sums at s = 0."""
+    from llt_lab import smoothing
+    half, j, a, side, reach, ((s, ws), _) = smoothing._cell_rule(source, n, x)
+
+    def reduced(s):
+        L = side.L
+        if side.k is None:
+            return side.p @ (L * np.exp(1j * L * np.outer(side.m, s)))
+        return sum(np.exp(-1j * np.outer(a, t)) * source.cf(t)
+                   for t in ((2.0 * math.pi / L) * k + s for k in side.k))
+
+    c = smoothing._cos_power(n, s)
+    vals = (np.exp(-1j * np.outer(j, s)) * reduced(s)).real @ (ws * c)
+    a_max = float(np.max(np.abs(reduced(np.zeros(1))))) + side.tail
+    pref = math.sqrt(n) / (2.0 * math.pi)
+    scale = pref * float(ws @ c) * a_max
+    return pref * vals, smoothing._cell_rounding(half, reach, side.edge) * scale
+
+
+@pytest.mark.parametrize("name, param, n", [
+    *((name, 1.0, n) for name in ("uniform", "laplace", "gaussian")
+      for n in (16, 256, 4096, 16384)),
+    ("fejer", 0.7, 3), ("fejer", 0.7, 256)])
+def test_cell_engine_real_sum_is_the_complex_one(name, param, n):
+    # the engine sums Re(e^{-isj} G) as cos(sj) Re G + sin(sj) Im G in real
+    # arithmetic; on the default grid it is the complex sum within the
+    # rounding it declares, at every point
+    from llt_lab import smoothing
+    x = default_grid(1).axes[0].points()
+    src = _CELL_SOURCES[name](param)
+    ref, rounding = _complex_cell_sum(src, n, x)
+    vals, _ = smoothing._bernoulli_density_1d(src, n, x)
+    err = np.abs(vals - ref)
+    assert np.all(err <= rounding), (float(err.max()), rounding)
 
 
 @pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 64, 65, 1001])
